@@ -26,7 +26,7 @@ from .semantics import (
 )
 from .normform import FormReport, Violation, check_simplified
 from .verify import (
-    Budget, BudgetExceeded, NotSimplified, VerifyError, prove, verify,
+    Budget, BudgetExceeded, NotSimplified, VerifyError, verify,
 )
 from .witness import (
     LassoTrace, Validation, ValidationReport, gen, generate, lassoify,

@@ -19,8 +19,7 @@ golden counterexample traces in the test suite.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .terms import Term
 
@@ -79,41 +78,36 @@ def imp3(a: TruthVal, b: TruthVal) -> TruthVal:
 
 # --- verdicts -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     truth: TruthVal
     trace: Trace
 
 
-# Observer hook for instrumenting binary verdict combinations (tests only).
-# Called as observer(op_name, left, right, result) when set.
-TRACE_OBSERVER: Optional[Callable[[str, Verdict, Verdict, Verdict], None]] = None
+def _combine(annihilator: TruthVal, v1: Verdict, v2: Verdict) -> Verdict:
+    """``and`` (annihilator False) or ``or`` (annihilator True) of two verdicts.
 
-
-def _pick_trace(op: str, b: TruthVal, v1: Verdict, v2: Verdict) -> Trace:
-    matching = [v.trace for v in (v1, v2) if v.truth is b]
-    if len(matching) == 1:
-        return matching[0]
-    prefer_long = (op == "and" and b is TRUE) or (op == "or" and b is FALSE)
-    if prefer_long:
-        return matching[1] if len(matching[1]) > len(matching[0]) else matching[0]
-    return matching[1] if len(matching[1]) < len(matching[0]) else matching[0]
-
-
-def _combine(op: str, f3, v1: Verdict, v2: Verdict) -> Verdict:
-    b = f3(v1.truth, v2.truth)
-    out = Verdict(b, _pick_trace(op, b, v1, v2))
-    if TRACE_OBSERVER is not None:
-        TRACE_OBSERVER(op, v1, v2, out)
-    return out
+    The result is always one operand's verdict, so no new one is built. The
+    truth value is decided here rather than by ``and3``/``or3``: this runs
+    once per combination on the engine's hot path.
+    """
+    t1, t2 = v1.truth, v2.truth
+    if t1 is not t2:
+        # the annihilator decides, and failing that Undefined
+        if t1 is annihilator or (t1 is UNDEFINED and t2 is not annihilator):
+            return v1
+        return v2
+    if t1 is annihilator or t1 is UNDEFINED:
+        return v2 if len(v2.trace) < len(v1.trace) else v1
+    # identity result: the longer trace subsumes the other
+    return v2 if len(v2.trace) > len(v1.trace) else v1
 
 
 def and_v(v1: Verdict, v2: Verdict) -> Verdict:
-    return _combine("and", and3, v1, v2)
+    return _combine(FALSE, v1, v2)
 
 
 def or_v(v1: Verdict, v2: Verdict) -> Verdict:
-    return _combine("or", or3, v1, v2)
+    return _combine(TRUE, v1, v2)
 
 
 def not_v(v: Verdict) -> Verdict:
@@ -121,14 +115,14 @@ def not_v(v: Verdict) -> Verdict:
 
 
 def imp_v(v1: Verdict, v2: Verdict) -> Verdict:
-    return or_v(not_v(v1), v2)
+    return _combine(TRUE, not_v(v1), v2)
 
 
 def and_v_all(verdicts: Iterable[Verdict]) -> Verdict:
     """Left fold of ``and_v`` over at least one verdict."""
     out = None
     for v in verdicts:
-        out = v if out is None else and_v(out, v)
+        out = v if out is None else _combine(FALSE, out, v)
     if out is None:
         raise ValueError("empty verdict conjunction")
     return out
@@ -138,7 +132,7 @@ def or_v_all(verdicts: Iterable[Verdict]) -> Verdict:
     """Left fold of ``or_v`` over at least one verdict."""
     out = None
     for v in verdicts:
-        out = v if out is None else or_v(out, v)
+        out = v if out is None else _combine(TRUE, out, v)
     if out is None:
         raise ValueError("empty verdict disjunction")
     return out

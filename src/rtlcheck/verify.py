@@ -1,28 +1,22 @@
 """Three-valued LTL verification over simplified-form programs.
 
-The verifier walks the program and formula together. Function calls are
-unfolded at most once per temporal obligation: revisiting a call while
-checking an always-formula yields True (greatest fixed point), while
-checking an eventually-formula yields False (least fixed point), and
-Undefined otherwise. The visited set is reset exactly when checking moves
-inside a temporal operator at a Cons cell.
-
-Dispatch precedence: structural let/where rules fire for any formula, then
-formula connectives, then the rules keyed on the shapes of expression and
-formula together.
+The verification rules exist once, in :func:`rtlcheck.witness.gen`, which
+decides a property and builds the trace that evidences the answer in the
+same pass; :func:`verify` returns the truth value of that verdict. This
+module holds what the rules share with their callers: the rule-application
+budget, call unfolding, the fairness test for case branches, and the
+errors.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .terms import (
-    Always, And, Atom, Case, Con, Eventually, Formula, Fun, Implies, Lam, Let,
-    Next, Not, Or, PCon, Term, Var, Where, spine, substitute,
-)
-from .kleene import FALSE, TRUE, TruthVal, UNDEFINED, and3, imp3, not3, or3
-from .semantics import FunEnv, DEFAULT_FUEL, atom_truth
-from .normform import check_simplified
+from .terms import Formula, Fun, Lam, PCon, Term, Var, spine, substitute
+from .kleene import TruthVal
+from .semantics import FunEnv, DEFAULT_FUEL
+from .semantics import atom_truth  # noqa: F401  (rebound by benchmarks/tracer.py)
+from .normform import check_simplified  # noqa: F401  (rebound by benchmarks/tracer.py)
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -102,124 +96,14 @@ def branch_is_fair(pattern, preceding: set[str], fair: FairSet) -> bool:
     return bool(fair - preceding)
 
 
-def prove(t: Term, f: Formula, env: FunEnv, visited: VisitedSet,
-          fair: FairSet, budget: Budget | None = None,
-          fuel: int = DEFAULT_FUEL) -> TruthVal:
-    """Truth value of formula ``f`` for the stream produced by ``t``."""
-    if budget is None:
-        budget = Budget()
-    budget.tick()
-
-    # structural expression rules apply to any formula
-    match t:
-        case Where(body, defs):
-            return prove(body, f, env.extend(defs), visited, fair, budget, fuel)
-        case Let(_, _, body):
-            return prove(body, f, env, visited, fair, budget, fuel)
-
-    # formula connectives
-    match f:
-        case And(l, r):
-            return and3(prove(t, l, env, visited, fair, budget, fuel),
-                        prove(t, r, env, visited, fair, budget, fuel))
-        case Or(l, r):
-            return or3(prove(t, l, env, visited, fair, budget, fuel),
-                       prove(t, r, env, visited, fair, budget, fuel))
-        case Implies(l, r):
-            return imp3(prove(t, l, env, visited, fair, budget, fuel),
-                        prove(t, r, env, visited, fair, budget, fuel))
-        case Not(sub):
-            return not3(prove(t, sub, env, visited, fair, budget, fuel))
-
-    # remaining rules keyed on the expression shape
-    match t:
-        case Con("Cons", (state, tail)):
-            match f:
-                case Always(sub):
-                    head = prove(t, sub, env, EMPTY_VISITED, fair, budget, fuel)
-                    rest = prove(tail, f, env, visited, fair, budget, fuel)
-                    return and3(head, rest)
-                case Eventually(sub):
-                    head = prove(t, sub, env, EMPTY_VISITED, fair, budget, fuel)
-                    rest = prove(tail, f, env, visited, fair, budget, fuel)
-                    return or3(head, rest)
-                case Next(sub):
-                    return prove(tail, sub, env, visited, fair, budget, fuel)
-                case Atom(term):
-                    return atom_truth(term, state, fuel)
-
-        case Case(Var(_), alts):
-            if isinstance(f, Eventually):
-                preceding: set[str] = set()
-                fair_vals: list[TruthVal] = []
-                all_vals: list[TruthVal] = []
-                for alt in alts:
-                    value = prove(alt.body, f, env, visited, fair, budget, fuel)
-                    if branch_is_fair(alt.pattern, preceding, fair):
-                        fair_vals.append(value)
-                    if isinstance(alt.pattern, PCon):
-                        preceding.add(alt.pattern.con)
-                    all_vals.append(value)
-                conj = all_vals[0]
-                for v in all_vals[1:]:
-                    conj = and3(conj, v)
-                if not fair_vals:
-                    return conj
-                disj = fair_vals[0]
-                for v in fair_vals[1:]:
-                    disj = or3(disj, v)
-                return or3(disj, conj)
-            out = None
-            for alt in alts:
-                value = prove(alt.body, f, env, visited, fair, budget, fuel)
-                out = value if out is None else and3(out, value)
-            assert out is not None, "case with no alternatives"
-            return out
-
-        case _:
-            call = call_spine(t) if _may_be_call(t) else None
-            if call is not None:
-                fname, argnames = call
-                if isinstance(f, Always):
-                    if fname in visited:
-                        return TRUE
-                elif isinstance(f, Eventually):
-                    if fname in visited:
-                        return FALSE
-                else:
-                    if fname in visited:
-                        return UNDEFINED
-                body = unfold_call(fname, argnames, env)
-                return prove(body, f, env, visited | {fname}, fair, budget, fuel)
-            if _is_rho_app(t):
-                return UNDEFINED
-
-    raise VerifyError(f"no verification rule for {type(t).__name__} "
-                      f"against {type(f).__name__}")
-
-
-def _may_be_call(t: Term) -> bool:
-    head, _ = spine(t)
-    return isinstance(head, Fun)
-
-
-def _is_rho_app(t: Term) -> bool:
-    head, _ = spine(t)
-    return isinstance(head, Var)
-
-
 def verify(program: Term, f: Formula, fair: FairSet = frozenset(),
            budget: Budget | None = None, fuel: int = DEFAULT_FUEL,
            require_simplified: bool = True) -> TruthVal:
-    """Entry point: prove with empty environment and visited set.
+    """Truth value of ``f`` for ``program``: the truth of its generated verdict.
 
     Raises NotSimplified unless the program passes the simplified-form check
     (skippable for callers that already checked).
     """
-    if require_simplified:
-        report = check_simplified(program)
-        if not report.conforms:
-            first = report.violations[0]
-            raise NotSimplified(f"{first.path}: {first.message}")
-    return prove(program, f, FunEnv.empty(), EMPTY_VISITED, frozenset(fair),
-                 budget, fuel)
+    # imported here: witness imports Budget, unfold_call, ... from this module
+    from .witness import generate
+    return generate(program, f, fair, budget, fuel, require_simplified).truth

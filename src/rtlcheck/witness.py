@@ -1,11 +1,23 @@
-"""Counterexample and witness construction with trace validation.
+"""The verification rules, building verdicts, and trace validation.
 
-The builder mirrors the verification rules, threading the trace of
-observable states seen along the current rule-application path. Every Cons
-cell appends its state; revisited calls close the loop and return the
-accumulated trace. The resulting trace is a counterexample when the truth
-value is False and a witness when it is True, and finite traces whose last
-state repeats an earlier one denote lassos.
+:func:`gen` walks the program and formula together and returns a verdict: a
+truth value and the trace of observable states that evidences it.
+:func:`rtlcheck.verify.verify` returns the truth value alone. Function calls
+are unfolded at most once per temporal obligation: revisiting a call while
+checking an always-formula yields True (greatest fixed point), while
+checking an eventually-formula yields False (least fixed point), and
+Undefined otherwise. The visited set is reset exactly when checking moves
+inside a temporal operator at a Cons cell.
+
+Dispatch precedence: structural let/where rules fire for any formula, then
+formula connectives, then the rules keyed on the shapes of expression and
+formula together.
+
+The trace is threaded along the current rule-application path: every Cons
+cell appends its state, and revisited calls close the loop and return the
+accumulated trace. It is a counterexample when the truth value is False and
+a witness when it is True, and a finite trace whose last state repeats an
+earlier one denotes a lasso.
 """
 
 from __future__ import annotations
@@ -16,17 +28,17 @@ from typing import Optional
 
 from .terms import (
     Always, And, Atom, Case, Con, Eventually, Formula, Implies, Next, Not, Or,
-    PCon, Term, Var, Where, Let,
+    PCon, Term, Var, Where, Let, spine,
 )
 from .kleene import (
     FALSE, TRUE, Trace, UNDEFINED, Verdict,
-    and_v, imp_v, not_v, or_v,
+    and_v, and_v_all, imp_v, not_v, or_v, or_v_all,
 )
 from .semantics import FunEnv, DEFAULT_FUEL, atom_truth
 from .normform import check_simplified
 from .verify import (
     Budget, EMPTY_VISITED, FairSet, NotSimplified, VerifyError, VisitedSet,
-    branch_is_fair, call_spine, unfold_call, _may_be_call, _is_rho_app,
+    branch_is_fair, call_spine, unfold_call,
 )
 from .ltlsem import AtomUndefined, Bounded, PositionedModel, bounded_check, sat_lasso
 
@@ -72,51 +84,42 @@ def gen(t: Term, f: Formula, env: FunEnv, visited: VisitedSet, fair: FairSet,
 
     match t:
         case Con("Cons", (state, tail)):
-            extended = acc + (state,)
             match f:
                 case Always(sub):
                     head = gen(t, sub, env, EMPTY_VISITED, fair, acc, budget, fuel)
-                    rest = gen(tail, f, env, visited, fair, extended, budget, fuel)
+                    rest = gen(tail, f, env, visited, fair, acc + (state,),
+                               budget, fuel)
                     return and_v(head, rest)
                 case Eventually(sub):
                     head = gen(t, sub, env, EMPTY_VISITED, fair, acc, budget, fuel)
-                    rest = gen(tail, f, env, visited, fair, extended, budget, fuel)
+                    rest = gen(tail, f, env, visited, fair, acc + (state,),
+                               budget, fuel)
                     return or_v(head, rest)
                 case Next(sub):
-                    return gen(tail, sub, env, visited, fair, extended, budget, fuel)
+                    return gen(tail, sub, env, visited, fair, acc + (state,),
+                               budget, fuel)
                 case Atom(term):
-                    return Verdict(atom_truth(term, state, fuel), extended)
+                    return Verdict(atom_truth(term, state, fuel), acc + (state,))
 
         case Case(Var(_), alts):
-            if isinstance(f, Eventually):
-                preceding: set[str] = set()
-                fair_vs: list[Verdict] = []
-                all_vs: list[Verdict] = []
-                for alt in alts:
-                    v = gen(alt.body, f, env, visited, fair, acc, budget, fuel)
-                    if branch_is_fair(alt.pattern, preceding, fair):
-                        fair_vs.append(v)
-                    if isinstance(alt.pattern, PCon):
-                        preceding.add(alt.pattern.con)
-                    all_vs.append(v)
-                conj = all_vs[0]
-                for v in all_vs[1:]:
-                    conj = and_v(conj, v)
-                if not fair_vs:
-                    return conj
-                disj = fair_vs[0]
-                for v in fair_vs[1:]:
-                    disj = or_v(disj, v)
-                return or_v(disj, conj)
-            out: Optional[Verdict] = None
+            vs: list[Verdict] = []
             for alt in alts:
-                v = gen(alt.body, f, env, visited, fair, acc, budget, fuel)
-                out = v if out is None else and_v(out, v)
-            assert out is not None, "case with no alternatives"
-            return out
+                vs.append(gen(alt.body, f, env, visited, fair, acc, budget, fuel))
+            conj = and_v_all(vs)
+            if not isinstance(f, Eventually):
+                return conj
+            # an eventuality may instead be met by any fair branch
+            preceding: set[str] = set()
+            fair_vs: list[Verdict] = []
+            for alt, v in zip(alts, vs):
+                if branch_is_fair(alt.pattern, preceding, fair):
+                    fair_vs.append(v)
+                if isinstance(alt.pattern, PCon):
+                    preceding.add(alt.pattern.con)
+            return or_v(or_v_all(fair_vs), conj) if fair_vs else conj
 
         case _:
-            call = call_spine(t) if _may_be_call(t) else None
+            call = call_spine(t)
             if call is not None:
                 fname, argnames = call
                 if fname in visited:
@@ -128,10 +131,10 @@ def gen(t: Term, f: Formula, env: FunEnv, visited: VisitedSet, fair: FairSet,
                 body = unfold_call(fname, argnames, env)
                 return gen(body, f, env, visited | {fname}, fair, acc,
                            budget, fuel)
-            if _is_rho_app(t):
+            if isinstance(spine(t)[0], Var):  # application of a let-bound variable
                 return Verdict(UNDEFINED, acc)
 
-    raise VerifyError(f"no construction rule for {type(t).__name__} "
+    raise VerifyError(f"no verification rule for {type(t).__name__} "
                       f"against {type(f).__name__}")
 
 

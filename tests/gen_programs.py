@@ -51,6 +51,28 @@ def random_program(rng: random.Random, max_funcs: int = 6,
     return Where(body, tuple(defs)), events
 
 
+def ring_program(n: int) -> Term:
+    """A ring of ``n`` handlers: EvA advances to the next handler, ``_`` stays.
+
+    The last handler emits St2 and all others St0, so checking the ring
+    recurses through every handler before any call is revisited.
+    """
+    def emit(j: int) -> Term:
+        state = "St2" if j == n - 1 else "St0"
+        return Con("Cons", (Con(state), App(Fun(f"h{j}"), Var("es"))))
+
+    defs = []
+    for i in range(n):
+        nxt = (i + 1) % n
+        handler = Lam("es", Case(Var("es"), (
+            Alt(PCon("Cons", ("e", "es")), Case(Var("e"), (
+                Alt(PCon("EvA", ()), emit(nxt)),
+                Alt(WILD, emit(i)),
+            ))),)))
+        defs.append((f"h{i}", handler))
+    return Where(emit(0), tuple(defs))
+
+
 def state_atom(state_name: str) -> Atom:
     """Atom holding exactly at the given nullary state constructor."""
     return Atom(Case(Var("s"), (

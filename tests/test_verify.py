@@ -4,12 +4,12 @@ from rtlcheck.kleene import FALSE, TRUE, UNDEFINED
 from rtlcheck.parser import parse_program
 from rtlcheck.semantics import AtomError, FunEnv
 from rtlcheck.terms import (
-    Always, And, Atom, Con, Eventually, Fun, Next, Var,
+    Always, And, Atom, Con, Eventually, Fun, Next, Not, Var,
 )
 from rtlcheck.verify import (
-    Budget, BudgetExceeded, EMPTY_VISITED, NotSimplified, VerifyError,
-    prove, verify,
+    Budget, BudgetExceeded, EMPTY_VISITED, NotSimplified, VerifyError, verify,
 )
+from rtlcheck.witness import gen, generate
 
 NOFAIR = frozenset()
 ALLFAIR = frozenset(("Request1", "Request2", "Take1", "Take2",
@@ -43,16 +43,16 @@ def test_revisit_semantics_without_unfolding():
     env = FunEnv.empty()
     visited = frozenset(("f",))
     atom = Atom(Con("True"))
-    assert prove(t, Always(atom), env, visited, NOFAIR) is TRUE
-    assert prove(t, Eventually(atom), env, visited, NOFAIR) is FALSE
-    assert prove(t, Next(atom), env, visited, NOFAIR) is UNDEFINED
-    assert prove(t, atom, env, visited, NOFAIR) is UNDEFINED
+    assert gen(t, Always(atom), env, visited, NOFAIR, acc=()).truth is TRUE
+    assert gen(t, Eventually(atom), env, visited, NOFAIR, acc=()).truth is FALSE
+    assert gen(t, Next(atom), env, visited, NOFAIR, acc=()).truth is UNDEFINED
+    assert gen(t, atom, env, visited, NOFAIR, acc=()).truth is UNDEFINED
 
 
 def test_unvisited_call_requires_definition():
     with pytest.raises(VerifyError):
-        prove(Fun("f"), Always(Atom(Con("True"))), FunEnv.empty(),
-              EMPTY_VISITED, NOFAIR)
+        gen(Fun("f"), Always(Atom(Con("True"))), FunEnv.empty(),
+            EMPTY_VISITED, NOFAIR, acc=())
 
 
 def test_structural_rules_fire_before_connectives(corpus_by_name):
@@ -142,3 +142,17 @@ def test_rule_applications_scale_with_functions_and_formula():
             budget = Budget()
             verify(program, formula, random_fair(rng, events), budget=budget)
             assert budget.used <= 2000 * (n + 1) * _formula_size(formula)
+
+
+def test_deep_ring_stays_within_recursion_limit():
+    # each handler nests four rule applications (call, two cases, Cons); with
+    # the default recursion limit both properties hold up to 236 handlers
+    # under pytest and raise RecursionError from 237. One more Python frame
+    # per rule application would lower that ceiling to about 190.
+    from gen_programs import ring_program, state_atom
+
+    program = ring_program(230)
+    fair = frozenset(("EvA", "EvB"))
+    for formula in (Always(Not(state_atom("St3"))), Eventually(state_atom("St2"))):
+        assert verify(program, formula, fair) is TRUE
+        assert generate(program, formula, fair).truth is TRUE

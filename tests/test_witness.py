@@ -162,16 +162,20 @@ def test_state_repetition_lassos_are_heuristic():
 
 # --- trace selection instrumentation ----------------------------------------------
 
-def test_selected_traces_respect_evidence_policy(corpus):
+def test_selected_traces_respect_evidence_policy(corpus, monkeypatch):
+    # every binary combination and every fold goes through _combine
     observed = []
-    kleene.TRACE_OBSERVER = lambda op, v1, v2, out: observed.append(
-        (op, v1, v2, out))
-    try:
-        for entry, source, props in corpus:
-            for name in entry.expected_verdicts:
-                generate(source.term, props.get(name), props.fair)
-    finally:
-        kleene.TRACE_OBSERVER = None
+    combine = kleene._combine
+
+    def spy(annihilator, v1, v2):
+        out = combine(annihilator, v1, v2)
+        observed.append(("and" if annihilator is FALSE else "or", v1, v2, out))
+        return out
+
+    monkeypatch.setattr(kleene, "_combine", spy)
+    for entry, source, props in corpus:
+        for name in entry.expected_verdicts:
+            generate(source.term, props.get(name), props.fair)
     assert observed
     for op, v1, v2, out in observed:
         assert out.trace in (v1.trace, v2.trace)
