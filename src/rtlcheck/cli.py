@@ -44,6 +44,8 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 ({exc.reason})") from exc
 
 
 def _load_program(path: str) -> SourceFile:
@@ -310,6 +312,10 @@ def build_parser() -> _Parser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "depth", 0) < 0:
+        parser.error("oracle: --depth must not be negative")
+    if getattr(args, "cycle", False) and not args.events.replace(",", "").strip():
+        parser.error("simulate: --cycle needs at least one event in --events")
     try:
         return args.func(args)
     except InputError as exc:

@@ -8,8 +8,8 @@ operands carry it, the choice depends on what the evidence must cover:
 * an annihilator result (``and`` giving False, ``or`` giving True) is fully
   explained by one operand, so the shortest trace wins;
 * an identity result (``and`` giving True, ``or`` giving False) needed both
-  operands, and since one trace extends the other along a rule-application
-  path, the longest subsumes it;
+  operands, and since both traces start at the same term, the longest
+  covers the most;
 * Undefined carries no semantic claim, so the shortest trace wins.
 
 Ties go to the left operand. This selection is pinned byte-exactly by the

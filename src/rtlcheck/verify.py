@@ -4,17 +4,14 @@ The verification rules exist once, in :func:`rtlcheck.witness.gen`, which
 decides a property and builds the trace that evidences the answer in the
 same pass; :func:`verify` returns the truth value of that verdict. This
 module holds what the rules share with their callers: the rule-application
-budget, call unfolding, the fairness test for case branches, and the
-errors.
+budget, call unfolding, and the errors.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .terms import Formula, Fun, Lam, PCon, Term, Var, spine, substitute
+from .terms import Formula, Lam, Term, Var, substitute
 from .kleene import TruthVal
-from .semantics import FunEnv, DEFAULT_FUEL
+from .semantics import FunEnv
 from .semantics import atom_truth  # noqa: F401  (rebound by benchmarks/tracer.py)
 from .normform import check_simplified  # noqa: F401  (rebound by benchmarks/tracer.py)
 
@@ -53,19 +50,6 @@ class Budget:
             raise BudgetExceeded(f"exceeded {self.limit} rule applications")
 
 
-def call_spine(t: Term) -> Optional[tuple[str, tuple[str, ...]]]:
-    """Function call applied to variables only, as (name, argument names)."""
-    head, args = spine(t)
-    if not isinstance(head, Fun):
-        return None
-    names = []
-    for a in args:
-        if not isinstance(a, Var):
-            raise VerifyError(f"call to {head.name} has a non-variable argument")
-        names.append(a.name)
-    return head.name, tuple(names)
-
-
 def unfold_call(fname: str, argnames: tuple[str, ...], env: FunEnv) -> Term:
     """Body of ``fname`` with its formal parameters renamed to the arguments."""
     body = env.lookup(fname)
@@ -84,26 +68,12 @@ def unfold_call(fname: str, argnames: tuple[str, ...], env: FunEnv) -> Term:
     return substitute(body, renaming) if renaming else body
 
 
-def branch_is_fair(pattern, preceding: set[str], fair: FairSet) -> bool:
-    """Whether a case branch is covered by the fairness assumption.
-
-    A wildcard stands for the events not matched by the preceding patterns
-    of its case, so it is fair exactly when some fair event remains
-    unmatched.
-    """
-    if isinstance(pattern, PCon):
-        return pattern.con in fair
-    return bool(fair - preceding)
-
-
 def verify(program: Term, f: Formula, fair: FairSet = frozenset(),
-           budget: Budget | None = None, fuel: int = DEFAULT_FUEL,
-           require_simplified: bool = True) -> TruthVal:
+           budget: Budget | None = None) -> TruthVal:
     """Truth value of ``f`` for ``program``: the truth of its generated verdict.
 
-    Raises NotSimplified unless the program passes the simplified-form check
-    (skippable for callers that already checked).
+    Raises NotSimplified unless the program passes the simplified-form check.
     """
     # imported here: witness imports Budget, unfold_call, ... from this module
     from .witness import generate
-    return generate(program, f, fair, budget, fuel, require_simplified).truth
+    return generate(program, f, fair, budget).truth

@@ -13,11 +13,11 @@ Dispatch precedence: structural let/where rules fire for any formula, then
 formula connectives, then the rules keyed on the shapes of expression and
 formula together.
 
-The trace is threaded along the current rule-application path: every Cons
-cell appends its state, and revisited calls close the loop and return the
-accumulated trace. It is a counterexample when the truth value is False and
-a witness when it is True, and a finite trace whose last state repeats an
-earlier one denotes a lasso.
+A verdict's trace runs from its own term onward, not from the root: an atom
+gives its Cons cell's state, a temporal rule at a Cons cell puts that state
+before its tail's trace, and revisits and let-variable applications give the
+empty trace. A False verdict's trace is a counterexample, a True one's a
+witness, and a last state that repeats an earlier one closes a lasso.
 """
 
 from __future__ import annotations
@@ -27,18 +27,18 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .terms import (
-    Always, And, Atom, Case, Con, Eventually, Formula, Implies, Next, Not, Or,
-    PCon, Term, Var, Where, Let, spine,
+    Always, And, Atom, Case, Con, Eventually, Formula, Fun, Implies, Next, Not,
+    Or, PCon, Term, Var, Where, Let, spine,
 )
 from .kleene import (
     FALSE, TRUE, Trace, UNDEFINED, Verdict,
     and_v, and_v_all, imp_v, not_v, or_v, or_v_all,
 )
-from .semantics import FunEnv, DEFAULT_FUEL, atom_truth
+from .semantics import FunEnv, atom_truth
 from .normform import check_simplified
 from .verify import (
     Budget, EMPTY_VISITED, FairSet, NotSimplified, VerifyError, VisitedSet,
-    branch_is_fair, call_spine, unfold_call,
+    unfold_call,
 )
 from .ltlsem import AtomUndefined, Bounded, PositionedModel, bounded_check, sat_lasso
 
@@ -55,100 +55,117 @@ class LassoTrace:
     loop: Trace
 
 
+# Verdict(truth, trace) without the Python frame of the NamedTuple's __new__
+_verdict = tuple.__new__
+
+_UNDECIDED = Verdict(UNDEFINED, ())
+_REVISITED = {Always: Verdict(TRUE, ()), Eventually: Verdict(FALSE, ())}
+
+
+# gen's frame size (30 locals and an expression stack of 11 on CPython 3.11)
+# decides where its recursion crosses the interpreter's 16 KB data-stack
+# chunks, and with it how many chunks deep checks map and unmap: with four
+# locals fewer, the benchmark's handler graphs took 1.7 times the minor page
+# faults (ROADMAP item 3). Measure before adding or removing a local.
 def gen(t: Term, f: Formula, env: FunEnv, visited: VisitedSet, fair: FairSet,
-        acc: Trace, budget: Budget | None = None,
-        fuel: int = DEFAULT_FUEL) -> Verdict:
-    """Verdict of formula ``f`` for the stream of ``t``, extending ``acc``."""
-    if budget is None:
-        budget = Budget()
+        budget: Budget) -> Verdict:
+    """Verdict of formula ``f`` for the stream of ``t``, traced from ``t`` on."""
     budget.tick()
 
     match t:
         case Where(body, defs):
-            return gen(body, f, env.extend(defs), visited, fair, acc, budget, fuel)
+            return gen(body, f, env.extend(defs), visited, fair, budget)
         case Let(_, _, body):
-            return gen(body, f, env, visited, fair, acc, budget, fuel)
+            return gen(body, f, env, visited, fair, budget)
 
     match f:
         case And(l, r):
-            return and_v(gen(t, l, env, visited, fair, acc, budget, fuel),
-                         gen(t, r, env, visited, fair, acc, budget, fuel))
+            return and_v(gen(t, l, env, visited, fair, budget),
+                         gen(t, r, env, visited, fair, budget))
         case Or(l, r):
-            return or_v(gen(t, l, env, visited, fair, acc, budget, fuel),
-                        gen(t, r, env, visited, fair, acc, budget, fuel))
+            return or_v(gen(t, l, env, visited, fair, budget),
+                        gen(t, r, env, visited, fair, budget))
         case Implies(l, r):
-            return imp_v(gen(t, l, env, visited, fair, acc, budget, fuel),
-                         gen(t, r, env, visited, fair, acc, budget, fuel))
+            return imp_v(gen(t, l, env, visited, fair, budget),
+                         gen(t, r, env, visited, fair, budget))
         case Not(sub):
-            return not_v(gen(t, sub, env, visited, fair, acc, budget, fuel))
+            return not_v(gen(t, sub, env, visited, fair, budget))
 
     match t:
         case Con("Cons", (state, tail)):
             match f:
                 case Always(sub):
-                    head = gen(t, sub, env, EMPTY_VISITED, fair, acc, budget, fuel)
-                    rest = gen(tail, f, env, visited, fair, acc + (state,),
-                               budget, fuel)
-                    return and_v(head, rest)
+                    head = gen(t, sub, env, EMPTY_VISITED, fair, budget)
+                    truth, trace = gen(tail, f, env, visited, fair, budget)
+                    return and_v(head, _verdict(Verdict, (truth, (state,) + trace)))
                 case Eventually(sub):
-                    head = gen(t, sub, env, EMPTY_VISITED, fair, acc, budget, fuel)
-                    rest = gen(tail, f, env, visited, fair, acc + (state,),
-                               budget, fuel)
-                    return or_v(head, rest)
+                    head = gen(t, sub, env, EMPTY_VISITED, fair, budget)
+                    truth, trace = gen(tail, f, env, visited, fair, budget)
+                    return or_v(head, _verdict(Verdict, (truth, (state,) + trace)))
                 case Next(sub):
-                    return gen(tail, sub, env, visited, fair, acc + (state,),
-                               budget, fuel)
+                    truth, trace = gen(tail, sub, env, visited, fair, budget)
+                    return _verdict(Verdict, (truth, (state,) + trace))
                 case Atom(term):
-                    return Verdict(atom_truth(term, state, fuel), acc + (state,))
+                    return Verdict(atom_truth(term, state), (state,))
 
         case Case(Var(_), alts):
             vs: list[Verdict] = []
             for alt in alts:
-                vs.append(gen(alt.body, f, env, visited, fair, acc, budget, fuel))
+                vs.append(gen(alt.body, f, env, visited, fair, budget))
             conj = and_v_all(vs)
             if not isinstance(f, Eventually):
                 return conj
-            # an eventuality may instead be met by any fair branch
+            # an eventuality may instead be met by any fair branch; a
+            # wildcard is fair when a fair event escapes the patterns before it
             preceding: set[str] = set()
             fair_vs: list[Verdict] = []
             for alt, v in zip(alts, vs):
-                if branch_is_fair(alt.pattern, preceding, fair):
-                    fair_vs.append(v)
-                if isinstance(alt.pattern, PCon):
-                    preceding.add(alt.pattern.con)
+                match alt.pattern:
+                    case PCon(con):
+                        preceding.add(con)
+                        if con in fair:
+                            fair_vs.append(v)
+                    case _ if fair - preceding:
+                        fair_vs.append(v)
             return or_v(or_v_all(fair_vs), conj) if fair_vs else conj
 
         case _:
-            call = call_spine(t)
-            if call is not None:
-                fname, argnames = call
+            fn, args = spine(t)
+            if isinstance(fn, Var):  # application of a let-bound variable
+                return _UNDECIDED
+            if isinstance(fn, Fun):  # a call, on variables only
+                fname = fn.name
+                argnames = []
+                for arg in args:
+                    if not isinstance(arg, Var):
+                        raise VerifyError(f"call to {fname} has a "
+                                          "non-variable argument")
+                    argnames.append(arg.name)
                 if fname in visited:
-                    if isinstance(f, Always):
-                        return Verdict(TRUE, acc)
-                    if isinstance(f, Eventually):
-                        return Verdict(FALSE, acc)
-                    return Verdict(UNDEFINED, acc)
-                body = unfold_call(fname, argnames, env)
-                return gen(body, f, env, visited | {fname}, fair, acc,
-                           budget, fuel)
-            if isinstance(spine(t)[0], Var):  # application of a let-bound variable
-                return Verdict(UNDEFINED, acc)
+                    return _REVISITED.get(type(f), _UNDECIDED)
+                body = unfold_call(fname, tuple(argnames), env)
+                return gen(body, f, env, visited | {fname}, fair, budget)
 
     raise VerifyError(f"no verification rule for {type(t).__name__} "
                       f"against {type(f).__name__}")
 
 
 def generate(program: Term, f: Formula, fair: FairSet = frozenset(),
-             budget: Budget | None = None, fuel: int = DEFAULT_FUEL,
-             require_simplified: bool = True) -> Verdict:
-    """Entry point: gen with empty environment, visited set and trace."""
-    if require_simplified:
-        report = check_simplified(program)
-        if not report.conforms:
-            first = report.violations[0]
-            raise NotSimplified(f"{first.path}: {first.message}")
-    return gen(program, f, FunEnv.empty(), EMPTY_VISITED, frozenset(fair), (),
-               budget, fuel)
+             budget: Budget | None = None) -> Verdict:
+    """Entry point: gen with empty environment and visited set.
+
+    ``budget`` defaults to a fresh one; pass one to read how many rule
+    applications the run used. Raises NotSimplified unless the program is in
+    simplified form.
+    """
+    report = check_simplified(program)
+    if not report.conforms:
+        first = report.violations[0]
+        raise NotSimplified(f"{first.path}: {first.message}")
+    if budget is None:
+        budget = Budget()
+    return gen(program, f, FunEnv.empty(), EMPTY_VISITED, frozenset(fair),
+               budget)
 
 
 def lassoify(trace: Trace) -> LassoTrace:

@@ -155,3 +155,28 @@ def test_unknown_property_exits_66(corpus_paths, capsys):
     code = main(["verify", corpus_paths["example1.rsl"],
                  "--props", corpus_paths["mutex.ltl"], "--prop", "nope"])
     assert code == EX_DATA
+
+
+def test_non_utf8_file_exits_66(tmp_path, corpus_paths, capsys):
+    bad = tmp_path / "latin1.rsl"
+    bad.write_bytes("data S = \xc4\n".encode("latin-1"))
+    assert main(["check", str(bad)]) == EX_DATA
+    assert main(["verify", corpus_paths["example1.rsl"], "--props", str(bad),
+                 "--prop", "mutex"]) == EX_DATA
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_negative_oracle_depth_is_usage_error(corpus_paths, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", corpus_paths["example1.rsl"],
+              "--props", corpus_paths["mutex.ltl"], "--prop", "mutex",
+              "--depth", "-1"])
+    assert exc.value.code == EX_USAGE
+
+
+@pytest.mark.parametrize("events", ["", ",", " , "])
+def test_cycle_without_events_is_usage_error(corpus_paths, capsys, events):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", corpus_paths["example1.rsl"], "--events", events,
+              "--cycle"])
+    assert exc.value.code == EX_USAGE

@@ -4,7 +4,7 @@ from rtlcheck.kleene import FALSE, TRUE, UNDEFINED
 from rtlcheck.parser import parse_program
 from rtlcheck.semantics import AtomError, FunEnv
 from rtlcheck.terms import (
-    Always, And, Atom, Con, Eventually, Fun, Next, Not, Var,
+    Always, And, App, Atom, Con, Eventually, Fun, Next, Not, Var,
 )
 from rtlcheck.verify import (
     Budget, BudgetExceeded, EMPTY_VISITED, NotSimplified, VerifyError, verify,
@@ -43,16 +43,22 @@ def test_revisit_semantics_without_unfolding():
     env = FunEnv.empty()
     visited = frozenset(("f",))
     atom = Atom(Con("True"))
-    assert gen(t, Always(atom), env, visited, NOFAIR, acc=()).truth is TRUE
-    assert gen(t, Eventually(atom), env, visited, NOFAIR, acc=()).truth is FALSE
-    assert gen(t, Next(atom), env, visited, NOFAIR, acc=()).truth is UNDEFINED
-    assert gen(t, atom, env, visited, NOFAIR, acc=()).truth is UNDEFINED
+    assert gen(t, Always(atom), env, visited, NOFAIR, Budget()).truth is TRUE
+    assert gen(t, Eventually(atom), env, visited, NOFAIR, Budget()).truth is FALSE
+    assert gen(t, Next(atom), env, visited, NOFAIR, Budget()).truth is UNDEFINED
+    assert gen(t, atom, env, visited, NOFAIR, Budget()).truth is UNDEFINED
 
 
 def test_unvisited_call_requires_definition():
     with pytest.raises(VerifyError):
         gen(Fun("f"), Always(Atom(Con("True"))), FunEnv.empty(),
-            EMPTY_VISITED, NOFAIR, acc=())
+            EMPTY_VISITED, NOFAIR, Budget())
+
+
+def test_call_needs_variable_arguments_even_when_revisited():
+    with pytest.raises(VerifyError, match="non-variable argument"):
+        gen(App(Fun("f"), Con("A")), Always(Atom(Con("True"))),
+            FunEnv.empty(), frozenset(("f",)), NOFAIR, Budget())
 
 
 def test_structural_rules_fire_before_connectives(corpus_by_name):

@@ -7,7 +7,7 @@ from rtlcheck.corpus import obs
 from rtlcheck.kleene import FALSE, TRUE, UNDEFINED, Verdict
 from rtlcheck.parser import parse_program
 from rtlcheck.terms import Always, Atom, Con
-from rtlcheck.verify import Budget, NotSimplified, verify
+from rtlcheck.verify import NotSimplified, verify
 from rtlcheck.witness import (
     EmptyTrace, LassoTrace, Validation, generate, lassoify, validate_verdict,
 )
@@ -43,12 +43,32 @@ def test_constant_loop_witness():
     assert verdict == Verdict(TRUE, (Con("A"), Con("A")))
 
 
-def test_mirror_on_corpus(corpus):
+# truth and trace of every corpus check under the property file's fairness,
+# each state written as the two process states of its ObsState
+PINNED = {
+    ("example1", "mutex"): (FALSE, "TT WT WW UW UU"),
+    ("example1", "nonstarve1"): (TRUE, "TT WT WW UW TW WW UW"),
+    ("example1", "nonstarve2"): (TRUE, "TT WT WW UW TW WW WU"),
+    ("example2", "mutex"): (TRUE, "TT WT UT TT"),
+    ("example2", "nonstarve1"): (FALSE, "TT WT WW WW"),
+    ("example2", "nonstarve2"): (FALSE, "TT WT WW WW"),
+    ("example3", "mutex"): (TRUE, "TT WT UT UW TW TU WU WT"),
+    ("example3", "nonstarve1"): (TRUE, "TT WT UT UW TW TU WU WU WT UT"),
+    ("example3", "nonstarve2"): (TRUE, "TT TW TU WU WT UT UW UW TW TU"),
+}
+
+
+def test_corpus_truth_and_traces_pinned(corpus):
+    checked = set()
     for entry, source, props in corpus:
         for name in entry.expected_verdicts:
-            formula = props.get(name)
-            assert generate(source.term, formula, props.fair).truth is \
-                verify(source.term, formula, props.fair)
+            truth, states = PINNED[entry.name, name]
+            verdict = generate(source.term, props.get(name), props.fair)
+            assert verdict.truth is truth, (entry.name, name)
+            assert verdict.trace == tuple(obs(p1, p2) for p1, p2 in
+                                          states.split()), (entry.name, name)
+            checked.add((entry.name, name))
+    assert checked == set(PINNED)
 
 
 def test_not_simplified_guard():
@@ -190,15 +210,26 @@ def test_selected_traces_respect_evidence_policy(corpus, monkeypatch):
             assert out.trace == matching[0]
 
 
-# --- randomized mirror ------------------------------------------------------------
+# --- randomized validation ---------------------------------------------------------
 
-def test_mirror_on_random_programs():
+def test_invalid_validation_needs_an_earlier_repeat():
+    # The rule of the benchmark's correctness gate: validation closes the
+    # loop at the earliest earlier occurrence of the final state, so a
+    # decided verdict may validate as Invalid only where some state repeats
+    # before the final one (see test_state_repetition_lassos_are_heuristic).
     rng = random.Random(987)
     battery = formula_battery()
-    for i in range(120):
+    decided = invalid = 0
+    for i in range(600):
         program, events = random_program(rng)
         fair = random_fair(rng, events)
         formula = battery[i % len(battery)]
-        expected = verify(program, formula, fair)
-        verdict = generate(program, formula, fair, budget=Budget())
-        assert verdict.truth is expected
+        verdict = generate(program, formula, fair)
+        if verdict.truth is UNDEFINED:
+            continue
+        decided += 1
+        if validate_verdict(verdict, formula).status is Validation.INVALID:
+            invalid += 1
+            earlier = verdict.trace[:-1]
+            assert len(set(earlier)) < len(earlier), (i, verdict)
+    assert decided > 400 and invalid > 0
