@@ -21,7 +21,9 @@ from .semantics import EvalError, run_trace
 from .terms import BUILTIN_DECLS, Case, Con, Formula, PCon, Term
 from .verify import VerifyError, verify
 from .witness import generate, validate_verdict
-from .ltlsem import bounded_check, Bounded, enumerate_traces, OracleError
+from .ltlsem import (
+    bounded_check, Bounded, enumerate_traces, MAX_ENUM_DEPTH, OracleError,
+)
 
 EX_USAGE = 64
 EX_DATA = 66
@@ -120,9 +122,9 @@ def event_alphabet(source: SourceFile) -> list[str]:
 
 
 def _fair_set(args, source: SourceFile, props: PropertyFile) -> frozenset[str]:
-    if getattr(args, "fair_all", False):
+    if args.fair_all:
         return frozenset(event_alphabet(source))
-    if getattr(args, "fair", None):
+    if args.fair is not None:
         names = [n.strip() for n in args.fair.split(",") if n.strip()]
         arities = source.arities()
         for name in names:
@@ -312,8 +314,8 @@ def build_parser() -> _Parser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "depth", 0) < 0:
-        parser.error("oracle: --depth must not be negative")
+    if not 0 <= getattr(args, "depth", 0) <= MAX_ENUM_DEPTH:
+        parser.error(f"oracle: --depth must be between 0 and {MAX_ENUM_DEPTH}")
     if getattr(args, "cycle", False) and not args.events.replace(",", "").strip():
         parser.error("simulate: --cycle needs at least one event in --events")
     try:

@@ -5,7 +5,8 @@ calls a first handler; every handler cases on the head of the event list
 and then on the event, each branch emitting a state and calling the next
 handler. Nodes are the handlers, labelled with the state every incoming
 transition emits for them; edges carry event names, with "_" for the
-wildcard branch and its residual event set kept alongside.
+wildcard branch, which also keeps its residual: the events of the caller's
+alphabet that no earlier pattern of its handler matches.
 """
 
 from __future__ import annotations
@@ -70,13 +71,11 @@ def _dest_call(t: Term) -> tuple[Term, str]:
         "branch body must emit one state and call the next handler")
 
 
-def extract_lts(program: Term,
-                event_names: Sequence[str] | None = None) -> Lts:
+def extract_lts(program: Term, event_names: Sequence[str]) -> Lts:
     """Read the transition system off a reactive-shaped program.
 
-    ``event_names`` fixes the full event alphabet used for wildcard
-    residuals; when omitted it is inferred from the patterns the program
-    matches on.
+    ``event_names`` is the full event alphabet; a wildcard edge's residual is
+    the part of it the patterns before the wildcard do not match.
     """
     match program:
         case Where(body, defs):
@@ -93,16 +92,6 @@ def extract_lts(program: Term,
     for fname, d in defs:
         branches[fname] = _handler_branches(fname, d)
 
-    if event_names is None:
-        inferred: set[str] = set()
-        for alts in branches.values():
-            for label, _, _, _ in alts:
-                if label is not None:
-                    inferred.add(label)
-        alphabet = tuple(sorted(inferred))
-    else:
-        alphabet = tuple(event_names)
-
     states: dict[str, Term] = {initial_fun: initial_state}
     edges: list[LtsEdge] = []
     for fname, alts in branches.items():
@@ -116,7 +105,7 @@ def extract_lts(program: Term,
             else:
                 states[target] = state
             if label is None:
-                residual = tuple(e for e in alphabet if e not in preceding)
+                residual = tuple(e for e in event_names if e not in preceding)
                 edges.append(LtsEdge(order[fname], "_", order[target], residual))
             else:
                 edges.append(LtsEdge(order[fname], label, order[target]))

@@ -1,11 +1,12 @@
 """Conformance checking against the tail-recursive simplified program form.
 
-A conforming expression is built from: a Cons cell of a state and a
-conforming continuation; a function call whose arguments are all variables;
-a case over a variable that is not let-bound; an application of a let-bound
-variable to conforming arguments; a let binding a lambda abstraction; or a
-where block of lambda-abstracted definitions. Everything the verifier and
-witness builder consume must pass this check first.
+A conforming expression is built from: a Cons cell of a state (a
+constructor term over variables) and a conforming continuation; a function
+call whose arguments are all variables; a case over a variable that is not
+let-bound; an application of a let-bound variable to conforming arguments; a
+let binding a lambda abstraction; or a where block of lambda-abstracted
+definitions. Everything the verifier and witness builder consume must pass
+this check first.
 """
 
 from __future__ import annotations
@@ -31,15 +32,10 @@ class FormReport:
     violations: tuple[Violation, ...]
 
 
-def check_simplified(program: Term, strict_states: bool = True) -> FormReport:
-    """Report whether ``program`` is in simplified form.
-
-    ``strict_states`` requires the state position of every Cons cell to be a
-    constructor term over variables; relaxing it also accepts any conforming
-    expression there.
-    """
+def check_simplified(program: Term) -> FormReport:
+    """Report whether ``program`` is in simplified form."""
     violations: list[Violation] = []
-    _check(program, frozenset(), "program", strict_states, violations)
+    _check(program, frozenset(), "program", violations)
     return FormReport(not violations, tuple(violations))
 
 
@@ -53,19 +49,16 @@ def is_state_term(t: Term) -> bool:
     return False
 
 
-def _check(t: Term, rho: frozenset[str], path: str, strict: bool,
+def _check(t: Term, rho: frozenset[str], path: str,
            out: list[Violation]) -> None:
     match t:
         case Con("Cons", (e0, e1)):
             if not is_state_term(e0):
-                if strict:
-                    out.append(Violation(
-                        f"{path}.state", "cons",
-                        "state position of Cons must be a constructor term "
-                        "over variables", e0))
-                else:
-                    _check(e0, rho, f"{path}.state", strict, out)
-            _check(e1, rho, f"{path}.tail", strict, out)
+                out.append(Violation(
+                    f"{path}.state", "cons",
+                    "state position of Cons must be a constructor term "
+                    "over variables", e0))
+            _check(e1, rho, f"{path}.tail", out)
         case Con(con, _):
             out.append(Violation(
                 path, "cons",
@@ -77,12 +70,12 @@ def _check(t: Term, rho: frozenset[str], path: str, strict: bool,
                     f"case scrutinee {x} is let-bound and may not be inspected",
                     t))
             for i, alt in enumerate(alts):
-                _check(alt.body, rho, f"{path}.alt{i}", strict, out)
+                _check(alt.body, rho, f"{path}.alt{i}", out)
         case Case(scrut, alts):
             out.append(Violation(
                 path, "case", "case scrutinee must be a variable", scrut))
             for i, alt in enumerate(alts):
-                _check(alt.body, rho, f"{path}.alt{i}", strict, out)
+                _check(alt.body, rho, f"{path}.alt{i}", out)
         case Let(x, bound, body):
             lam_body = bound
             while isinstance(lam_body, Lam):
@@ -91,15 +84,15 @@ def _check(t: Term, rho: frozenset[str], path: str, strict: bool,
                 out.append(Violation(
                     f"{path}.bound", "let",
                     "let must bind a lambda abstraction", bound))
-            _check(lam_body, rho, f"{path}.bound", strict, out)
-            _check(body, rho | {x}, f"{path}.body", strict, out)
+            _check(lam_body, rho, f"{path}.bound", out)
+            _check(body, rho | {x}, f"{path}.body", out)
         case Where(body, defs):
-            _check(body, rho, f"{path}.body", strict, out)
+            _check(body, rho, f"{path}.body", out)
             for fname, d in defs:
                 lam_body = d
                 while isinstance(lam_body, Lam):
                     lam_body = lam_body.body
-                _check(lam_body, rho, f"{path}.{fname}", strict, out)
+                _check(lam_body, rho, f"{path}.{fname}", out)
         case Lam(_, _):
             out.append(Violation(
                 path, "lambda",
@@ -117,7 +110,7 @@ def _check(t: Term, rho: frozenset[str], path: str, strict: bool,
                 case Var(x):
                     if x in rho:
                         for i, a in enumerate(args):
-                            _check(a, rho, f"{path}.arg{i}", strict, out)
+                            _check(a, rho, f"{path}.arg{i}", out)
                     else:
                         out.append(Violation(
                             path, "rho-app",

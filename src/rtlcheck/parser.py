@@ -4,7 +4,8 @@ Lowercase-initial identifiers are variables or functions, uppercase-initial
 are constructors; application is juxtaposition, left-associative. ``data``
 declarations and ``fair:`` headers are one per line; everything else is
 layout-free. A new ``where`` definition is recognized by the two-token
-lookahead IDENT ``=``. See docs/formats.md for the full EBNF.
+lookahead IDENT ``=``. A property file is read against the constructor
+table of the program it describes. See docs/formats.md for the full EBNF.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ from typing import Mapping, Optional
 from .terms import (
     Alt, Always, And, App, Atom, Case, Con, DataDecl, Eventually, Formula,
     Fun, Implies, Lam, Let, Next, Not, Or, PCon, Pattern, Term, Var, WILD,
-    Where, app, arity_table, check_formula, check_term, BUILTIN_DECLS,
+    Where, app, arity_table, atoms, check_formula, check_term, BUILTIN_DECLS,
 )
 
 KEYWORDS = {"case", "of", "let", "in", "where", "data"}
 SYMBOLS = ("->", "=>", "&&", "||", "\\", "(", ")", "{", "}", "|", "=", ":",
            ",", "_", "!")
-RESERVED_CONS = {"Nil", "Cons", "True", "False", "Undefined"}
 
 
 @dataclass(frozen=True)
@@ -395,12 +395,11 @@ def _resolve(t: Term, scope: dict[str, str]) -> Term:
 
 # --- property parsing ------------------------------------------------------------
 
-def parse_properties(text: str,
-                     arities: Mapping[str, int] | None = None) -> PropertyFile:
+def parse_properties(text: str, arities: Mapping[str, int]) -> PropertyFile:
     """Parse a property file: an optional ``fair:`` header and named formulas.
 
-    When a constructor table is supplied, fairness names must be declared
-    nullary constructors and atom terms are arity-checked against it.
+    ``arities`` is the program's constructor table: fairness names must be
+    declared nullary constructors, and atom terms are arity-checked against it.
     """
     try:
         ts = _Tokens(tokenize(text))
@@ -435,19 +434,16 @@ def parse_properties(text: str,
     for _, formula in props:
         for msg in check_formula(formula):
             diagnostics.append(Diagnostic(1, 1, msg))
-        if arities is not None:
-            from .terms import atoms
-            for atom in atoms(formula):
-                for msg in check_term(atom.term, arities):
-                    diagnostics.append(Diagnostic(1, 1, msg))
-    if arities is not None:
-        for name in fair:
-            if arities.get(name) is None:
-                diagnostics.append(Diagnostic(1, 1,
-                                              f"unknown fairness constructor {name}"))
-            elif arities[name] != 0:
-                diagnostics.append(Diagnostic(1, 1,
-                                              f"fairness constructor {name} is not nullary"))
+        for atom in atoms(formula):
+            for msg in check_term(atom.term, arities):
+                diagnostics.append(Diagnostic(1, 1, msg))
+    for name in fair:
+        if arities.get(name) is None:
+            diagnostics.append(Diagnostic(1, 1,
+                                          f"unknown fairness constructor {name}"))
+        elif arities[name] != 0:
+            diagnostics.append(Diagnostic(1, 1,
+                                          f"fairness constructor {name} is not nullary"))
     if diagnostics:
         return PropertyFile((), frozenset(), tuple(diagnostics))
     return PropertyFile(tuple(props), frozenset(fair), ())

@@ -3,12 +3,12 @@
 The one-step relation reduces the head of applications and case scrutinees;
 values are weak head normal forms, i.e. constructor applications and
 lambdas. Reduction is deterministic: a non-value either has exactly one
-redex or is stuck, which signals an ill-typed configuration.
+redex or is stuck, which signals an ill-typed configuration. A step yields
+the reduced term and its function environment, nothing else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .terms import (
@@ -79,39 +79,23 @@ _EMPTY_ENV = FunEnv()
 
 # --- one-step reduction ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class Reduction:
-    """One reduction step: ``kind`` is "beta", "unfold", "conelim" or "where".
+def step(t: Term, env: FunEnv) -> Optional[tuple[Term, FunEnv]]:
+    """``(term, env)`` after the single applicable reduction, or None for a value.
 
-    The "where" kind has no counterpart in the reduction relation proper; it
-    records the environment bookkeeping of opening a block of local function
-    definitions, and carries the extended environment.
+    Opening a where block is a step too: it has no counterpart in the
+    reduction relation proper, and only extends the environment.
     """
-
-    kind: str
-    term: Term
-    env: FunEnv
-    name: str | None = None  # unfolded function or eliminated constructor
-
-
-def is_value(t: Term) -> bool:
-    return isinstance(t, (Con, Lam))
-
-
-def step(t: Term, env: FunEnv) -> Optional[Reduction]:
-    """The single applicable reduction, or None when ``t`` is a value."""
     tt = type(t)
     if tt is Con or tt is Lam:
         return None
     if tt is App:
         fn = t.fn
         if type(fn) is Lam:
-            return Reduction("beta", substitute(fn.body, {fn.param: t.arg}), env)
+            return substitute(fn.body, {fn.param: t.arg}), env
         if type(fn) is Con:
             raise StuckError(t, f"constructor {fn.con} applied beyond its arity")
-        inner = step(fn, env)
-        assert inner is not None
-        return Reduction(inner.kind, App(inner.term, t.arg), inner.env, inner.name)
+        inner, env = step(fn, env)
+        return App(inner, t.arg), env
     if tt is Case:
         scrut = t.scrutinee
         if type(scrut) is Con:
@@ -119,31 +103,27 @@ def step(t: Term, env: FunEnv) -> Optional[Reduction]:
             for alt in t.alts:
                 pattern = alt.pattern
                 if isinstance(pattern, PWild):
-                    return Reduction("conelim", alt.body, env, con)
+                    return alt.body, env
                 if pattern.con == con:
                     if len(pattern.vars) != len(args):
                         raise StuckError(t, f"pattern arity mismatch on {con}")
-                    binding = dict(zip(pattern.vars, args))
-                    return Reduction("conelim", substitute(alt.body, binding),
-                                     env, con)
+                    return substitute(alt.body, dict(zip(pattern.vars, args))), env
             raise StuckError(t, f"no pattern matches constructor {con}")
         if type(scrut) is Lam:
             raise StuckError(t, "case scrutinee is a lambda")
-        inner = step(scrut, env)
-        assert inner is not None
-        return Reduction(inner.kind, Case(inner.term, t.alts), inner.env,
-                         inner.name)
+        inner, env = step(scrut, env)
+        return Case(inner, t.alts), env
     if tt is Fun:
         body = env.lookup(t.name)
         if body is None:
             raise StuckError(t, f"undefined function {t.name}")
-        return Reduction("unfold", body, env, t.name)
+        return body, env
     if tt is Let:
-        return Reduction("beta", substitute(t.body, {t.name: t.bound}), env)
+        return substitute(t.body, {t.name: t.bound}), env
     if tt is Var:
         raise StuckError(t, f"free variable {t.name}")
     if tt is Where:
-        return Reduction("where", t.body, env.extend(t.defs))
+        return t.body, env.extend(t.defs)
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -155,7 +135,7 @@ def _whnf(t: Term, env: FunEnv, fuel: int) -> tuple[Term, FunEnv, int]:
         if fuel <= 0:
             raise FuelExhausted(f"no value after step budget: {type(t).__name__}")
         fuel -= 1
-        t, env = red.term, red.env
+        t, env = red
 
 
 def eval_whnf(t: Term, env: FunEnv | None = None, fuel: int = DEFAULT_FUEL) -> Term:
@@ -172,7 +152,7 @@ def deep_eval(t: Term, env: FunEnv | None = None, fuel: int = DEFAULT_FUEL) -> T
     return value
 
 
-def atom_truth(atom_term: Term, state: Term, fuel: int = DEFAULT_FUEL) -> TruthVal:
+def atom_truth(atom_term: Term, state: Term) -> TruthVal:
     """Evaluate an atom at an observable state.
 
     Substitutes the state for the reserved variable ``s`` and reduces; the
@@ -180,7 +160,7 @@ def atom_truth(atom_term: Term, state: Term, fuel: int = DEFAULT_FUEL) -> TruthV
     """
     closed = substitute(atom_term, {"s": state})
     try:
-        value = eval_whnf(closed, FunEnv.empty(), fuel)
+        value = eval_whnf(closed)
     except StuckError as exc:
         raise AtomError(f"atom evaluation got stuck: {exc.reason}") from exc
     if isinstance(value, Con) and not value.args:
@@ -203,7 +183,7 @@ def events_term(events: Sequence[str], cycle_name: str | None = None) -> Term:
 
 
 def run_trace(program: Term, events: Sequence[str], cycle: bool = False,
-              max_states: int = 64, fuel: int = DEFAULT_FUEL) -> list[Term]:
+              max_states: int = 64) -> list[Term]:
     """Feed an event list to a reactive program and collect its state trace.
 
     The program's single free variable is its event-list parameter; it is
@@ -231,6 +211,7 @@ def run_trace(program: Term, events: Sequence[str], cycle: bool = False,
         t = App(program, source)
 
     limit = max_states if cycle else min(max_states, len(events) + 1)
+    fuel = DEFAULT_FUEL
     trace: list[Term] = []
     while len(trace) < limit:
         value, env, fuel = _whnf(t, env, fuel)

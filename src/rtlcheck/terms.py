@@ -290,11 +290,10 @@ def substitute(t: Term, bindings: Mapping[str, Term]) -> Term:
     Bound variables are renamed (smallest fresh numeric suffix) exactly when
     a binding would otherwise capture a free variable of a substituted term.
     """
-    sub = {x: e for x, e in bindings.items()}
-    return _subst(t, sub)
+    return _subst(t, bindings)
 
 
-def _subst(t: Term, sub: dict[str, Term]) -> Term:
+def _subst(t: Term, sub: Mapping[str, Term]) -> Term:
     # hot path during reduction: dispatch on type, skip untouched subtrees
     if not sub or not (free_vars(t) & sub.keys()):
         return t
@@ -330,7 +329,7 @@ def _subst(t: Term, sub: dict[str, Term]) -> Term:
 
 
 def _under_binders(binders: tuple[str, ...], body: Term,
-                   sub: dict[str, Term]) -> tuple[tuple[str, ...], Term]:
+                   sub: Mapping[str, Term]) -> tuple[tuple[str, ...], Term]:
     body_fv = free_vars(body)
     live = {x: e for x, e in sub.items() if x not in binders and x in body_fv}
     if not live:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 from .terms import (
     Always, And, Atom, Case, Con, Eventually, Formula, Fun, Implies, Next, Not,
@@ -198,7 +197,6 @@ class Validation(enum.Enum):
 class ValidationReport:
     status: Validation
     lasso: LassoTrace
-    bounded: Optional[Bounded] = None  # prefix check, when the loop is empty
 
 
 def validate_verdict(verdict: Verdict, f: Formula) -> ValidationReport:
@@ -226,7 +224,7 @@ def validate_verdict(verdict: Verdict, f: Formula) -> ValidationReport:
     except AtomUndefined:
         return ValidationReport(Validation.INCONCLUSIVE, lasso)
     if bounded is Bounded.UNKNOWN:
-        return ValidationReport(Validation.INCONCLUSIVE, lasso, bounded)
+        return ValidationReport(Validation.INCONCLUSIVE, lasso)
     agrees = (bounded is Bounded.SAT) == (verdict.truth is TRUE)
     status = Validation.VALID if agrees else Validation.INVALID
-    return ValidationReport(status, lasso, bounded)
+    return ValidationReport(status, lasso)

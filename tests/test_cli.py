@@ -4,6 +4,7 @@ import pytest
 
 from rtlcheck.cli import EX_DATA, EX_USAGE, main
 from rtlcheck.corpus import read_text
+from rtlcheck.ltlsem import MAX_ENUM_DEPTH
 
 CORPUS = "src/rtlcheck/corpus"
 
@@ -172,6 +173,25 @@ def test_negative_oracle_depth_is_usage_error(corpus_paths, capsys):
               "--props", corpus_paths["mutex.ltl"], "--prop", "mutex",
               "--depth", "-1"])
     assert exc.value.code == EX_USAGE
+
+
+def test_oracle_depth_above_enumeration_limit_is_usage_error(corpus_paths,
+                                                              capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", corpus_paths["example1.rsl"],
+              "--props", corpus_paths["mutex.ltl"], "--prop", "mutex",
+              "--depth", str(MAX_ENUM_DEPTH + 1)])
+    assert exc.value.code == EX_USAGE
+
+
+@pytest.mark.parametrize("fair", ["--fair=", "--fair=,"])
+def test_empty_fair_list_means_no_fair_events(corpus_paths, capsys, fair):
+    # the property file declares every event fair, under which this holds
+    code = main(["verify", corpus_paths["example3.rsl"],
+                 "--props", corpus_paths["mutex.ltl"], "--prop", "nonstarve1",
+                 fair])
+    assert code == 1
+    assert capsys.readouterr().out.strip() == "False"
 
 
 @pytest.mark.parametrize("events", ["", ",", " , "])

@@ -127,7 +127,7 @@ def test_non_reactive_shape_rejected():
         "data S = A\nCons A (f es) where f = \\es -> Cons A (f es)")
     assert source.term is not None
     with pytest.raises(NotReactiveShape):
-        extract_lts(source.term)
+        extract_lts(source.term, EVENTS)
 
 
 def test_inconsistent_node_state_rejected():
@@ -142,4 +142,4 @@ g = \\es -> case es of Cons e es -> case e of Go -> Cons B (g es) | _ -> Cons B 
     source = parse_program(text)
     assert source.term is not None, source.diagnostics
     with pytest.raises(InconsistentNodeState):
-        extract_lts(source.term)
+        extract_lts(source.term, EVENTS)

@@ -62,8 +62,7 @@ def test_let_variable_application_accepted():
 
 def test_strict_state_position():
     t = Con("Cons", (App(Fun("f"), Var("x")), Fun("g")))
-    assert not check_simplified(t, strict_states=True).conforms
-    assert check_simplified(t, strict_states=False).conforms
+    assert not check_simplified(t).conforms
 
 
 def test_non_cons_constructor_rejected():

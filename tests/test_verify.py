@@ -162,3 +162,11 @@ def test_deep_ring_stays_within_recursion_limit():
     for formula in (Always(Not(state_atom("St3"))), Eventually(state_atom("St2"))):
         assert verify(program, formula, fair) is TRUE
         assert generate(program, formula, fair).truth is TRUE
+
+
+def test_submodule_import_gives_the_module():
+    # the package root re-exports nothing, so no name shadows the module
+    import rtlcheck.verify as V
+
+    assert V.Budget is Budget
+    assert V.verify is verify
