@@ -36,13 +36,20 @@ class BudgetExceeded(VerifyError):
 
 
 class Budget:
-    """Mutable countdown of rule applications shared across one run."""
+    """Mutable countdown of rule applications shared across one run.
 
-    __slots__ = ("limit", "used")
+    ``memo`` is the run's table of verdicts for calls that open a fresh
+    obligation (see :func:`rtlcheck.witness.gen`); ``generate`` empties it
+    at the start of every run, since its keys hold neither the fairness set
+    nor the formula itself.
+    """
+
+    __slots__ = ("limit", "used", "memo")
 
     def __init__(self, limit: int = DEFAULT_BUDGET):
         self.limit = limit
         self.used = 0
+        self.memo: dict = {}
 
     def tick(self) -> None:
         self.used += 1

@@ -18,6 +18,29 @@ gives its Cons cell's state, a temporal rule at a Cons cell puts that state
 before its tail's trace, and revisits and let-variable applications give the
 empty trace. A False verdict's trace is a counterexample, a True one's a
 witness, and a last state that repeats an earlier one closes a lasso.
+
+A verdict therefore depends only on the term, the formula, the environment,
+the visited set and the fairness set. Calls reached with an empty visited set,
+where a temporal operator at a Cons cell opens a fresh obligation, are
+memoised for the run in ``Budget.memo``, keyed on the function, its argument
+names, the formula node and the where-scope (the fairness set is fixed for a
+run); a hit returns the stored verdict and spends no rule applications. Calls
+with a nonempty visited set unfold as before. So the table holds at most one
+entry per function, formula node and where-scope. Memoising every call, keyed
+on the visited set as well, decides larger programs (n = 16 below in 461,063
+rule applications) but stores O(n^2) visited sets of size O(n) for a response
+check on an n-handler chain: the benchmark's chains then peak at 74 MB, not 24.
+The worst case stays exponential in the size of the visited set: ``verify
+--prop response --fair-all`` on ``benchmarks/workloads.py::graph_shape(n, 0)``
+(n handlers, two event branches and a wildcard each) takes, on one CPU core
+with CPython 3.11,
+
+    n    rule applications    wall time    without the memo
+    8    10,649               0.35 s       2.5 s
+    10   57,809               0.93 s       budget exceeded (exit 70)
+    12   86,479               1.1 s        budget exceeded
+    14   674,186              8.2 s        budget exceeded
+    16   budget exceeded      9.3 s        budget exceeded
 """
 
 from __future__ import annotations
@@ -63,9 +86,12 @@ _REVISITED = {Always: Verdict(TRUE, ()), Eventually: Verdict(FALSE, ())}
 
 # gen's frame size (30 locals and an expression stack of 11 on CPython 3.11)
 # decides where its recursion crosses the interpreter's 16 KB data-stack
-# chunks, and with it how many chunks deep checks map and unmap: with four
-# locals fewer, the benchmark's handler graphs took 1.7 times the minor page
-# faults (ROADMAP item 3). Measure before adding or removing a local.
+# chunks, and with it how many chunks deep checks map and unmap (ROADMAP item
+# 3). Per pass of the benchmark's handler graphs and chains, the memo at 30
+# locals took 436k and 266k minor page faults; with one local more (the Atom
+# rule binding its term) 445k and 289k, at 32 locals 443k and 308k, at 34
+# 473k and 270k; without the memo, 640k and 315k. Measure before adding or
+# removing a local.
 def gen(t: Term, f: Formula, env: FunEnv, visited: VisitedSet, fair: FairSet,
         budget: Budget) -> Verdict:
     """Verdict of formula ``f`` for the stream of ``t``, traced from ``t`` on."""
@@ -104,8 +130,8 @@ def gen(t: Term, f: Formula, env: FunEnv, visited: VisitedSet, fair: FairSet,
                 case Next(sub):
                     truth, trace = gen(tail, sub, env, visited, fair, budget)
                     return _verdict(Verdict, (truth, (state,) + trace))
-                case Atom(term):
-                    return Verdict(atom_truth(term, state), (state,))
+                case Atom():
+                    return Verdict(atom_truth(f.term, state), (state,))
 
         case Case(Var(_), alts):
             vs: list[Verdict] = []
@@ -142,8 +168,19 @@ def gen(t: Term, f: Formula, env: FunEnv, visited: VisitedSet, fair: FairSet,
                     argnames.append(arg.name)
                 if fname in visited:
                     return _REVISITED.get(type(f), _UNDECIDED)
-                body = unfold_call(fname, tuple(argnames), env)
-                return gen(body, f, env, visited | {fname}, fair, budget)
+                if visited:
+                    body = unfold_call(fname, tuple(argnames), env)
+                    return gen(body, f, env, visited | {fname}, fair, budget)
+                # a fresh obligation: its verdict depends on the key alone (fair
+                # is fixed for the run; f lives as long as the run, and its id,
+                # unlike its hash, costs no walk over the formula's atoms)
+                key = (fname, tuple(argnames), id(f), env)
+                v = budget.memo.get(key)
+                if v is None:
+                    body = unfold_call(fname, key[1], env)
+                    v = budget.memo[key] = gen(body, f, env, frozenset((fname,)),
+                                               fair, budget)
+                return v
 
     raise VerifyError(f"no verification rule for {type(t).__name__} "
                       f"against {type(f).__name__}")
@@ -154,7 +191,9 @@ def generate(program: Term, f: Formula, fair: FairSet = frozenset(),
     """Entry point: gen with empty environment and visited set.
 
     ``budget`` defaults to a fresh one; pass one to read how many rule
-    applications the run used. Raises NotSimplified unless the program is in
+    applications the run used. Every run starts with an empty memo table
+    (``budget.memo``), so a budget passed to several runs carries no verdict
+    from one run into the next. Raises NotSimplified unless the program is in
     simplified form.
     """
     report = check_simplified(program)
@@ -163,6 +202,7 @@ def generate(program: Term, f: Formula, fair: FairSet = frozenset(),
         raise NotSimplified(f"{first.path}: {first.message}")
     if budget is None:
         budget = Budget()
+    budget.memo.clear()
     return gen(program, f, FunEnv.empty(), EMPTY_VISITED, frozenset(fair),
                budget)
 

@@ -102,3 +102,29 @@ def random_fair(rng: random.Random, events: tuple[str, ...]) -> frozenset[str]:
     if roll < 0.6:
         return frozenset()
     return frozenset(rng.sample(events, rng.randint(1, len(events))))
+
+
+def handler_graph(n: int, seed: int = 0) -> Term:
+    """``n`` handlers, each branching on EvA, EvB and ``_`` to drawn targets.
+
+    Targets and the state each handler emits on entry come from
+    ``random.Random(seed)``; ``g0`` is initial. Every branch reaches another
+    handler, so a check explores many paths through the same calls.
+    """
+    rng = random.Random(seed)
+    targets = [[rng.randrange(n) for _ in range(3)] for _ in range(n)]
+    states = [rng.choice(STATE_POOL) for _ in range(n)]
+
+    def enter(j: int) -> Term:
+        return Con("Cons", (Con(states[j]), App(Fun(f"g{j}"), Var("es"))))
+
+    defs = []
+    for i, (ta, tb, tw) in enumerate(targets):
+        handler = Lam("es", Case(Var("es"), (
+            Alt(PCon("Cons", ("e", "es")), Case(Var("e"), (
+                Alt(PCon("EvA", ()), enter(ta)),
+                Alt(PCon("EvB", ()), enter(tb)),
+                Alt(WILD, enter(tw)),
+            ))),)))
+        defs.append((f"g{i}", handler))
+    return Where(enter(0), tuple(defs))

@@ -136,7 +136,8 @@ def _formula_size(f):
 
 def test_rule_applications_scale_with_functions_and_formula():
     # empirical termination bound on random conforming programs; the
-    # measured worst case sits under 800x, asserted with headroom
+    # measured worst case sits at 67.5x (624.6x without the memo of calls
+    # on fresh obligations), asserted with headroom
     import random
     from gen_programs import formula_battery, random_fair, random_program
 
@@ -147,7 +148,37 @@ def test_rule_applications_scale_with_functions_and_formula():
         for formula in formula_battery():
             budget = Budget()
             verify(program, formula, random_fair(rng, events), budget=budget)
-            assert budget.used <= 2000 * (n + 1) * _formula_size(formula)
+            assert budget.used <= 200 * (n + 1) * _formula_size(formula)
+
+
+def test_handler_graph_decides_within_default_budget():
+    # without the memo this check takes more than 10**6 rule applications;
+    # with it, one table entry per function and formula node at most
+    from gen_programs import formula_battery, handler_graph
+
+    program = handler_graph(12)
+    formula = formula_battery()[2]  # always (St0 implies eventually St1)
+    budget = Budget()
+    truth = verify(program, formula, frozenset(("EvA", "EvB")), budget)
+    assert truth is not UNDEFINED
+    assert len(budget.memo) <= len(program.defs) * _formula_size(formula)
+
+
+def test_reused_budget_gives_fresh_verdicts():
+    # a memo entry must not outlive its run, into a run of another formula
+    # or of the same formula under other fairness
+    import random
+    from gen_programs import formula_battery, random_fair, random_program
+
+    rng = random.Random(3)
+    for _ in range(40):
+        program, events = random_program(rng)
+        fairs = (random_fair(rng, events), random_fair(rng, events))
+        budget = Budget()
+        for formula in formula_battery():
+            for fair in fairs:
+                shared = generate(program, formula, fair, budget)
+                assert shared == generate(program, formula, fair, Budget())
 
 
 def test_deep_ring_stays_within_recursion_limit():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,6 +7,7 @@ import rtlcheck.kleene as kleene
 from rtlcheck.corpus import obs
 from rtlcheck.kleene import FALSE, TRUE, UNDEFINED, Verdict
 from rtlcheck.parser import parse_program
+from rtlcheck.pretty import pretty_term
 from rtlcheck.terms import Always, Atom, Con
 from rtlcheck.verify import NotSimplified, verify
 from rtlcheck.witness import (
@@ -69,6 +71,24 @@ def test_corpus_truth_and_traces_pinned(corpus):
                                           states.split()), (entry.name, name)
             checked.add((entry.name, name))
     assert checked == set(PINNED)
+
+
+# sha256 of one line per check, the truth and then the trace's states, over
+# 1500 random checks; recorded before calls on fresh obligations were memoised
+BATTERY_DIGEST = "1fdd058a8bbac543ea20390eb490a87b3b6b5729689f163ba5143af96a0e77ba"
+
+
+def test_random_battery_truth_and_traces_pinned():
+    rng = random.Random(20261018)
+    battery = formula_battery()
+    digest = hashlib.sha256()
+    for i in range(1500):
+        program, events = random_program(rng)
+        fair = random_fair(rng, events)
+        truth, trace = generate(program, battery[i % len(battery)], fair)
+        line = " ".join([truth.value] + [pretty_term(s) for s in trace])
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == BATTERY_DIGEST
 
 
 def test_not_simplified_guard():
