@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from typing import Optional, Sequence
 
 from .kleene import FALSE, TRUE, UNDEFINED, Verdict
@@ -225,8 +226,9 @@ def _cmd_oracle(args) -> int:
 
     counts = {Bounded.SAT: 0, Bounded.UNSAT: 0, Bounded.UNKNOWN: 0}
     alphabet = event_alphabet(source)
-    for trace in enumerate_traces(source.term, alphabet, args.depth):
-        counts[bounded_check(tuple(trace), formula)] += 1
+    traces = Counter(map(tuple, enumerate_traces(source.term, alphabet, args.depth)))
+    for trace, sequences in traces.items():
+        counts[bounded_check(trace, formula)] += sequences
     contradiction = (verdict.truth is TRUE and counts[Bounded.UNSAT] > 0) or \
                     (verdict.truth is FALSE and
                      counts[Bounded.UNSAT] + counts[Bounded.UNKNOWN] == 0)

@@ -3,13 +3,14 @@
 This module is a direct, naive transcription of the satisfaction relation
 over lasso-shaped models and a bounded three-valued check over finite
 prefixes. It deliberately shares no code with the verifier or the witness
-builder, so agreement between the two is meaningful evidence.
+builder, so agreement between the two is meaningful evidence. The traces it
+samples come from the simulator (``semantics.run_traces``), which shares
+the reduction relation with them but none of ``witness.gen``'s rules.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -18,7 +19,8 @@ from .terms import (
     Always, And, Atom, Eventually, Formula, Implies, Next, Not, Or, Term,
 )
 from .kleene import FALSE, TRUE, Trace, TruthVal, UNDEFINED
-from .semantics import atom_truth, run_trace
+from .semantics import atom_truth, run_traces
+from .semantics import run_trace  # noqa: F401  (rebound by benchmarks/tracer.py)
 
 
 class OracleError(Exception):
@@ -168,11 +170,12 @@ MAX_ENUM_DEPTH = 8
 
 def enumerate_traces(program: Term, event_names: Sequence[str],
                      depth: int) -> list[list[Term]]:
-    """Every trace of the program over event sequences of the given length."""
+    """Every trace of the program over event sequences of the given length.
+
+    One trace per sequence, in ``itertools.product`` order, from the
+    simulator's prefix-sharing walk (``semantics.run_traces``); sequences
+    with the same trace may share one list.
+    """
     if depth > MAX_ENUM_DEPTH:
         raise DepthTooLarge(f"depth {depth} exceeds {MAX_ENUM_DEPTH}")
-    traces = []
-    for events in itertools.product(event_names, repeat=depth):
-        traces.append(run_trace(program, events, cycle=False,
-                                max_states=depth + 1))
-    return traces
+    return run_traces(program, event_names, depth)

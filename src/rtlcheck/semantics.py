@@ -1,19 +1,26 @@
-"""Call-by-name operational semantics and the trace simulator.
+"""Call-by-name operational semantics, the trace simulator and its enumeration.
 
 The one-step relation reduces the head of applications and case scrutinees;
 values are weak head normal forms, i.e. constructor applications and
 lambdas. Reduction is deterministic: a non-value either has exactly one
 redex or is stuck, which signals an ill-typed configuration. A step yields
 the reduced term and its function environment, nothing else.
+
+The simulator feeds a program its events through functions of the
+environment, one per list suffix. ``run_trace`` binds them all up front;
+``run_traces``, which enumerates the traces of every event sequence of a
+given length for the oracle, binds them as reduction asks for them, so
+sequences that share a prefix share its reduction.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Mapping, Optional, Sequence
 
 from .terms import (
     App, Case, Con, Fun, Lam, Let, PWild, Term, Var, Where,
-    free_vars, fresh_name, substitute,
+    free_vars, substitute,
 )
 from .kleene import TruthVal, truthval_from_name
 
@@ -173,55 +180,115 @@ def atom_truth(atom_term: Term, state: Term) -> TruthVal:
 
 # --- trace simulation -----------------------------------------------------------
 
-def events_term(events: Sequence[str], cycle_name: str | None = None) -> Term:
-    """Nested-Cons encoding of an event list, tied back to itself when cycled."""
-    tail: Term = Fun(cycle_name) if cycle_name else Con("Nil")
-    out = tail
-    for name in reversed(events):
-        out = Con("Cons", (Con(name), out))
-    return out
+NIL = Con("Nil")
+
+
+def _feed(k: int) -> str:
+    """Name of the event list from its ``k``-th event on; no parsed name has a space."""
+    return f"<events {k}>"
+
+
+def _feeds(events: Sequence[str], start: int,
+           tail: Term | None) -> list[tuple[str, Term]]:
+    """Definitions of the event list from event ``start`` on, one feed per event.
+
+    Feed ``start + i`` is ``Cons e_i (feed start+i+1)``; the feed after the
+    last event is ``tail``, or stays unbound when ``tail`` is None.
+    """
+    defs: list[tuple[str, Term]] = [
+        (_feed(k), Con("Cons", (Con(e), Fun(_feed(k + 1)))))
+        for k, e in enumerate(events, start)]
+    if tail is not None:
+        defs.append((_feed(start + len(events)), tail))
+    return defs
+
+
+def bind_events(program: Term) -> Term:
+    """The program fed the event list that starts at feed 0.
+
+    The program's single free variable is its event-list parameter; a closed
+    program is applied to the list instead. Feeds are functions named so
+    that no program can define or shadow them (see ``_feeds``).
+    """
+    fv = sorted(free_vars(program))
+    if len(fv) > 1:
+        raise ValueError(f"program has several free variables: {', '.join(fv)}")
+    source = Fun(_feed(0))
+    return substitute(program, {fv[0]: source}) if fv else App(program, source)
+
+
+def _next_state(t: Term, env: FunEnv,
+                fuel: int) -> Optional[tuple[Term, Term, FunEnv, int]]:
+    """``(state, rest of stream, env, fuel)`` of a state stream, or None at its end."""
+    value, env, fuel = _whnf(t, env, fuel)
+    match value:
+        case Con("Cons", (head, tail)):
+            return deep_eval(head, env, fuel), tail, env, fuel
+        case Con("Nil", ()):
+            return None
+        case _:
+            raise NonConsOutput(
+                f"program output is not a state stream: {type(value).__name__}")
 
 
 def run_trace(program: Term, events: Sequence[str], cycle: bool = False,
               max_states: int = 64) -> list[Term]:
     """Feed an event list to a reactive program and collect its state trace.
 
-    The program's single free variable is its event-list parameter; it is
-    bound to the given events, cycled forever when ``cycle`` is set. One
-    state is emitted per consumed event, after the initial state; the trace
-    stops at ``max_states`` states or when the events run out.
+    The program's event-list parameter is bound to the given events, cycled
+    forever when ``cycle`` is set. One state is emitted per consumed event,
+    after the initial state; the trace stops at ``max_states`` states or
+    when the events run out.
     """
     if cycle and not events:
         raise ValueError("cannot cycle an empty event list")
-    fv = sorted(free_vars(program))
-    if len(fv) > 1:
-        raise ValueError(f"program has several free variables: {', '.join(fv)}")
-
-    env = FunEnv.empty()
-    if cycle:
-        feed = fresh_name("events", set(fv))
-        env = env.extend([(feed, events_term(events, cycle_name=feed))])
-        source: Term = Fun(feed)
-    else:
-        source = events_term(events)
-
-    if fv:
-        t: Term = substitute(program, {fv[0]: source})
-    else:
-        t = App(program, source)
-
+    t = bind_events(program)
+    env = FunEnv.empty().extend(_feeds(events, 0, Fun(_feed(0)) if cycle else NIL))
     limit = max_states if cycle else min(max_states, len(events) + 1)
     fuel = DEFAULT_FUEL
     trace: list[Term] = []
     while len(trace) < limit:
-        value, env, fuel = _whnf(t, env, fuel)
-        match value:
-            case Con("Cons", (head, tail)):
-                trace.append(deep_eval(head, env, fuel))
-                t = tail
-            case Con("Nil", ()):
-                break
-            case _:
-                raise NonConsOutput(
-                    f"program output is not a state stream: {type(value).__name__}")
+        nxt = _next_state(t, env, fuel)
+        if nxt is None:
+            break
+        state, t, env, fuel = nxt
+        trace.append(state)
     return trace
+
+
+def run_traces(program: Term, events: Sequence[str], depth: int) -> list[list[Term]]:
+    """``run_trace`` of every event sequence of length ``depth``, in product order.
+
+    Equal to ``[run_trace(program, seq, max_states=depth + 1) for seq in
+    itertools.product(events, repeat=depth)]``, exceptions included, but each
+    event prefix is reduced once: the walk starts with no event bound and
+    branches over ``events`` only when reduction is stuck on the next feed,
+    then retries the state from its start. A trace finished after ``k``
+    events stands for ``len(events) ** (depth - k)`` sequences and appears
+    that many times, as one shared list. Every path keeps its own fuel.
+    """
+    if depth and not events:
+        return []
+    out: list[list[Term]] = []
+    limit = depth + 1
+
+    def walk(t: Term, env: FunEnv, fuel: int, bound: int, trace: list[Term]) -> None:
+        while len(trace) < limit:
+            try:
+                nxt = _next_state(t, env, fuel)
+            except StuckError as exc:
+                if exc.term != Fun(_feed(bound)):
+                    raise
+                for e in events:
+                    walk(t, env.extend(_feeds((e,), bound, None)), fuel, bound + 1,
+                         list(trace))
+                return
+            if nxt is None:
+                break
+            state, t, env, fuel = nxt
+            trace.append(state)
+        out.extend(repeat(trace, len(events) ** (depth - bound)))
+
+    walk(bind_events(program), FunEnv.empty().extend(_feeds((), depth, NIL)),
+         DEFAULT_FUEL, 0, [])
+    return out

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -95,6 +96,28 @@ def test_simulate(corpus_paths, capsys):
                      "ObsState T T"]
 
 
+CLASH_PROGRAM = """data Event = EvA | EvB
+data State = St0 | St1
+data TruthVal = True | False | Undefined
+
+Cons St0 (events1 es)
+where
+events1 = \\es -> case es of Cons e es -> Cons St1 (g es)
+g = \\es -> case es of Cons e es -> Cons St0 (events1 es)
+"""
+
+
+@pytest.mark.parametrize("fname", ["events1", "h"])
+def test_simulate_cycle_ignores_program_function_names(tmp_path, capsys, fname):
+    # the cycled event list is bound beside the program's functions, under a
+    # name no program can define, so a function called events1 cannot shadow it
+    path = tmp_path / "p.rsl"
+    path.write_text(CLASH_PROGRAM.replace("events1", fname))
+    code = main(["simulate", str(path), "--events", "EvA,EvB", "--cycle", "-n", "5"])
+    assert code == 0
+    assert capsys.readouterr().out.split() == ["St0", "St1", "St0", "St1", "St0"]
+
+
 def test_oracle_consistency(corpus_paths, capsys):
     code = main(["oracle", corpus_paths["example2.rsl"],
                  "--props", corpus_paths["mutex.ltl"], "--prop", "mutex",
@@ -104,6 +127,31 @@ def test_oracle_consistency(corpus_paths, capsys):
     assert doc["truth"] == "True"
     assert doc["sampled"] == 36
     assert doc["contradiction"] is False
+
+
+# sha256 of the nine outputs of oracle --json --depth 4 --fair-all, in the
+# order of the loops below, recorded while every event sequence was
+# simulated and bounded-checked on its own
+ORACLE_JSON_DIGEST = "b48e8bc1b62d5dd7cfb6b1fce45c85da5ef4ab16060404c59ed3b26117b30a3b"
+
+
+def test_oracle_json_pinned_on_corpus(corpus_paths, capsys):
+    digest = hashlib.sha256()
+    unsat = {}
+    for example in ("example1", "example2", "example3"):
+        for prop in ("mutex", "nonstarve1", "nonstarve2"):
+            code = main(["oracle", corpus_paths[f"{example}.rsl"],
+                         "--props", corpus_paths["mutex.ltl"], "--prop", prop,
+                         "--json", "--depth", "4", "--fair-all"])
+            assert code == 0
+            out = capsys.readouterr().out
+            digest.update(out.encode())
+            doc = json.loads(out)
+            assert doc["sampled"] == 6 ** 4
+            if doc["bounded"]["Unsat"]:
+                unsat[f"{example}/{prop}"] = doc["bounded"]["Unsat"]
+    assert unsat == {"example1/mutex": 4}
+    assert digest.hexdigest() == ORACLE_JSON_DIGEST
 
 
 def test_fair_list_flag(corpus_paths, capsys):

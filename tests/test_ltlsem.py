@@ -1,10 +1,16 @@
+import itertools
+import random
+
 import pytest
 
+from gen_programs import random_program
 from rtlcheck.corpus import obs
 from rtlcheck.ltlsem import (
     AtomUndefined, Bounded, DepthTooLarge, PositionedModel,
     bounded_check, enumerate_traces, sat_lasso,
 )
+from rtlcheck.parser import parse_program
+from rtlcheck.semantics import run_trace
 from rtlcheck.terms import Always, Atom, Con, Eventually, Next, Not, Var
 from rtlcheck.witness import generate, lassoify
 
@@ -171,3 +177,79 @@ def test_enumerate_depth_guard(corpus_by_name):
     _, source, _ = corpus_by_name["example1"]
     with pytest.raises(DepthTooLarge):
         enumerate_traces(source.term, EVENTS, 9)
+
+
+def _outcome(run):
+    """The traces, or the type and message of the exception raised."""
+    try:
+        return run()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_enumeration_is_run_trace(program, events, depth):
+    walked = _outcome(lambda: enumerate_traces(program, events, depth))
+    one_by_one = _outcome(lambda: [
+        run_trace(program, seq, max_states=depth + 1)
+        for seq in itertools.product(events, repeat=depth)])
+    assert walked == one_by_one, (events, depth)
+
+
+def test_enumerate_equals_run_trace_on_corpus(corpus):
+    for _, source, _ in corpus:
+        for depth in range(6):
+            _assert_enumeration_is_run_trace(source.term, EVENTS, depth)
+
+
+def test_enumerate_equals_run_trace_on_random_programs():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        program, events = random_program(rng)
+        for depth in range(4):
+            _assert_enumeration_is_run_trace(program, events, depth)
+
+
+HAND_BUILT_HEADER = """data Event = EvA | EvB | EvC
+data State = St0 | St1 | Pair Event Event
+data TruthVal = True | False | Undefined
+"""
+
+# programs that read events out of the usual one-per-state rhythm, stop
+# early, or fail; the same exception must come out of both sides
+HAND_BUILT = {
+    "cases on es before its first Cons":
+        "case es of Nil -> Nil | Cons e rest -> Cons (Pair e e) (f rest)\n"
+        "where\nf = \\es -> case es of Nil -> Nil | Cons e es -> Cons St0 (f es)",
+    "state reads an event only when printed":
+        "Cons (case es of Nil -> St1 | Cons e r -> e) (f es)\n"
+        "where\nf = \\es -> case es of Cons e es -> Cons St0 (f es)",
+    "two events per state":
+        "Cons St0 (f es)\nwhere\nf = \\es -> case es of Nil -> Nil | Cons a es -> "
+        "case es of Nil -> Nil | Cons b es -> Cons (Pair a b) (f es)",
+    "ends in Nil before the depth":
+        "Cons St0 (f es)\nwhere\nf = \\es -> case es of Cons e es -> "
+        "case e of EvA -> Cons St1 (f es) | _ -> Nil",
+    "never reads an event":
+        "Cons St0 (f es)\nwhere\nf = \\es -> Cons St1 (f es)",
+    "emits a non-stream":
+        "Cons St0 (f es)\nwhere\nf = \\es -> case es of Cons e es -> "
+        "case e of EvB -> St1 | _ -> Cons St0 (f es)",
+    "gets stuck":
+        "Cons St0 (f es)\nwhere\nf = \\es -> case es of Cons e es -> "
+        "case e of EvC -> (case St0 of St1 -> Nil) | _ -> Cons St0 (f es)",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_enumerate_equals_run_trace_on_hand_built_programs(name):
+    source = parse_program(HAND_BUILT_HEADER + HAND_BUILT[name])
+    assert not source.diagnostics
+    for events in (("EvA", "EvB", "EvC"), ("EvB", "EvA"), ("EvA",)):
+        for depth in range(5):
+            _assert_enumeration_is_run_trace(source.term, events, depth)
+
+
+def test_enumerate_empty_alphabet(corpus_by_name):
+    _, source, _ = corpus_by_name["example1"]
+    assert enumerate_traces(source.term, (), 3) == []
+    assert enumerate_traces(source.term, (), 0) == [[obs("T", "T")]]
