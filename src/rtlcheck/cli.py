@@ -19,7 +19,9 @@ from .normform import check_simplified
 from .parser import PropertyFile, SourceFile, parse_program, parse_properties
 from .pretty import pretty_term
 from .semantics import EvalError, run_trace
-from .terms import BUILTIN_DECLS, Case, Con, Formula, PCon, Term
+from .terms import (
+    BUILTIN_DECLS, App, Case, Con, Formula, Lam, Let, PCon, Term, Where,
+)
 from .verify import VerifyError, verify
 from .witness import generate, validate_verdict
 from .ltlsem import (
@@ -74,35 +76,31 @@ def _load_property(args, source: SourceFile) -> tuple[Formula, frozenset[str]]:
 
 
 def _pattern_constructors(t: Term) -> set[str]:
-    from .terms import App, Lam, Let, Var, Fun, Where
-
     out: set[str] = set()
 
     def visit(term: Term) -> None:
-        match term:
-            case Case(scrutinee, alts):
-                visit(scrutinee)
-                for alt in alts:
-                    if isinstance(alt.pattern, PCon):
-                        out.add(alt.pattern.con)
-                    visit(alt.body)
-            case Con(_, args):
-                for a in args:
-                    visit(a)
-            case App(fn, arg):
-                visit(fn)
-                visit(arg)
-            case Lam(_, body):
-                visit(body)
-            case Let(_, bound, body):
-                visit(bound)
-                visit(body)
-            case Where(body, defs):
-                visit(body)
-                for _, d in defs:
-                    visit(d)
-            case Var(_) | Fun(_):
-                pass
+        tt = type(term)
+        if tt is App:
+            visit(term.fn)
+            visit(term.arg)
+        elif tt is Case:
+            visit(term.scrutinee)
+            for alt in term.alts:
+                if type(alt.pattern) is PCon:
+                    out.add(alt.pattern.con)
+                visit(alt.body)
+        elif tt is Con:
+            for a in term.args:
+                visit(a)
+        elif tt is Lam:
+            visit(term.body)
+        elif tt is Let:
+            visit(term.bound)
+            visit(term.body)
+        elif tt is Where:
+            visit(term.body)
+            for _, d in term.defs:
+                visit(d)
 
     visit(t)
     return out

@@ -41,86 +41,93 @@ def check_simplified(program: Term) -> FormReport:
 
 def is_state_term(t: Term) -> bool:
     """Constructor term over variables: the shape of an observable state."""
-    match t:
-        case Var(_):
-            return True
-        case Con(_, args):
-            return all(is_state_term(a) for a in args)
-    return False
+    tt = type(t)
+    if tt is Var:
+        return True
+    return tt is Con and all(is_state_term(a) for a in t.args)
 
 
-def _check(t: Term, rho: frozenset[str], path: str,
+# A path is "program" or a pair (parent path, suffix), joined into a string
+# only for a violation: joining at every step costs time quadratic in depth.
+def _joined(path: str | tuple) -> str:
+    suffixes = []
+    while type(path) is tuple:
+        path, suffix = path
+        suffixes.append(suffix)
+    return path + "".join(reversed(suffixes))
+
+
+def _check(t: Term, rho: frozenset[str], path: str | tuple,
            out: list[Violation]) -> None:
-    match t:
-        case Con("Cons", (e0, e1)):
+    # runs on every program a command loads: dispatch on type, not match
+    tt = type(t)
+    if tt is Con:
+        if t.con == "Cons" and len(t.args) == 2:
+            e0, e1 = t.args
             if not is_state_term(e0):
                 out.append(Violation(
-                    f"{path}.state", "cons",
+                    _joined((path, ".state")), "cons",
                     "state position of Cons must be a constructor term "
                     "over variables", e0))
-            _check(e1, rho, f"{path}.tail", out)
-        case Con(con, _):
+            _check(e1, rho, (path, ".tail"), out)
+        else:
             out.append(Violation(
-                path, "cons",
-                f"only Cons cells may be constructed here, not {con}", t))
-        case Case(Var(x), alts):
-            if x in rho:
-                out.append(Violation(
-                    path, "case",
-                    f"case scrutinee {x} is let-bound and may not be inspected",
-                    t))
-            for i, alt in enumerate(alts):
-                _check(alt.body, rho, f"{path}.alt{i}", out)
-        case Case(scrut, alts):
+                _joined(path), "cons",
+                f"only Cons cells may be constructed here, not {t.con}", t))
+    elif tt is Case:
+        scrut = t.scrutinee
+        if type(scrut) is not Var:
             out.append(Violation(
-                path, "case", "case scrutinee must be a variable", scrut))
-            for i, alt in enumerate(alts):
-                _check(alt.body, rho, f"{path}.alt{i}", out)
-        case Let(x, bound, body):
-            lam_body = bound
+                _joined(path), "case", "case scrutinee must be a variable", scrut))
+        elif scrut.name in rho:
+            out.append(Violation(
+                _joined(path), "case",
+                f"case scrutinee {scrut.name} is let-bound and may not be "
+                "inspected", t))
+        for i, alt in enumerate(t.alts):
+            _check(alt.body, rho, (path, f".alt{i}"), out)
+    elif tt is Let:
+        lam_body = t.bound
+        while isinstance(lam_body, Lam):
+            lam_body = lam_body.body
+        if lam_body is t.bound:
+            out.append(Violation(
+                _joined((path, ".bound")), "let",
+                "let must bind a lambda abstraction", t.bound))
+        _check(lam_body, rho, (path, ".bound"), out)
+        _check(t.body, rho | {t.name}, (path, ".body"), out)
+    elif tt is Where:
+        _check(t.body, rho, (path, ".body"), out)
+        for fname, d in t.defs:
+            lam_body = d
             while isinstance(lam_body, Lam):
                 lam_body = lam_body.body
-            if lam_body is bound:
+            _check(lam_body, rho, (path, f".{fname}"), out)
+    elif tt is Lam:
+        out.append(Violation(
+            _joined(path), "lambda",
+            "lambdas may appear only as let or where definitions", t))
+    else:
+        head, args = spine(t)
+        if type(head) is Fun:
+            if not all(type(a) is Var for a in args):
                 out.append(Violation(
-                    f"{path}.bound", "let",
-                    "let must bind a lambda abstraction", bound))
-            _check(lam_body, rho, f"{path}.bound", out)
-            _check(body, rho | {x}, f"{path}.body", out)
-        case Where(body, defs):
-            _check(body, rho, f"{path}.body", out)
-            for fname, d in defs:
-                lam_body = d
-                while isinstance(lam_body, Lam):
-                    lam_body = lam_body.body
-                _check(lam_body, rho, f"{path}.{fname}", out)
-        case Lam(_, _):
+                    _joined(path), "call",
+                    f"arguments of call to {head.name} must be variables", t))
+        elif type(head) is Var:
+            if head.name in rho:
+                for i, a in enumerate(args):
+                    _check(a, rho, (path, f".arg{i}"), out)
+            else:
+                out.append(Violation(
+                    _joined(path), "rho-app",
+                    f"variable {head.name} is not let-bound and cannot stand "
+                    "for an expression here", t))
+        else:
             out.append(Violation(
-                path, "lambda",
-                "lambdas may appear only as let or where definitions", t))
-        case _:
-            head, args = spine(t)
-            match head:
-                case Fun(fname):
-                    bad = [a for a in args if not isinstance(a, Var)]
-                    if bad:
-                        out.append(Violation(
-                            path, "call",
-                            f"arguments of call to {fname} must be variables",
-                            t))
-                case Var(x):
-                    if x in rho:
-                        for i, a in enumerate(args):
-                            _check(a, rho, f"{path}.arg{i}", out)
-                    else:
-                        out.append(Violation(
-                            path, "rho-app",
-                            f"variable {x} is not let-bound and cannot stand "
-                            "for an expression here", t))
-                case _:
-                    out.append(Violation(
-                        path, "form",
-                        f"{type(head).__name__} is not a simplified-form "
-                        "production", t))
+                _joined(path), "form",
+                f"{type(head).__name__} is not a simplified-form "
+                "production", t))
 
 
 def only_tail_calls(t: Term) -> bool:

@@ -1,17 +1,23 @@
 """Concrete syntax for program files (.rsl) and property files (.ltl).
 
-Lowercase-initial identifiers are variables or functions, uppercase-initial
-are constructors; application is juxtaposition, left-associative. ``data``
+Identifiers are variables or functions, or constructors when their first
+letter is uppercase; application is juxtaposition, left-associative. ``data``
 declarations and ``fair:`` headers are one per line; everything else is
 layout-free. A new ``where`` definition is recognized by the two-token
-lookahead IDENT ``=``. A property file is read against the constructor
-table of the program it describes. See docs/formats.md for the full EBNF.
+lookahead IDENT ``=``. A property file is read against the constructor table
+of the program it describes. See docs/formats.md for the full EBNF.
+
+The lexer runs one regular expression along each line (lines end at "\\n"
+only). A token's tag is its text for a symbol or keyword, else ``lid``,
+``uid`` or ``eof``; one ``eof`` token ends the list and the cursor never
+passes it, so lookahead needs no bounds check.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .terms import (
     Alt, Always, And, App, Atom, Case, Con, DataDecl, Eventually, Formula,
@@ -20,8 +26,15 @@ from .terms import (
 )
 
 KEYWORDS = {"case", "of", "let", "in", "where", "data"}
-SYMBOLS = ("->", "=>", "&&", "||", "\\", "(", ")", "{", "}", "|", "=", ":",
-           ",", "_", "!")
+
+SYMBOLS = frozenset(("->", "=>", "&&", "||", "\\", "(", ")", "{", "}", "|", "=",
+                     ":", ",", "_", "!"))
+
+# a symbol (longest first, and "_" before a word), a word, a comment, or any
+# other character that is not a blank; the search skips blanks
+_TOKEN = re.compile(r"->|=>|&&|\|\||[\\(){}|=:,_!]|\w+|#|[^ \t\r]")
+
+TOO_DEEP = "nested too deeply to parse"
 
 
 @dataclass(frozen=True)
@@ -65,88 +78,76 @@ class ParseError(Exception):
 
 # --- lexer --------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "lid", "uid", "sym", "kw", "eof"
+class Token(NamedTuple):
+    tag: str  # the text of a symbol or keyword; "lid", "uid" or "eof"
     text: str
     line: int
     col: int
 
 
+# Token(...) without the Python frame of the NamedTuple's __new__
+_token = tuple.__new__
+
+
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha():
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            if word in KEYWORDS:
-                kind = "kw"
-            elif word[0].isupper():
-                kind = "uid"
-            else:
-                kind = "lid"
-            tokens.append(Token(kind, word, line, col))
-            col += len(word)
-            continue
-        for sym in SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
+    append = tokens.append
+    for line, row in enumerate(text.split("\n"), 1):
+        end = len(row) + 1
+        for m in _TOKEN.finditer(row):
+            word = m.group()
+            if word[0].isalpha():
+                tag = (word if word in KEYWORDS
+                       else "uid" if word[0].isupper() else "lid")
+                append(_token(Token, (tag, word, line, m.start() + 1)))
+            elif word in SYMBOLS:
+                append(_token(Token, (word, word, line, m.start() + 1)))
+            elif word == "#":
+                end = m.start() + 1  # the column does not advance over a comment
                 break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+            else:  # a word starting with a non-letter, or any other character
+                raise ParseError(f"unexpected character {word[0]!r}",
+                                 line, m.start() + 1)
+    append(_token(Token, ("eof", "", line, end)))
     return tokens
 
 
 class _Tokens:
+    __slots__ = ("tokens", "pos")
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "eof":
+        tok = self.tokens[self.pos]
+        if tok.tag != "eof":
             self.pos += 1
         return tok
 
-    def at_sym(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "sym" and tok.text == text
+    def at(self, tag: str) -> bool:
+        return self.tokens[self.pos].tag == tag
 
-    def at_kw(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "kw" and tok.text == text
-
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            raise ParseError(f"expected {want!r}, found {tok.text or 'end of input'!r}",
+    def expect(self, tag: str) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.tag != tag:
+            raise ParseError(f"expected {tag!r}, found {tok.text or 'end of input'!r}",
                              tok.line, tok.col)
-        return self.next()
+        self.pos += 1
+        return tok
+
+
+def _descend(parse: Callable[[_Tokens], Term | Formula],
+             ts: _Tokens) -> Term | Formula:
+    """``parse(ts)``, with nesting too deep for the stack reported where it stands."""
+    try:
+        return parse(ts)
+    except RecursionError:
+        tok = ts.peek()
+        raise ParseError(TOO_DEEP, tok.line, tok.col) from None
 
 
 # --- program parsing ------------------------------------------------------------
@@ -156,17 +157,20 @@ def parse_program(text: str) -> SourceFile:
     try:
         ts = _Tokens(tokenize(text))
         decls = _parse_decls(ts)
-        term = _parse_expr(ts)
+        term = _descend(_parse_expr, ts)
         tok = ts.peek()
-        if tok.kind != "eof":
+        if tok.tag != "eof":
             raise ParseError(f"unexpected {tok.text!r} after program", tok.line, tok.col)
     except ParseError as exc:
         return SourceFile((), None, (exc.diagnostic,))
 
     diagnostics = [Diagnostic(1, 1, msg) for msg in _decl_problems(decls)]
     arities = arity_table(decls)
-    term = _resolve(term, {})
-    diagnostics.extend(Diagnostic(1, 1, msg) for msg in check_term(term, arities))
+    try:
+        term = _resolve(term, frozenset())
+        diagnostics.extend(Diagnostic(1, 1, msg) for msg in check_term(term, arities))
+    except RecursionError:
+        diagnostics.append(Diagnostic(1, 1, TOO_DEEP))
     if diagnostics:
         return SourceFile(tuple(decls), None, tuple(diagnostics))
     return SourceFile(tuple(decls), term, ())
@@ -174,21 +178,20 @@ def parse_program(text: str) -> SourceFile:
 
 def _parse_decls(ts: _Tokens) -> list[DataDecl]:
     decls: list[DataDecl] = []
-    while ts.at_kw("data"):
+    while ts.at("data"):
         data_tok = ts.next()
         name = ts.expect("uid").text
-        ts.expect("sym", "=")
+        ts.expect("=")
         constructors: list[tuple[str, int]] = []
         while True:
             con = ts.expect("uid").text
             arity = 0
             # each atomic type token on the declaration line is one argument
-            while _on_line(ts, data_tok.line) and (
-                    ts.peek().kind in ("uid", "lid") or ts.at_sym("(")):
+            while _on_line(ts, data_tok.line) and ts.peek().tag in ("uid", "lid", "("):
                 _skip_type_atom(ts)
                 arity += 1
             constructors.append((con, arity))
-            if _on_line(ts, data_tok.line) and ts.at_sym("|"):
+            if _on_line(ts, data_tok.line) and ts.at("|"):
                 ts.next()
                 continue
             break
@@ -198,20 +201,20 @@ def _parse_decls(ts: _Tokens) -> list[DataDecl]:
 
 def _on_line(ts: _Tokens, line: int) -> bool:
     tok = ts.peek()
-    return tok.kind != "eof" and tok.line == line
+    return tok.tag != "eof" and tok.line == line
 
 
 def _skip_type_atom(ts: _Tokens) -> None:
-    if ts.at_sym("("):
+    if ts.at("("):
         depth = 0
         while True:
             tok = ts.next()
-            if tok.kind == "eof":
+            if tok.tag == "eof":
                 raise ParseError("unclosed parenthesis in data declaration",
                                  tok.line, tok.col)
-            if tok.kind == "sym" and tok.text == "(":
+            if tok.tag == "(":
                 depth += 1
-            elif tok.kind == "sym" and tok.text == ")":
+            elif tok.tag == ")":
                 depth -= 1
                 if depth == 0:
                     return
@@ -241,8 +244,30 @@ def _decl_problems(decls: list[DataDecl]) -> list[str]:
 
 
 def _parse_expr(ts: _Tokens) -> Term:
-    term = _parse_expr_nowhere(ts)
-    if ts.at_kw("where"):
+    tag = ts.peek().tag
+    if tag == "\\":
+        ts.next()
+        params = [ts.expect("lid").text]
+        while ts.at("lid"):
+            params.append(ts.next().text)
+        ts.expect("->")
+        body = _parse_expr(ts)
+        for p in reversed(params):
+            body = Lam(p, body)
+        return body
+    if tag == "let":
+        ts.next()
+        name = ts.expect("lid").text
+        ts.expect("=")
+        bound = _parse_expr(ts)
+        ts.expect("in")
+        body = _parse_expr(ts)
+        return Let(name, bound, body)
+    if tag == "case":
+        return _parse_case(ts)
+    # a lambda, let or case ends in an expression that took any where block
+    term = _parse_app(ts)
+    if ts.at("where"):
         ts.next()
         defs = [_parse_def(ts)]
         while _at_def_boundary(ts):
@@ -251,36 +276,12 @@ def _parse_expr(ts: _Tokens) -> Term:
     return term
 
 
-def _parse_expr_nowhere(ts: _Tokens) -> Term:
-    if ts.at_sym("\\"):
-        ts.next()
-        params = [ts.expect("lid").text]
-        while ts.peek().kind == "lid":
-            params.append(ts.next().text)
-        ts.expect("sym", "->")
-        body = _parse_expr(ts)
-        for p in reversed(params):
-            body = Lam(p, body)
-        return body
-    if ts.at_kw("let"):
-        ts.next()
-        name = ts.expect("lid").text
-        ts.expect("sym", "=")
-        bound = _parse_expr(ts)
-        ts.expect("kw", "in")
-        body = _parse_expr(ts)
-        return Let(name, bound, body)
-    if ts.at_kw("case"):
-        return _parse_case(ts)
-    return _parse_app(ts)
-
-
 def _parse_case(ts: _Tokens) -> Term:
-    ts.expect("kw", "case")
+    ts.expect("case")
     scrut = _parse_app(ts)
-    ts.expect("kw", "of")
+    ts.expect("of")
     alts = [_parse_alt(ts)]
-    while ts.at_sym("|"):
+    while ts.at("|"):
         ts.next()
         alts.append(_parse_alt(ts))
     return Case(scrut, tuple(alts))
@@ -288,24 +289,23 @@ def _parse_case(ts: _Tokens) -> Term:
 
 def _parse_alt(ts: _Tokens) -> Alt:
     pattern = _parse_pattern(ts)
-    ts.expect("sym", "->")
+    ts.expect("->")
     return Alt(pattern, _parse_expr(ts))
 
 
 def _parse_pattern(ts: _Tokens) -> Pattern:
-    tok = ts.peek()
-    if ts.at_sym("_"):
-        ts.next()
+    tok = ts.next()
+    if tok.tag == "_":
         return WILD
-    if tok.kind != "uid":
+    if tok.tag != "uid":
         raise ParseError("expected a constructor pattern or _", tok.line, tok.col)
-    con = ts.next().text
+    con = tok.text
     pvars: list[str] = []
     while True:
         tok = ts.peek()
-        if tok.kind == "lid":
+        if tok.tag == "lid":
             pvars.append(ts.next().text)
-        elif ts.at_sym("_") or tok.kind == "uid" or ts.at_sym("("):
+        elif tok.tag in ("_", "uid", "("):
             raise ParseError("nested pattern: patterns are a constructor "
                              "plus variables", tok.line, tok.col)
         else:
@@ -314,13 +314,12 @@ def _parse_pattern(ts: _Tokens) -> Pattern:
 
 
 def _at_def_boundary(ts: _Tokens) -> bool:
-    return (ts.peek().kind == "lid"
-            and ts.peek(1).kind == "sym" and ts.peek(1).text == "=")
+    return ts.at("lid") and ts.peek(1).tag == "="
 
 
 def _parse_def(ts: _Tokens) -> tuple[str, Term]:
     name = ts.expect("lid").text
-    ts.expect("sym", "=")
+    ts.expect("=")
     return name, _parse_expr(ts)
 
 
@@ -338,58 +337,57 @@ def _parse_app(ts: _Tokens) -> Term:
 
 
 def _starts_atom(ts: _Tokens) -> bool:
-    tok = ts.peek()
-    if tok.kind == "uid" or ts.at_sym("("):
-        return True
-    return tok.kind == "lid" and not _at_def_boundary(ts)
+    tag = ts.peek().tag
+    return tag == "uid" or tag == "(" or (tag == "lid" and ts.peek(1).tag != "=")
 
 
 def _parse_atom(ts: _Tokens) -> Term:
-    tok = ts.peek()
-    if tok.kind == "lid":
-        return Var(ts.next().text)
-    if tok.kind == "uid":
-        return Con(ts.next().text)
-    if ts.at_sym("("):
-        ts.next()
+    tok = ts.next()
+    if tok.tag == "lid":
+        return Var(tok.text)
+    if tok.tag == "uid":
+        return Con(tok.text)
+    if tok.tag == "(":
         inner = _parse_expr(ts)
-        ts.expect("sym", ")")
+        ts.expect(")")
         return inner
     raise ParseError(f"expected an expression, found {tok.text or 'end of input'!r}",
                      tok.line, tok.col)
 
 
-def _resolve(t: Term, scope: dict[str, str]) -> Term:
-    """Turn variables bound by an enclosing where into function references."""
-    match t:
-        case Var(name):
-            return Fun(name) if scope.get(name) == "fun" else t
-        case Con(con, args):
-            return Con(con, tuple(_resolve(a, scope) for a in args))
-        case Fun(_):
-            return t
-        case App(fn, arg):
-            return App(_resolve(fn, scope), _resolve(arg, scope))
-        case Lam(param, body):
-            return Lam(param, _resolve(body, {**scope, param: "var"}))
-        case Let(name, bound, body):
-            return Let(name, _resolve(bound, scope),
-                       _resolve(body, {**scope, name: "var"}))
-        case Case(scrut, alts):
-            new_alts = []
-            for alt in alts:
-                inner = dict(scope)
-                if isinstance(alt.pattern, PCon):
-                    for v in alt.pattern.vars:
-                        inner[v] = "var"
-                new_alts.append(Alt(alt.pattern, _resolve(alt.body, inner)))
-            return Case(_resolve(scrut, scope), tuple(new_alts))
-        case Where(body, defs):
-            inner = dict(scope)
-            for fname, _ in defs:
-                inner[fname] = "fun"
-            return Where(_resolve(body, inner),
-                         tuple((f, _resolve(d, inner)) for f, d in defs))
+def _resolve(t: Term, funs: frozenset[str]) -> Term:
+    """Turn variables bound by an enclosing where into function references.
+
+    ``funs`` holds the where-bound names that no inner binder shadows; it is
+    copied only where a binder shadows one of them.
+    """
+    tt = type(t)
+    if tt is Var:
+        return Fun(t.name) if t.name in funs else t
+    if tt is App:
+        return App(_resolve(t.fn, funs), _resolve(t.arg, funs))
+    if tt is Con:
+        return Con(t.con, tuple(_resolve(a, funs) for a in t.args)) if t.args else t
+    if tt is Case:
+        alts = []
+        for alt in t.alts:
+            inner = funs
+            if isinstance(alt.pattern, PCon) and not funs.isdisjoint(alt.pattern.vars):
+                inner = funs.difference(alt.pattern.vars)
+            alts.append(Alt(alt.pattern, _resolve(alt.body, inner)))
+        return Case(_resolve(t.scrutinee, funs), tuple(alts))
+    if tt is Lam:
+        inner = funs - {t.param} if t.param in funs else funs
+        return Lam(t.param, _resolve(t.body, inner))
+    if tt is Let:
+        inner = funs - {t.name} if t.name in funs else funs
+        return Let(t.name, _resolve(t.bound, funs), _resolve(t.body, inner))
+    if tt is Where:
+        inner = funs.union(f for f, _ in t.defs)
+        return Where(_resolve(t.body, inner),
+                     tuple((f, _resolve(d, inner)) for f, d in t.defs))
+    if tt is Fun:
+        return t
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -405,20 +403,20 @@ def parse_properties(text: str, arities: Mapping[str, int]) -> PropertyFile:
         ts = _Tokens(tokenize(text))
         fair: list[str] = []
         props: list[tuple[str, Formula]] = []
-        while ts.peek().kind != "eof":
+        while not ts.at("eof"):
             tok = ts.peek()
-            if tok.kind == "lid" and tok.text == "fair":
+            if tok.tag == "lid" and tok.text == "fair":
                 ts.next()
-                ts.expect("sym", ":")
+                ts.expect(":")
                 fair.append(ts.expect("uid").text)
-                while ts.at_sym(","):
+                while ts.at(","):
                     ts.next()
                     fair.append(ts.expect("uid").text)
-            elif tok.kind == "lid" and tok.text == "prop":
+            elif tok.tag == "lid" and tok.text == "prop":
                 ts.next()
                 name = ts.expect("lid").text
-                ts.expect("sym", ":")
-                props.append((name, _parse_formula(ts)))
+                ts.expect(":")
+                props.append((name, _descend(_parse_implies, ts)))
             else:
                 raise ParseError(f"expected 'prop' or 'fair', found {tok.text!r}",
                                  tok.line, tok.col)
@@ -431,12 +429,15 @@ def parse_properties(text: str, arities: Mapping[str, int]) -> PropertyFile:
         if name in seen:
             diagnostics.append(Diagnostic(1, 1, f"duplicate property {name}"))
         seen.add(name)
-    for _, formula in props:
-        for msg in check_formula(formula):
-            diagnostics.append(Diagnostic(1, 1, msg))
-        for atom in atoms(formula):
-            for msg in check_term(atom.term, arities):
+    try:
+        for _, formula in props:
+            for msg in check_formula(formula):
                 diagnostics.append(Diagnostic(1, 1, msg))
+            for atom in atoms(formula):
+                for msg in check_term(atom.term, arities):
+                    diagnostics.append(Diagnostic(1, 1, msg))
+    except RecursionError:
+        diagnostics.append(Diagnostic(1, 1, TOO_DEEP))
     for name in fair:
         if arities.get(name) is None:
             diagnostics.append(Diagnostic(1, 1,
@@ -452,13 +453,9 @@ def parse_properties(text: str, arities: Mapping[str, int]) -> PropertyFile:
 _PREFIX_OPS = {"G": Always, "F": Eventually, "X": Next}
 
 
-def _parse_formula(ts: _Tokens) -> Formula:
-    return _parse_implies(ts)
-
-
 def _parse_implies(ts: _Tokens) -> Formula:
     left = _parse_or(ts)
-    if ts.at_sym("=>"):
+    if ts.at("=>"):
         ts.next()
         return Implies(left, _parse_implies(ts))
     return left
@@ -466,7 +463,7 @@ def _parse_implies(ts: _Tokens) -> Formula:
 
 def _parse_or(ts: _Tokens) -> Formula:
     out = _parse_and(ts)
-    while ts.at_sym("||"):
+    while ts.at("||"):
         ts.next()
         out = Or(out, _parse_and(ts))
     return out
@@ -474,29 +471,25 @@ def _parse_or(ts: _Tokens) -> Formula:
 
 def _parse_and(ts: _Tokens) -> Formula:
     out = _parse_unary(ts)
-    while ts.at_sym("&&"):
+    while ts.at("&&"):
         ts.next()
         out = And(out, _parse_unary(ts))
     return out
 
 
 def _parse_unary(ts: _Tokens) -> Formula:
-    tok = ts.peek()
-    if ts.at_sym("!"):
-        ts.next()
+    tok = ts.next()
+    if tok.tag == "!":
         return Not(_parse_unary(ts))
-    if tok.kind == "uid" and tok.text in _PREFIX_OPS:
-        ts.next()
+    if tok.tag == "uid" and tok.text in _PREFIX_OPS:
         return _PREFIX_OPS[tok.text](_parse_unary(ts))
-    if ts.at_sym("{"):
-        ts.next()
-        term = _resolve(_parse_expr(ts), {})
-        ts.expect("sym", "}")
+    if tok.tag == "{":
+        term = _resolve(_parse_expr(ts), frozenset())
+        ts.expect("}")
         return Atom(term)
-    if ts.at_sym("("):
-        ts.next()
-        inner = _parse_formula(ts)
-        ts.expect("sym", ")")
+    if tok.tag == "(":
+        inner = _parse_implies(ts)
+        ts.expect(")")
         return inner
     raise ParseError(f"expected a formula, found {tok.text or 'end of input'!r}",
                      tok.line, tok.col)

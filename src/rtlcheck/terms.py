@@ -428,54 +428,57 @@ def check_term(t: Term, arities: Mapping[str, int]) -> list[str]:
 
 
 def _check(t: Term, arities: Mapping[str, int], out: list[str]) -> None:
-    match t:
-        case Var(_) | Fun(_):
-            pass
-        case Con(con, args):
-            if con not in arities:
-                out.append(f"unknown constructor {con}")
-            elif arities[con] != len(args):
-                out.append(f"constructor arity: {con} expects {arities[con]} "
-                           f"arguments, got {len(args)}")
-            for a in args:
-                _check(a, arities, out)
-        case Lam(_, body):
-            _check(body, arities, out)
-        case App(fn, arg):
-            _check(fn, arities, out)
-            _check(arg, arities, out)
-        case Case(scrutinee, alts):
-            _check(scrutinee, arities, out)
-            if not alts:
-                out.append("case with no alternatives")
-            seen: set[str] = set()
-            for i, alt in enumerate(alts):
-                if isinstance(alt.pattern, PWild):
-                    if i != len(alts) - 1:
-                        out.append("wildcard pattern must be the last alternative")
-                else:
-                    con, pvars = alt.pattern.con, alt.pattern.vars
-                    if con in seen:
-                        out.append(f"constructor {con} appears in two patterns "
-                                   "of the same case")
-                    seen.add(con)
-                    if len(set(pvars)) != len(pvars):
-                        out.append(f"repeated pattern variable in {con} pattern")
-                    if con in arities and arities[con] != len(pvars):
-                        out.append(f"pattern arity: {con} expects {arities[con]} "
-                                   f"variables, got {len(pvars)}")
-                    elif con not in arities:
-                        out.append(f"unknown constructor {con} in pattern")
-                _check(alt.body, arities, out)
-        case Let(_, bound, body):
-            _check(bound, arities, out)
-            _check(body, arities, out)
-        case Where(body, defs):
-            _check(body, arities, out)
-            for _, d in defs:
-                _check(d, arities, out)
-        case _:
-            out.append(f"not a term: {t!r}")
+    # runs on every parsed program and atom: dispatch on type, not match
+    tt = type(t)
+    if tt is App:
+        _check(t.fn, arities, out)
+        _check(t.arg, arities, out)
+    elif tt is Var or tt is Fun:
+        pass
+    elif tt is Con:
+        con, args = t.con, t.args
+        if con not in arities:
+            out.append(f"unknown constructor {con}")
+        elif arities[con] != len(args):
+            out.append(f"constructor arity: {con} expects {arities[con]} "
+                       f"arguments, got {len(args)}")
+        for a in args:
+            _check(a, arities, out)
+    elif tt is Case:
+        alts = t.alts
+        _check(t.scrutinee, arities, out)
+        if not alts:
+            out.append("case with no alternatives")
+        seen: set[str] = set()
+        for i, alt in enumerate(alts):
+            if isinstance(alt.pattern, PWild):
+                if i != len(alts) - 1:
+                    out.append("wildcard pattern must be the last alternative")
+            else:
+                con, pvars = alt.pattern.con, alt.pattern.vars
+                if con in seen:
+                    out.append(f"constructor {con} appears in two patterns "
+                               "of the same case")
+                seen.add(con)
+                if len(set(pvars)) != len(pvars):
+                    out.append(f"repeated pattern variable in {con} pattern")
+                if con in arities and arities[con] != len(pvars):
+                    out.append(f"pattern arity: {con} expects {arities[con]} "
+                               f"variables, got {len(pvars)}")
+                elif con not in arities:
+                    out.append(f"unknown constructor {con} in pattern")
+            _check(alt.body, arities, out)
+    elif tt is Lam:
+        _check(t.body, arities, out)
+    elif tt is Let:
+        _check(t.bound, arities, out)
+        _check(t.body, arities, out)
+    elif tt is Where:
+        _check(t.body, arities, out)
+        for _, d in t.defs:
+            _check(d, arities, out)
+    else:
+        out.append(f"not a term: {t!r}")
 
 
 def check_formula(f: Formula) -> list[str]:

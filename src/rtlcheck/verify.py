@@ -39,17 +39,19 @@ class Budget:
     """Mutable countdown of rule applications shared across one run.
 
     ``memo`` is the run's table of verdicts for calls that open a fresh
-    obligation (see :func:`rtlcheck.witness.gen`); ``generate`` empties it
-    at the start of every run, since its keys hold neither the fairness set
-    nor the formula itself.
+    obligation (see :func:`rtlcheck.witness.gen`), and ``atoms`` its table
+    of atom truths by atom formula node and state; ``generate`` empties both
+    at the start of every run, since their keys hold neither the fairness
+    set nor the formula itself.
     """
 
-    __slots__ = ("limit", "used", "memo")
+    __slots__ = ("limit", "used", "memo", "atoms")
 
     def __init__(self, limit: int = DEFAULT_BUDGET):
         self.limit = limit
         self.used = 0
         self.memo: dict = {}
+        self.atoms: dict = {}
 
     def tick(self) -> None:
         self.used += 1

@@ -41,6 +41,10 @@ with CPython 3.11,
     12   86,479               1.1 s        budget exceeded
     14   674,186              8.2 s        budget exceeded
     16   budget exceeded      9.3 s        budget exceeded
+
+Atom truths are kept for the run too, in ``Budget.atoms`` keyed on the atom's
+formula node and the state: an atom's truth depends on its state alone, so a
+repeat reuses it, though it still counts its rule application.
 """
 
 from __future__ import annotations
@@ -131,7 +135,12 @@ def gen(t: Term, f: Formula, env: FunEnv, visited: VisitedSet, fair: FairSet,
                     truth, trace = gen(tail, sub, env, visited, fair, budget)
                     return _verdict(Verdict, (truth, (state,) + trace))
                 case Atom():
-                    return Verdict(atom_truth(f.term, state), (state,))
+                    # atoms are pure: one evaluation per formula node and state
+                    key = (id(f), state)
+                    v = budget.atoms.get(key)
+                    if v is None:
+                        v = budget.atoms[key] = atom_truth(f.term, state)
+                    return _verdict(Verdict, (v, (state,)))
 
         case Case(Var(_), alts):
             vs: list[Verdict] = []
@@ -191,10 +200,10 @@ def generate(program: Term, f: Formula, fair: FairSet = frozenset(),
     """Entry point: gen with empty environment and visited set.
 
     ``budget`` defaults to a fresh one; pass one to read how many rule
-    applications the run used. Every run starts with an empty memo table
-    (``budget.memo``), so a budget passed to several runs carries no verdict
-    from one run into the next. Raises NotSimplified unless the program is in
-    simplified form.
+    applications the run used. Every run starts with empty memo and atom
+    tables (``budget.memo``, ``budget.atoms``), so a budget passed to several
+    runs carries no verdict or atom truth from one run into the next. Raises
+    NotSimplified unless the program is in simplified form.
     """
     report = check_simplified(program)
     if not report.conforms:
@@ -203,6 +212,7 @@ def generate(program: Term, f: Formula, fair: FairSet = frozenset(),
     if budget is None:
         budget = Budget()
     budget.memo.clear()
+    budget.atoms.clear()
     return gen(program, f, FunEnv.empty(), EMPTY_VISITED, frozenset(fair),
                budget)
 

@@ -180,6 +180,17 @@ def test_malformed_file_exits_66(tmp_path, capsys):
     assert main(["check", str(bad)]) == EX_DATA
 
 
+def test_nesting_too_deep_to_parse_exits_66(corpus_paths, tmp_path, capsys):
+    deep = tmp_path / "deep.rsl"
+    deep.write_text("(" * 5000 + "Nil" + ")" * 5000)
+    assert main(["check", str(deep)]) == EX_DATA
+    props = tmp_path / "deep.ltl"
+    props.write_text("prop p: " + "(" * 5000 + "G { True }" + ")" * 5000)
+    assert main(["verify", corpus_paths["example1.rsl"],
+                 "--props", str(props), "--prop", "p"]) == EX_DATA
+    assert "nested too deeply to parse" in capsys.readouterr().err
+
+
 def test_internal_error_exits_70(corpus_paths, tmp_path, capsys):
     # parses fine but is not in simplified form: verify refuses, exit > 2
     bad = tmp_path / "unsimplified.rsl"

@@ -1,14 +1,19 @@
+import hashlib
 import random
 
-from rtlcheck.corpus import obs
-from rtlcheck.parser import parse_program, parse_properties
+from hypothesis import given, settings, strategies as st
+
+from rtlcheck.corpus import obs, read_text
+from rtlcheck.parser import (
+    PropertyFile, SourceFile, TOO_DEEP, parse_program, parse_properties,
+)
 from rtlcheck.pretty import pretty_formula, pretty_term
 from rtlcheck.terms import (
     Alt, Always, App, Atom, Case, Con, Eventually, Fun, Implies, Lam, Not,
     PCon, Var, WILD, Where, alpha_equal,
 )
 
-from gen_programs import random_program
+from gen_programs import formula_battery, random_program
 
 DECLS = """\
 data Event = Request1 | Request2 | Take1 | Take2 | Release1 | Release2
@@ -203,3 +208,140 @@ def test_formula_roundtrip(corpus_by_name):
         again = parse_properties(text, arities)
         assert again.get(name) is not None, again.diagnostics
         assert again.get(name) == formula
+
+
+# --- pinned results ----------------------------------------------------------------
+
+# characters a one-character mutation inserts or substitutes: the grammar's
+# own plus line ends, tabs and letters where str.isalpha, str.isupper and the
+# regex classes \w and \d disagree
+MUTATION_CHARS = ("\n", "\r", "\t", " ", "#", "(", ")", "{", "}", "|", "=",
+                  ">", "-", "\\", "_", ":", ",", "!", "&", "x", "X", "1",
+                  "²", "ǅ", "変", "\u2028", "é", "É")
+
+# lexical corner cases, each mapped to the str of its diagnostics
+EXPLICIT_PROPERTIES = {
+    # the lexer does not advance the column over a comment
+    "prop x: # c": "1:9: expected a formula, found 'end of input'",
+    "prop ²x: G { True }": "1:6: unexpected character '²'",
+    "prop x²: G {\tTrue }\r\n": "",
+    # U+2028 is not a line end: the error stays on line 1
+    "prop x: G { True }\u2028prop y: G { True }":
+        "1:19: unexpected character '\\u2028'",
+    "prop ǅ: G { True }\nprop 変: F { False }": "",
+}
+
+EXPLICIT_PROGRAMS = (
+    "Cons\tNil\r\n  Nil\r\n",
+    "data D = A\r\n| B\nA",
+    "x² where x² = Nil",
+    "ǅ 変",
+    "Nil # trailing\n# only a comment",
+    "Nil\u2028Nil",
+    "case x of _abc -> x",
+    "1x",
+)
+
+
+# sha256 over the results of test_parse_results_pinned: a change to the
+# grammar, to a parsed term or to a diagnostic moves it
+PARSE_DIGEST = "279329a2073a9db064eaaebdef8492c2268bfb14f4abba35f65ecce5d219323f"
+
+
+def _canonical(result) -> str:
+    # a frozenset's repr order follows string hashing, which varies per process
+    fair = getattr(result, "fair", None)
+    if fair is not None:
+        return repr((result.props, sorted(fair), result.diagnostics))
+    return repr(result)
+
+
+def _mutations(text: str, rng: random.Random, count: int):
+    for _ in range(count):
+        i = rng.randrange(len(text) + 1)
+        op = rng.randrange(3)
+        ch = rng.choice(MUTATION_CHARS)
+        if op == 0:
+            yield text[:i] + text[i + 1:]
+        elif op == 1:
+            yield text[:i] + ch + text[i:]
+        else:
+            yield text[:i] + ch + text[i + 1:]
+
+
+def test_explicit_lexical_cases():
+    arities = parse_program("Nil").arities()
+    for text, want in EXPLICIT_PROPERTIES.items():
+        result = parse_properties(text, arities)
+        assert "; ".join(map(str, result.diagnostics)) == want, text
+    assert parse_properties("prop ǅ: G { True }", arities).get("ǅ")
+    assert parse_program("ǅ 変").term == App(Var("ǅ"), Var("変"))
+
+
+def test_parse_results_pinned():
+    digest = hashlib.sha256()
+
+    def pin(result) -> None:
+        digest.update(_canonical(result).encode("utf-8") + b"\n")
+
+    programs = [read_text(f"example{i}.rsl") for i in (1, 2, 3)]
+    props = read_text("mutex.ltl")
+    arities = parse_program(programs[0]).arities()
+    gen_arities = parse_program(GEN_DECLS + "Nil").arities()
+    for text in programs:
+        pin(parse_program(text))
+    pin(parse_properties(props, arities))
+
+    rng = random.Random(2024)
+    for _ in range(300):
+        program, _ = random_program(rng)
+        pin(parse_program(GEN_DECLS + pretty_term(program)))
+    battery = "".join(f"prop p{i}: {pretty_formula(f)}\n"
+                      for i, f in enumerate(formula_battery()))
+    pin(parse_properties(battery, gen_arities))
+
+    rng = random.Random(7)
+    for text in programs:
+        for mutated in _mutations(text, rng, 400):
+            pin(parse_program(mutated))
+    for mutated in _mutations(props, rng, 800):
+        pin(parse_properties(mutated, arities))
+
+    for text in EXPLICIT_PROPERTIES:
+        pin(parse_properties(text, arities))
+    for text in EXPLICIT_PROGRAMS:
+        pin(parse_program(text))
+
+    assert digest.hexdigest() == PARSE_DIGEST
+
+
+def test_nesting_too_deep_for_the_stack_is_a_diagnostic():
+    deep = "(" * 5000 + "Nil" + ")" * 5000
+    source = parse_program(deep)
+    assert source.term is None
+    assert [d.message for d in source.diagnostics] == [TOO_DEEP]
+    arities = parse_program("Nil").arities()
+    for text in ("prop p: " + "(" * 5000 + "G { True }" + ")" * 5000,
+                 "prop p: G { " + deep + " }"):
+        props = parse_properties(text, arities)
+        assert props.props == ()
+        assert [d.message for d in props.diagnostics] == [TOO_DEEP]
+
+
+# grammar fragments mixed with arbitrary characters, so that fuzzed text
+# gets past the lexer and into the descent
+FRAGMENTS = ("case", "of", "let", "in", "where", "data", "prop", "fair", "G",
+             "F", "X", "Cons", "Nil", "True", "s", "es", "f", "->", "=>", "&&",
+             "||", "\\", "(", ")", "{", "}", "|", "=", ":", ",", "_", "!", " ",
+             "\n", "#")
+
+
+@settings(deadline=None, max_examples=300)
+@given(text=st.lists(st.sampled_from(FRAGMENTS) | st.characters()).map("".join))
+def test_parsers_never_raise(text):
+    source = parse_program(text)
+    assert isinstance(source, SourceFile)
+    assert (source.term is None) == bool(source.diagnostics)
+    props = parse_properties(text, parse_program("Nil").arities())
+    assert isinstance(props, PropertyFile)
+    assert not (props.props and props.diagnostics)

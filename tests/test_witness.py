@@ -285,3 +285,30 @@ def test_invalid_validation_needs_an_earlier_repeat():
             earlier = verdict.trace[:-1]
             assert len(set(earlier)) < len(earlier), (i, verdict)
     assert decided > 400 and invalid > 0
+
+
+def test_atom_evaluated_once_per_node_and_state_per_run(monkeypatch):
+    import rtlcheck.witness as witness
+    from gen_programs import ring_program, state_atom
+    from rtlcheck.terms import Eventually, Implies
+    from rtlcheck.verify import Budget
+
+    calls = []
+    truth_of = witness.atom_truth
+
+    def counted(term, state):
+        calls.append((term, state))
+        return truth_of(term, state)
+
+    monkeypatch.setattr(witness, "atom_truth", counted)
+    program = ring_program(12)
+    formula = Always(Implies(state_atom("St0"), Eventually(state_atom("St2"))))
+    budget = Budget()
+    first = generate(program, formula, frozenset(("EvA", "EvB")), budget)
+    evaluated = len(calls)
+    assert evaluated == len(set(calls))
+    # the table is emptied per run: a second run evaluates the same atoms again
+    again = generate(program, formula, frozenset(("EvA", "EvB")), budget)
+    assert again == first and len(calls) == 2 * evaluated
+    monkeypatch.undo()
+    assert generate(program, formula, frozenset(("EvA", "EvB")), Budget()) == first
