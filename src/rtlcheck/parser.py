@@ -103,7 +103,6 @@ def tokenize(text: str) -> list[Token]:
             elif word in SYMBOLS:
                 append(_token(Token, (word, word, line, m.start() + 1)))
             elif word == "#":
-                end = m.start() + 1  # the column does not advance over a comment
                 break
             else:  # a word starting with a non-letter, or any other character
                 raise ParseError(f"unexpected character {word[0]!r}",

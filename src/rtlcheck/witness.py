@@ -27,20 +27,35 @@ names, the formula node and the where-scope (the fairness set is fixed for a
 run); a hit returns the stored verdict and spends no rule applications. Calls
 with a nonempty visited set unfold as before. So the table holds at most one
 entry per function, formula node and where-scope. Memoising every call, keyed
-on the visited set as well, decides larger programs (n = 16 below in 461,063
-rule applications) but stores O(n^2) visited sets of size O(n) for a response
-check on an n-handler chain: the benchmark's chains then peak at 74 MB, not 24.
+on the visited set as well, decides larger programs but stores O(n^2) visited
+sets of size O(n) for a response check on an n-handler chain: the benchmark's
+chains then peak at 74 MB, not 24.
+
+The ``G`` and ``F`` rules at a Cons cell check the head, the subformula at
+this state, first, and stop there when it decides the obligation with a
+one-state trace: a False head under ``G``, a True one under ``F``. The stop is
+exact. The tail's verdict puts this state before its trace, so that trace is
+at least as long, and ``kleene._combine`` lets an annihilating operand win
+over the left one only with a strictly shorter trace. No tail can change the
+truth or the trace; since verdicts are path-free, a skipped tail only leaves
+memo entries unfilled, which a later lookup computes the same way. A skipped
+tail is not unfolded at all, so a call there to an undefined function raises
+nothing (the parser never builds one). Without the stop an ``F`` obligation
+met at its head went on round a ring of handlers until a revisit, and ``G F
+St0`` on ``tests/gen_programs.py::ring_program(120)`` took 116,646 rule
+applications instead of 1,214.
+
 The worst case stays exponential in the size of the visited set: ``verify
 --prop response --fair-all`` on ``benchmarks/workloads.py::graph_shape(n, 0)``
 (n handlers, two event branches and a wildcard each) takes, on one CPU core
-with CPython 3.11,
+with CPython 3.11 (wall time of the whole command),
 
     n    rule applications    wall time    without the memo
-    8    10,649               0.35 s       2.5 s
-    10   57,809               0.93 s       budget exceeded (exit 70)
-    12   86,479               1.1 s        budget exceeded
-    14   674,186              8.2 s        budget exceeded
-    16   budget exceeded      9.3 s        budget exceeded
+    8    3,215                0.23 s       8,369 in 0.28 s
+    10   12,614               0.29 s       85,866 in 0.66 s
+    12   24,153               0.34 s       591,781 in 2.9 s
+    14   92,536               0.64 s       budget exceeded (exit 70)
+    16   250,441              1.2 s        budget exceeded
 
 Atom truths are kept for the run too, in ``Budget.atoms`` keyed on the atom's
 formula node and the state: an atom's truth depends on its state alone, so a
@@ -125,10 +140,14 @@ def gen(t: Term, f: Formula, env: FunEnv, visited: VisitedSet, fair: FairSet,
             match f:
                 case Always(sub):
                     head = gen(t, sub, env, EMPTY_VISITED, fair, budget)
+                    if head[0] is FALSE and len(head[1]) == 1:
+                        return head  # no tail can outweigh it
                     truth, trace = gen(tail, f, env, visited, fair, budget)
                     return and_v(head, _verdict(Verdict, (truth, (state,) + trace)))
                 case Eventually(sub):
                     head = gen(t, sub, env, EMPTY_VISITED, fair, budget)
+                    if head[0] is TRUE and len(head[1]) == 1:
+                        return head
                     truth, trace = gen(tail, f, env, visited, fair, budget)
                     return or_v(head, _verdict(Verdict, (truth, (state,) + trace)))
                 case Next(sub):

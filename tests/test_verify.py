@@ -55,6 +55,20 @@ def test_unvisited_call_requires_definition():
             EMPTY_VISITED, NOFAIR, Budget())
 
 
+def test_deciding_head_leaves_its_tail_unfolded():
+    # F met, or G failed, at a Cons cell's own state stops there; the tail's
+    # call to an undefined function is never reached
+    t = Con("Cons", (Con("A"), App(Fun("f"), Var("es"))))
+    for formula, truth in ((Eventually(Atom(Con("True"))), TRUE),
+                           (Always(Atom(Con("False"))), FALSE)):
+        budget = Budget()
+        verdict = gen(t, formula, FunEnv.empty(), EMPTY_VISITED, NOFAIR, budget)
+        assert verdict == (truth, (Con("A"),)) and budget.used == 2
+    with pytest.raises(VerifyError):
+        gen(t, Eventually(Atom(Con("False"))), FunEnv.empty(), EMPTY_VISITED,
+            NOFAIR, Budget())
+
+
 def test_call_needs_variable_arguments_even_when_revisited():
     with pytest.raises(VerifyError, match="non-variable argument"):
         gen(App(Fun("f"), Con("A")), Always(Atom(Con("True"))),
@@ -136,8 +150,9 @@ def _formula_size(f):
 
 def test_rule_applications_scale_with_functions_and_formula():
     # empirical termination bound on random conforming programs; the
-    # measured worst case sits at 67.5x (624.6x without the memo of calls
-    # on fresh obligations), asserted with headroom
+    # measured worst case sits at 41.3x (67.5x before G and F stopped at a
+    # deciding head, 221.2x without the memo of calls on fresh obligations),
+    # asserted with headroom
     import random
     from gen_programs import formula_battery, random_fair, random_program
 
@@ -181,16 +196,31 @@ def test_reused_budget_gives_fresh_verdicts():
                 assert shared == generate(program, formula, fair, Budget())
 
 
+def test_response_on_a_ring_takes_linear_work():
+    # an F obligation stops at the first state that meets it, and a G one at
+    # the first that fails it; going on round the ring until a revisit made
+    # this check quadratic (29,526 and 116,646 rule applications)
+    from gen_programs import ring_program, state_atom
+
+    for n in (60, 120):
+        budget = Budget()
+        formula = Always(Eventually(state_atom("St0")))
+        assert verify(ring_program(n), formula, frozenset(("EvA", "EvB")),
+                      budget) is TRUE
+        assert budget.used <= 11 * n
+
+
 def test_deep_ring_stays_within_recursion_limit():
     # each handler nests four rule applications (call, two cases, Cons); with
-    # the default recursion limit both properties hold up to 236 handlers
+    # the default recursion limit these properties hold up to 236 handlers
     # under pytest and raise RecursionError from 237. One more Python frame
     # per rule application would lower that ceiling to about 190.
     from gen_programs import ring_program, state_atom
 
     program = ring_program(230)
     fair = frozenset(("EvA", "EvB"))
-    for formula in (Always(Not(state_atom("St3"))), Eventually(state_atom("St2"))):
+    for formula in (Always(Not(state_atom("St3"))), Eventually(state_atom("St2")),
+                    Always(Eventually(state_atom("St0")))):
         assert verify(program, formula, fair) is TRUE
         assert generate(program, formula, fair).truth is TRUE
 

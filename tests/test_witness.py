@@ -73,6 +73,12 @@ def test_corpus_truth_and_traces_pinned(corpus):
     assert checked == set(PINNED)
 
 
+def _pin_line(verdict: Verdict) -> bytes:
+    """One line per check: the truth and then the trace's states."""
+    truth, trace = verdict
+    return " ".join([truth.value] + [pretty_term(s) for s in trace]).encode() + b"\n"
+
+
 # sha256 of one line per check, the truth and then the trace's states, over
 # 1500 random checks; recorded before calls on fresh obligations were memoised
 BATTERY_DIGEST = "1fdd058a8bbac543ea20390eb490a87b3b6b5729689f163ba5143af96a0e77ba"
@@ -85,10 +91,31 @@ def test_random_battery_truth_and_traces_pinned():
     for i in range(1500):
         program, events = random_program(rng)
         fair = random_fair(rng, events)
-        truth, trace = generate(program, battery[i % len(battery)], fair)
-        line = " ".join([truth.value] + [pretty_term(s) for s in trace])
-        digest.update(line.encode() + b"\n")
+        digest.update(_pin_line(generate(program, battery[i % len(battery)], fair)))
     assert digest.hexdigest() == BATTERY_DIGEST
+
+
+# sha256 as above over rings and handler graphs deep enough that a G or F
+# obligation is often decided many states before a revisit; recorded before
+# the Cons rules of G and F stopped at a deciding head. A ring's response
+# check nests about 8n frames (an F obligation opened at the last handler goes
+# round the ring once more), so n stays below the recursion limit under pytest
+DEEP_DIGEST = "ca252629bc0f1d4a1c16880cc6c6682d4e051f21539112e9e0c3d3eca1cf5085"
+
+
+def test_deep_truth_and_traces_pinned():
+    from gen_programs import handler_graph, ring_program, state_atom
+    from rtlcheck.terms import Eventually
+
+    battery = formula_battery() + [Always(Eventually(state_atom("St0")))]
+    fair = frozenset(("EvA", "EvB"))
+    programs = ([ring_program(n) for n in (20, 60, 100)]
+                + [handler_graph(n) for n in (8, 10, 12)])
+    digest = hashlib.sha256()
+    for program in programs:
+        for formula in battery:
+            digest.update(_pin_line(generate(program, formula, fair)))
+    assert digest.hexdigest() == DEEP_DIGEST
 
 
 def test_not_simplified_guard():
