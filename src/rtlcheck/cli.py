@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 from typing import Optional, Sequence
 
 from .kleene import FALSE, TRUE, UNDEFINED, Verdict
@@ -25,8 +24,9 @@ from .terms import (
 from .verify import VerifyError, verify
 from .witness import generate, validate_verdict
 from .ltlsem import (
-    bounded_check, Bounded, enumerate_traces, MAX_ENUM_DEPTH, OracleError,
+    bounded_check, Bounded, MAX_ENUM_DEPTH, OracleError, trace_counts,
 )
+from .ltlsem import enumerate_traces  # noqa: F401  (rebound by benchmarks/tracer.py)
 
 EX_USAGE = 64
 EX_DATA = 66
@@ -224,12 +224,13 @@ def _cmd_oracle(args) -> int:
 
     counts = {Bounded.SAT: 0, Bounded.UNSAT: 0, Bounded.UNKNOWN: 0}
     alphabet = event_alphabet(source)
-    traces = Counter(map(tuple, enumerate_traces(source.term, alphabet, args.depth)))
+    traces = trace_counts(source.term, alphabet, args.depth)
     for trace, sequences in traces.items():
         counts[bounded_check(trace, formula)] += sequences
+    total = sum(counts.values())
+    # a False verdict is refuted only when traces were sampled and all satisfy it
     contradiction = (verdict.truth is TRUE and counts[Bounded.UNSAT] > 0) or \
-                    (verdict.truth is FALSE and
-                     counts[Bounded.UNSAT] + counts[Bounded.UNKNOWN] == 0)
+                    (verdict.truth is FALSE and 0 < counts[Bounded.SAT] == total)
 
     if args.json:
         print(json.dumps({
@@ -237,13 +238,12 @@ def _cmd_oracle(args) -> int:
             "truth": str(verdict.truth),
             "validation": str(report.status),
             "depth": args.depth,
-            "sampled": sum(counts.values()),
+            "sampled": total,
             "bounded": {str(k): v for k, v in counts.items()},
             "contradiction": contradiction,
         }, indent=2))
     else:
         print(f"verdict: {verdict.truth}   trace validation: {report.status}")
-        total = sum(counts.values())
         print(f"bounded sampling at depth {args.depth}: {total} traces "
               f"(Sat {counts[Bounded.SAT]}, Unsat {counts[Bounded.UNSAT]}, "
               f"Unknown {counts[Bounded.UNKNOWN]})")
@@ -316,6 +316,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if not 0 <= getattr(args, "depth", 0) <= MAX_ENUM_DEPTH:
         parser.error(f"oracle: --depth must be between 0 and {MAX_ENUM_DEPTH}")
+    if getattr(args, "n", 0) < 0:
+        parser.error("simulate: -n must not be negative")
     if getattr(args, "cycle", False) and not args.events.replace(",", "").strip():
         parser.error("simulate: --cycle needs at least one event in --events")
     try:

@@ -4,8 +4,10 @@ This module is a direct, naive transcription of the satisfaction relation
 over lasso-shaped models and a bounded three-valued check over finite
 prefixes. It deliberately shares no code with the verifier or the witness
 builder, so agreement between the two is meaningful evidence. The traces it
-samples come from the simulator (``semantics.run_traces``), which shares
-the reduction relation with them but none of ``witness.gen``'s rules.
+samples come from the simulator's trace DAG (``semantics.trace_dag``),
+which shares the reduction relation with them but none of ``witness.gen``'s
+rules: ``enumerate_traces`` expands it to one trace per event sequence,
+``trace_counts`` reads off each distinct trace with its number of sequences.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .terms import (
     Always, And, Atom, Eventually, Formula, Implies, Next, Not, Or, Term,
 )
 from .kleene import FALSE, TRUE, Trace, TruthVal, UNDEFINED
-from .semantics import atom_truth, run_traces
+from .semantics import TraceNode, atom_truth, run_traces, trace_dag
 from .semantics import run_trace  # noqa: F401  (rebound by benchmarks/tracer.py)
 
 
@@ -172,10 +174,43 @@ def enumerate_traces(program: Term, event_names: Sequence[str],
                      depth: int) -> list[list[Term]]:
     """Every trace of the program over event sequences of the given length.
 
-    One trace per sequence, in ``itertools.product`` order, from the
-    simulator's prefix-sharing walk (``semantics.run_traces``); sequences
-    with the same trace may share one list.
+    One trace per sequence, in ``itertools.product`` order, expanded from
+    the simulator's trace DAG (``semantics.run_traces``); sequences with the
+    same trace may share one list.
     """
+    _check_depth(depth)
+    return run_traces(program, event_names, depth)
+
+
+def trace_counts(program: Term, event_names: Sequence[str],
+                 depth: int) -> dict[tuple[Term, ...], int]:
+    """Each distinct trace over event sequences of the given length, with its count.
+
+    Equal to ``Counter(map(tuple, enumerate_traces(...)))``, in the same
+    order of first occurrence, but read off the trace DAG without expanding
+    it: the table below a shared tuple of children is built once, so the
+    work follows the distinct traces, not the |events|^depth sequences.
+    """
+    _check_depth(depth)
+    width = len(event_names)
+    tables: dict[int, dict[tuple[Term, ...], int]] = {}
+
+    def counts(node: TraceNode, bound: int) -> dict[tuple[Term, ...], int]:
+        states, children = node
+        if children is None:
+            return {states: width ** (depth - bound)}
+        table = tables.get(id(children))
+        if table is None:
+            table = {}
+            for child in children:
+                for suffix, n in counts(child, bound + 1).items():
+                    table[suffix] = table.get(suffix, 0) + n
+            tables[id(children)] = table
+        return {states + suffix: n for suffix, n in table.items()}
+
+    return counts(trace_dag(program, event_names, depth), 0)
+
+
+def _check_depth(depth: int) -> None:
     if depth > MAX_ENUM_DEPTH:
         raise DepthTooLarge(f"depth {depth} exceeds {MAX_ENUM_DEPTH}")
-    return run_traces(program, event_names, depth)

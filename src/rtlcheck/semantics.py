@@ -7,10 +7,13 @@ redex or is stuck, which signals an ill-typed configuration. A step yields
 the reduced term and its function environment, nothing else.
 
 The simulator feeds a program its events through functions of the
-environment, one per list suffix. ``run_trace`` binds them all up front;
-``run_traces``, which enumerates the traces of every event sequence of a
-given length for the oracle, binds them as reduction asks for them, so
-sequences that share a prefix share its reduction.
+environment, one per list suffix. ``run_trace`` binds them all up front.
+``trace_dag``, which holds the traces of every event sequence of a given
+length for the oracle, binds them as reduction asks for them, and memoises
+what follows each point where the program reads an event: every handler
+reached at an event position is reduced once, so the work grows linearly
+with the length, not with the number of sequences. ``run_traces`` expands
+the DAG to one trace per sequence.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Mapping, Optional, Sequence
 
 from .terms import (
     App, Case, Con, Fun, Lam, Let, PWild, Term, Var, Where,
-    free_vars, substitute,
+    free_vars, fun_names, substitute,
 )
 from .kleene import TruthVal, truthval_from_name
 
@@ -256,39 +259,117 @@ def run_trace(program: Term, events: Sequence[str], cycle: bool = False,
     return trace
 
 
-def run_traces(program: Term, events: Sequence[str], depth: int) -> list[list[Term]]:
-    """``run_trace`` of every event sequence of length ``depth``, in product order.
+# A node of the trace DAG: the states one path emits after its parent's
+# branch point, then None where its traces end, or one child per event, in
+# alphabet order, where reduction needs the next event.
+TraceNode = tuple[tuple[Term, ...], Optional[tuple["TraceNode", ...]]]
 
-    Equal to ``[run_trace(program, seq, max_states=depth + 1) for seq in
-    itertools.product(events, repeat=depth)]``, exceptions included, but each
-    event prefix is reduced once: the walk starts with no event bound and
-    branches over ``events`` only when reduction is stuck on the next feed,
-    then retries the state from its start. A trace finished after ``k``
-    events stands for ``len(events) ** (depth - k)`` sequences and appears
-    that many times, as one shared list. Every path keeps its own fuel.
+
+def trace_dag(program: Term, events: Sequence[str], depth: int) -> TraceNode:
+    """The traces of every event sequence of length ``depth``, as a DAG.
+
+    The walk starts with no event bound and branches over ``events`` only
+    when reduction is stuck on the next feed, then retries the state from
+    its start with that feed bound, once per event. Each path keeps its own
+    fuel. The children of a branch point are memoised for the run, keyed on
+    the state's start term, the number of events bound and of states
+    emitted, and the frames of the environment the retry can read (see
+    ``frames``); paths that reach the same handler at the same event
+    position share them, so each is reduced once. An entry records the fuel
+    it was computed with and serves only a path with at least that much:
+    reduction is deterministic and fuel decides only exhaustion, so with
+    more fuel the subtree is walked the same way. Nothing that raised is
+    stored and the walk is depth first in product order, so the exception
+    raised is that of the first failing sequence. With no events and a
+    positive depth there is no sequence: the root branches into no children.
     """
     if depth and not events:
-        return []
-    out: list[list[Term]] = []
+        return (), ()
     limit = depth + 1
+    feed_index = {_feed(k): k for k in range(depth + 1)}
+    memo: dict[tuple, tuple[int, tuple[TraceNode, ...]]] = {}
+    first_feed_of_defs: dict[FunEnv, int] = {}
+    # definitions bind_events left as parsed name no feed (no parsed name
+    # can), so the scan of a where frame skips them
+    parsed = {id(d) for _, d in program.defs} if type(program) is Where else set()
 
-    def walk(t: Term, env: FunEnv, fuel: int, bound: int, trace: list[Term]) -> None:
-        while len(trace) < limit:
+    def first_feed(names) -> int:
+        return min((feed_index.get(n, depth) for n in names), default=depth)
+
+    def frames(t: Term, env: FunEnv) -> tuple[FunEnv, ...]:
+        """The frames of ``env`` that reducing ``t`` can read, by identity.
+
+        Where frames bind only program names and feed frames one feed each,
+        so the where frames decide every program name. A feed binding names
+        only the next feed, so no feed before the first one that ``t`` or a
+        where definition names can be read, and its frame is left out:
+        paths that differ only in the events already consumed share a key.
+        """
+        chain: list[tuple[FunEnv, Optional[int]]] = []
+        low = first_feed(fun_names(t))
+        e: FunEnv | None = env
+        while e is not None:
+            fed = feed_index.get(next(iter(e._frame), None))
+            if fed is None:  # a where frame, or the empty root
+                if e not in first_feed_of_defs:
+                    first_feed_of_defs[e] = first_feed(
+                        n for d in e._frame.values() if id(d) not in parsed
+                        for n in fun_names(d))
+                low = min(low, first_feed_of_defs[e])
+            chain.append((e, fed))
+            e = e._parent
+        return tuple(e for e, fed in chain if fed is None or fed >= low)
+
+    def walk(t: Term, env: FunEnv, fuel: int, bound: int, emitted: int) -> TraceNode:
+        states: list[Term] = []
+        while emitted < limit:
             try:
                 nxt = _next_state(t, env, fuel)
             except StuckError as exc:
                 if exc.term != Fun(_feed(bound)):
                     raise
-                for e in events:
-                    walk(t, env.extend(_feeds((e,), bound, None)), fuel, bound + 1,
-                         list(trace))
-                return
+                return tuple(states), branch(t, env, fuel, bound, emitted)
             if nxt is None:
                 break
             state, t, env, fuel = nxt
-            trace.append(state)
-        out.extend(repeat(trace, len(events) ** (depth - bound)))
+            states.append(state)
+            emitted += 1
+        return tuple(states), None
 
-    walk(bind_events(program), FunEnv.empty().extend(_feeds((), depth, NIL)),
-         DEFAULT_FUEL, 0, [])
+    def branch(t: Term, env: FunEnv, fuel: int, bound: int,
+               emitted: int) -> tuple[TraceNode, ...]:
+        key = (t, bound, emitted, frames(t, env))
+        hit = memo.get(key)
+        if hit is not None and hit[0] <= fuel:
+            return hit[1]
+        children = tuple(walk(t, env.extend(_feeds((e,), bound, None)), fuel,
+                              bound + 1, emitted) for e in events)
+        memo[key] = fuel, children
+        return children
+
+    return walk(bind_events(program), FunEnv.empty().extend(_feeds((), depth, NIL)),
+                DEFAULT_FUEL, 0, 0)
+
+
+def run_traces(program: Term, events: Sequence[str], depth: int) -> list[list[Term]]:
+    """``run_trace`` of every event sequence of length ``depth``, in product order.
+
+    Equal to ``[run_trace(program, seq, max_states=depth + 1) for seq in
+    itertools.product(events, repeat=depth)]``, exceptions included: the
+    expansion of ``trace_dag``. A trace finished after ``k`` events stands
+    for ``len(events) ** (depth - k)`` sequences and appears that many times,
+    as one shared list.
+    """
+    out: list[list[Term]] = []
+
+    def expand(node: TraceNode, prefix: list[Term], bound: int) -> None:
+        states, children = node
+        trace = [*prefix, *states]
+        if children is None:
+            out.extend(repeat(trace, len(events) ** (depth - bound)))
+            return
+        for child in children:
+            expand(child, trace, bound + 1)
+
+    expand(trace_dag(program, events, depth), [], 0)
     return out

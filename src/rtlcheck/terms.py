@@ -243,7 +243,19 @@ def _free_vars(t: Term) -> frozenset[str]:
 
 
 def fun_names(t: Term) -> frozenset[str]:
-    """Function names referenced in ``t`` and not bound by an inner where."""
+    """Function names referenced in ``t`` and not bound by an inner where.
+
+    Memoized on the node, like ``free_vars``: the oracle's enumeration asks
+    for the names of the same handler bodies at every branch point.
+    """
+    cached = getattr(t, "_fn", None)
+    if cached is None:
+        cached = _fun_names(t)
+        object.__setattr__(t, "_fn", cached)
+    return cached
+
+
+def _fun_names(t: Term) -> frozenset[str]:
     match t:
         case Fun(name):
             return frozenset((name,))

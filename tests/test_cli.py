@@ -3,9 +3,11 @@ import json
 
 import pytest
 
-from rtlcheck.cli import EX_DATA, EX_USAGE, main
+from rtlcheck import semantics
+from rtlcheck.cli import EX_DATA, EX_USAGE, event_alphabet, main
 from rtlcheck.corpus import read_text
 from rtlcheck.ltlsem import MAX_ENUM_DEPTH
+from rtlcheck.parser import parse_program
 
 CORPUS = "src/rtlcheck/corpus"
 
@@ -258,4 +260,85 @@ def test_cycle_without_events_is_usage_error(corpus_paths, capsys, events):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", corpus_paths["example1.rsl"], "--events", events,
               "--cycle"])
+    assert exc.value.code == EX_USAGE
+
+
+# sha256 of the nine outputs of oracle --json --depth 6 --fair-all, in the
+# order of the loops below, recorded while the enumeration still reduced
+# every event prefix on its own path
+ORACLE_JSON_DEPTH6_DIGEST = \
+    "1640f2b6642a46f419dcdff085e8ef20d94440f5864ab1ab2d1276023ddee330"
+
+
+def test_oracle_json_pinned_on_corpus_at_depth_6(corpus_paths, capsys):
+    digest = hashlib.sha256()
+    for example in ("example1", "example2", "example3"):
+        for prop in ("mutex", "nonstarve1", "nonstarve2"):
+            code = main(["oracle", corpus_paths[f"{example}.rsl"],
+                         "--props", corpus_paths["mutex.ltl"], "--prop", prop,
+                         "--json", "--depth", "6", "--fair-all"])
+            assert code == 0
+            out = capsys.readouterr().out
+            digest.update(out.encode())
+            assert json.loads(out)["sampled"] == 6 ** 6
+    assert digest.hexdigest() == ORACLE_JSON_DEPTH6_DIGEST
+
+
+def test_oracle_reductions_grow_linearly_with_depth(corpus_paths, capsys,
+                                                    monkeypatch):
+    # each handler is reduced once per event position and event, plus the
+    # attempt that finds the next event unbound: 6^8 sequences, not 2·10^6
+    # reduced prefixes
+    calls = 0
+    next_state = semantics._next_state
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return next_state(*args)
+
+    monkeypatch.setattr(semantics, "_next_state", counted)
+    depth = MAX_ENUM_DEPTH
+    code = main(["oracle", corpus_paths["example3.rsl"],
+                 "--props", corpus_paths["mutex.ltl"], "--prop", "mutex",
+                 "--json", "--depth", str(depth), "--fair-all"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["sampled"] == 6 ** depth
+    source = parse_program(read_text("example3.rsl"))
+    handlers, events = len(source.term.defs), len(event_alphabet(source))
+    assert (handlers, events) == (9, 6)
+    assert calls <= 2 * handlers * events * depth + 1
+
+
+NO_EVENT_READ = """data Event = EvA | EvB
+data State = St0 | St1
+data TruthVal = True | False | Undefined
+
+Cons St0 (f es)
+where
+f = \\es -> Cons St1 (f es)
+"""
+
+
+def test_oracle_false_verdict_without_sampled_traces_is_consistent(tmp_path,
+                                                                    capsys):
+    # the program matches no event, so no event sequence is sampled; nothing
+    # then satisfies G St0, and the False verdict stands uncontradicted
+    program = tmp_path / "p.rsl"
+    program.write_text(NO_EVENT_READ)
+    props = tmp_path / "p.ltl"
+    props.write_text("prop always0: G { case s of St0 -> True | _ -> False }\n")
+    args = ["oracle", str(program), "--props", str(props), "--prop", "always0",
+            "--depth", "3"]
+    assert main(args + ["--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["truth"], doc["sampled"], doc["contradiction"]) == ("False", 0, False)
+    assert main(args) == 0
+    assert "sampling consistent with verdict" in capsys.readouterr().out
+
+
+def test_negative_simulate_length_is_usage_error(corpus_paths, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", corpus_paths["example1.rsl"], "--events", "Take1",
+              "-n", "-3"])
     assert exc.value.code == EX_USAGE

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,8 +8,9 @@ from gen_programs import random_program
 from rtlcheck.corpus import obs
 from rtlcheck.ltlsem import (
     AtomUndefined, Bounded, DepthTooLarge, PositionedModel,
-    bounded_check, enumerate_traces, sat_lasso,
+    bounded_check, enumerate_traces, sat_lasso, trace_counts,
 )
+from rtlcheck import semantics
 from rtlcheck.parser import parse_program
 from rtlcheck.semantics import run_trace
 from rtlcheck.terms import Always, Atom, Con, Eventually, Next, Not, Var
@@ -253,3 +255,93 @@ def test_enumerate_empty_alphabet(corpus_by_name):
     _, source, _ = corpus_by_name["example1"]
     assert enumerate_traces(source.term, (), 3) == []
     assert enumerate_traces(source.term, (), 0) == [[obs("T", "T")]]
+
+
+def _assert_counts_are_enumeration(program, events, depth):
+    counted = _outcome(lambda: list(trace_counts(program, events, depth).items()))
+    expanded = _outcome(lambda: list(
+        Counter(map(tuple, enumerate_traces(program, events, depth))).items()))
+    assert counted == expanded, (events, depth)
+
+
+def test_trace_counts_equal_enumeration_on_corpus(corpus):
+    for _, source, _ in corpus:
+        for depth in range(7):
+            _assert_counts_are_enumeration(source.term, EVENTS, depth)
+
+
+def test_trace_counts_equal_enumeration_on_random_programs():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        program, events = random_program(rng)
+        for depth in range(4):
+            _assert_counts_are_enumeration(program, events, depth)
+
+
+def test_trace_counts_depth_guard_and_empty_alphabet(corpus_by_name):
+    _, source, _ = corpus_by_name["example1"]
+    with pytest.raises(DepthTooLarge):
+        trace_counts(source.term, EVENTS, 9)
+    assert trace_counts(source.term, (), 3) == {}
+    assert trace_counts(source.term, (), 0) == {(obs("T", "T"),): 1}
+
+
+# programs whose paths reach the same handler at the same event position
+# after different numbers of reduction steps, so a memoised branch point is
+# met again with less or more fuel than it was first walked with
+UNEVEN_STEPS = {
+    "slow branch into the same handler":
+        "Cons St0 (f es)\nwhere\nf = \\es -> case es of Cons e es -> case e of "
+        "EvA -> Cons St1 (f es) | EvB -> (\\x -> x) (Cons St1 (f es)) "
+        "| _ -> case St0 of St0 -> (case St1 of St1 -> Cons St0 (f es))",
+    "state head costs steps":
+        "Cons St0 (f es)\nwhere\nf = \\es -> case es of Cons e es -> Cons "
+        "(case e of EvA -> St1 | EvB -> (case St0 of St0 -> St1) "
+        "| _ -> (\\x -> (\\y -> y) x) St0) (f es)",
+    "detour through a handler":
+        "Cons St0 (f es)\nwhere\n"
+        "f = \\es -> case es of Cons e es -> case e of "
+        "EvA -> Cons St1 (g es) | _ -> Cons St0 (h es)\n"
+        "h = \\es -> case es of Cons e es -> Cons St1 (g es)\n"
+        "g = \\es -> case es of Cons e es -> case e of "
+        "EvC -> Nil | _ -> (\\x -> x) (Cons St0 (f es))",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNEVEN_STEPS))
+def test_enumeration_with_little_fuel_equals_run_trace(name, monkeypatch):
+    source = parse_program(HAND_BUILT_HEADER + UNEVEN_STEPS[name])
+    assert not source.diagnostics
+    for fuel in range(61):
+        monkeypatch.setattr(semantics, "DEFAULT_FUEL", fuel)
+        for events in (("EvA", "EvB", "EvC"), ("EvC", "EvB", "EvA")):
+            for depth in range(4):
+                _assert_enumeration_is_run_trace(source.term, events, depth)
+                _assert_counts_are_enumeration(source.term, events, depth)
+
+
+# programs that read an event again after later ones were bound: a memoised
+# branch point must not be shared by paths that consumed different events
+READ_CONSUMED_EVENTS = {
+    "a where definition reads the first event":
+        "Cons St0 (f es)\nwhere\n"
+        "f = \\xs -> case xs of Cons e rest -> Cons (g St0) (f rest)\n"
+        "g = \\x -> case es of Cons e r -> e",
+    "the tail keeps the first event":
+        "Cons St0 (f es es)\nwhere\nf = \\old -> \\xs -> case xs of Cons e rest -> "
+        "Cons (case old of Cons a r -> Pair a e) (f old rest)",
+    "a handler's where reads its list":
+        "Cons St0 (f es)\nwhere\n"
+        "f = \\xs -> case xs of Cons e rest -> Cons (g St0) (f rest)\n"
+        "  where\n  g = \\x -> case xs of Cons a r -> a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(READ_CONSUMED_EVENTS))
+def test_enumeration_of_programs_reading_consumed_events(name):
+    source = parse_program(HAND_BUILT_HEADER + READ_CONSUMED_EVENTS[name])
+    assert not source.diagnostics
+    for events in (("EvA", "EvB", "EvC"), ("EvB", "EvA")):
+        for depth in range(5):
+            _assert_enumeration_is_run_trace(source.term, events, depth)
+            _assert_counts_are_enumeration(source.term, events, depth)
