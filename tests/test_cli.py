@@ -342,3 +342,138 @@ def test_negative_simulate_length_is_usage_error(corpus_paths, capsys):
         main(["simulate", corpus_paths["example1.rsl"], "--events", "Take1",
               "-n", "-3"])
     assert exc.value.code == EX_USAGE
+
+
+# --- argument reading -------------------------------------------------------------
+
+# the attributes each handler reads, with {ex1}, {ex2}, {ex3} and {ltl} standing
+# for the corpus files
+_PROPERTY = {"props": "{ltl}", "fair": None, "fair_all": False, "json": False}
+_VERIFY = {**_PROPERTY, "func": "_cmd_verify", "file": "{ex1}", "prop": "mutex",
+           "fair_all": True}
+_LTS = {"func": "_cmd_lts", "file": "{ex2}", "keep_self_loops": False}
+_SIMULATE = {"func": "_cmd_simulate", "file": "{ex1}", "cycle": False, "n": 16}
+_ORACLE = {**_PROPERTY, "func": "_cmd_oracle", "file": "{ex2}", "prop": "mutex",
+           "fair_all": True, "depth": 4}
+
+# argv -> exit code, and the parsed attributes where the command runs
+ARGV_TABLE = [
+    ("check {ex3}", 0, {"func": "_cmd_check", "file": "{ex3}"}),
+    # options before or after the file
+    ("verify {ex1} --props {ltl} --prop mutex --fair-all", 1, _VERIFY),
+    ("verify --props {ltl} --prop mutex --fair-all {ex1}", 1, _VERIFY),
+    ("verify --props {ltl} {ex1} --fair-all --prop mutex", 1, _VERIFY),
+    # --opt value and --opt=value
+    ("verify {ex1} --props={ltl} --prop=mutex --fair-all", 1, _VERIFY),
+    ("verify {ex1} --props {ltl} --prop mutex --fair Take1,Release1,Release2",
+     1, {**_VERIFY, "fair": "Take1,Release1,Release2", "fair_all": False}),
+    ("verify {ex3} --props {ltl} --prop nonstarve1 --fair=", 1,
+     {**_VERIFY, "file": "{ex3}", "prop": "nonstarve1", "fair": "",
+      "fair_all": False}),
+    # a repeated option keeps its last value
+    ("verify {ex2} --props {ltl} --prop nope --prop mutex --fair-all --json", 0,
+     {**_VERIFY, "file": "{ex2}", "json": True}),
+    ("witness {ex2} --json --props {ltl} --prop nonstarve1 --fair-all", 1,
+     {**_VERIFY, "func": "_cmd_witness", "file": "{ex2}", "prop": "nonstarve1",
+      "json": True}),
+    ("lts {ex2} --dot", 0, {**_LTS, "format_json": False}),
+    ("lts --json {ex2}", 0, {**_LTS, "format_json": True}),
+    ("lts {ex2} --keep-self-loops --dot", 0,
+     {**_LTS, "format_json": False, "keep_self_loops": True}),
+    ("simulate {ex1} --events Request1,Take1,Release1 --cycle -n 4", 0,
+     {**_SIMULATE, "events": "Request1,Take1,Release1", "cycle": True, "n": 4}),
+    ("simulate {ex1} --events=Take1 -n=2", 0,
+     {**_SIMULATE, "events": "Take1", "n": 2}),
+    ("simulate --events Take1 {ex1}", 0, {**_SIMULATE, "events": "Take1"}),
+    ("oracle {ex2} --props {ltl} --prop mutex --fair-all", 0, _ORACLE),
+    ("oracle {ex2} --props {ltl} --prop mutex --fair-all --depth 1 --json", 0,
+     {**_ORACLE, "depth": 1, "json": True}),
+    ("oracle --depth=0 {ex2} --props {ltl} --prop mutex --fair-all", 0,
+     {**_ORACLE, "depth": 0}),
+    # abbreviations of option names
+    ("verify {ex3} --props {ltl} --prop nonstarve1 --fair-a", 0,
+     {**_VERIFY, "file": "{ex3}", "prop": "nonstarve1"}),
+    # usage errors: the command
+    ("", EX_USAGE, None),
+    ("bogus {ex1}", EX_USAGE, None),
+    ("--bogus", EX_USAGE, None),
+    # an unknown option
+    ("check {ex1} --json", EX_USAGE, None),
+    ("check {ex1} -x", EX_USAGE, None),
+    ("verify {ex1} --props {ltl} --prop mutex --bogus", EX_USAGE, None),
+    # no file, or more than one
+    ("check", EX_USAGE, None),
+    ("check {ex1} {ex2}", EX_USAGE, None),
+    ("verify --props {ltl} --prop mutex", EX_USAGE, None),
+    ("oracle {ex1} {ex2} --props {ltl} --prop mutex", EX_USAGE, None),
+    # a missing --props, --prop or --events
+    ("verify {ex1} --prop mutex", EX_USAGE, None),
+    ("witness {ex1} --props {ltl}", EX_USAGE, None),
+    ("oracle {ex1} --fair-all", EX_USAGE, None),
+    ("simulate {ex1} -n 3", EX_USAGE, None),
+    # an option without its value, or a value that is not an integer
+    ("verify {ex1} --props {ltl} --prop", EX_USAGE, None),
+    ("verify {ex1} --prop --props {ltl}", EX_USAGE, None),
+    ("simulate {ex1} --events", EX_USAGE, None),
+    ("oracle {ex1} --props {ltl} --prop mutex --depth", EX_USAGE, None),
+    ("simulate {ex1} --events Take1 -n x", EX_USAGE, None),
+    ("simulate {ex1} --events Take1 -n=", EX_USAGE, None),
+    ("oracle {ex1} --props {ltl} --prop mutex --depth 2.5", EX_USAGE, None),
+    # a flag given a value
+    ("verify {ex1} --props {ltl} --prop mutex --json=yes", EX_USAGE, None),
+    # negative numbers are values, which the range checks reject
+    ("simulate {ex1} --events Take1 -n -3", EX_USAGE, None),
+    ("oracle {ex1} --props {ltl} --prop mutex --depth -1", EX_USAGE, None),
+    ("oracle {ex1} --props {ltl} --prop mutex --depth 9", EX_USAGE, None),
+    # options that exclude each other
+    ("verify {ex1} --props {ltl} --prop mutex --fair Take1 --fair-all",
+     EX_USAGE, None),
+    ("oracle {ex1} --props {ltl} --prop mutex --fair-all --fair=", EX_USAGE,
+     None),
+    ("lts {ex2}", EX_USAGE, None),
+    ("lts {ex2} --keep-self-loops", EX_USAGE, None),
+    ("lts {ex2} --dot --json", EX_USAGE, None),
+]
+
+
+def _parse(argv):
+    from rtlcheck import cli
+    return cli.build_parser().parse_args(argv)
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as stop:
+        return stop.code
+
+
+@pytest.mark.parametrize("line, code, parsed", ARGV_TABLE,
+                         ids=[line or "<none>" for line, _, _ in ARGV_TABLE])
+def test_argv_table(corpus_paths, capsys, line, code, parsed):
+    names = {"ex1": corpus_paths["example1.rsl"],
+             "ex2": corpus_paths["example2.rsl"],
+             "ex3": corpus_paths["example3.rsl"],
+             "ltl": corpus_paths["mutex.ltl"]}
+    argv = [word.format(**names) for word in line.split()]
+    assert _exit_code(argv) == code
+    if code == EX_USAGE:
+        assert "error: " in capsys.readouterr().err
+    if parsed is not None:
+        args = _parse(argv)
+        got = {attr: getattr(args, attr) for attr in parsed}
+        got["func"] = got["func"].__name__
+        want = {attr: value.format(**names) if isinstance(value, str) else value
+                for attr, value in parsed.items()}
+        assert got == want
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["verify", "-h"],
+                                  ["oracle", "x.rsl", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert _exit_code(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: rtlcheck")
+    if len(argv) == 1:
+        for command in ("check", "verify", "witness", "lts", "simulate", "oracle"):
+            assert command in out
