@@ -1,5 +1,10 @@
 """Command-line interface wiring the checker together.
 
+``_COMMANDS`` is the whole grammar: each subcommand's handler, options and
+their defaults. ``parse_args`` reads ``COMMAND [OPTION ...] FILE [OPTION ...]``
+against it, each option spelt out in full as ``--opt value`` or
+``--opt=value``; ``USAGE`` is the help text.
+
 Exit codes: verify uses 0/1/2 for True/False/Undefined; check uses 0/1 for
 conforming or not; 64 flags a usage error, 66 a missing or malformed input
 file, 70 an internal failure.
@@ -7,10 +12,10 @@ file, 70 an internal failure.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import NoReturn, Optional, Sequence
 
 from .kleene import FALSE, TRUE, UNDEFINED, Verdict
 from .lts import LtsError, extract_lts, to_dot, to_json, state_to_json
@@ -31,12 +36,6 @@ from .ltlsem import enumerate_traces  # noqa: F401  (rebound by benchmarks/trace
 EX_USAGE = 64
 EX_DATA = 66
 EX_INTERNAL = 70
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
 class InputError(Exception):
@@ -252,74 +251,148 @@ def _cmd_oracle(args) -> int:
     return 0 if not contradiction else 1
 
 
-def _add_property_flags(sub) -> None:
-    sub.add_argument("--props", required=True, help="property file (.ltl)")
-    sub.add_argument("--prop", required=True, help="property name")
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--fair", help="comma-separated fair event constructors")
-    group.add_argument("--fair-all", action="store_true",
-                       help="treat every declared event as fair")
+# --- arguments -----------------------------------------------------------------
+
+USAGE = f"""\
+usage: rtlcheck COMMAND [OPTION ...] FILE [OPTION ...]
+
+commands:
+  check FILE              check simplified-form conformance
+  verify FILE PROPERTY [--json]
+                          verify a temporal property
+  witness FILE PROPERTY [--json]
+                          build a counterexample or witness
+  lts FILE (--dot | --json) [--keep-self-loops]
+                          extract the labelled transition system
+  simulate FILE --events E,... [--cycle] [-n N]
+                          run the program on an event list, emitting at
+                          most N states (default 16)
+  oracle FILE PROPERTY [--depth D] [--json]
+                          validate a verdict against the satisfaction
+                          semantics by bounded sampling of event sequences
+                          of length D (0 to {MAX_ENUM_DEPTH}, default 4)
+
+PROPERTY is --props FILE.ltl --prop NAME [--fair E,... | --fair-all].
+Options go before or after FILE, as --opt VALUE or --opt=VALUE, and are
+spelt out in full. -h or --help prints this text.
+"""
+
+_HELP = ("-h", "--help")
+
+# option -> (attribute, kind, default); kind is str, int or bool, and a bool
+# option is a flag that stores True
+_PROPERTY_OPTIONS = {
+    "--props": ("props", str, None),
+    "--prop": ("prop", str, None),
+    "--fair": ("fair", str, None),
+    "--fair-all": ("fair_all", bool, False),
+    "--json": ("json", bool, False),
+}
+# (options, required): at most one of the options may be given, and one must
+# be if the group is required
+_PROPERTY_GROUPS = ((("--props",), True), (("--prop",), True),
+                    (("--fair", "--fair-all"), False))
+
+# command -> (handler, options, groups); every command takes one FILE
+_COMMANDS = {
+    "check": (_cmd_check, {}, ()),
+    "verify": (_cmd_verify, _PROPERTY_OPTIONS, _PROPERTY_GROUPS),
+    "witness": (_cmd_witness, _PROPERTY_OPTIONS, _PROPERTY_GROUPS),
+    "lts": (_cmd_lts, {"--dot": ("dot", bool, False),
+                       "--json": ("format_json", bool, False),
+                       "--keep-self-loops": ("keep_self_loops", bool, False)},
+            ((("--dot", "--json"), True),)),
+    "simulate": (_cmd_simulate, {"--events": ("events", str, None),
+                                 "--cycle": ("cycle", bool, False),
+                                 "-n": ("n", int, 16)},
+                 ((("--events",), True),)),
+    "oracle": (_cmd_oracle, {**_PROPERTY_OPTIONS, "--depth": ("depth", int, 4)},
+               _PROPERTY_GROUPS),
+}
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="rtlcheck",
-                     description="Model checker for reactive stream programs")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage_error(reason: str) -> NoReturn:
+    sys.stderr.write(f"{USAGE}rtlcheck: error: {reason}\n")
+    raise SystemExit(EX_USAGE)
 
-    p = sub.add_parser("check", help="check simplified-form conformance")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("verify", help="verify a temporal property")
-    p.add_argument("file")
-    _add_property_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify)
+def _help() -> NoReturn:
+    sys.stdout.write(USAGE)
+    raise SystemExit(0)
 
-    p = sub.add_parser("witness", help="build a counterexample or witness")
-    p.add_argument("file")
-    _add_property_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_witness)
 
-    p = sub.add_parser("lts", help="extract the labelled transition system")
-    p.add_argument("file")
-    fmt = p.add_mutually_exclusive_group(required=True)
-    fmt.add_argument("--dot", dest="format_json", action="store_false")
-    fmt.add_argument("--json", dest="format_json", action="store_true")
-    p.add_argument("--keep-self-loops", action="store_true")
-    p.set_defaults(func=_cmd_lts)
+def _is_option(arg: str) -> bool:
+    """Whether ``arg`` names an option; ``-`` and negative integers do not."""
+    return arg[:1] == "-" and arg != "-" and not arg[1:].isdecimal()
 
-    p = sub.add_parser("simulate", help="run the program on an event list")
-    p.add_argument("file")
-    p.add_argument("--events", required=True,
-                   help="comma-separated event constructors")
-    p.add_argument("--cycle", action="store_true",
-                   help="repeat the event list forever")
-    p.add_argument("-n", type=int, default=16, help="maximum states to emit")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("oracle", help="validate a verdict against the "
-                                      "satisfaction semantics")
-    p.add_argument("file")
-    _add_property_flags(p)
-    p.add_argument("--depth", type=int, default=4,
-                   help="event-sequence length for bounded sampling")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_oracle)
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """Read ``COMMAND [OPTION ...] FILE`` into the attributes its handler reads.
 
-    return parser
+    ``func`` is the handler. Prints ``USAGE`` and exits 0 on ``-h``/``--help``;
+    exits 64 on a usage error.
+    """
+    if not argv:
+        _usage_error("no command given")
+    command = argv[0]
+    if command in _HELP:
+        _help()
+    if command not in _COMMANDS:
+        _usage_error(f"unknown command {command!r}")
+    func, options, groups = _COMMANDS[command]
+    values = {attr: default for attr, _, default in options.values()}
+    files: list[str] = []
+    given: set[str] = set()
+    rest = iter(argv[1:])
+    for arg in rest:
+        if not _is_option(arg):
+            files.append(arg)
+            continue
+        if arg in _HELP:
+            _help()
+        name, eq, value = arg.partition("=")
+        if name not in options and arg[:2] in options:  # a short option, as in -n5
+            name, eq, value = arg[:2], "=", arg[2:]
+        if name not in options:
+            _usage_error(f"{command}: unknown option {name}")
+        attr, kind, _ = options[name]
+        if kind is bool:
+            if eq:
+                _usage_error(f"{name} takes no value")
+            value = True
+        else:
+            if not eq:
+                value = next(rest, None)
+                if value is None or _is_option(value):
+                    _usage_error(f"{name} needs a value")
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    _usage_error(f"{name}: not an integer: {value!r}")
+        values[attr] = value
+        given.add(name)
+    if len(files) != 1:
+        _usage_error(f"{command} takes one FILE, not {len(files)}")
+    for names, required in groups:
+        present = [n for n in names if n in given]
+        if len(present) > 1:
+            _usage_error(f"{present[0]} and {present[1]} exclude each other")
+        if required and not present:
+            _usage_error(f"{command} needs {' or '.join(names)}")
+    values["file"] = files[0]
+    values["func"] = func
+    return SimpleNamespace(**values)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     if not 0 <= getattr(args, "depth", 0) <= MAX_ENUM_DEPTH:
-        parser.error(f"oracle: --depth must be between 0 and {MAX_ENUM_DEPTH}")
+        _usage_error(f"oracle: --depth must be between 0 and {MAX_ENUM_DEPTH}")
     if getattr(args, "n", 0) < 0:
-        parser.error("simulate: -n must not be negative")
+        _usage_error("simulate: -n must not be negative")
     if getattr(args, "cycle", False) and not args.events.replace(",", "").strip():
-        parser.error("simulate: --cycle needs at least one event in --events")
+        _usage_error("simulate: --cycle needs at least one event in --events")
     try:
         return args.func(args)
     except InputError as exc:

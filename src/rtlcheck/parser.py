@@ -400,20 +400,20 @@ def parse_properties(text: str, arities: Mapping[str, int]) -> PropertyFile:
     """
     try:
         ts = _Tokens(tokenize(text))
-        fair: list[str] = []
-        props: list[tuple[str, Formula]] = []
+        fair: list[Token] = []
+        props: list[tuple[Token, Formula]] = []  # each with its name's token
         while not ts.at("eof"):
             tok = ts.peek()
             if tok.tag == "lid" and tok.text == "fair":
                 ts.next()
                 ts.expect(":")
-                fair.append(ts.expect("uid").text)
+                fair.append(ts.expect("uid"))
                 while ts.at(","):
                     ts.next()
-                    fair.append(ts.expect("uid").text)
+                    fair.append(ts.expect("uid"))
             elif tok.tag == "lid" and tok.text == "prop":
                 ts.next()
-                name = ts.expect("lid").text
+                name = ts.expect("lid")
                 ts.expect(":")
                 props.append((name, _descend(_parse_implies, ts)))
             else:
@@ -422,31 +422,37 @@ def parse_properties(text: str, arities: Mapping[str, int]) -> PropertyFile:
     except ParseError as exc:
         return PropertyFile((), frozenset(), (exc.diagnostic,))
 
+    # semantic problems are reported at the property's or fairness name
     diagnostics: list[Diagnostic] = []
     seen: set[str] = set()
     for name, _ in props:
-        if name in seen:
-            diagnostics.append(Diagnostic(1, 1, f"duplicate property {name}"))
-        seen.add(name)
+        if name.text in seen:
+            diagnostics.append(_at(name, f"duplicate property {name.text}"))
+        seen.add(name.text)
     try:
-        for _, formula in props:
+        for name, formula in props:
             for msg in check_formula(formula):
-                diagnostics.append(Diagnostic(1, 1, msg))
+                diagnostics.append(_at(name, msg))
             for atom in atoms(formula):
                 for msg in check_term(atom.term, arities):
-                    diagnostics.append(Diagnostic(1, 1, msg))
+                    diagnostics.append(_at(name, msg))
     except RecursionError:
-        diagnostics.append(Diagnostic(1, 1, TOO_DEEP))
+        diagnostics.append(_at(name, TOO_DEEP))
     for name in fair:
-        if arities.get(name) is None:
-            diagnostics.append(Diagnostic(1, 1,
-                                          f"unknown fairness constructor {name}"))
-        elif arities[name] != 0:
-            diagnostics.append(Diagnostic(1, 1,
-                                          f"fairness constructor {name} is not nullary"))
+        if arities.get(name.text) is None:
+            diagnostics.append(
+                _at(name, f"unknown fairness constructor {name.text}"))
+        elif arities[name.text] != 0:
+            diagnostics.append(
+                _at(name, f"fairness constructor {name.text} is not nullary"))
     if diagnostics:
         return PropertyFile((), frozenset(), tuple(diagnostics))
-    return PropertyFile(tuple(props), frozenset(fair), ())
+    return PropertyFile(tuple((name.text, f) for name, f in props),
+                        frozenset(name.text for name in fair), ())
+
+
+def _at(tok: Token, message: str) -> Diagnostic:
+    return Diagnostic(tok.line, tok.col, message)
 
 
 _PREFIX_OPS = {"G": Always, "F": Eventually, "X": Next}
