@@ -28,10 +28,10 @@ from .terms import (
 )
 from .verify import VerifyError, verify
 from .witness import generate, validate_verdict
-from .ltlsem import (
-    bounded_check, Bounded, MAX_ENUM_DEPTH, OracleError, trace_counts,
+from .ltlsem import Bounded, MAX_ENUM_DEPTH, OracleError, bounded_counts
+from .ltlsem import (  # noqa: F401  (rebound by benchmarks/tracer.py)
+    bounded_check, enumerate_traces,
 )
-from .ltlsem import enumerate_traces  # noqa: F401  (rebound by benchmarks/tracer.py)
 
 EX_USAGE = 64
 EX_DATA = 66
@@ -221,11 +221,7 @@ def _cmd_oracle(args) -> int:
     verdict = generate(source.term, formula, fair)
     report = validate_verdict(verdict, formula)
 
-    counts = {Bounded.SAT: 0, Bounded.UNSAT: 0, Bounded.UNKNOWN: 0}
-    alphabet = event_alphabet(source)
-    traces = trace_counts(source.term, alphabet, args.depth)
-    for trace, sequences in traces.items():
-        counts[bounded_check(trace, formula)] += sequences
+    counts = bounded_counts(source.term, event_alphabet(source), args.depth, formula)
     total = sum(counts.values())
     # a False verdict is refuted only when traces were sampled and all satisfy it
     contradiction = (verdict.truth is TRUE and counts[Bounded.UNSAT] > 0) or \

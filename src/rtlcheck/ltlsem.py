@@ -1,14 +1,17 @@
 """Independent semantic oracle for temporal formulas over traces.
 
-This module is a direct, naive transcription of the satisfaction relation
-over lasso-shaped models and a bounded three-valued check over finite
-prefixes. It deliberately shares no code with the verifier or the witness
-builder, so agreement between the two is meaningful evidence. The traces it
-samples come from the simulator's trace DAG (``semantics.trace_dag``),
-which shares the reduction relation with them but none of ``witness.gen``'s
-rules: ``enumerate_traces`` expands it to one trace per event sequence,
-``trace_counts`` reads off each distinct trace with its number of sequences.
-"""
+This module transcribes directly the satisfaction relation over
+lasso-shaped models and a bounded three-valued check over finite prefixes.
+It deliberately shares no code with the verifier or the witness
+builder, so agreement between the two is meaningful evidence.
+
+The bounded check is one rule, ``_step``: the value of every subformula at
+a state, from their values one position later. Two folds drive it:
+``bounded_check`` runs it backwards over one trace, and ``bounded_counts``
+runs it backwards over the simulator's trace DAG (``semantics.trace_dag``),
+which shares the reduction relation with ``witness.gen`` but none of its
+rules, to count the event sequences that give each value.
+``enumerate_traces`` expands the DAG to one trace per event sequence."""
 
 from __future__ import annotations
 
@@ -112,43 +115,109 @@ class Bounded(enum.Enum):
         return self.value
 
 
+# --- bounded check: one rule, two folds -------------------------------------------
+#
+# The value of a subformula at a position is a Bounded, or the exception the
+# recursive definition of the bounded semantics raises there: an atom that is
+# Undefined or fails to evaluate. An error is kept as a value and raised only
+# when it reaches the formula itself, so it is the one the recursion meets
+# first.
+
+
+def _subformulas(f: Formula) -> tuple[tuple, ...]:
+    """The distinct subformulas of ``f``, children first and ``f`` last.
+
+    A row is the operator's class and its operands: the term of an atom,
+    otherwise the rows of the subformulas, by index.
+    """
+    rows: list[tuple] = []
+    index: dict[Formula, int] = {}
+
+    def visit(g: Formula) -> int:
+        if g in index:
+            return index[g]
+        match g:
+            case Atom(term):
+                row = (Atom, term)
+            case Not(sub) | Next(sub) | Always(sub) | Eventually(sub):
+                row = (type(g), visit(sub))
+            case And(l, r) | Or(l, r) | Implies(l, r):
+                row = (type(g), visit(l), visit(r))
+            case _:
+                raise TypeError(f"not a formula: {g!r}")
+        index[g] = len(rows)
+        rows.append(row)
+        return index[g]
+
+    visit(f)
+    return tuple(rows)
+
+
+def _atom_value(term: Term, state: Term) -> Bounded | Exception:
+    try:
+        value = _cached_atom(term, state)
+    except Exception as exc:  # kept, and raised only if the formula reaches it
+        return exc
+    if value is UNDEFINED:
+        return AtomUndefined("atom evaluated to Undefined")
+    return Bounded.SAT if value is TRUE else Bounded.UNSAT
+
+
+def _step(rows: tuple[tuple, ...], state: Term, later: tuple) -> tuple:
+    """The value of every subformula at ``state``, from their values one position later.
+
+    Past the end of a trace every value is Unknown. A connective passes on
+    its left operand's error before its right one's, and ``G``/``F`` their
+    operand's error here before their own value later.
+    """
+    now: list = []
+    for row in rows:
+        op = row[0]
+        if op is Atom:
+            value = _atom_value(row[1], state)
+        elif op is Next:
+            value = later[row[1]]
+        else:
+            a = now[row[1]]
+            b = now[row[-1]]  # the right operand, or the only one again
+            if type(a) is not Bounded:
+                value = a
+            elif type(b) is not Bounded:
+                value = b
+            elif op is Not:
+                value = _neg(a)
+            elif op is Always:
+                value = a if a is Bounded.UNSAT else later[len(now)]
+            elif op is Eventually:
+                value = a if a is Bounded.SAT else later[len(now)]
+            elif op is And:
+                value = _and(a, b)
+            elif op is Or:
+                value = _neg(_and(_neg(a), _neg(b)))
+            else:
+                value = _neg(_and(a, _neg(b)))
+        now.append(value)
+    return tuple(now)
+
+
+def _decided(value: Bounded | Exception) -> Bounded:
+    if type(value) is not Bounded:
+        raise value
+    return value
+
+
 def bounded_check(trace: Sequence[Term], f: Formula, i: int = 0) -> Bounded:
-    """Three-valued check of ``f`` on a finite prefix.
+    """Three-valued check of ``f`` on a finite prefix, from position ``i``.
 
     Sat and Unsat are decisive for every infinite extension of the prefix;
-    Unknown means the prefix ran out before the formula was decided.
+    Unknown means the prefix ran out before the formula was decided. The
+    rule ``_step`` is folded over the trace from its end.
     """
-    match f:
-        case Atom(term):
-            if i >= len(trace):
-                return Bounded.UNKNOWN
-            value = _cached_atom(term, trace[i])
-            if value is UNDEFINED:
-                raise AtomUndefined("atom evaluated to Undefined")
-            return Bounded.SAT if value is TRUE else Bounded.UNSAT
-        case Not(sub):
-            return _neg(bounded_check(trace, sub, i))
-        case And(l, r):
-            return _and(bounded_check(trace, l, i), bounded_check(trace, r, i))
-        case Or(l, r):
-            return _neg(_and(_neg(bounded_check(trace, l, i)),
-                             _neg(bounded_check(trace, r, i))))
-        case Implies(l, r):
-            return _neg(_and(bounded_check(trace, l, i),
-                             _neg(bounded_check(trace, r, i))))
-        case Next(sub):
-            return bounded_check(trace, sub, i + 1)
-        case Always(sub):
-            if any(bounded_check(trace, sub, j) is Bounded.UNSAT
-                   for j in range(i, len(trace))):
-                return Bounded.UNSAT
-            return Bounded.UNKNOWN
-        case Eventually(sub):
-            if any(bounded_check(trace, sub, j) is Bounded.SAT
-                   for j in range(i, len(trace))):
-                return Bounded.SAT
-            return Bounded.UNKNOWN
-    raise TypeError(f"not a formula: {f!r}")
+    rows = _subformulas(f)
+    values = (Bounded.UNKNOWN,) * len(rows)
+    for state in reversed(trace[i:]):
+        values = _step(rows, state, values)
+    return _decided(values[-1])
 
 
 def _neg(b: Bounded) -> Bounded:
@@ -182,33 +251,53 @@ def enumerate_traces(program: Term, event_names: Sequence[str],
     return run_traces(program, event_names, depth)
 
 
-def trace_counts(program: Term, event_names: Sequence[str],
-                 depth: int) -> dict[tuple[Term, ...], int]:
-    """Each distinct trace over event sequences of the given length, with its count.
+def bounded_counts(program: Term, event_names: Sequence[str], depth: int,
+                   f: Formula) -> dict[Bounded, int]:
+    """How many event sequences of the given length give each bounded value of ``f``.
 
-    Equal to ``Counter(map(tuple, enumerate_traces(...)))``, in the same
-    order of first occurrence, but read off the trace DAG without expanding
-    it: the table below a shared tuple of children is built once, so the
-    work follows the distinct traces, not the |events|^depth sequences.
+    Equal to ``Counter(bounded_check(t, f) for t in enumerate_traces(...))``
+    with every value present, and raising what the first trace that raises
+    there raises, but folded over the trace DAG without expanding it. A node
+    maps the values of every subformula at its first state to the number of
+    sequences that reach them; a leaf starts from the all-Unknown values
+    past the end, a shared tuple of children merges its tables once, and
+    ``_step`` runs once per state and values one position later. The tables
+    keep the order of their first sequence, so the first error among the
+    values of ``f`` is that of the first sequence in product order.
     """
     _check_depth(depth)
     width = len(event_names)
-    tables: dict[int, dict[tuple[Term, ...], int]] = {}
+    rows = _subformulas(f)
+    past_end = (Bounded.UNKNOWN,) * len(rows)
+    steps: dict[tuple[Term, tuple], tuple] = {}
+    tables: dict[int, dict[tuple, int]] = {}
 
-    def counts(node: TraceNode, bound: int) -> dict[tuple[Term, ...], int]:
+    def fold(node: TraceNode, bound: int) -> dict[tuple, int]:
         states, children = node
         if children is None:
-            return {states: width ** (depth - bound)}
-        table = tables.get(id(children))
-        if table is None:
-            table = {}
-            for child in children:
-                for suffix, n in counts(child, bound + 1).items():
-                    table[suffix] = table.get(suffix, 0) + n
-            tables[id(children)] = table
-        return {states + suffix: n for suffix, n in table.items()}
+            table = {past_end: width ** (depth - bound)}
+        else:
+            table = tables.get(id(children))
+            if table is None:
+                table = {}
+                for child in children:
+                    for values, n in fold(child, bound + 1).items():
+                        table[values] = table.get(values, 0) + n
+                tables[id(children)] = table
+        for state in reversed(states):
+            earlier: dict[tuple, int] = {}
+            for values, n in table.items():
+                now = steps.get((state, values))
+                if now is None:
+                    now = steps[state, values] = _step(rows, state, values)
+                earlier[now] = earlier.get(now, 0) + n
+            table = earlier
+        return table
 
-    return counts(trace_dag(program, event_names, depth), 0)
+    counts = dict.fromkeys(Bounded, 0)
+    for values, n in fold(trace_dag(program, event_names, depth), 0).items():
+        counts[_decided(values[-1])] += n
+    return counts
 
 
 def _check_depth(depth: int) -> None:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rtlcheck import semantics
+from rtlcheck import ltlsem, semantics
 from rtlcheck.cli import EX_DATA, EX_USAGE, USAGE, event_alphabet, main, parse_args
 from rtlcheck.corpus import read_text
 from rtlcheck.ltlsem import MAX_ENUM_DEPTH
@@ -142,22 +142,9 @@ ORACLE_JSON_DIGEST = "b48e8bc1b62d5dd7cfb6b1fce45c85da5ef4ab16060404c59ed3b26117
 
 
 def test_oracle_json_pinned_on_corpus(corpus_paths, capsys):
-    digest = hashlib.sha256()
-    unsat = {}
-    for example in ("example1", "example2", "example3"):
-        for prop in ("mutex", "nonstarve1", "nonstarve2"):
-            code = main(["oracle", corpus_paths[f"{example}.rsl"],
-                         "--props", corpus_paths["mutex.ltl"], "--prop", prop,
-                         "--json", "--depth", "4", "--fair-all"])
-            assert code == 0
-            out = capsys.readouterr().out
-            digest.update(out.encode())
-            doc = json.loads(out)
-            assert doc["sampled"] == 6 ** 4
-            if doc["bounded"]["Unsat"]:
-                unsat[f"{example}/{prop}"] = doc["bounded"]["Unsat"]
+    digest, unsat = _oracle_json_on_corpus(corpus_paths, capsys, 4)
     assert unsat == {"example1/mutex": 4}
-    assert digest.hexdigest() == ORACLE_JSON_DIGEST
+    assert digest == ORACLE_JSON_DIGEST
 
 
 def test_fair_list_flag(corpus_paths, capsys):
@@ -273,19 +260,41 @@ def test_cycle_without_events_is_usage_error(corpus_paths, capsys, events):
 ORACLE_JSON_DEPTH6_DIGEST = \
     "1640f2b6642a46f419dcdff085e8ef20d94440f5864ab1ab2d1276023ddee330"
 
+# the same at depth 8, recorded while every distinct trace was still
+# bounded-checked on its own
+ORACLE_JSON_DEPTH8_DIGEST = \
+    "c20f41c96af6817e0735b78e193e840536e7a3bf2d2ac25197360945088a2a42"
 
-def test_oracle_json_pinned_on_corpus_at_depth_6(corpus_paths, capsys):
+
+def _oracle_json_on_corpus(corpus_paths, capsys, depth):
+    """The sha256 of the nine oracle --json outputs and their Unsat counts."""
     digest = hashlib.sha256()
+    unsat = {}
     for example in ("example1", "example2", "example3"):
         for prop in ("mutex", "nonstarve1", "nonstarve2"):
             code = main(["oracle", corpus_paths[f"{example}.rsl"],
                          "--props", corpus_paths["mutex.ltl"], "--prop", prop,
-                         "--json", "--depth", "6", "--fair-all"])
+                         "--json", "--depth", str(depth), "--fair-all"])
             assert code == 0
             out = capsys.readouterr().out
             digest.update(out.encode())
-            assert json.loads(out)["sampled"] == 6 ** 6
-    assert digest.hexdigest() == ORACLE_JSON_DEPTH6_DIGEST
+            doc = json.loads(out)
+            assert doc["sampled"] == 6 ** depth
+            if doc["bounded"]["Unsat"]:
+                unsat[f"{example}/{prop}"] = doc["bounded"]["Unsat"]
+    return digest.hexdigest(), unsat
+
+
+def test_oracle_json_pinned_on_corpus_at_depth_6(corpus_paths, capsys):
+    digest, unsat = _oracle_json_on_corpus(corpus_paths, capsys, 6)
+    assert unsat == {"example1/mutex": 1168}
+    assert digest == ORACLE_JSON_DEPTH6_DIGEST
+
+
+def test_oracle_json_pinned_on_corpus_at_depth_8(corpus_paths, capsys):
+    digest, unsat = _oracle_json_on_corpus(corpus_paths, capsys, 8)
+    assert unsat == {"example1/mutex": 109160}
+    assert digest == ORACLE_JSON_DEPTH8_DIGEST
 
 
 def test_oracle_reductions_grow_linearly_with_depth(corpus_paths, capsys,
@@ -312,6 +321,33 @@ def test_oracle_reductions_grow_linearly_with_depth(corpus_paths, capsys,
     handlers, events = len(source.term.defs), len(event_alphabet(source))
     assert (handlers, events) == (9, 6)
     assert calls <= 2 * handlers * events * depth + 1
+
+
+def test_oracle_bounded_steps_grow_linearly_with_depth(corpus_paths, capsys,
+                                                       monkeypatch):
+    # the bounded rule runs once per state and values one position later,
+    # not once per position of each of the thousands of distinct traces
+    calls = 0
+    step = ltlsem._step
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return step(*args)
+
+    monkeypatch.setattr(ltlsem, "_step", counted)
+    depth = MAX_ENUM_DEPTH
+    for example in ("example1", "example2", "example3"):
+        source = parse_program(read_text(f"{example}.rsl"))
+        handlers, events = len(source.term.defs), len(event_alphabet(source))
+        for prop in ("mutex", "nonstarve1", "nonstarve2"):
+            calls = 0
+            code = main(["oracle", corpus_paths[f"{example}.rsl"],
+                         "--props", corpus_paths["mutex.ltl"], "--prop", prop,
+                         "--json", "--depth", str(depth), "--fair-all"])
+            assert code == 0
+            assert json.loads(capsys.readouterr().out)["sampled"] == 6 ** depth
+            assert 0 < calls <= 2 * handlers * events * depth + 1, (example, prop)
 
 
 NO_EVENT_READ = """data Event = EvA | EvB

@@ -4,16 +4,20 @@ from collections import Counter
 
 import pytest
 
-from gen_programs import random_program
+from gen_programs import formula_battery, random_program, state_atom
 from rtlcheck.corpus import obs
 from rtlcheck.ltlsem import (
-    AtomUndefined, Bounded, DepthTooLarge, PositionedModel,
-    bounded_check, enumerate_traces, sat_lasso, trace_counts,
+    AtomUndefined, Bounded, DepthTooLarge, PositionedModel, _cached_atom,
+    bounded_check, bounded_counts, enumerate_traces, sat_lasso,
 )
 from rtlcheck import semantics
+from rtlcheck.kleene import TRUE, UNDEFINED
 from rtlcheck.parser import parse_program
 from rtlcheck.semantics import run_trace
-from rtlcheck.terms import Always, Atom, Con, Eventually, Next, Not, Var
+from rtlcheck.terms import (
+    Alt, Always, And, Atom, Case, Con, Eventually, Implies, Next, Not, Or,
+    PCon, Var, WILD,
+)
 from rtlcheck.witness import generate, lassoify
 
 
@@ -152,6 +156,180 @@ def test_bounded_sat_never_contradicts_lasso_semantics(corpus):
                     assert sat_lasso(model, 0, formula) is True
 
 
+# --- the bounded check against its recursive definition -----------------------------
+
+def reference_bounded_check(trace, f, i=0):
+    """The bounded check as the recursion over positions that defines it."""
+    match f:
+        case Atom(term):
+            if i >= len(trace):
+                return Bounded.UNKNOWN
+            value = _cached_atom(term, trace[i])
+            if value is UNDEFINED:
+                raise AtomUndefined("atom evaluated to Undefined")
+            return Bounded.SAT if value is TRUE else Bounded.UNSAT
+        case Not(sub):
+            return _neg(reference_bounded_check(trace, sub, i))
+        case And(l, r):
+            return _and(reference_bounded_check(trace, l, i),
+                        reference_bounded_check(trace, r, i))
+        case Or(l, r):
+            return _neg(_and(_neg(reference_bounded_check(trace, l, i)),
+                             _neg(reference_bounded_check(trace, r, i))))
+        case Implies(l, r):
+            return _neg(_and(reference_bounded_check(trace, l, i),
+                             _neg(reference_bounded_check(trace, r, i))))
+        case Next(sub):
+            return reference_bounded_check(trace, sub, i + 1)
+        case Always(sub):
+            if any(reference_bounded_check(trace, sub, j) is Bounded.UNSAT
+                   for j in range(i, len(trace))):
+                return Bounded.UNSAT
+            return Bounded.UNKNOWN
+        case Eventually(sub):
+            if any(reference_bounded_check(trace, sub, j) is Bounded.SAT
+                   for j in range(i, len(trace))):
+                return Bounded.SAT
+            return Bounded.UNKNOWN
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _neg(b):
+    return {Bounded.SAT: Bounded.UNSAT, Bounded.UNSAT: Bounded.SAT}.get(b, Bounded.UNKNOWN)
+
+
+def _and(a, b):
+    if Bounded.UNSAT in (a, b):
+        return Bounded.UNSAT
+    return Bounded.SAT if a is b is Bounded.SAT else Bounded.UNKNOWN
+
+
+def _outcome(run):
+    """The result, or the type and message of the exception raised."""
+    try:
+        return run()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _atom(on_state, otherwise="True", field=None):
+    """An atom giving ``on_state[name]`` at a state named ``name``.
+
+    With ``field`` set, the name is that of the field-th argument of an
+    ``ObsState``. The value may be Undefined, or a constructor that is no
+    truth value; with ``otherwise`` None, other states leave the case stuck.
+    """
+    alts = tuple(Alt(PCon(name, ()), Con(value)) for name, value in on_state.items())
+    if otherwise is not None:
+        alts += (Alt(WILD, Con(otherwise)),)
+    if field is None:
+        return Atom(Case(Var("s"), alts))
+    names = ("p1", "p2")
+    return Atom(Case(Var("s"), (Alt(PCon("ObsState", names), Case(Var(names[field]), alts)),)))
+
+
+# atoms that are Undefined, no truth value, or stuck on some states
+FAULTY_ATOMS = (
+    _atom({"St2": "Undefined", "St1": "False"}),
+    _atom({"St1": "St0"}, otherwise="False"),
+    _atom({"St0": "True", "St1": "False"}, otherwise=None),
+)
+
+
+def random_formula(rng, atoms, size):
+    if size <= 1:
+        return rng.choice(atoms)
+    unary = (Not, Next, Always, Eventually)
+    binary = (And, Or, Implies)
+    op = rng.choice(unary + binary)
+    if op in unary:
+        return op(random_formula(rng, atoms, size - 1))
+    left = rng.randint(1, size - 2) if size > 2 else 1
+    return op(random_formula(rng, atoms, left),
+              random_formula(rng, atoms, max(1, size - 1 - left)))
+
+
+RANDOM_ATOMS = (state_atom("St0"), state_atom("St1"), *FAULTY_ATOMS)
+STATES = (Con("St0"), Con("St1"), Con("St2"))
+
+
+def test_bounded_check_equals_reference_on_random_traces():
+    rng = random.Random(20261020)
+    battery = formula_battery() + list(FAULTY_ATOMS) + [
+        Always(Implies(state_atom("St0"), Eventually(a))) for a in FAULTY_ATOMS]
+    raised = 0
+    for n in range(4000):
+        f = battery[n % len(battery)] if n < 2 * len(battery) else \
+            random_formula(rng, RANDOM_ATOMS, rng.randint(1, 7))
+        trace = tuple(rng.choice(STATES) for _ in range(rng.randint(0, 6)))
+        for i in (0, rng.randint(0, len(trace) + 1)):
+            got = _outcome(lambda: bounded_check(trace, f, i))
+            assert got == _outcome(lambda: reference_bounded_check(trace, f, i)), (f, trace, i)
+            raised += isinstance(got, tuple)
+    assert raised > 500  # the faulty atoms are reached, not only stored
+
+
+def _assert_counts_are_enumeration(program, events, depth, formulas):
+    """``bounded_counts`` is ``Counter(reference_bounded_check(t, f) for t in
+    enumerate_traces(...))``, exception included.
+
+    The reference runs once per distinct trace, in the order of the first
+    sequence that gives it, so the first trace that raises still raises.
+    """
+    traces = _outcome(lambda: Counter(map(tuple, enumerate_traces(program, events, depth))))
+
+    def expanded(f):
+        if not isinstance(traces, Counter):
+            return traces
+        counts = dict.fromkeys(Bounded, 0)
+        for trace, n in traces.items():
+            counts[reference_bounded_check(trace, f)] += n
+        return list(counts.items())
+
+    for f in formulas:
+        counted = _outcome(lambda: list(bounded_counts(program, events, depth, f).items()))
+        assert counted == _outcome(lambda: expanded(f)), (events, depth, f)
+
+
+def _corpus_formulas(props):
+    """The properties, and two that reach atoms failing at some corpus states."""
+    wait1, use1 = props.get("nonstarve1").sub.left, props.get("nonstarve1").sub.right.sub
+    undefined_when_used = _atom({"U": "Undefined"}, field=0)
+    stuck_unless_waiting = _atom({"W": "True"}, otherwise=None, field=1)
+    return [props.get(name) for name, _ in props.props] + [
+        Always(Implies(wait1, Eventually(And(use1, undefined_when_used)))),
+        Or(Eventually(Next(use1)), Always(stuck_unless_waiting)),
+    ]
+
+
+def test_bounded_counts_equal_enumeration_on_corpus(corpus):
+    for _, source, props in corpus:
+        for depth in range(7):
+            _assert_counts_are_enumeration(source.term, EVENTS, depth,
+                                           _corpus_formulas(props))
+
+
+def test_bounded_counts_equal_enumeration_on_random_programs():
+    rng = random.Random(20261019)
+    battery = formula_battery()
+    for k in range(300):
+        program, events = random_program(rng)
+        formulas = [battery[k % len(battery)], battery[(k + 3) % len(battery)],
+                    *(random_formula(rng, RANDOM_ATOMS, rng.randint(1, 6)) for _ in range(2))]
+        for depth in range(4):
+            _assert_counts_are_enumeration(program, events, depth, formulas)
+
+
+def test_bounded_counts_depth_guard_and_empty_alphabet(corpus_by_name):
+    _, source, props = corpus_by_name["example1"]
+    mutex = props.get("mutex")
+    with pytest.raises(DepthTooLarge):
+        bounded_counts(source.term, EVENTS, 9, mutex)
+    none = dict.fromkeys(Bounded, 0)
+    assert bounded_counts(source.term, (), 3, mutex) == none
+    assert bounded_counts(source.term, (), 0, mutex) == {**none, Bounded.UNKNOWN: 1}
+
+
 # --- trace enumeration ------------------------------------------------------------
 
 EVENTS = ("Request1", "Request2", "Take1", "Take2", "Release1", "Release2")
@@ -179,14 +357,6 @@ def test_enumerate_depth_guard(corpus_by_name):
     _, source, _ = corpus_by_name["example1"]
     with pytest.raises(DepthTooLarge):
         enumerate_traces(source.term, EVENTS, 9)
-
-
-def _outcome(run):
-    """The traces, or the type and message of the exception raised."""
-    try:
-        return run()
-    except Exception as exc:
-        return type(exc).__name__, str(exc)
 
 
 def _assert_enumeration_is_run_trace(program, events, depth):
@@ -257,33 +427,13 @@ def test_enumerate_empty_alphabet(corpus_by_name):
     assert enumerate_traces(source.term, (), 0) == [[obs("T", "T")]]
 
 
-def _assert_counts_are_enumeration(program, events, depth):
-    counted = _outcome(lambda: list(trace_counts(program, events, depth).items()))
-    expanded = _outcome(lambda: list(
-        Counter(map(tuple, enumerate_traces(program, events, depth))).items()))
-    assert counted == expanded, (events, depth)
-
-
-def test_trace_counts_equal_enumeration_on_corpus(corpus):
-    for _, source, _ in corpus:
-        for depth in range(7):
-            _assert_counts_are_enumeration(source.term, EVENTS, depth)
-
-
-def test_trace_counts_equal_enumeration_on_random_programs():
-    rng = random.Random(20261019)
-    for _ in range(300):
-        program, events = random_program(rng)
-        for depth in range(4):
-            _assert_counts_are_enumeration(program, events, depth)
-
-
-def test_trace_counts_depth_guard_and_empty_alphabet(corpus_by_name):
-    _, source, _ = corpus_by_name["example1"]
-    with pytest.raises(DepthTooLarge):
-        trace_counts(source.term, EVENTS, 9)
-    assert trace_counts(source.term, (), 3) == {}
-    assert trace_counts(source.term, (), 0) == {(obs("T", "T"),): 1}
+# the bounded values of these over the hand-built programs' traces reach
+# atoms that fail on their Pair, event or St1 states
+HAND_BUILT_FORMULAS = (
+    Always(Implies(state_atom("St0"), Eventually(state_atom("St1")))),
+    And(Eventually(FAULTY_ATOMS[0]), Next(FAULTY_ATOMS[1])),
+    Or(Always(FAULTY_ATOMS[2]), Eventually(state_atom("St1"))),
+)
 
 
 # programs whose paths reach the same handler at the same event position
@@ -317,7 +467,8 @@ def test_enumeration_with_little_fuel_equals_run_trace(name, monkeypatch):
         for events in (("EvA", "EvB", "EvC"), ("EvC", "EvB", "EvA")):
             for depth in range(4):
                 _assert_enumeration_is_run_trace(source.term, events, depth)
-                _assert_counts_are_enumeration(source.term, events, depth)
+                _assert_counts_are_enumeration(source.term, events, depth,
+                                               HAND_BUILT_FORMULAS)
 
 
 # programs that read an event again after later ones were bound: a memoised
@@ -344,4 +495,5 @@ def test_enumeration_of_programs_reading_consumed_events(name):
     for events in (("EvA", "EvB", "EvC"), ("EvB", "EvA")):
         for depth in range(5):
             _assert_enumeration_is_run_trace(source.term, events, depth)
-            _assert_counts_are_enumeration(source.term, events, depth)
+            _assert_counts_are_enumeration(source.term, events, depth,
+                                           HAND_BUILT_FORMULAS)
