@@ -18,13 +18,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Sequence
 
 from .terms import (
     Always, And, Atom, Eventually, Formula, Implies, Next, Not, Or, Term,
 )
 from .kleene import FALSE, TRUE, Trace, TruthVal, UNDEFINED
-from .semantics import TraceNode, atom_truth, run_traces, trace_dag
+from .semantics import TraceNode, atom_truth, trace_dag
 from .semantics import run_trace  # noqa: F401  (rebound by benchmarks/tracer.py)
 
 
@@ -243,12 +244,26 @@ def enumerate_traces(program: Term, event_names: Sequence[str],
                      depth: int) -> list[list[Term]]:
     """Every trace of the program over event sequences of the given length.
 
-    One trace per sequence, in ``itertools.product`` order, expanded from
-    the simulator's trace DAG (``semantics.run_traces``); sequences with the
-    same trace may share one list.
+    Equal to ``[run_trace(program, seq, max_states=depth + 1) for seq in
+    itertools.product(event_names, repeat=depth)]``, exceptions included:
+    the expansion of the simulator's trace DAG. A trace finished after
+    ``k`` events stands for ``len(event_names) ** (depth - k)`` sequences
+    and appears that many times, as one shared list.
     """
     _check_depth(depth)
-    return run_traces(program, event_names, depth)
+    out: list[list[Term]] = []
+
+    def expand(node: TraceNode, prefix: list[Term], bound: int) -> None:
+        states, children = node
+        trace = [*prefix, *states]
+        if children is None:
+            out.extend(repeat(trace, len(event_names) ** (depth - bound)))
+            return
+        for child in children:
+            expand(child, trace, bound + 1)
+
+    expand(trace_dag(program, event_names, depth), [], 0)
+    return out
 
 
 def bounded_counts(program: Term, event_names: Sequence[str], depth: int,

@@ -12,13 +12,12 @@ environment, one per list suffix. ``run_trace`` binds them all up front.
 length for the oracle, binds them as reduction asks for them, and memoises
 what follows each point where the program reads an event: every handler
 reached at an event position is reduced once, so the work grows linearly
-with the length, not with the number of sequences. ``run_traces`` expands
-the DAG to one trace per sequence.
+with the length, not with the number of sequences. Each emitted state gets
+its own step budget.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Mapping, Optional, Sequence
 
 from .terms import (
@@ -220,13 +219,15 @@ def bind_events(program: Term) -> Term:
     return substitute(program, {fv[0]: source}) if fv else App(program, source)
 
 
-def _next_state(t: Term, env: FunEnv,
-                fuel: int) -> Optional[tuple[Term, Term, FunEnv, int]]:
-    """``(state, rest of stream, env, fuel)`` of a state stream, or None at its end."""
-    value, env, fuel = _whnf(t, env, fuel)
+def _next_state(t: Term, env: FunEnv) -> Optional[tuple[Term, Term, FunEnv]]:
+    """``(state, rest of stream, env)`` of a state stream, or None at its end.
+
+    The stream cell and its state share one budget of ``DEFAULT_FUEL`` steps.
+    """
+    value, env, fuel = _whnf(t, env, DEFAULT_FUEL)
     match value:
         case Con("Cons", (head, tail)):
-            return deep_eval(head, env, fuel), tail, env, fuel
+            return deep_eval(head, env, fuel), tail, env
         case Con("Nil", ()):
             return None
         case _:
@@ -241,20 +242,21 @@ def run_trace(program: Term, events: Sequence[str], cycle: bool = False,
     The program's event-list parameter is bound to the given events, cycled
     forever when ``cycle`` is set. One state is emitted per consumed event,
     after the initial state; the trace stops at ``max_states`` states or
-    when the events run out.
+    when the events run out. Each state may take up to ``DEFAULT_FUEL``
+    reduction steps, its stream cell included; a state that needs more
+    raises ``FuelExhausted``.
     """
     if cycle and not events:
         raise ValueError("cannot cycle an empty event list")
     t = bind_events(program)
     env = FunEnv.empty().extend(_feeds(events, 0, Fun(_feed(0)) if cycle else NIL))
     limit = max_states if cycle else min(max_states, len(events) + 1)
-    fuel = DEFAULT_FUEL
     trace: list[Term] = []
     while len(trace) < limit:
-        nxt = _next_state(t, env, fuel)
+        nxt = _next_state(t, env)
         if nxt is None:
             break
-        state, t, env, fuel = nxt
+        state, t, env = nxt
         trace.append(state)
     return trace
 
@@ -270,24 +272,21 @@ def trace_dag(program: Term, events: Sequence[str], depth: int) -> TraceNode:
 
     The walk starts with no event bound and branches over ``events`` only
     when reduction is stuck on the next feed, then retries the state from
-    its start with that feed bound, once per event. Each path keeps its own
-    fuel. The children of a branch point are memoised for the run, keyed on
-    the state's start term, the number of events bound and of states
-    emitted, and the frames of the environment the retry can read (see
-    ``frames``); paths that reach the same handler at the same event
-    position share them, so each is reduced once. An entry records the fuel
-    it was computed with and serves only a path with at least that much:
-    reduction is deterministic and fuel decides only exhaustion, so with
-    more fuel the subtree is walked the same way. Nothing that raised is
-    stored and the walk is depth first in product order, so the exception
-    raised is that of the first failing sequence. With no events and a
-    positive depth there is no sequence: the root branches into no children.
+    its start with that feed bound, once per event. The children of a
+    branch point are memoised for the run, keyed on the state's start term,
+    the number of events bound and of states emitted, and the frames of the
+    environment the retry can read (see ``frames``); paths that reach the
+    same handler at the same event position share them, so each is reduced
+    once. Nothing that raised is stored and the walk is depth first in
+    product order, so the exception raised is that of the first failing
+    sequence. With no events and a positive depth there is no sequence: the
+    root branches into no children.
     """
     if depth and not events:
         return (), ()
     limit = depth + 1
     feed_index = {_feed(k): k for k in range(depth + 1)}
-    memo: dict[tuple, tuple[int, tuple[TraceNode, ...]]] = {}
+    memo: dict[tuple, tuple[TraceNode, ...]] = {}
     first_feed_of_defs: dict[FunEnv, int] = {}
     # definitions bind_events left as parsed name no feed (no parsed name
     # can), so the scan of a where frame skips them
@@ -320,56 +319,30 @@ def trace_dag(program: Term, events: Sequence[str], depth: int) -> TraceNode:
             e = e._parent
         return tuple(e for e, fed in chain if fed is None or fed >= low)
 
-    def walk(t: Term, env: FunEnv, fuel: int, bound: int, emitted: int) -> TraceNode:
+    def walk(t: Term, env: FunEnv, bound: int, emitted: int) -> TraceNode:
         states: list[Term] = []
         while emitted < limit:
             try:
-                nxt = _next_state(t, env, fuel)
+                nxt = _next_state(t, env)
             except StuckError as exc:
                 if exc.term != Fun(_feed(bound)):
                     raise
-                return tuple(states), branch(t, env, fuel, bound, emitted)
+                return tuple(states), branch(t, env, bound, emitted)
             if nxt is None:
                 break
-            state, t, env, fuel = nxt
+            state, t, env = nxt
             states.append(state)
             emitted += 1
         return tuple(states), None
 
-    def branch(t: Term, env: FunEnv, fuel: int, bound: int,
-               emitted: int) -> tuple[TraceNode, ...]:
+    def branch(t: Term, env: FunEnv, bound: int, emitted: int) -> tuple[TraceNode, ...]:
         key = (t, bound, emitted, frames(t, env))
-        hit = memo.get(key)
-        if hit is not None and hit[0] <= fuel:
-            return hit[1]
-        children = tuple(walk(t, env.extend(_feeds((e,), bound, None)), fuel,
-                              bound + 1, emitted) for e in events)
-        memo[key] = fuel, children
+        children = memo.get(key)
+        if children is None:
+            children = memo[key] = tuple(
+                walk(t, env.extend(_feeds((e,), bound, None)), bound + 1, emitted)
+                for e in events)
         return children
 
     return walk(bind_events(program), FunEnv.empty().extend(_feeds((), depth, NIL)),
-                DEFAULT_FUEL, 0, 0)
-
-
-def run_traces(program: Term, events: Sequence[str], depth: int) -> list[list[Term]]:
-    """``run_trace`` of every event sequence of length ``depth``, in product order.
-
-    Equal to ``[run_trace(program, seq, max_states=depth + 1) for seq in
-    itertools.product(events, repeat=depth)]``, exceptions included: the
-    expansion of ``trace_dag``. A trace finished after ``k`` events stands
-    for ``len(events) ** (depth - k)`` sequences and appears that many times,
-    as one shared list.
-    """
-    out: list[list[Term]] = []
-
-    def expand(node: TraceNode, prefix: list[Term], bound: int) -> None:
-        states, children = node
-        trace = [*prefix, *states]
-        if children is None:
-            out.extend(repeat(trace, len(events) ** (depth - bound)))
-            return
-        for child in children:
-            expand(child, trace, bound + 1)
-
-    expand(trace_dag(program, events, depth), [], 0)
-    return out
+                0, 0)

@@ -432,7 +432,8 @@ def check_term(t: Term, arities: Mapping[str, int]) -> list[str]:
     Checks constructor arities against the declaration table and the case
     alternative rules: at least one alternative, at most one wildcard and
     only in last position, no constructor in two patterns of one case, no
-    repeated variable inside one pattern.
+    repeated variable inside one pattern, no function defined twice in one
+    where block.
     """
     problems: list[str] = []
     _check(t, arities, problems)
@@ -487,7 +488,11 @@ def _check(t: Term, arities: Mapping[str, int], out: list[str]) -> None:
         _check(t.body, arities, out)
     elif tt is Where:
         _check(t.body, arities, out)
-        for _, d in t.defs:
+        defined: set[str] = set()
+        for name, d in t.defs:
+            if name in defined:
+                out.append(f"function {name} defined twice in one where block")
+            defined.add(name)
             _check(d, arities, out)
     else:
         out.append(f"not a term: {t!r}")

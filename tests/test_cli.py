@@ -124,6 +124,53 @@ def test_simulate_cycle_ignores_program_function_names(tmp_path, capsys, fname):
     assert capsys.readouterr().out.split() == ["St0", "St1", "St0", "St1", "St0"]
 
 
+def test_simulate_cycle_budget_is_per_state(corpus_paths, capsys, monkeypatch):
+    # example1 needs 6 steps a state: 1000 states fit 20 steps each, not in total
+    monkeypatch.setattr(semantics, "DEFAULT_FUEL", 20)
+    code = main(["simulate", corpus_paths["example1.rsl"],
+                 "--events", "Request1,Take1,Release1", "--cycle", "-n", "1000"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1000
+    assert lines[-1] == "ObsState T T"
+
+
+DIVERGING_PROGRAM = """data Event = EvA | EvB
+data State = St0 | St1
+data TruthVal = True | False | Undefined
+
+Cons St0 (f es)
+where
+f = \\es -> case es of Cons e es -> case e of EvB -> g es | _ -> Cons St1 (f es)
+g = \\es -> g es
+"""
+
+
+def test_state_that_diverges_on_its_own_exits_70(tmp_path, capsys, monkeypatch):
+    # in simplified form, so the oracle's verifier accepts it; its stream cell
+    # after EvB never reaches a value
+    monkeypatch.setattr(semantics, "DEFAULT_FUEL", 200)
+    path = tmp_path / "p.rsl"
+    path.write_text(DIVERGING_PROGRAM)
+    props = tmp_path / "p.ltl"
+    props.write_text("prop p: G {case s of St0 -> True | _ -> False}\n")
+    assert main(["simulate", str(path), "--events", "EvA,EvB"]) == 70
+    assert capsys.readouterr().out == ""
+    assert main(["oracle", str(path), "--props", str(props), "--prop", "p",
+                 "--depth", "2"]) == 70
+    assert "FuelExhausted" in capsys.readouterr().err
+
+
+def test_where_defining_a_name_twice_exits_66(tmp_path, capsys):
+    path = tmp_path / "twice.rsl"
+    path.write_text(DIVERGING_PROGRAM + "f = \\es -> Cons St1 (f es)\n")
+    props = tmp_path / "p.ltl"
+    props.write_text("prop p: G {case s of St0 -> True | _ -> False}\n")
+    assert main(["check", str(path)]) == EX_DATA
+    assert main(["verify", str(path), "--props", str(props), "--prop", "p"]) == EX_DATA
+    assert "function f defined twice in one where block" in capsys.readouterr().err
+
+
 def test_oracle_consistency(corpus_paths, capsys):
     code = main(["oracle", corpus_paths["example2.rsl"],
                  "--props", corpus_paths["mutex.ltl"], "--prop", "mutex",

@@ -437,8 +437,9 @@ HAND_BUILT_FORMULAS = (
 
 
 # programs whose paths reach the same handler at the same event position
-# after different numbers of reduction steps, so a memoised branch point is
-# met again with less or more fuel than it was first walked with
+# after different numbers of reduction steps; under budgets from 0 to 60
+# steps a state, the lazily bound enumeration raises or returns exactly what
+# run_trace does on each sequence
 UNEVEN_STEPS = {
     "slow branch into the same handler":
         "Cons St0 (f es)\nwhere\nf = \\es -> case es of Cons e es -> case e of "
@@ -469,6 +470,35 @@ def test_enumeration_with_little_fuel_equals_run_trace(name, monkeypatch):
                 _assert_enumeration_is_run_trace(source.term, events, depth)
                 _assert_counts_are_enumeration(source.term, events, depth,
                                                HAND_BUILT_FORMULAS)
+
+
+# programs with one state that diverges on its own, after event EvC: in its
+# head, or in its stream cell
+DIVERGES = {
+    "state head":
+        "Cons St0 (f es)\nwhere\nf = \\es -> case es of Cons e es -> case e of "
+        "EvC -> Cons (g St0) (f es) | _ -> Cons St1 (f es)\ng = \\x -> g x",
+    "stream cell":
+        "Cons St0 (f es)\nwhere\nf = \\es -> case es of Cons e es -> case e of "
+        "EvC -> g es | _ -> Cons St1 (f es)\ng = \\es -> g es",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIVERGES))
+def test_state_that_diverges_on_its_own_exhausts_its_budget(name, monkeypatch):
+    monkeypatch.setattr(semantics, "DEFAULT_FUEL", 200)
+    source = parse_program(HAND_BUILT_HEADER + DIVERGES[name])
+    assert not source.diagnostics
+    program = source.term
+    assert run_trace(program, ["EvA", "EvB"] * 200, max_states=401)[-1] == Con("St1")
+    with pytest.raises(semantics.FuelExhausted):
+        run_trace(program, ["EvA", "EvC"], max_states=3)
+    assert len(enumerate_traces(program, ("EvA", "EvB"), 3)) == 8
+    with pytest.raises(semantics.FuelExhausted):
+        enumerate_traces(program, ("EvA", "EvB", "EvC"), 2)
+    for f in HAND_BUILT_FORMULAS:
+        with pytest.raises(semantics.FuelExhausted):
+            bounded_counts(program, ("EvA", "EvB", "EvC"), 2, f)
 
 
 # programs that read an event again after later ones were bound: a memoised

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rtlcheck import semantics
 from rtlcheck.corpus import obs
 from rtlcheck.kleene import FALSE, TRUE
 from rtlcheck.semantics import (
@@ -122,6 +123,15 @@ def test_run_trace_cycled_example1(corpus_by_name):
     trace = run_trace(source.term, ["Request1", "Take1", "Release1"],
                       cycle=True, max_states=4)
     assert trace == [obs("T", "T"), obs("W", "T"), obs("U", "T"), obs("T", "T")]
+
+
+def test_run_trace_budget_is_per_state(corpus_by_name, monkeypatch):
+    # example1 needs 6 steps a state: 1000 states fit 20 steps each, not in total
+    monkeypatch.setattr(semantics, "DEFAULT_FUEL", 20)
+    _, source, _ = corpus_by_name["example1"]
+    trace = run_trace(source.term, ["Request1", "Take1", "Release1"],
+                      cycle=True, max_states=1000)
+    assert trace == ([obs("T", "T"), obs("W", "T"), obs("U", "T")] * 334)[:1000]
 
 
 def test_run_trace_wildcard_branch(corpus_by_name):

@@ -168,6 +168,16 @@ def test_check_term_flags_misplaced_wildcard():
     assert any("last" in p for p in problems)
 
 
+def test_check_term_flags_function_defined_twice_in_one_where():
+    f = Lam("es", Fun("f"))
+    twice = Where(Fun("f"), (("f", f), ("g", f), ("f", f)))
+    assert check_term(twice, arity_table()) == [
+        "function f defined twice in one where block"]
+    # a nested block may redefine an outer name
+    nested = Where(Fun("f"), (("f", Where(Fun("f"), (("f", f),))),))
+    assert check_term(nested, arity_table()) == []
+
+
 def test_alpha_equal_da_capo():
     a = Lam("x", Lam("y", App(Var("x"), Var("y"))))
     b = Lam("u", Lam("v", App(Var("u"), Var("v"))))
