@@ -7,21 +7,26 @@ layout-free. A new ``where`` definition is recognized by the two-token
 lookahead IDENT ``=``. A property file is read against the constructor table
 of the program it describes. See docs/formats.md for the full EBNF.
 
-The lexer runs one regular expression along each line (lines end at "\\n"
-only). A token's tag is its text for a symbol or keyword, else ``lid``,
-``uid`` or ``eof``; one ``eof`` token ends the list and the cursor never
-passes it, so lookahead needs no bounds check.
+The lexer cuts each line (lines end at "\\n" only) at its first ``#`` and
+scans the rest with one ``findall`` into flat lists of token texts, tags and
+line numbers; the descent reads them at a cursor. A tag is the text of a symbol
+or keyword, else ``lid`` or ``uid``, from a per-call table that classifies each
+distinct word once. One ``eof`` entry ends the lists and the cursor never
+passes it, so lookahead needs no bounds check. A column is found only when a
+diagnostic needs one, by scanning that token's line again.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Optional
+from itertools import islice, repeat
+from typing import Callable, Mapping, Optional
 
 from .terms import (
     Alt, Always, And, App, Atom, Case, Con, DataDecl, Eventually, Formula,
-    Fun, Implies, Lam, Let, Next, Not, Or, PCon, Pattern, Term, Var, WILD,
+    Fun, Implies, Lam, Let, Next, Not, Or, PCon, Term, Var, WILD,
     Where, app, arity_table, atoms, check_formula, check_term, BUILTIN_DECLS,
 )
 
@@ -71,72 +76,78 @@ class PropertyFile:
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
-        self.diagnostic = Diagnostic(line, col, message)
+    def __init__(self, diagnostic: Diagnostic):
+        super().__init__(str(diagnostic))
+        self.diagnostic = diagnostic
 
 
 # --- lexer --------------------------------------------------------------------
 
-class Token(NamedTuple):
-    tag: str  # the text of a symbol or keyword; "lid", "uid" or "eof"
-    text: str
-    line: int
-    col: int
+class _Tags(dict):
+    """Token text to tag; a word is classified on its first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, word: str) -> str:
+        if not word[0].isalpha():  # a digit first, or any other character
+            raise KeyError(word)
+        tag = self[word] = "uid" if word[0].isupper() else "lid"
+        return tag
 
 
-# Token(...) without the Python frame of the NamedTuple's __new__
-_token = tuple.__new__
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
-    for line, row in enumerate(text.split("\n"), 1):
-        end = len(row) + 1
-        for m in _TOKEN.finditer(row):
-            word = m.group()
-            if word[0].isalpha():
-                tag = (word if word in KEYWORDS
-                       else "uid" if word[0].isupper() else "lid")
-                append(_token(Token, (tag, word, line, m.start() + 1)))
-            elif word in SYMBOLS:
-                append(_token(Token, (word, word, line, m.start() + 1)))
-            elif word == "#":
-                break
-            else:  # a word starting with a non-letter, or any other character
-                raise ParseError(f"unexpected character {word[0]!r}",
-                                 line, m.start() + 1)
-    append(_token(Token, ("eof", "", line, end)))
-    return tokens
+_FIXED_TAGS = {word: word for word in (*SYMBOLS, *KEYWORDS)}
 
 
 class _Tokens:
-    __slots__ = ("tokens", "pos")
+    """A text's tokens as parallel lists of texts, tags and lines, and a cursor."""
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    __slots__ = ("texts", "tags", "lines", "rows", "pos")
+
+    def __init__(self, text: str):
+        self.rows = rows = text.split("\n")
+        self.texts = texts = []
+        self.lines = lines = []
         self.pos = 0
+        findall = _TOKEN.findall
+        for line, row in enumerate(rows, 1):
+            cut = row.find("#")
+            words = findall(row) if cut < 0 else findall(row, 0, cut)
+            texts += words
+            lines += repeat(line, len(words))
+        try:
+            self.tags = list(map(_Tags(_FIXED_TAGS).__getitem__, texts))
+        except KeyError as exc:
+            word = exc.args[0]
+            raise self.error(texts.index(word),
+                             f"unexpected character {word[0]!r}") from None
+        texts.append("")
+        self.tags.append("eof")
+        lines.append(len(rows))
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[self.pos + ahead]
+    def diagnostic(self, pos: int, message: str) -> Diagnostic:
+        """``message`` at token ``pos``; the column comes from lexing its line again."""
+        line = self.lines[pos]
+        row = self.rows[line - 1]
+        if not self.texts[pos]:  # eof: past the last line, comment included
+            return Diagnostic(line, len(row) + 1, message)
+        nth = pos - bisect_left(self.lines, line)
+        col = next(islice(_TOKEN.finditer(row), nth, None)).start() + 1
+        return Diagnostic(line, col, message)
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.tag != "eof":
-            self.pos += 1
-        return tok
+    def error(self, pos: int, message: str) -> ParseError:
+        return ParseError(self.diagnostic(pos, message))
 
-    def at(self, tag: str) -> bool:
-        return self.tokens[self.pos].tag == tag
+    def expected(self, pos: int, tag: str) -> ParseError:
+        return self.error(pos, f"expected {tag!r}, "
+                               f"found {self.texts[pos] or 'end of input'!r}")
 
-    def expect(self, tag: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.tag != tag:
-            raise ParseError(f"expected {tag!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
-        self.pos += 1
-        return tok
+    def expect(self, tag: str) -> int:
+        """Move past the token at the cursor, which must be a ``tag``; its index."""
+        pos = self.pos
+        if self.tags[pos] != tag:
+            raise self.expected(pos, tag)
+        self.pos = pos + 1
+        return pos
 
 
 def _descend(parse: Callable[[_Tokens], Term | Formula],
@@ -145,8 +156,7 @@ def _descend(parse: Callable[[_Tokens], Term | Formula],
     try:
         return parse(ts)
     except RecursionError:
-        tok = ts.peek()
-        raise ParseError(TOO_DEEP, tok.line, tok.col) from None
+        raise ts.error(ts.pos, TOO_DEEP) from None
 
 
 # --- program parsing ------------------------------------------------------------
@@ -154,12 +164,11 @@ def _descend(parse: Callable[[_Tokens], Term | Formula],
 def parse_program(text: str) -> SourceFile:
     """Parse a program file into declarations and a checked top-level term."""
     try:
-        ts = _Tokens(tokenize(text))
+        ts = _Tokens(text)
         decls = _parse_decls(ts)
         term = _descend(_parse_expr, ts)
-        tok = ts.peek()
-        if tok.tag != "eof":
-            raise ParseError(f"unexpected {tok.text!r} after program", tok.line, tok.col)
+        if ts.tags[ts.pos] != "eof":
+            raise ts.error(ts.pos, f"unexpected {ts.texts[ts.pos]!r} after program")
     except ParseError as exc:
         return SourceFile((), None, (exc.diagnostic,))
 
@@ -176,49 +185,44 @@ def parse_program(text: str) -> SourceFile:
 
 
 def _parse_decls(ts: _Tokens) -> list[DataDecl]:
+    tags, texts, lines = ts.tags, ts.texts, ts.lines
     decls: list[DataDecl] = []
-    while ts.at("data"):
-        data_tok = ts.next()
-        name = ts.expect("uid").text
+    while tags[ts.pos] == "data":
+        line = lines[ts.pos]
+        ts.pos += 1
+        name = texts[ts.expect("uid")]
         ts.expect("=")
         constructors: list[tuple[str, int]] = []
         while True:
-            con = ts.expect("uid").text
+            con = texts[ts.expect("uid")]
             arity = 0
             # each atomic type token on the declaration line is one argument
-            while _on_line(ts, data_tok.line) and ts.peek().tag in ("uid", "lid", "("):
+            while lines[ts.pos] == line and tags[ts.pos] in ("uid", "lid", "("):
                 _skip_type_atom(ts)
                 arity += 1
             constructors.append((con, arity))
-            if _on_line(ts, data_tok.line) and ts.at("|"):
-                ts.next()
-                continue
-            break
+            if lines[ts.pos] != line or tags[ts.pos] != "|":
+                break
+            ts.pos += 1
         decls.append(DataDecl(name, tuple(constructors)))
     return decls
 
 
-def _on_line(ts: _Tokens, line: int) -> bool:
-    tok = ts.peek()
-    return tok.tag != "eof" and tok.line == line
-
-
 def _skip_type_atom(ts: _Tokens) -> None:
-    if ts.at("("):
-        depth = 0
-        while True:
-            tok = ts.next()
-            if tok.tag == "eof":
-                raise ParseError("unclosed parenthesis in data declaration",
-                                 tok.line, tok.col)
-            if tok.tag == "(":
-                depth += 1
-            elif tok.tag == ")":
-                depth -= 1
-                if depth == 0:
-                    return
-    else:
-        ts.next()
+    """Move past a word, or past a parenthesized group, which may span lines."""
+    tags, pos, depth = ts.tags, ts.pos, 0
+    while True:
+        tag = tags[pos]
+        if tag == "eof":
+            raise ts.error(pos, "unclosed parenthesis in data declaration")
+        pos += 1
+        if tag == "(":
+            depth += 1
+        elif tag == ")":
+            depth -= 1
+        if depth == 0:
+            ts.pos = pos
+            return
 
 
 def _decl_problems(decls: list[DataDecl]) -> list[str]:
@@ -243,115 +247,114 @@ def _decl_problems(decls: list[DataDecl]) -> list[str]:
 
 
 def _parse_expr(ts: _Tokens) -> Term:
-    tag = ts.peek().tag
+    tags, texts, pos = ts.tags, ts.texts, ts.pos
+    tag = tags[pos]
     if tag == "\\":
-        ts.next()
-        params = [ts.expect("lid").text]
-        while ts.at("lid"):
-            params.append(ts.next().text)
-        ts.expect("->")
+        pos += 1
+        if tags[pos] != "lid":
+            raise ts.expected(pos, "lid")
+        start = pos
+        while tags[pos] == "lid":
+            pos += 1
+        if tags[pos] != "->":
+            raise ts.expected(pos, "->")
+        ts.pos = pos + 1
         body = _parse_expr(ts)
-        for p in reversed(params):
-            body = Lam(p, body)
+        for param in reversed(texts[start:pos]):
+            body = Lam(param, body)
         return body
     if tag == "let":
-        ts.next()
-        name = ts.expect("lid").text
+        ts.pos = pos + 1
+        name = texts[ts.expect("lid")]
         ts.expect("=")
         bound = _parse_expr(ts)
         ts.expect("in")
-        body = _parse_expr(ts)
-        return Let(name, bound, body)
+        return Let(name, bound, _parse_expr(ts))
     if tag == "case":
+        ts.pos = pos + 1
         return _parse_case(ts)
     # a lambda, let or case ends in an expression that took any where block
     term = _parse_app(ts)
-    if ts.at("where"):
-        ts.next()
-        defs = [_parse_def(ts)]
-        while _at_def_boundary(ts):
-            defs.append(_parse_def(ts))
-        term = Where(term, tuple(defs))
-    return term
+    pos = ts.pos
+    if tags[pos] != "where":
+        return term
+    defs = []
+    pos += 1
+    while True:  # the first definition, then each IDENT "=" that follows one
+        if tags[pos] != "lid":
+            raise ts.expected(pos, "lid")
+        if tags[pos + 1] != "=":
+            raise ts.expected(pos + 1, "=")
+        ts.pos = pos + 2
+        defs.append((texts[pos], _parse_expr(ts)))
+        pos = ts.pos
+        if tags[pos] != "lid" or tags[pos + 1] != "=":
+            return Where(term, tuple(defs))
 
 
 def _parse_case(ts: _Tokens) -> Term:
-    ts.expect("case")
     scrut = _parse_app(ts)
     ts.expect("of")
     alts = [_parse_alt(ts)]
-    while ts.at("|"):
-        ts.next()
+    while ts.tags[ts.pos] == "|":
+        ts.pos += 1
         alts.append(_parse_alt(ts))
     return Case(scrut, tuple(alts))
 
 
 def _parse_alt(ts: _Tokens) -> Alt:
-    pattern = _parse_pattern(ts)
-    ts.expect("->")
+    tags, texts, pos = ts.tags, ts.texts, ts.pos
+    tag = tags[pos]
+    if tag == "_":
+        pattern = WILD
+        pos += 1
+    elif tag == "uid":
+        start = pos = pos + 1
+        while tags[pos] == "lid":
+            pos += 1
+        if tags[pos] in ("_", "uid", "("):
+            raise ts.error(pos, "nested pattern: patterns are a constructor "
+                                "plus variables")
+        pattern = PCon(texts[start - 1], tuple(texts[start:pos]))
+    else:
+        raise ts.error(pos, "expected a constructor pattern or _")
+    if tags[pos] != "->":
+        raise ts.expected(pos, "->")
+    ts.pos = pos + 1
     return Alt(pattern, _parse_expr(ts))
 
 
-def _parse_pattern(ts: _Tokens) -> Pattern:
-    tok = ts.next()
-    if tok.tag == "_":
-        return WILD
-    if tok.tag != "uid":
-        raise ParseError("expected a constructor pattern or _", tok.line, tok.col)
-    con = tok.text
-    pvars: list[str] = []
-    while True:
-        tok = ts.peek()
-        if tok.tag == "lid":
-            pvars.append(ts.next().text)
-        elif tok.tag in ("_", "uid", "("):
-            raise ParseError("nested pattern: patterns are a constructor "
-                             "plus variables", tok.line, tok.col)
-        else:
-            break
-    return PCon(con, tuple(pvars))
-
-
-def _at_def_boundary(ts: _Tokens) -> bool:
-    return ts.at("lid") and ts.peek(1).tag == "="
-
-
-def _parse_def(ts: _Tokens) -> tuple[str, Term]:
-    name = ts.expect("lid").text
-    ts.expect("=")
-    return name, _parse_expr(ts)
-
-
 def _parse_app(ts: _Tokens) -> Term:
-    parts = [_parse_atom(ts)]
-    while _starts_atom(ts):
-        parts.append(_parse_atom(ts))
-    head, args = parts[0], parts[1:]
+    """Atoms side by side, up to a token that starts none or a ``where`` definition."""
+    tags, texts, pos = ts.tags, ts.texts, ts.pos
+    parts: list[Term] = []
+    while True:
+        tag = tags[pos]
+        if tag == "lid":
+            parts.append(Var(texts[pos]))
+            pos += 1
+        elif tag == "uid":
+            parts.append(Con(texts[pos]))
+            pos += 1
+        elif tag == "(":
+            ts.pos = pos + 1
+            parts.append(_parse_expr(ts))
+            pos = ts.pos
+            if tags[pos] != ")":
+                raise ts.expected(pos, ")")
+            pos += 1
+        else:
+            raise ts.error(pos, "expected an expression, "
+                                f"found {texts[pos] or 'end of input'!r}")
+        tag = tags[pos]
+        if not (tag == "uid" or tag == "(" or (tag == "lid" and tags[pos + 1] != "=")):
+            break
+    ts.pos = pos
+    head = parts[0]
     if isinstance(head, Con) and not head.args:
         # bare constructor applied by juxtaposition: a saturated application
-        return Con(head.con, tuple(args))
-    if not args:
-        return head
-    return app(head, *args)
-
-
-def _starts_atom(ts: _Tokens) -> bool:
-    tag = ts.peek().tag
-    return tag == "uid" or tag == "(" or (tag == "lid" and ts.peek(1).tag != "=")
-
-
-def _parse_atom(ts: _Tokens) -> Term:
-    tok = ts.next()
-    if tok.tag == "lid":
-        return Var(tok.text)
-    if tok.tag == "uid":
-        return Con(tok.text)
-    if tok.tag == "(":
-        inner = _parse_expr(ts)
-        ts.expect(")")
-        return inner
-    raise ParseError(f"expected an expression, found {tok.text or 'end of input'!r}",
-                     tok.line, tok.col)
+        return Con(head.con, tuple(parts[1:])) if len(parts) > 1 else head
+    return app(head, *parts[1:])
 
 
 def _resolve(t: Term, funs: frozenset[str]) -> Term:
@@ -399,26 +402,26 @@ def parse_properties(text: str, arities: Mapping[str, int]) -> PropertyFile:
     declared nullary constructors, and atom terms are arity-checked against it.
     """
     try:
-        ts = _Tokens(tokenize(text))
-        fair: list[Token] = []
-        props: list[tuple[Token, Formula]] = []  # each with its name's token
-        while not ts.at("eof"):
-            tok = ts.peek()
-            if tok.tag == "lid" and tok.text == "fair":
-                ts.next()
+        ts = _Tokens(text)
+        tags, texts = ts.tags, ts.texts
+        fair: list[int] = []  # the token index of each fairness name
+        props: list[tuple[int, Formula]] = []  # each with its name's index
+        while tags[ts.pos] != "eof":
+            pos = ts.pos
+            if tags[pos] == "lid" and texts[pos] == "fair":
+                ts.pos += 1
                 ts.expect(":")
                 fair.append(ts.expect("uid"))
-                while ts.at(","):
-                    ts.next()
+                while tags[ts.pos] == ",":
+                    ts.pos += 1
                     fair.append(ts.expect("uid"))
-            elif tok.tag == "lid" and tok.text == "prop":
-                ts.next()
+            elif tags[pos] == "lid" and texts[pos] == "prop":
+                ts.pos += 1
                 name = ts.expect("lid")
                 ts.expect(":")
                 props.append((name, _descend(_parse_implies, ts)))
             else:
-                raise ParseError(f"expected 'prop' or 'fair', found {tok.text!r}",
-                                 tok.line, tok.col)
+                raise ts.error(pos, f"expected 'prop' or 'fair', found {texts[pos]!r}")
     except ParseError as exc:
         return PropertyFile((), frozenset(), (exc.diagnostic,))
 
@@ -426,33 +429,29 @@ def parse_properties(text: str, arities: Mapping[str, int]) -> PropertyFile:
     diagnostics: list[Diagnostic] = []
     seen: set[str] = set()
     for name, _ in props:
-        if name.text in seen:
-            diagnostics.append(_at(name, f"duplicate property {name.text}"))
-        seen.add(name.text)
+        if texts[name] in seen:
+            diagnostics.append(ts.diagnostic(name, f"duplicate property {texts[name]}"))
+        seen.add(texts[name])
     try:
         for name, formula in props:
             for msg in check_formula(formula):
-                diagnostics.append(_at(name, msg))
+                diagnostics.append(ts.diagnostic(name, msg))
             for atom in atoms(formula):
                 for msg in check_term(atom.term, arities):
-                    diagnostics.append(_at(name, msg))
+                    diagnostics.append(ts.diagnostic(name, msg))
     except RecursionError:
-        diagnostics.append(_at(name, TOO_DEEP))
+        diagnostics.append(ts.diagnostic(name, TOO_DEEP))
     for name in fair:
-        if arities.get(name.text) is None:
-            diagnostics.append(
-                _at(name, f"unknown fairness constructor {name.text}"))
-        elif arities[name.text] != 0:
-            diagnostics.append(
-                _at(name, f"fairness constructor {name.text} is not nullary"))
+        if arities.get(texts[name]) is None:
+            diagnostics.append(ts.diagnostic(
+                name, f"unknown fairness constructor {texts[name]}"))
+        elif arities[texts[name]] != 0:
+            diagnostics.append(ts.diagnostic(
+                name, f"fairness constructor {texts[name]} is not nullary"))
     if diagnostics:
         return PropertyFile((), frozenset(), tuple(diagnostics))
-    return PropertyFile(tuple((name.text, f) for name, f in props),
-                        frozenset(name.text for name in fair), ())
-
-
-def _at(tok: Token, message: str) -> Diagnostic:
-    return Diagnostic(tok.line, tok.col, message)
+    return PropertyFile(tuple((texts[name], f) for name, f in props),
+                        frozenset(texts[name] for name in fair), ())
 
 
 _PREFIX_OPS = {"G": Always, "F": Eventually, "X": Next}
@@ -460,41 +459,42 @@ _PREFIX_OPS = {"G": Always, "F": Eventually, "X": Next}
 
 def _parse_implies(ts: _Tokens) -> Formula:
     left = _parse_or(ts)
-    if ts.at("=>"):
-        ts.next()
+    if ts.tags[ts.pos] == "=>":
+        ts.pos += 1
         return Implies(left, _parse_implies(ts))
     return left
 
 
 def _parse_or(ts: _Tokens) -> Formula:
     out = _parse_and(ts)
-    while ts.at("||"):
-        ts.next()
+    while ts.tags[ts.pos] == "||":
+        ts.pos += 1
         out = Or(out, _parse_and(ts))
     return out
 
 
 def _parse_and(ts: _Tokens) -> Formula:
     out = _parse_unary(ts)
-    while ts.at("&&"):
-        ts.next()
+    while ts.tags[ts.pos] == "&&":
+        ts.pos += 1
         out = And(out, _parse_unary(ts))
     return out
 
 
 def _parse_unary(ts: _Tokens) -> Formula:
-    tok = ts.next()
-    if tok.tag == "!":
+    pos = ts.pos
+    tag = ts.tags[pos]
+    ts.pos = pos + (tag != "eof")
+    if tag == "!":
         return Not(_parse_unary(ts))
-    if tok.tag == "uid" and tok.text in _PREFIX_OPS:
-        return _PREFIX_OPS[tok.text](_parse_unary(ts))
-    if tok.tag == "{":
+    if tag == "uid" and ts.texts[pos] in _PREFIX_OPS:
+        return _PREFIX_OPS[ts.texts[pos]](_parse_unary(ts))
+    if tag == "{":
         term = _resolve(_parse_expr(ts), frozenset())
         ts.expect("}")
         return Atom(term)
-    if tok.tag == "(":
+    if tag == "(":
         inner = _parse_implies(ts)
         ts.expect(")")
         return inner
-    raise ParseError(f"expected a formula, found {tok.text or 'end of input'!r}",
-                     tok.line, tok.col)
+    raise ts.error(pos, f"expected a formula, found {ts.texts[pos] or 'end of input'!r}")
