@@ -165,14 +165,13 @@ def parse_program(text: str) -> SourceFile:
     """Parse a program file into declarations and a checked top-level term."""
     try:
         ts = _Tokens(text)
-        decls = _parse_decls(ts)
+        decls, diagnostics = _parse_decls(ts)
         term = _descend(_parse_expr, ts)
         if ts.tags[ts.pos] != "eof":
             raise ts.error(ts.pos, f"unexpected {ts.texts[ts.pos]!r} after program")
     except ParseError as exc:
         return SourceFile((), None, (exc.diagnostic,))
 
-    diagnostics = [Diagnostic(1, 1, msg) for msg in _decl_problems(decls)]
     arities = arity_table(decls)
     try:
         term = _resolve(term, frozenset())
@@ -184,28 +183,46 @@ def parse_program(text: str) -> SourceFile:
     return SourceFile(tuple(decls), term, ())
 
 
-def _parse_decls(ts: _Tokens) -> list[DataDecl]:
+def _parse_decls(ts: _Tokens) -> tuple[list[DataDecl], list[Diagnostic]]:
+    """The data declarations, and their problems at the names they concern."""
     tags, texts, lines = ts.tags, ts.texts, ts.lines
     decls: list[DataDecl] = []
+    problems: list[Diagnostic] = []
+    builtin = {d.name: d for d in BUILTIN_DECLS}
+    seen: dict[str, str] = {c: d.name for d in BUILTIN_DECLS
+                            for c, _ in d.constructors}
     while tags[ts.pos] == "data":
         line = lines[ts.pos]
         ts.pos += 1
-        name = texts[ts.expect("uid")]
+        name = ts.expect("uid")
         ts.expect("=")
         constructors: list[tuple[str, int]] = []
+        con_at: list[int] = []  # the token index of each constructor name
         while True:
-            con = texts[ts.expect("uid")]
+            con_at.append(ts.expect("uid"))
             arity = 0
             # each atomic type token on the declaration line is one argument
             while lines[ts.pos] == line and tags[ts.pos] in ("uid", "lid", "("):
                 _skip_type_atom(ts)
                 arity += 1
-            constructors.append((con, arity))
+            constructors.append((texts[con_at[-1]], arity))
             if lines[ts.pos] != line or tags[ts.pos] != "|":
                 break
             ts.pos += 1
-        decls.append(DataDecl(name, tuple(constructors)))
-    return decls
+        decl = DataDecl(texts[name], tuple(constructors))
+        decls.append(decl)
+        if decl.name in builtin:
+            if decl.constructors != builtin[decl.name].constructors:
+                problems.append(ts.diagnostic(
+                    name, f"datatype {decl.name} is built in and may only be "
+                    "redeclared verbatim"))
+            continue  # verbatim redeclaration is a no-op
+        for (con, _), at in zip(constructors, con_at):
+            if con in seen:
+                problems.append(ts.diagnostic(
+                    at, f"constructor {con} already declared in {seen[con]}"))
+            seen[con] = decl.name
+    return decls, problems
 
 
 def _skip_type_atom(ts: _Tokens) -> None:
@@ -223,27 +240,6 @@ def _skip_type_atom(ts: _Tokens) -> None:
         if depth == 0:
             ts.pos = pos
             return
-
-
-def _decl_problems(decls: list[DataDecl]) -> list[str]:
-    problems: list[str] = []
-    builtin = {d.name: d for d in BUILTIN_DECLS}
-    seen: dict[str, str] = {c: d.name for d in BUILTIN_DECLS
-                            for c, _ in d.constructors}
-    for decl in decls:
-        if decl.name in builtin:
-            if decl.constructors != builtin[decl.name].constructors:
-                problems.append(f"datatype {decl.name} is built in and may only "
-                                "be redeclared verbatim")
-            continue  # verbatim redeclaration is a no-op
-        for con, arity in decl.constructors:
-            if arity < 0:
-                problems.append(f"negative arity for {con}")
-            if con in seen:
-                problems.append(f"constructor {con} already declared "
-                                f"in {seen[con]}")
-            seen[con] = decl.name
-    return problems
 
 
 def _parse_expr(ts: _Tokens) -> Term:

@@ -214,6 +214,13 @@ def test_missing_file_exits_66(capsys):
     assert main(["check", "no/such/file.rsl"]) == EX_DATA
 
 
+def test_declaration_problem_exits_66_at_its_name(tmp_path, capsys):
+    path = tmp_path / "decls.rsl"
+    path.write_text("data D = A\ndata E = B | A\nA\n")
+    assert main(["check", str(path)]) == EX_DATA
+    assert f"{path}: 2:14: constructor A already declared in D" in capsys.readouterr().err
+
+
 def test_malformed_file_exits_66(tmp_path, capsys):
     bad = tmp_path / "oops.rsl"
     bad.write_text("case x of C y y -> (")

@@ -13,7 +13,7 @@ from rtlcheck.terms import (
     PCon, Var, WILD, Where, alpha_equal,
 )
 
-from gen_programs import formula_battery, random_program
+from gen_programs import formula_battery, random_program, ring_program
 
 DECLS = """\
 data Event = Request1 | Request2 | Take1 | Take2 | Release1 | Release2
@@ -89,6 +89,21 @@ def test_builtin_redeclaration_must_be_verbatim():
     assert ok.term == Con("Nil")
 
 
+def test_declaration_diagnostics_point_at_the_name():
+    # a constructor declared twice at its second name, a builtin datatype
+    # redeclared otherwise than verbatim at the datatype's name
+    source = parse_program("data D = A\ndata E = B | A\nA")
+    assert [str(d) for d in source.diagnostics] == [
+        "2:14: constructor A already declared in D"]
+    source = parse_program("data D = A | A\n  data TruthVal = True | False\nNil")
+    assert [str(d) for d in source.diagnostics] == [
+        "1:14: constructor A already declared in D",
+        "2:8: datatype TruthVal is built in and may only be redeclared verbatim"]
+    # term diagnostics carry no source position yet
+    source = parse_program("data D = A\n\nCons Mystery Nil")
+    assert [str(d) for d in source.diagnostics] == ["1:1: unknown constructor Mystery"]
+
+
 def test_diagnostics_carry_positions():
     source = parse_program("case x of\n  C y -> )")
     assert source.term is None
@@ -112,6 +127,43 @@ def test_roundtrip_corpus_programs(corpus):
         again = parse_program(text)
         assert again.term is not None, again.diagnostics
         assert alpha_equal(again.term, source.term)
+
+
+def _diagnostics(text: str) -> list[str]:
+    return [str(d) for d in parse_program(text).diagnostics]
+
+
+def test_long_input_positions():
+    # positions many lines into a long program
+    text = GEN_DECLS + pretty_term(ring_program(400))
+    rows = text.split("\n")
+    last, width = len(rows), len(rows[-1])
+    assert _diagnostics(text) == []
+    assert _diagnostics(text + " )") == [
+        f"{last}:{width + 2}: unexpected ')' after program"]
+    # a tab and a carriage return are one blank column each; a comment hides
+    # the rest of its line, so the error is on the next line
+    for tail, where in (("\t?", f"{last}:{width + 2}"),
+                        ("\r\t?", f"{last}:{width + 3}"),
+                        (" # ? c\n \t?", f"{last + 1}:3"),
+                        ("\n#?\n\r ?", f"{last + 2}:3")):
+        assert _diagnostics(text + tail) == [f"{where}: unexpected character '?'"], tail
+    # the first bad character in the text is reported, not a later one nor a
+    # later occurrence of the same one
+    middle = len(rows) // 2
+    bad = rows[:middle] + ["  \t" + "?" + rows[middle].lstrip()] + rows[middle + 1:]
+    assert _diagnostics("\n".join(bad) + " ? ;") == [
+        f"{middle + 1}:4: unexpected character '?'"]
+    bad[-1] = "; " + bad[-1]
+    assert _diagnostics("\n".join(bad)) == [
+        f"{middle + 1}:4: unexpected character '?'"]
+
+
+def test_long_ring_roundtrips():
+    program = ring_program(2000)
+    again = parse_program(GEN_DECLS + pretty_term(program))
+    assert again.diagnostics == ()
+    assert again.term == program
 
 
 def test_roundtrip_random_programs():
@@ -262,8 +314,9 @@ EXPLICIT_PROGRAMS = (
 # sha256 over the results of test_parse_results_pinned: a change to the
 # grammar, to a parsed term or to a diagnostic moves it; re-recorded when
 # property files' semantic diagnostics moved from 1:1 to the names they
-# concern, all else checked equal result by result
-PARSE_DIGEST = "aed0532f7a5fb90d8465cb44e9b2745de1f42211272af16d9b0c49d6d07804d0"
+# concern, and again when program files' declaration diagnostics did (25
+# results), all else checked equal result by result each time
+PARSE_DIGEST = "1f88f634b9be30b8583b15533322899e49672efba4d5a2765cd43da38df218e9"
 
 
 def _canonical(result) -> str:
