@@ -199,13 +199,14 @@ def _parse_decls(ts: _Tokens) -> tuple[list[DataDecl], list[Diagnostic]]:
         constructors: list[tuple[str, int]] = []
         con_at: list[int] = []  # the token index of each constructor name
         while True:
-            con_at.append(ts.expect("uid"))
+            at = ts.expect("uid")
+            con_at.append(at)
             arity = 0
             # each atomic type token on the declaration line is one argument
             while lines[ts.pos] == line and tags[ts.pos] in ("uid", "lid", "("):
                 _skip_type_atom(ts)
                 arity += 1
-            constructors.append((texts[con_at[-1]], arity))
+            constructors.append((texts[at], arity))
             if lines[ts.pos] != line or tags[ts.pos] != "|":
                 break
             ts.pos += 1
