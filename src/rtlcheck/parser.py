@@ -14,6 +14,18 @@ or keyword, else ``lid`` or ``uid``, from a per-call table that classifies each
 distinct word once. One ``eof`` entry ends the lists and the cursor never
 passes it, so lookahead needs no bounds check. A column is found only when a
 diagnostic needs one, by scanning that token's line again.
+
+The descent builds ``Fun`` for a name that an enclosing ``where`` defines
+and no lambda, ``let`` or pattern binder shadows, else ``Var``. A block's body
+and forward references precede its later definitions, so a pre-pass over the
+block tokens records the names each block defines, keyed by the token that
+starts its body, found by walking back from ``where`` over words and
+parenthesized groups. ``(``, ``{``, ``let`` and ``case`` open an entry; ``)``,
+``}`` and ``in`` close entries through their opener, ``|`` down to the nearest
+``case``, and a definition head (a word and ``=`` not after ``let``) down to
+the innermost ``where``, which takes its name. Only text the descent accepts
+must be mapped right, since no term is built from any other; on that the
+pre-pass need only not raise.
 """
 
 from __future__ import annotations
@@ -21,11 +33,11 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 from typing import Callable, Mapping, Optional
 
 from .terms import (
-    Alt, Always, And, App, Atom, Case, Con, DataDecl, Eventually, Formula,
+    Alt, Always, And, Atom, Case, Con, DataDecl, Eventually, Formula,
     Fun, Implies, Lam, Let, Next, Not, Or, PCon, Term, Var, WILD,
     Where, app, arity_table, atoms, check_formula, check_term, BUILTIN_DECLS,
 )
@@ -101,7 +113,8 @@ _FIXED_TAGS = {word: word for word in (*SYMBOLS, *KEYWORDS)}
 class _Tokens:
     """A text's tokens as parallel lists of texts, tags and lines, and a cursor."""
 
-    __slots__ = ("texts", "tags", "lines", "rows", "pos")
+    # blocks: what _where_blocks returns, set by the parse function that owns ts
+    __slots__ = ("texts", "tags", "lines", "rows", "pos", "blocks")
 
     def __init__(self, text: str):
         self.rows = rows = text.split("\n")
@@ -150,6 +163,51 @@ class _Tokens:
         return pos
 
 
+# the tokens that open or close a block, and the "=" of a where definition
+_BLOCK_TAGS = frozenset(("(", ")", "{", "}", "let", "in", "case", "|", "where", "="))
+_OPENERS = {")": "(", "}": "{", "in": "let"}
+
+
+def _where_blocks(ts: _Tokens, first: int) -> dict[int, set[str]]:
+    """The names each where block defines, keyed by the token that starts its body.
+
+    ``first`` is the term's first token; the module docstring gives the rules.
+    """
+    tags, texts = ts.tags, ts.texts
+    blocks: dict[int, set[str]] = {}
+    groups: dict[int, int] = {}  # the index of each ")" to that of its "("
+    stack: list[tuple[str, int | set[str]]] = []  # open entries, innermost last
+    for pos in compress(range(first, len(tags)),
+                        map(_BLOCK_TAGS.__contains__, islice(tags, first, None))):
+        tag = tags[pos]
+        if tag == "=":
+            if tags[pos - 1] == "lid" and tags[pos - 2] != "let":
+                while stack and stack[-1][0] != "where":
+                    stack.pop()
+                if stack:
+                    stack[-1][1].add(texts[pos - 1])
+        elif tag in _OPENERS:
+            while stack:
+                top, at = stack.pop()
+                if top == _OPENERS[tag]:
+                    if tag == ")":
+                        groups[pos] = at
+                    break
+        elif tag == "|":
+            while stack and stack[-1][0] != "case":
+                stack.pop()
+        elif tag == "where":
+            start = pos  # back over the words and groups of the block's body
+            while start > first and (start - 1 in groups
+                                     or tags[start - 1] in ("lid", "uid")):
+                start = groups.get(start - 1, start - 1)
+            names = blocks[start] = set()
+            stack.append((tag, names))
+        else:
+            stack.append((tag, pos))
+    return blocks
+
+
 def _descend(parse: Callable[[_Tokens], Term | Formula],
              ts: _Tokens) -> Term | Formula:
     """``parse(ts)``, with nesting too deep for the stack reported where it stands."""
@@ -166,6 +224,7 @@ def parse_program(text: str) -> SourceFile:
     try:
         ts = _Tokens(text)
         decls, diagnostics = _parse_decls(ts)
+        ts.blocks = _where_blocks(ts, ts.pos)
         term = _descend(_parse_expr, ts)
         if ts.tags[ts.pos] != "eof":
             raise ts.error(ts.pos, f"unexpected {ts.texts[ts.pos]!r} after program")
@@ -174,7 +233,6 @@ def parse_program(text: str) -> SourceFile:
 
     arities = arity_table(decls)
     try:
-        term = _resolve(term, frozenset())
         diagnostics.extend(Diagnostic(1, 1, msg) for msg in check_term(term, arities))
     except RecursionError:
         diagnostics.append(Diagnostic(1, 1, TOO_DEEP))
@@ -243,7 +301,8 @@ def _skip_type_atom(ts: _Tokens) -> None:
             return
 
 
-def _parse_expr(ts: _Tokens) -> Term:
+def _parse_expr(ts: _Tokens, funs: frozenset[str] = frozenset()) -> Term:
+    """An expression in which the names in ``funs`` are where-bound functions."""
     tags, texts, pos = ts.tags, ts.texts, ts.pos
     tag = tags[pos]
     if tag == "\\":
@@ -256,22 +315,28 @@ def _parse_expr(ts: _Tokens) -> Term:
         if tags[pos] != "->":
             raise ts.expected(pos, "->")
         ts.pos = pos + 1
-        body = _parse_expr(ts)
-        for param in reversed(texts[start:pos]):
+        params = texts[start:pos]
+        if not funs.isdisjoint(params):
+            funs = funs.difference(params)
+        body = _parse_expr(ts, funs)
+        for param in reversed(params):
             body = Lam(param, body)
         return body
     if tag == "let":
         ts.pos = pos + 1
         name = texts[ts.expect("lid")]
         ts.expect("=")
-        bound = _parse_expr(ts)
+        bound = _parse_expr(ts, funs)
         ts.expect("in")
-        return Let(name, bound, _parse_expr(ts))
+        return Let(name, bound, _parse_expr(ts, funs - {name} if name in funs else funs))
     if tag == "case":
         ts.pos = pos + 1
-        return _parse_case(ts)
+        return _parse_case(ts, funs)
     # a lambda, let or case ends in an expression that took any where block
-    term = _parse_app(ts)
+    names = ts.blocks.get(pos)  # defined by a where block whose body starts here
+    if names:
+        funs = funs.union(names)
+    term = _parse_app(ts, funs)
     pos = ts.pos
     if tags[pos] != "where":
         return term
@@ -283,23 +348,23 @@ def _parse_expr(ts: _Tokens) -> Term:
         if tags[pos + 1] != "=":
             raise ts.expected(pos + 1, "=")
         ts.pos = pos + 2
-        defs.append((texts[pos], _parse_expr(ts)))
+        defs.append((texts[pos], _parse_expr(ts, funs)))
         pos = ts.pos
         if tags[pos] != "lid" or tags[pos + 1] != "=":
             return Where(term, tuple(defs))
 
 
-def _parse_case(ts: _Tokens) -> Term:
-    scrut = _parse_app(ts)
+def _parse_case(ts: _Tokens, funs: frozenset[str]) -> Term:
+    scrut = _parse_app(ts, funs)
     ts.expect("of")
-    alts = [_parse_alt(ts)]
+    alts = [_parse_alt(ts, funs)]
     while ts.tags[ts.pos] == "|":
         ts.pos += 1
-        alts.append(_parse_alt(ts))
+        alts.append(_parse_alt(ts, funs))
     return Case(scrut, tuple(alts))
 
 
-def _parse_alt(ts: _Tokens) -> Alt:
+def _parse_alt(ts: _Tokens, funs: frozenset[str]) -> Alt:
     tags, texts, pos = ts.tags, ts.texts, ts.pos
     tag = tags[pos]
     if tag == "_":
@@ -313,29 +378,32 @@ def _parse_alt(ts: _Tokens) -> Alt:
             raise ts.error(pos, "nested pattern: patterns are a constructor "
                                 "plus variables")
         pattern = PCon(texts[start - 1], tuple(texts[start:pos]))
+        if not funs.isdisjoint(pattern.vars):
+            funs = funs.difference(pattern.vars)
     else:
         raise ts.error(pos, "expected a constructor pattern or _")
     if tags[pos] != "->":
         raise ts.expected(pos, "->")
     ts.pos = pos + 1
-    return Alt(pattern, _parse_expr(ts))
+    return Alt(pattern, _parse_expr(ts, funs))
 
 
-def _parse_app(ts: _Tokens) -> Term:
+def _parse_app(ts: _Tokens, funs: frozenset[str]) -> Term:
     """Atoms side by side, up to a token that starts none or a ``where`` definition."""
     tags, texts, pos = ts.tags, ts.texts, ts.pos
     parts: list[Term] = []
     while True:
         tag = tags[pos]
         if tag == "lid":
-            parts.append(Var(texts[pos]))
+            name = texts[pos]
+            parts.append(Fun(name) if name in funs else Var(name))
             pos += 1
         elif tag == "uid":
             parts.append(Con(texts[pos]))
             pos += 1
         elif tag == "(":
             ts.pos = pos + 1
-            parts.append(_parse_expr(ts))
+            parts.append(_parse_expr(ts, funs))
             pos = ts.pos
             if tags[pos] != ")":
                 raise ts.expected(pos, ")")
@@ -354,42 +422,6 @@ def _parse_app(ts: _Tokens) -> Term:
     return app(head, *parts[1:])
 
 
-def _resolve(t: Term, funs: frozenset[str]) -> Term:
-    """Turn variables bound by an enclosing where into function references.
-
-    ``funs`` holds the where-bound names that no inner binder shadows; it is
-    copied only where a binder shadows one of them.
-    """
-    tt = type(t)
-    if tt is Var:
-        return Fun(t.name) if t.name in funs else t
-    if tt is App:
-        return App(_resolve(t.fn, funs), _resolve(t.arg, funs))
-    if tt is Con:
-        return Con(t.con, tuple(_resolve(a, funs) for a in t.args)) if t.args else t
-    if tt is Case:
-        alts = []
-        for alt in t.alts:
-            inner = funs
-            if isinstance(alt.pattern, PCon) and not funs.isdisjoint(alt.pattern.vars):
-                inner = funs.difference(alt.pattern.vars)
-            alts.append(Alt(alt.pattern, _resolve(alt.body, inner)))
-        return Case(_resolve(t.scrutinee, funs), tuple(alts))
-    if tt is Lam:
-        inner = funs - {t.param} if t.param in funs else funs
-        return Lam(t.param, _resolve(t.body, inner))
-    if tt is Let:
-        inner = funs - {t.name} if t.name in funs else funs
-        return Let(t.name, _resolve(t.bound, funs), _resolve(t.body, inner))
-    if tt is Where:
-        inner = funs.union(f for f, _ in t.defs)
-        return Where(_resolve(t.body, inner),
-                     tuple((f, _resolve(d, inner)) for f, d in t.defs))
-    if tt is Fun:
-        return t
-    raise TypeError(f"not a term: {t!r}")
-
-
 # --- property parsing ------------------------------------------------------------
 
 def parse_properties(text: str, arities: Mapping[str, int]) -> PropertyFile:
@@ -400,6 +432,7 @@ def parse_properties(text: str, arities: Mapping[str, int]) -> PropertyFile:
     """
     try:
         ts = _Tokens(text)
+        ts.blocks = _where_blocks(ts, 0)
         tags, texts = ts.tags, ts.texts
         fair: list[int] = []  # the token index of each fairness name
         props: list[tuple[int, Formula]] = []  # each with its name's index
@@ -487,7 +520,7 @@ def _parse_unary(ts: _Tokens) -> Formula:
     if tag == "uid" and ts.texts[pos] in _PREFIX_OPS:
         return _PREFIX_OPS[ts.texts[pos]](_parse_unary(ts))
     if tag == "{":
-        term = _resolve(_parse_expr(ts), frozenset())
+        term = _parse_expr(ts)
         ts.expect("}")
         return Atom(term)
     if tag == "(":

@@ -9,8 +9,8 @@ from rtlcheck.parser import (
 )
 from rtlcheck.pretty import pretty_formula, pretty_term
 from rtlcheck.terms import (
-    Alt, Always, App, Atom, Case, Con, Eventually, Fun, Implies, Lam, Not,
-    PCon, Var, WILD, Where, alpha_equal,
+    Alt, Always, And, App, Atom, Case, Con, Eventually, Fun, Implies, Lam, Let,
+    Not, PCon, Term, Var, WILD, Where, alpha_equal,
 )
 
 from gen_programs import formula_battery, random_program, ring_program
@@ -119,6 +119,18 @@ def test_function_resolution_shadowing():
     head, args = program.body.fn, program.body.arg
     assert head == Fun("f")  # where-bound occurrence
     assert args == Lam("f", App(Var("f"), Var("x")))  # lambda shadows it
+    # in the body and in a definition, by a lambda, a let or a pattern
+    assert _term("f (\\f -> f) where f = \\f -> f") == Where(
+        App(Fun("f"), Lam("f", Var("f"))), (("f", Lam("f", Var("f"))),))
+    # a let name is bound in the let body only, not in what it binds
+    assert _term("(let g = g in g) where g = let g = Nil in g") == Where(
+        Let("g", Fun("g"), Var("g")), (("g", Let("g", Con("Nil"), Var("g"))),))
+    # a pattern variable is bound in its own alternative only
+    assert _term("(case s of B f -> f | _ -> f) where "
+                 "f = case s of C g f -> f | _ -> f") == Where(
+        Case(Var("s"), (Alt(PCon("B", ("f",)), Var("f")), Alt(WILD, Fun("f")))),
+        (("f", Case(Var("s"), (Alt(PCon("C", ("g", "f")), Var("f")),
+                               Alt(WILD, Fun("f"))))),))
 
 
 def test_roundtrip_corpus_programs(corpus):
@@ -176,6 +188,186 @@ def test_roundtrip_random_programs():
         assert alpha_equal(again.term, program)
 
 
+# --- where-bound names ----------------------------------------------------------
+
+def _resolve(t: Term, funs: frozenset[str]) -> Term:
+    """The reference resolver: ``t`` with each name decided again from scratch.
+
+    A name is a ``Fun`` where an enclosing where block defines it and no inner
+    lambda, let or pattern binder shadows it, else a ``Var``; a ``Fun`` in
+    ``t`` counts as erased to ``Var`` first. ``funs`` holds the where-bound
+    names in scope.
+    """
+    tt = type(t)
+    if tt is Var or tt is Fun:
+        return Fun(t.name) if t.name in funs else Var(t.name)
+    if tt is App:
+        return App(_resolve(t.fn, funs), _resolve(t.arg, funs))
+    if tt is Con:
+        return Con(t.con, tuple(_resolve(a, funs) for a in t.args))
+    if tt is Case:
+        alts = []
+        for alt in t.alts:
+            bound = alt.pattern.vars if isinstance(alt.pattern, PCon) else ()
+            alts.append(Alt(alt.pattern, _resolve(alt.body, funs.difference(bound))))
+        return Case(_resolve(t.scrutinee, funs), tuple(alts))
+    if tt is Lam:
+        return Lam(t.param, _resolve(t.body, funs - {t.param}))
+    if tt is Let:
+        return Let(t.name, _resolve(t.bound, funs), _resolve(t.body, funs - {t.name}))
+    if tt is Where:
+        inner = funs.union(f for f, _ in t.defs)
+        return Where(_resolve(t.body, inner),
+                     tuple((f, _resolve(d, inner)) for f, d in t.defs))
+    raise TypeError(f"not a term: {t!r}")
+
+
+SCOPE_DECLS = "data D = A | B X | C X X\n"
+SCOPE_NAMES = ("f", "g", "h", "x")
+SCOPE_PATTERNS = ("A", "B f", "C g x", "Cons h x")
+
+
+def _nested_text(rng: random.Random, depth: int, scope: frozenset[str]) -> str:
+    """An expression over the names in ``scope`` and ``s``, nesting where
+    blocks, lets, cases and lambdas that rebind and shadow the same few names."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.2:
+        return _nested_app(rng, depth, scope)
+    if roll < 0.35:
+        params = rng.sample(SCOPE_NAMES, rng.randint(1, 2))
+        return (f"\\{' '.join(params)} -> "
+                f"{_nested_text(rng, depth - 1, scope.union(params))}")
+    if roll < 0.5:
+        name = rng.choice(SCOPE_NAMES)
+        return (f"let {name} = {_nested_text(rng, depth - 1, scope)} "
+                f"in {_nested_text(rng, depth - 1, scope | {name})}")
+    if roll < 0.65:
+        pats = rng.sample(SCOPE_PATTERNS, rng.randint(1, 3)) + ["_"] * rng.randint(0, 1)
+        alts = []
+        for pat in pats:
+            # a bare body may end in a where block that the next "|" closes
+            body = _nested_text(rng, depth - 1, scope.union(pat.split()[1:]))
+            alts.append(f"{pat} -> " + (body if rng.random() < 0.5 else f"({body})"))
+        return f"case {_nested_app(rng, 0, scope)} of " + " | ".join(alts)
+    names = rng.sample(SCOPE_NAMES, rng.randint(1, 3))
+    inner = scope.union(names)
+    defs = " ".join(f"{name} = {_nested_text(rng, depth - 1, inner)}" for name in names)
+    return f"{_nested_app(rng, depth, inner)} where {defs}"
+
+
+def _nested_app(rng: random.Random, depth: int, scope: frozenset[str]) -> str:
+    words = sorted(scope) + ["s"]
+    parts = []
+    for i in range(rng.randint(1, 3)):
+        roll = rng.random()
+        if depth > 0 and roll < 0.25:  # a group, perhaps a where block
+            parts.append(f"({_nested_text(rng, depth - 1, scope)})")
+        elif i > 0 and roll < 0.4:
+            parts.append(rng.choice(("Nil", "A", "True")))
+        else:
+            parts.append(rng.choice(words))
+    return " ".join(parts)
+
+
+
+def _nested_texts(seed: int, count: int) -> list[str]:
+    rng = random.Random(seed)
+    return [_nested_text(rng, rng.randint(1, 5), frozenset()) for _ in range(count)]
+
+
+def _mixes_fun_and_var(term: Term) -> bool:
+    text = repr(term)
+    return any(f"Fun(name='{n}')" in text and f"Var(name='{n}')" in text
+               for n in SCOPE_NAMES)
+
+
+def test_descent_resolves_names_like_the_reference_resolver(corpus):
+    terms = [source.term for _, source, _ in corpus]
+    rng = random.Random(5)
+    for _ in range(40):
+        program, _ = random_program(rng)
+        terms.append(parse_program(GEN_DECLS + pretty_term(program)).term)
+    nested = [parse_program(SCOPE_DECLS + text).term for text in _nested_texts(3, 2000)]
+    nested = [term for term in nested if term is not None]
+    # the generator reaches blocks inside blocks and names bound both ways
+    assert len(nested) > 1200
+    assert sum(repr(term).count("Where(") > 1 for term in nested) > 350
+    assert sum(map(_mixes_fun_and_var, nested)) > 350
+    for term in terms + nested:
+        assert term is not None
+        assert _resolve(term, frozenset()) == term
+
+
+def test_atoms_resolve_names_like_the_reference_resolver():
+    arities = parse_program(SCOPE_DECLS + "Nil").arities()
+    accepted = []
+    for text in _nested_texts(4, 1000):
+        props = parse_properties(f"prop p: G {{ {text} }}", arities)
+        if props.props:
+            term = props.get("p").sub.term
+            assert _resolve(term, frozenset()) == term
+            accepted.append((text, term))
+    assert len(accepted) > 550
+    assert sum(_mixes_fun_and_var(term) for _, term in accepted) > 120
+    # one file of many atoms: each atom starts with no where-bound names
+    whole = "".join(f"prop p{i}: {{ {text} }}\n" for i, (text, _) in enumerate(accepted))
+    assert [f.term for _, f in parse_properties(whole, arities).props] == [
+        term for _, term in accepted]
+
+
+def _term(text: str) -> Term:
+    source = parse_program(SCOPE_DECLS + text)
+    assert source.diagnostics == (), source.diagnostics
+    return source.term
+
+
+def test_where_blocks_close_where_the_descent_closes_them():
+    lam_x = Lam("x", Var("x"))
+    # in a let binding, closed by "in": the h after it is the outer block's
+    assert _term("g h where g = let y = f h where f = \\x -> x in f y\n  h = Nil") == Where(
+        App(Fun("g"), Fun("h")),
+        (("g", Let("y", Where(App(Fun("f"), Fun("h")), (("f", lam_x),)),
+                   App(Var("f"), Var("y")))),
+         ("h", Con("Nil"))))
+    # in a case alternative, closed by "|": likewise
+    assert _term("g h where g = case s of A -> f h where f = s | _ -> f\n  h = Nil") == Where(
+        App(Fun("g"), Fun("h")),
+        (("g", Case(Var("s"), (
+            Alt(PCon("A", ()), Where(App(Fun("f"), Fun("h")), (("f", Var("s")),))),
+            Alt(WILD, Var("f"))))),
+         ("h", Con("Nil"))))
+    # an inner block takes the definitions after it, so the outer h is free
+    assert _term("f h where f = g where g = h  h = Nil") == Where(
+        App(Fun("f"), Var("h")),
+        (("f", Where(Fun("g"), (("g", Fun("h")), ("h", Con("Nil"))))),))
+    # a parenthesized block ends at its ")"; the atoms after it are outside
+    assert _term("(g h where g = \\x -> x) g h where h = Nil") == Where(
+        App(App(Where(App(Fun("g"), Fun("h")), (("g", lam_x),)), Var("g")), Fun("h")),
+        (("h", Con("Nil")),))
+
+
+def test_where_in_a_property_atom():
+    arities = parse_program("Nil").arities()
+    props = parse_properties("prop p: G { f s where f = \\x -> x }", arities)
+    assert props.get("p") == Always(Atom(Where(
+        App(Fun("f"), Var("s")), (("f", Lam("x", Var("x"))),))))
+    # the next atom starts with no where-bound names, so its f is free
+    props = parse_properties("prop p: { f s where f = \\x -> x }\nprop q: { f s }",
+                             arities)
+    assert [str(d) for d in props.diagnostics] == ["2:6: free variable f in atom"]
+
+
+def test_block_tokens_out_of_place_keep_their_diagnostics():
+    assert _diagnostics("f x) where f = Nil") == ["1:4: unexpected ')' after program"]
+    assert _diagnostics("f in x where f = Nil") == ["1:3: unexpected 'in' after program"]
+    assert _diagnostics("let x = Nil in f in x") == [
+        "1:18: unexpected 'in' after program"]
+    assert _diagnostics("f | x where f = Nil") == ["1:3: unexpected '|' after program"]
+    assert _diagnostics("f where f = x | g") == ["1:15: unexpected '|' after program"]
+    assert _diagnostics("f = x") == ["1:3: unexpected '=' after program"]
+    assert _diagnostics("f where f = (g = x)") == ["1:16: expected ')', found '='"]
+
+
 # --- properties ------------------------------------------------------------------
 
 def _corpus_arities(corpus_by_name):
@@ -214,7 +406,7 @@ def test_operator_precedence(corpus_by_name):
     src = "prop p: ! { True } && { False } || { True }"
     formula = parse_properties(src, arities).get("p")
     # ! binds tightest, then &&, then ||
-    from rtlcheck.terms import And, Or
+    from rtlcheck.terms import Or
     assert isinstance(formula, Or)
     assert isinstance(formula.left, And)
     assert isinstance(formula.left.left, Not)
