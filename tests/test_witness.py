@@ -5,7 +5,9 @@ import pytest
 
 import rtlcheck.kleene as kleene
 from rtlcheck.corpus import obs
+from rtlcheck.cli import event_alphabet
 from rtlcheck.kleene import FALSE, TRUE, UNDEFINED, Verdict
+from rtlcheck.ltlsem import PositionedModel, sat_lasso
 from rtlcheck.parser import parse_program
 from rtlcheck.pretty import pretty_term
 from rtlcheck.terms import Always, Atom, Con
@@ -254,6 +256,44 @@ def test_lasso_misjudged_without_an_earlier_repeat(fair):
     assert len(set(earlier)) == len(earlier)
     assert lassoify(verdict.trace) == LassoTrace((), earlier)
     assert validate_verdict(verdict, formula).status is Validation.INVALID
+
+
+def _validation_line(verdict: Verdict, formula) -> bytes:
+    """``_pin_line`` followed by the lasso's prefix and loop lengths and the status."""
+    report = validate_verdict(verdict, formula)
+    lasso = report.lasso
+    return _pin_line(verdict)[:-1] + (f" | {len(lasso.prefix)} {len(lasso.loop)} "
+                                      f"{report.status}\n").encode()
+
+
+# sha256 of _validation_line over every corpus check with all events fair
+# (the property file's fairness, which --fair-all equals) and with none, then
+# over the 600 random checks of test_invalid_validation_needs_an_earlier_repeat
+VALIDATION_DIGEST = "b961d55afc6592a592d2c5f487895b7c79a0ac0fd76a7ac132667b83f1f52586"
+
+
+def test_validation_reports_pinned(corpus):
+    digest = hashlib.sha256()
+    for entry, source, props in corpus:
+        assert props.fair == frozenset(event_alphabet(source))
+        for fair in (props.fair, frozenset()):
+            for name in entry.expected_verdicts:
+                formula = props.get(name)
+                digest.update(_validation_line(
+                    generate(source.term, formula, fair), formula))
+    rng = random.Random(987)
+    battery = formula_battery()
+    for i in range(600):
+        program, events = random_program(rng)
+        fair = random_fair(rng, events)
+        formula = battery[i % len(battery)]
+        digest.update(_validation_line(generate(program, formula, fair), formula))
+    assert digest.hexdigest() == VALIDATION_DIGEST
+
+
+def test_sat_lasso_rejects_an_empty_loop():
+    with pytest.raises(ValueError):
+        sat_lasso(PositionedModel((Con("A"),), ()), 0, Always(Atom(Con("True"))))
 
 
 # --- trace selection instrumentation ----------------------------------------------
