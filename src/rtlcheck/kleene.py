@@ -19,7 +19,7 @@ golden counterexample traces in the test suite.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .terms import Term
 
@@ -117,22 +117,3 @@ def not_v(v: Verdict) -> Verdict:
 def imp_v(v1: Verdict, v2: Verdict) -> Verdict:
     return _combine(TRUE, not_v(v1), v2)
 
-
-def and_v_all(verdicts: Iterable[Verdict]) -> Verdict:
-    """Left fold of ``and_v`` over at least one verdict."""
-    out = None
-    for v in verdicts:
-        out = v if out is None else _combine(FALSE, out, v)
-    if out is None:
-        raise ValueError("empty verdict conjunction")
-    return out
-
-
-def or_v_all(verdicts: Iterable[Verdict]) -> Verdict:
-    """Left fold of ``or_v`` over at least one verdict."""
-    out = None
-    for v in verdicts:
-        out = v if out is None else _combine(TRUE, out, v)
-    if out is None:
-        raise ValueError("empty verdict disjunction")
-    return out

@@ -24,7 +24,7 @@ from typing import Sequence
 from .terms import (
     Always, And, Atom, Eventually, Formula, Implies, Next, Not, Or, Term,
 )
-from .kleene import FALSE, TRUE, Trace, TruthVal, UNDEFINED
+from .kleene import TRUE, Trace, TruthVal, UNDEFINED
 from .semantics import TraceNode, atom_truth, trace_dag
 from .semantics import run_trace  # noqa: F401  (rebound by benchmarks/tracer.py)
 
@@ -43,14 +43,11 @@ class DepthTooLarge(OracleError):
 
 @dataclass(frozen=True)
 class PositionedModel:
-    """An infinite trace presented as a finite prefix and a repeating loop."""
+    """An infinite trace presented as a finite prefix and a repeating loop; an
+    empty loop stands for the prefix alone, a finite trace."""
 
     prefix: Trace
     loop: Trace
-
-    def __post_init__(self):
-        if not self.loop:
-            raise ValueError("lasso model needs a nonempty loop")
 
     def state_at(self, j: int) -> Term:
         if j < len(self.prefix):
@@ -70,26 +67,19 @@ def _cached_atom(atom_term: Term, state: Term) -> TruthVal:
     return atom_truth(atom_term, state)
 
 
-def _atom_bool(atom_term: Term, state: Term) -> bool:
-    value = _cached_atom(atom_term, state)
-    if value is TRUE:
-        return True
-    if value is FALSE:
-        return False
-    raise AtomUndefined("atom evaluated to Undefined")
-
-
 def sat_lasso(m: PositionedModel, i: int, f: Formula) -> bool:
     """Whether the model satisfies ``f`` at position ``i``.
 
     Quantifiers range over positions up to one prefix plus two loop copies;
     beyond that the suffix repeats a position already inspected.
     """
+    if not m.loop:
+        raise ValueError("lasso model needs a nonempty loop")
     i = m.canon(i)
     horizon = len(m.prefix) + 2 * len(m.loop)
     match f:
         case Atom(term):
-            return _atom_bool(term, m.state_at(i))
+            return _decided(_atom_value(term, m.state_at(i))) is Bounded.SAT
         case Not(sub):
             return not sat_lasso(m, i, sub)
         case And(l, r):

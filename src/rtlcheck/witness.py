@@ -66,14 +66,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import reduce
 
 from .terms import (
     Always, And, Atom, Case, Con, Eventually, Formula, Fun, Implies, Next, Not,
     Or, PCon, Term, Var, Where, Let, spine,
 )
 from .kleene import (
-    FALSE, TRUE, Trace, UNDEFINED, Verdict,
-    and_v, and_v_all, imp_v, not_v, or_v, or_v_all,
+    FALSE, TRUE, Trace, UNDEFINED, Verdict, and_v, imp_v, not_v, or_v,
 )
 from .semantics import FunEnv, atom_truth
 from .normform import check_simplified
@@ -82,18 +82,6 @@ from .verify import (
     unfold_call,
 )
 from .ltlsem import AtomUndefined, Bounded, PositionedModel, bounded_check, sat_lasso
-
-
-class EmptyTrace(Exception):
-    pass
-
-
-@dataclass(frozen=True)
-class LassoTrace:
-    """A finite prefix plus a loop; an empty loop means a plain finite trace."""
-
-    prefix: Trace
-    loop: Trace
 
 
 # Verdict(truth, trace) without the Python frame of the NamedTuple's __new__
@@ -165,7 +153,7 @@ def gen(t: Term, f: Formula, env: FunEnv, visited: VisitedSet, fair: FairSet,
             vs: list[Verdict] = []
             for alt in alts:
                 vs.append(gen(alt.body, f, env, visited, fair, budget))
-            conj = and_v_all(vs)
+            conj = reduce(and_v, vs)
             if not isinstance(f, Eventually):
                 return conj
             # an eventuality may instead be met by any fair branch; a
@@ -180,7 +168,7 @@ def gen(t: Term, f: Formula, env: FunEnv, visited: VisitedSet, fair: FairSet,
                             fair_vs.append(v)
                     case _ if fair - preceding:
                         fair_vs.append(v)
-            return or_v(or_v_all(fair_vs), conj) if fair_vs else conj
+            return or_v(reduce(or_v, fair_vs), conj) if fair_vs else conj
 
         case _:
             fn, args = spine(t)
@@ -236,21 +224,19 @@ def generate(program: Term, f: Formula, fair: FairSet = frozenset(),
                budget)
 
 
-def lassoify(trace: Trace) -> LassoTrace:
+def lassoify(trace: Trace) -> PositionedModel:
     """Split a trace at the earliest earlier occurrence of its final state.
 
     The last state of a fixpoint-terminated trace is the one that was
     re-encountered, so the segment from its first occurrence up to (but not
-    including) the final repeat is the loop body. Traces whose final state
-    never recurs come back with an empty loop.
+    including) the final repeat is the loop body. A trace whose final state
+    never recurs, the empty trace included, comes back with an empty loop,
+    which stands for the finite trace itself.
     """
-    if not trace:
-        raise EmptyTrace("cannot lassoify an empty trace")
-    last = trace[-1]
     for i in range(len(trace) - 1):
-        if trace[i] == last:
-            return LassoTrace(trace[:i], trace[i:-1])
-    return LassoTrace(trace, ())
+        if trace[i] == trace[-1]:
+            return PositionedModel(trace[:i], trace[i:-1])
+    return PositionedModel(trace, ())
 
 
 class Validation(enum.Enum):
@@ -265,35 +251,32 @@ class Validation(enum.Enum):
 @dataclass(frozen=True)
 class ValidationReport:
     status: Validation
-    lasso: LassoTrace
+    lasso: PositionedModel
 
 
 def validate_verdict(verdict: Verdict, f: Formula) -> ValidationReport:
     """Check a verdict's trace against the satisfaction semantics.
 
-    Nonempty lassos are checked exactly on the induced infinite trace. A
-    trace without a loop falls back to the bounded prefix check, which can
-    still be decisive (e.g. a safety violation inside the prefix); otherwise
-    the result is Inconclusive. Undefined verdicts make no semantic claim.
+    A lasso with a loop is checked exactly on the induced infinite trace. A
+    finite trace falls back to the bounded prefix check, which can still be
+    decisive (e.g. a safety violation inside the prefix). An Undefined
+    verdict, an Unknown bounded check or an Undefined atom is Inconclusive.
     """
-    lasso = lassoify(verdict.trace) if verdict.trace else LassoTrace((), ())
-    if verdict.truth is UNDEFINED:
-        return ValidationReport(Validation.INCONCLUSIVE, lasso)
-    if lasso.loop:
-        model = PositionedModel(lasso.prefix, lasso.loop)
-        try:
-            holds = sat_lasso(model, 0, f)
-        except AtomUndefined:
-            return ValidationReport(Validation.INCONCLUSIVE, lasso)
-        expected = verdict.truth is TRUE
-        status = Validation.VALID if holds == expected else Validation.INVALID
-        return ValidationReport(status, lasso)
+    lasso = lassoify(verdict.trace)
     try:
-        bounded = bounded_check(verdict.trace, f, 0)
+        if verdict.truth is UNDEFINED:
+            holds = None
+        elif lasso.loop:
+            holds = sat_lasso(lasso, 0, f)
+        else:
+            bounded = bounded_check(verdict.trace, f, 0)
+            holds = None if bounded is Bounded.UNKNOWN else bounded is Bounded.SAT
     except AtomUndefined:
-        return ValidationReport(Validation.INCONCLUSIVE, lasso)
-    if bounded is Bounded.UNKNOWN:
-        return ValidationReport(Validation.INCONCLUSIVE, lasso)
-    agrees = (bounded is Bounded.SAT) == (verdict.truth is TRUE)
-    status = Validation.VALID if agrees else Validation.INVALID
+        holds = None
+    if holds is None:
+        status = Validation.INCONCLUSIVE
+    elif holds == (verdict.truth is TRUE):
+        status = Validation.VALID
+    else:
+        status = Validation.INVALID
     return ValidationReport(status, lasso)

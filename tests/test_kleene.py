@@ -2,7 +2,7 @@ import itertools
 
 from rtlcheck.kleene import (
     FALSE, TRUE, TruthVal, UNDEFINED, Verdict,
-    and3, and_v, and_v_all, imp3, imp_v, not3, not_v, or3, or_v, or_v_all,
+    and3, and_v, imp3, imp_v, not3, not_v, or3, or_v,
 )
 from rtlcheck.terms import Con
 
@@ -127,8 +127,3 @@ def test_imp_is_or_of_not():
         v1, v2 = Verdict(a, T1), Verdict(b, T2)
         assert imp_v(v1, v2) == or_v(not_v(v1), v2)
 
-
-def test_folds_are_left_associated():
-    vs = [Verdict(TRUE, T1), Verdict(FALSE, T3), Verdict(FALSE, T2)]
-    assert and_v_all(vs) == and_v(and_v(vs[0], vs[1]), vs[2])
-    assert or_v_all(vs) == or_v(or_v(vs[0], vs[1]), vs[2])

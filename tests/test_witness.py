@@ -12,9 +12,7 @@ from rtlcheck.parser import parse_program
 from rtlcheck.pretty import pretty_term
 from rtlcheck.terms import Always, Atom, Con
 from rtlcheck.verify import NotSimplified, verify
-from rtlcheck.witness import (
-    EmptyTrace, LassoTrace, Validation, generate, lassoify, validate_verdict,
-)
+from rtlcheck.witness import Validation, generate, lassoify, validate_verdict
 
 from gen_programs import formula_battery, random_fair, random_program
 
@@ -136,17 +134,16 @@ def test_lassoify_loop_at_end():
 
 
 def test_lassoify_no_repetition():
-    assert lassoify((Con("A"),)) == LassoTrace((Con("A"),), ())
+    assert lassoify((Con("A"),)) == PositionedModel((Con("A"),), ())
 
 
 def test_lassoify_earliest_repeat():
     a, b = Con("A"), Con("B")
-    assert lassoify((a, b, a)) == LassoTrace((), (a, b))
+    assert lassoify((a, b, a)) == PositionedModel((), (a, b))
 
 
-def test_lassoify_rejects_empty():
-    with pytest.raises(EmptyTrace):
-        lassoify(())
+def test_lassoify_empty_is_finite():
+    assert lassoify(()) == PositionedModel((), ())
 
 
 # --- validation -----------------------------------------------------------------
@@ -254,7 +251,7 @@ def test_lasso_misjudged_without_an_earlier_repeat(fair):
     assert verdict.trace == (Con("St2"), Con("St1"), Con("St0"), Con("St2"))
     earlier = verdict.trace[:-1]
     assert len(set(earlier)) == len(earlier)
-    assert lassoify(verdict.trace) == LassoTrace((), earlier)
+    assert lassoify(verdict.trace) == PositionedModel((), earlier)
     assert validate_verdict(verdict, formula).status is Validation.INVALID
 
 
