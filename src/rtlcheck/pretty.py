@@ -1,8 +1,9 @@
 """Concrete-syntax rendering of terms and formulas.
 
 Output always reparses to an alpha-equivalent tree; nested constructs are
-parenthesized whenever they sit in argument position or inside a case
-alternative that is not the last one.
+parenthesized whenever they sit in argument position, inside a case
+alternative that is not the last one, or in a where definition that is not
+the last one and ends in a where block of its own.
 """
 
 from __future__ import annotations
@@ -47,11 +48,26 @@ def pretty_term(t: Term, prec: int = _TOP) -> str:
             return f"({out})" if prec >= _OPERAND else out
         case Where(body, defs):
             lines = [f"{pretty_term(body, _OPERAND)} where"]
-            for fname, d in defs:
-                lines.append(f"  {fname} = {pretty_term(d)}")
+            for i, (fname, d) in enumerate(defs):
+                inner = i < len(defs) - 1 and _ends_in_where(d)
+                lines.append(f"  {fname} = {pretty_term(d, _OPERAND if inner else _TOP)}")
             out = "\n".join(lines)
             return f"({out})" if prec >= _OPERAND else out
     raise TypeError(f"not a term: {t!r}")
+
+
+def _ends_in_where(t: Term) -> bool:
+    """Whether ``t``, printed in a body position, ends in a where block."""
+    while True:
+        match t:
+            case Where():
+                return True
+            case Lam(_, t) | Let(_, _, t):
+                pass
+            case Case(_, alts):
+                t = alts[-1].body
+            case _:
+                return False
 
 
 def _pretty_pattern(p) -> str:

@@ -73,6 +73,18 @@ def ring_program(n: int) -> Term:
     return Where(emit(0), tuple(defs))
 
 
+def inner_where_ring(n: int) -> Term:
+    """``ring_program(n)`` with each handler's body in a where block of its own.
+
+    Handler ``hi`` is ``\\es -> g es where g = <the ring's hi>``, so every
+    definition of the outer block ends in an inner block.
+    """
+    ring = ring_program(n)
+    return Where(ring.body, tuple(
+        (name, Lam("es", Where(App(Fun("g"), Var("es")), (("g", handler),))))
+        for name, handler in ring.defs))
+
+
 def state_atom(state_name: str) -> Atom:
     """Atom holding exactly at the given nullary state constructor."""
     return Atom(Case(Var("s"), (

@@ -13,7 +13,7 @@ from rtlcheck.terms import (
     Not, PCon, Term, Var, WILD, Where, alpha_equal,
 )
 
-from gen_programs import formula_battery, random_program, ring_program
+from gen_programs import formula_battery, inner_where_ring, random_program, ring_program
 
 DECLS = """\
 data Event = Request1 | Request2 | Take1 | Take2 | Release1 | Release2
@@ -178,6 +178,16 @@ def test_long_ring_roundtrips():
     assert again.term == program
 
 
+def test_inner_where_rings_roundtrip():
+    # a where block that ends an outer definition other than the last is
+    # printed in parentheses, or it would take in the later definitions
+    for n in (3, 50, 2000):
+        program = inner_where_ring(n)
+        again = parse_program(GEN_DECLS + pretty_term(program))
+        assert again.diagnostics == ()
+        assert again.term == program
+
+
 def test_roundtrip_random_programs():
     rng = random.Random(11)
     for _ in range(40):
@@ -273,6 +283,13 @@ def _nested_app(rng: random.Random, depth: int, scope: frozenset[str]) -> str:
 def _nested_texts(seed: int, count: int) -> list[str]:
     rng = random.Random(seed)
     return [_nested_text(rng, rng.randint(1, 5), frozenset()) for _ in range(count)]
+
+
+def test_roundtrip_nested_where_blocks():
+    for text in _nested_texts(3, 2000):
+        term = parse_program(SCOPE_DECLS + text).term
+        if term is not None:
+            assert parse_program(SCOPE_DECLS + pretty_term(term)).term == term, text
 
 
 def _mixes_fun_and_var(term: Term) -> bool:
