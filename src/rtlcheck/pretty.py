@@ -62,8 +62,8 @@ def _ends_in_where(t: Term) -> bool:
         match t:
             case Where():
                 return True
-            case Lam(_, t) | Let(_, _, t):
-                pass
+            case Lam(_, body) | Let(_, _, body):
+                t = body
             case Case(_, alts):
                 t = alts[-1].body
             case _:
