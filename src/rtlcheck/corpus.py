@@ -3,22 +3,17 @@
 The three programs model two processes sharing a critical resource; the
 property file defines mutual exclusion plus one non-starvation property per
 process. Expected verdicts and the two counterexample traces are the golden
-values the test suite reproduces exactly.
+values the test suite reproduces exactly. The files themselves ship as
+package data in ``corpus/``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 from typing import Mapping
 
 from .kleene import FALSE, TRUE, Trace, TruthVal
-from .parser import PropertyFile, SourceFile, parse_program, parse_properties
 from .terms import Con, Term
-
-
-class CorpusError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -71,33 +66,3 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         expected_traces={},
     ),
 )
-
-
-def load_corpus() -> list[CorpusEntry]:
-    """The bundled entries, after checking the data files are present."""
-    for entry in ENTRIES:
-        for fname in (entry.program_file, entry.property_file):
-            if not resources.files(__package__).joinpath("corpus", fname).is_file():
-                raise CorpusError(f"missing corpus file {fname}")
-    return list(ENTRIES)
-
-
-def read_text(fname: str) -> str:
-    return resources.files(__package__).joinpath("corpus", fname).read_text()
-
-
-def load_program(entry: CorpusEntry) -> SourceFile:
-    source = parse_program(read_text(entry.program_file))
-    if source.term is None:
-        raise CorpusError(f"{entry.program_file} failed to parse: "
-                          f"{source.diagnostics[0]}")
-    return source
-
-
-def load_properties(entry: CorpusEntry) -> PropertyFile:
-    source = load_program(entry)
-    props = parse_properties(read_text(entry.property_file), source.arities())
-    if props.diagnostics:
-        raise CorpusError(f"{entry.property_file} failed to parse: "
-                          f"{props.diagnostics[0]}")
-    return props

@@ -56,26 +56,6 @@ def not3(a: TruthVal) -> TruthVal:
     return UNDEFINED
 
 
-def and3(a: TruthVal, b: TruthVal) -> TruthVal:
-    if a is FALSE or b is FALSE:
-        return FALSE
-    if a is UNDEFINED or b is UNDEFINED:
-        return UNDEFINED
-    return TRUE
-
-
-def or3(a: TruthVal, b: TruthVal) -> TruthVal:
-    if a is TRUE or b is TRUE:
-        return TRUE
-    if a is UNDEFINED or b is UNDEFINED:
-        return UNDEFINED
-    return FALSE
-
-
-def imp3(a: TruthVal, b: TruthVal) -> TruthVal:
-    return or3(not3(a), b)
-
-
 # --- verdicts -----------------------------------------------------------------
 
 class Verdict(NamedTuple):
@@ -86,9 +66,9 @@ class Verdict(NamedTuple):
 def _combine(annihilator: TruthVal, v1: Verdict, v2: Verdict) -> Verdict:
     """``and`` (annihilator False) or ``or`` (annihilator True) of two verdicts.
 
-    The result is always one operand's verdict, so no new one is built. The
-    truth value is decided here rather than by ``and3``/``or3``: this runs
-    once per combination on the engine's hot path.
+    The result is always one operand's verdict, so no new one is built, and
+    the truth value is decided inline: this runs once per combination on the
+    engine's hot path.
     """
     t1, t2 = v1.truth, v2.truth
     if t1 is not t2:

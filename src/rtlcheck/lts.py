@@ -53,12 +53,6 @@ class Lts:
     nodes: tuple[LtsNode, ...]
     edges: tuple[LtsEdge, ...]
 
-    def node_by_fun(self, fun: str) -> LtsNode:
-        for node in self.nodes:
-            if node.fun == fun:
-                return node
-        raise KeyError(fun)
-
 
 def _dest_call(t: Term) -> tuple[Term, str]:
     """Split a branch body ``Cons state (f es)`` into (state, callee)."""
@@ -152,31 +146,6 @@ def _handler_branches(fname: str, d: Term):
                 raise NotReactiveShape(
                     f"event pattern {con} in {fname} binds variables")
     return out
-
-
-def walk(lts: Lts, events: Sequence[str]) -> list[Term]:
-    """State sequence of driving the transition system with an event list."""
-    by_id = {n.id: n for n in lts.nodes}
-    here = lts.initial
-    trace = [by_id[here].state]
-    for event in events:
-        wildcard = None
-        target = None
-        for edge in lts.edges:
-            if edge.src != here:
-                continue
-            if edge.label == event:
-                target = edge.dst
-                break
-            if edge.label == "_":
-                wildcard = edge.dst
-        if target is None:
-            target = wildcard
-        if target is None:
-            raise LtsError(f"no transition from node {here} on {event}")
-        here = target
-        trace.append(by_id[here].state)
-    return trace
 
 
 def _state_label(state: Term) -> str:

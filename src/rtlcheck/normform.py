@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import (
-    Case, Con, Fun, Lam, Let, Term, Var, Where, fun_names, spine,
-)
+from .terms import Case, Con, Fun, Lam, Let, Term, Var, Where, spine
 
 
 @dataclass(frozen=True)
@@ -128,42 +126,3 @@ def _check(t: Term, rho: frozenset[str], path: str | tuple,
                 _joined(path), "form",
                 f"{type(head).__name__} is not a simplified-form "
                 "production", t))
-
-
-def only_tail_calls(t: Term) -> bool:
-    """Structural consequence of the grammar: function calls only in tail spots.
-
-    A function call may appear only as the head of a call spine, in the tail
-    of a Cons cell, or inside arguments of a let-variable application; never
-    as the operand of a call or inside a state term.
-    """
-    return _tail_ok(t)
-
-
-def _tail_ok(t: Term) -> bool:
-    match t:
-        case Con("Cons", (e0, e1)):
-            return not fun_names(e0) and _tail_ok(e1)
-        case Con(_, args):
-            return all(not fun_names(a) for a in args)
-        case Case(scrut, alts):
-            return not fun_names(scrut) and all(_tail_ok(a.body) for a in alts)
-        case Let(_, bound, body):
-            return _tail_ok(_peel(bound)) and _tail_ok(body)
-        case Where(body, defs):
-            return _tail_ok(body) and all(_tail_ok(_peel(d)) for _, d in defs)
-        case Var(_) | Fun(_):
-            return True
-        case Lam(_, body):
-            return _tail_ok(body)
-        case _:
-            head, args = spine(t)
-            if isinstance(head, Fun):
-                return all(not fun_names(a) for a in args)
-            return all(_tail_ok(a) for a in args) and _tail_ok(head)
-
-
-def _peel(t: Term) -> Term:
-    while isinstance(t, Lam):
-        t = t.body
-    return t

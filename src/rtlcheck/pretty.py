@@ -1,6 +1,6 @@
-"""Concrete-syntax rendering of terms and formulas.
+"""Concrete-syntax rendering of terms.
 
-Output always reparses to an alpha-equivalent tree; nested constructs are
+Output always reparses to an equal tree; nested constructs are
 parenthesized whenever they sit in argument position, inside a case
 alternative that is not the last one, or in a where definition that is not
 the last one and ends in a where block of its own.
@@ -9,8 +9,7 @@ the last one and ends in a where block of its own.
 from __future__ import annotations
 
 from .terms import (
-    Always, And, App, Atom, Case, Con, Eventually, Formula, Fun, Implies,
-    Lam, Let, Next, Not, Or, PCon, PWild, Term, Var, Where, spine,
+    App, Case, Con, Fun, Lam, Let, PCon, PWild, Term, Var, Where, spine,
 )
 
 # precedence contexts for terms
@@ -79,29 +78,3 @@ def _pretty_pattern(p) -> str:
         case PCon(con, names):
             return " ".join([con, *names])
     raise TypeError(f"not a pattern: {p!r}")
-
-
-# formula precedence: => (1, right) < || (2) < && (3) < prefix operators (4)
-
-def pretty_formula(f: Formula, prec: int = 0) -> str:
-    match f:
-        case Atom(term):
-            return "{ " + pretty_term(term) + " }"
-        case Not(sub):
-            return "!" + pretty_formula(sub, 4)
-        case Always(sub):
-            return "G " + pretty_formula(sub, 4)
-        case Eventually(sub):
-            return "F " + pretty_formula(sub, 4)
-        case Next(sub):
-            return "X " + pretty_formula(sub, 4)
-        case And(l, r):
-            out = f"{pretty_formula(l, 3)} && {pretty_formula(r, 4)}"
-            return f"({out})" if prec > 3 else out
-        case Or(l, r):
-            out = f"{pretty_formula(l, 2)} || {pretty_formula(r, 3)}"
-            return f"({out})" if prec > 2 else out
-        case Implies(l, r):
-            out = f"{pretty_formula(l, 2)} => {pretty_formula(r, 1)}"
-            return f"({out})" if prec > 1 else out
-    raise TypeError(f"not a formula: {f!r}")

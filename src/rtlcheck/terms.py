@@ -366,64 +366,6 @@ def _under_binders(binders: tuple[str, ...], body: Term,
     return tuple(new_binders), _subst(body, live)
 
 
-# --- alpha equivalence ------------------------------------------------------
-
-def alpha_equal(a: Term, b: Term) -> bool:
-    """Structural equality up to renaming of bound variables."""
-    return _alpha(a, b, {}, {})
-
-
-def _alpha(a: Term, b: Term, la: dict[str, int], lb: dict[str, int]) -> bool:
-    match a, b:
-        case Var(x), Var(y):
-            if x in la or y in lb:
-                return la.get(x) == lb.get(y)
-            return x == y
-        case Con(ca, aa), Con(cb, ab):
-            return ca == cb and len(aa) == len(ab) and all(
-                _alpha(p, q, la, lb) for p, q in zip(aa, ab))
-        case Fun(fa), Fun(fb):
-            return fa == fb
-        case Lam(xa, ba), Lam(xb, bb):
-            lvl = len(la)
-            return _alpha(ba, bb, {**la, xa: lvl}, {**lb, xb: lvl})
-        case App(fa, xa), App(fb, xb):
-            return _alpha(fa, fb, la, lb) and _alpha(xa, xb, la, lb)
-        case Case(sa, alts_a), Case(sb, alts_b):
-            if len(alts_a) != len(alts_b) or not _alpha(sa, sb, la, lb):
-                return False
-            for pa, pb in zip(alts_a, alts_b):
-                if isinstance(pa.pattern, PWild) != isinstance(pb.pattern, PWild):
-                    return False
-                if isinstance(pa.pattern, PCon):
-                    assert isinstance(pb.pattern, PCon)
-                    if pa.pattern.con != pb.pattern.con:
-                        return False
-                    if len(pa.pattern.vars) != len(pb.pattern.vars):
-                        return False
-                    lvl = len(la)
-                    ea = {**la, **{v: lvl + i for i, v in enumerate(pa.pattern.vars)}}
-                    eb = {**lb, **{v: lvl + i for i, v in enumerate(pb.pattern.vars)}}
-                    if not _alpha(pa.body, pb.body, ea, eb):
-                        return False
-                elif not _alpha(pa.body, pb.body, la, lb):
-                    return False
-            return True
-        case Let(xa, ba, ca), Let(xb, bb, cb):
-            if not _alpha(ba, bb, la, lb):
-                return False
-            lvl = len(la)
-            return _alpha(ca, cb, {**la, xa: lvl}, {**lb, xb: lvl})
-        case Where(ba, da), Where(bb, db):
-            if len(da) != len(db):
-                return False
-            if any(fa != fb for (fa, _), (fb, _) in zip(da, db)):
-                return False
-            return _alpha(ba, bb, la, lb) and all(
-                _alpha(ta, tb, la, lb) for (_, ta), (_, tb) in zip(da, db))
-    return False
-
-
 # --- well-formedness --------------------------------------------------------
 
 def check_term(t: Term, arities: Mapping[str, int]) -> list[str]:

@@ -94,7 +94,7 @@ _REVISITED = {Always: Verdict(TRUE, ()), Eventually: Verdict(FALSE, ())}
 # gen's frame size (30 locals and an expression stack of 11 on CPython 3.11)
 # decides where its recursion crosses the interpreter's 16 KB data-stack
 # chunks, and with it how many chunks deep checks map and unmap (ROADMAP item
-# 3). Per pass of the benchmark's handler graphs and chains, the memo at 30
+# 4). Per pass of the benchmark's handler graphs and chains, the memo at 30
 # locals took 436k and 266k minor page faults; with one local more (the Atom
 # rule binding its term) 445k and 289k, at 32 locals 443k and 308k, at 34
 # 473k and 270k; without the memo, 640k and 315k. Measure before adding or

@@ -8,6 +8,7 @@ lambda and applies the let variable, to exercise the abstraction rules.
 
 import random
 
+from rtlcheck.pretty import pretty_term
 from rtlcheck.terms import (
     Alt, Always, And, App, Atom, Case, Con, Eventually, Formula, Fun, Implies,
     Lam, Let, Next, Not, Or, PCon, Term, Var, WILD, Where,
@@ -105,6 +106,33 @@ def formula_battery() -> list[Formula]:
         And(Always(Or(a, b)), Eventually(a)),
         a,
     ]
+
+
+# formula precedence: => (1, right) < || (2) < && (3) < prefix operators (4)
+
+def pretty_formula(f: Formula, prec: int = 0) -> str:
+    """Property-file syntax of ``f`` with the fewest parentheses."""
+    match f:
+        case Atom(term):
+            return "{ " + pretty_term(term) + " }"
+        case Not(sub):
+            return "!" + pretty_formula(sub, 4)
+        case Always(sub):
+            return "G " + pretty_formula(sub, 4)
+        case Eventually(sub):
+            return "F " + pretty_formula(sub, 4)
+        case Next(sub):
+            return "X " + pretty_formula(sub, 4)
+        case And(l, r):
+            out = f"{pretty_formula(l, 3)} && {pretty_formula(r, 4)}"
+            return f"({out})" if prec > 3 else out
+        case Or(l, r):
+            out = f"{pretty_formula(l, 2)} || {pretty_formula(r, 3)}"
+            return f"({out})" if prec > 2 else out
+        case Implies(l, r):
+            out = f"{pretty_formula(l, 2)} => {pretty_formula(r, 1)}"
+            return f"({out})" if prec > 1 else out
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def random_fair(rng: random.Random, events: tuple[str, ...]) -> frozenset[str]:

@@ -7,9 +7,9 @@ lines. Every expected value here is exact; there are no tolerances.
 import itertools
 import random
 
-from rtlcheck.corpus import load_corpus, load_program, load_properties, obs
+from rtlcheck.corpus import obs
 from rtlcheck.kleene import FALSE, TRUE, UNDEFINED
-from rtlcheck.lts import extract_lts, walk
+from rtlcheck.lts import extract_lts
 from rtlcheck.ltlsem import Bounded, bounded_check, enumerate_traces
 from rtlcheck.semantics import run_trace
 from rtlcheck.terms import Always
@@ -17,18 +17,13 @@ from rtlcheck.verify import Budget, verify
 from rtlcheck.witness import Validation, generate, validate_verdict
 
 from gen_programs import formula_battery, random_fair, random_program
+from test_kleene import (
+    AND_TABLE, IMP_TABLE, NOT_TABLE, OR_TABLE, and_t, imp_t, not_t, or_t,
+)
+from test_lts import walk
 
 EVENTS = ("Request1", "Request2", "Take1", "Take2", "Release1", "Release2")
 SEED = 20260808
-
-
-def _corpus():
-    out = []
-    for entry in load_corpus():
-        source = load_program(entry)
-        props = load_properties(entry)
-        out.append((entry, source, props))
-    return out
 
 
 def _report(number: int, label: str, ok: bool):
@@ -36,16 +31,16 @@ def _report(number: int, label: str, ok: bool):
     assert ok, f"criterion {number}: {label}"
 
 
-def test_criterion_1_verdict_matrix():
+def test_criterion_1_verdict_matrix(corpus):
     ok = True
-    for entry, source, props in _corpus():
+    for entry, source, props in corpus:
         for name, expected in entry.expected_verdicts.items():
             got = verify(source.term, props.get(name), props.fair)
             ok = ok and (got is expected)
     _report(1, "verdict matrix matches the expected corpus verdicts exactly", ok)
 
 
-def test_criterion_2_golden_counterexample_traces():
+def test_criterion_2_golden_counterexample_traces(corpus):
     expected = {
         ("example1", "mutex"): (obs("T", "T"), obs("W", "T"), obs("W", "W"),
                                 obs("U", "W"), obs("U", "U")),
@@ -53,7 +48,7 @@ def test_criterion_2_golden_counterexample_traces():
                                      obs("W", "W"), obs("W", "W")),
     }
     ok = True
-    for entry, source, props in _corpus():
+    for entry, source, props in corpus:
         for name in entry.expected_verdicts:
             want = expected.get((entry.name, name))
             if want is None:
@@ -63,10 +58,10 @@ def test_criterion_2_golden_counterexample_traces():
     _report(2, "golden counterexample traces match byte-exactly", ok)
 
 
-def test_criterion_3_trace_validity():
+def test_criterion_3_trace_validity(corpus):
     ok = True
     checked = 0
-    for entry, source, props in _corpus():
+    for entry, source, props in corpus:
         for name in entry.expected_verdicts:
             formula = props.get(name)
             verdict = generate(source.term, formula, props.fair)
@@ -80,9 +75,9 @@ def test_criterion_3_trace_validity():
     _report(3, f"every decided verdict with a lasso validates ({checked} checked)", ok)
 
 
-def test_criterion_4_mirror_on_corpus_and_random_programs():
+def test_criterion_4_mirror_on_corpus_and_random_programs(corpus):
     ok = True
-    for entry, source, props in _corpus():
+    for entry, source, props in corpus:
         for name in entry.expected_verdicts:
             formula = props.get(name)
             ok = ok and generate(source.term, formula, props.fair).truth is \
@@ -103,10 +98,10 @@ def test_criterion_4_mirror_on_corpus_and_random_programs():
                "programs", ok)
 
 
-def test_criterion_5_termination_within_budget():
+def test_criterion_5_termination_within_budget(corpus):
     limit = 10 ** 6
     ok = True
-    for entry, source, props in _corpus():
+    for entry, source, props in corpus:
         for name in entry.expected_verdicts:
             formula = props.get(name)
             b1, b2 = Budget(limit), Budget(limit)
@@ -128,35 +123,25 @@ def test_criterion_5_termination_within_budget():
 
 
 def test_criterion_6_kleene_algebra():
-    from rtlcheck.kleene import (
-        Verdict, and3, and_v, imp3, imp_v, not3, not_v, or3, or_v,
-    )
-    from rtlcheck.terms import Con
-
     vals = (TRUE, FALSE, UNDEFINED)
     ok = True
     for a, b in itertools.product(vals, vals):
-        ok = ok and and3(a, b) is and3(b, a) and or3(a, b) is or3(b, a)
-        ok = ok and not3(and3(a, b)) is or3(not3(a), not3(b))
-        ok = ok and not3(or3(a, b)) is and3(not3(a), not3(b))
-        ok = ok and imp3(a, b) is or3(not3(a), b)
+        ok = ok and and_t(a, b) is AND_TABLE[a, b] and or_t(a, b) is OR_TABLE[a, b]
+        ok = ok and imp_t(a, b) is IMP_TABLE[a, b] and not_t(a) is NOT_TABLE[a]
+        ok = ok and and_t(a, b) is and_t(b, a) and or_t(a, b) is or_t(b, a)
+        ok = ok and not_t(and_t(a, b)) is or_t(not_t(a), not_t(b))
+        ok = ok and not_t(or_t(a, b)) is and_t(not_t(a), not_t(b))
+        ok = ok and imp_t(a, b) is or_t(not_t(a), b)
     for a, b, c in itertools.product(vals, vals, vals):
-        ok = ok and and3(and3(a, b), c) is and3(a, and3(b, c))
-        ok = ok and or3(or3(a, b), c) is or3(a, or3(b, c))
-    t1, t2 = (Con("A"),), (Con("A"), Con("B"))
-    for a, b in itertools.product(vals, vals):
-        v1, v2 = Verdict(a, t1), Verdict(b, t2)
-        ok = ok and and_v(v1, v2).truth is and3(a, b)
-        ok = ok and or_v(v1, v2).truth is or3(a, b)
-        ok = ok and imp_v(v1, v2).truth is imp3(a, b)
-        ok = ok and not_v(v1).truth is not3(a)
+        ok = ok and and_t(and_t(a, b), c) is and_t(a, and_t(b, c))
+        ok = ok and or_t(or_t(a, b), c) is or_t(a, or_t(b, c))
     _report(6, "Kleene tables, De Morgan, and verdict truth projection", ok)
 
 
-def test_criterion_7_lts_golden_and_simulation_agreement():
+def test_criterion_7_lts_golden_and_simulation_agreement(corpus):
     expected = {"example1": (9, 16), "example2": (6, 8), "example3": (9, 14)}
     ok = True
-    for entry, source, _ in _corpus():
+    for entry, source, _ in corpus:
         graph = extract_lts(source.term, EVENTS)
         nodes, edges = expected[entry.name]
         non_self = [e for e in graph.edges if e.src != e.dst]
@@ -169,12 +154,12 @@ def test_criterion_7_lts_golden_and_simulation_agreement():
                "agreement", ok)
 
 
-def test_criterion_8_bounded_soundness_sampling():
+def test_criterion_8_bounded_soundness_sampling(corpus):
     from rtlcheck.terms import Atom
 
     ok = True
     sampled = 0
-    for entry, source, props in _corpus():
+    for entry, source, props in corpus:
         for name, expected in entry.expected_verdicts.items():
             formula = props.get(name)
             is_safety = isinstance(formula, Always) and isinstance(formula.sub, Atom)

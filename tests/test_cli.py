@@ -9,19 +9,17 @@ import pytest
 
 from rtlcheck import ltlsem, semantics
 from rtlcheck.cli import EX_DATA, EX_USAGE, USAGE, event_alphabet, main, parse_args
-from rtlcheck.corpus import read_text
 from rtlcheck.ltlsem import MAX_ENUM_DEPTH
-from rtlcheck.parser import parse_program
 
 CORPUS = "src/rtlcheck/corpus"
 
 
 @pytest.fixture()
-def corpus_paths(tmp_path):
+def corpus_paths(tmp_path, corpus_text):
     paths = {}
-    for fname in ("example1.rsl", "example2.rsl", "example3.rsl", "mutex.ltl"):
+    for fname, text in corpus_text.items():
         target = tmp_path / fname
-        target.write_text(read_text(fname))
+        target.write_text(text)
         paths[fname] = str(target)
     return paths
 
@@ -351,8 +349,8 @@ def test_oracle_json_pinned_on_corpus_at_depth_8(corpus_paths, capsys):
     assert digest == ORACLE_JSON_DEPTH8_DIGEST
 
 
-def test_oracle_reductions_grow_linearly_with_depth(corpus_paths, capsys,
-                                                    monkeypatch):
+def test_oracle_reductions_grow_linearly_with_depth(corpus_paths, corpus_by_name,
+                                                    capsys, monkeypatch):
     # each handler is reduced once per event position and event, plus the
     # attempt that finds the next event unbound: 6^8 sequences, not 2·10^6
     # reduced prefixes
@@ -371,14 +369,14 @@ def test_oracle_reductions_grow_linearly_with_depth(corpus_paths, capsys,
                  "--json", "--depth", str(depth), "--fair-all"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["sampled"] == 6 ** depth
-    source = parse_program(read_text("example3.rsl"))
+    _, source, _ = corpus_by_name["example3"]
     handlers, events = len(source.term.defs), len(event_alphabet(source))
     assert (handlers, events) == (9, 6)
     assert calls <= 2 * handlers * events * depth + 1
 
 
-def test_oracle_bounded_steps_grow_linearly_with_depth(corpus_paths, capsys,
-                                                       monkeypatch):
+def test_oracle_bounded_steps_grow_linearly_with_depth(corpus_paths, corpus_by_name,
+                                                       capsys, monkeypatch):
     # the bounded rule runs once per state and values one position later,
     # not once per position of each of the thousands of distinct traces
     calls = 0
@@ -392,7 +390,7 @@ def test_oracle_bounded_steps_grow_linearly_with_depth(corpus_paths, capsys,
     monkeypatch.setattr(ltlsem, "_step", counted)
     depth = MAX_ENUM_DEPTH
     for example in ("example1", "example2", "example3"):
-        source = parse_program(read_text(f"{example}.rsl"))
+        _, source, _ = corpus_by_name[example]
         handlers, events = len(source.term.defs), len(event_alphabet(source))
         for prop in ("mutex", "nonstarve1", "nonstarve2"):
             calls = 0

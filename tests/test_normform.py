@@ -1,11 +1,48 @@
 import random
 
-from rtlcheck.normform import check_simplified, is_state_term, only_tail_calls
+from rtlcheck.normform import check_simplified, is_state_term
 from rtlcheck.terms import (
-    Alt, App, Case, Con, Fun, Lam, Let, Var, WILD,
+    Alt, App, Case, Con, Fun, Lam, Let, Term, Var, WILD, Where, fun_names, spine,
 )
 
 from gen_programs import random_program
+
+
+def only_tail_calls(t: Term) -> bool:
+    """Structural consequence of the grammar: function calls only in tail spots.
+
+    A function call may appear only as the head of a call spine, in the tail
+    of a Cons cell, or inside arguments of a let-variable application; never
+    as the operand of a call or inside a state term. An independent
+    cross-check of what ``check_simplified`` accepts.
+    """
+    match t:
+        case Con("Cons", (e0, e1)):
+            return not fun_names(e0) and only_tail_calls(e1)
+        case Con(_, args):
+            return all(not fun_names(a) for a in args)
+        case Case(scrut, alts):
+            return not fun_names(scrut) and all(only_tail_calls(a.body) for a in alts)
+        case Let(_, bound, body):
+            return only_tail_calls(_peel(bound)) and only_tail_calls(body)
+        case Where(body, defs):
+            return only_tail_calls(body) and all(
+                only_tail_calls(_peel(d)) for _, d in defs)
+        case Var(_) | Fun(_):
+            return True
+        case Lam(_, body):
+            return only_tail_calls(body)
+        case _:
+            head, args = spine(t)
+            if isinstance(head, Fun):
+                return all(not fun_names(a) for a in args)
+            return all(only_tail_calls(a) for a in args) and only_tail_calls(head)
+
+
+def _peel(t: Term) -> Term:
+    while isinstance(t, Lam):
+        t = t.body
+    return t
 
 
 def test_corpus_programs_conform(corpus):

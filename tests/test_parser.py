@@ -3,17 +3,19 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from rtlcheck.corpus import obs, read_text
+from rtlcheck.corpus import obs
 from rtlcheck.parser import (
     PropertyFile, SourceFile, TOO_DEEP, parse_program, parse_properties,
 )
-from rtlcheck.pretty import pretty_formula, pretty_term
+from rtlcheck.pretty import pretty_term
 from rtlcheck.terms import (
     Alt, Always, And, App, Atom, Case, Con, Eventually, Fun, Implies, Lam, Let,
-    Not, PCon, Term, Var, WILD, Where, alpha_equal,
+    Not, PCon, Term, Var, WILD, Where,
 )
 
-from gen_programs import formula_battery, inner_where_ring, random_program, ring_program
+from gen_programs import (
+    formula_battery, inner_where_ring, pretty_formula, random_program, ring_program,
+)
 
 DECLS = """\
 data Event = Request1 | Request2 | Take1 | Take2 | Release1 | Release2
@@ -138,7 +140,7 @@ def test_roundtrip_corpus_programs(corpus):
         text = DECLS + pretty_term(source.term)
         again = parse_program(text)
         assert again.term is not None, again.diagnostics
-        assert alpha_equal(again.term, source.term)
+        assert again.term == source.term
 
 
 def _diagnostics(text: str) -> list[str]:
@@ -195,7 +197,7 @@ def test_roundtrip_random_programs():
         text = GEN_DECLS + pretty_term(program)
         again = parse_program(text)
         assert again.term is not None, again.diagnostics
-        assert alpha_equal(again.term, program)
+        assert again.term == program
 
 
 # --- where-bound names ----------------------------------------------------------
@@ -558,14 +560,14 @@ def test_explicit_lexical_cases():
     assert parse_program("ǅ 変").term == App(Var("ǅ"), Var("変"))
 
 
-def test_parse_results_pinned():
+def test_parse_results_pinned(corpus_text):
     digest = hashlib.sha256()
 
     def pin(result) -> None:
         digest.update(_canonical(result).encode("utf-8") + b"\n")
 
-    programs = [read_text(f"example{i}.rsl") for i in (1, 2, 3)]
-    props = read_text("mutex.ltl")
+    programs = [corpus_text[f"example{i}.rsl"] for i in (1, 2, 3)]
+    props = corpus_text["mutex.ltl"]
     arities = parse_program(programs[0]).arities()
     gen_arities = parse_program(GEN_DECLS + "Nil").arities()
     for text in programs:

@@ -2,7 +2,7 @@ from hypothesis import given, settings, strategies as st
 
 from rtlcheck.terms import (
     Alt, App, Case, Con, Fun, Lam, Let, PCon, Var, WILD, Where,
-    alpha_equal, check_term, free_vars, fresh_name, substitute, arity_table,
+    check_term, free_vars, fresh_name, substitute, arity_table,
 )
 
 
@@ -54,11 +54,8 @@ def test_substitute_simple():
 
 
 def test_substitute_capture_avoidance():
-    out = substitute(Lam("y", Var("x")), {"x": Var("y")})
-    assert isinstance(out, Lam)
-    assert out.param != "y"
-    assert out.body == Var("y")
-    assert alpha_equal(out, Lam("q", Var("y")))
+    # the binder is renamed deterministically, away from the incoming y
+    assert substitute(Lam("y", Var("x")), {"x": Var("y")}) == Lam("y1", Var("y"))
 
 
 def test_substitute_case_pattern_capture():
@@ -176,11 +173,3 @@ def test_check_term_flags_function_defined_twice_in_one_where():
     # a nested block may redefine an outer name
     nested = Where(Fun("f"), (("f", Where(Fun("f"), (("f", f),))),))
     assert check_term(nested, arity_table()) == []
-
-
-def test_alpha_equal_da_capo():
-    a = Lam("x", Lam("y", App(Var("x"), Var("y"))))
-    b = Lam("u", Lam("v", App(Var("u"), Var("v"))))
-    c = Lam("u", Lam("v", App(Var("v"), Var("u"))))
-    assert alpha_equal(a, b)
-    assert not alpha_equal(a, c)
