@@ -197,8 +197,8 @@ def _decided(value: Bounded | Exception) -> Bounded:
     return value
 
 
-def bounded_check(trace: Sequence[Term], f: Formula, i: int = 0) -> Bounded:
-    """Three-valued check of ``f`` on a finite prefix, from position ``i``.
+def bounded_check(trace: Sequence[Term], f: Formula) -> Bounded:
+    """Three-valued check of ``f`` on a finite prefix.
 
     Sat and Unsat are decisive for every infinite extension of the prefix;
     Unknown means the prefix ran out before the formula was decided. The
@@ -206,7 +206,7 @@ def bounded_check(trace: Sequence[Term], f: Formula, i: int = 0) -> Bounded:
     """
     rows = _subformulas(f)
     values = (Bounded.UNKNOWN,) * len(rows)
-    for state in reversed(trace[i:]):
+    for state in reversed(trace):
         values = _step(rows, state, values)
     return _decided(values[-1])
 

@@ -6,23 +6,24 @@ lambdas. Reduction is deterministic: a non-value either has exactly one
 redex or is stuck, which signals an ill-typed configuration. A step yields
 the reduced term and its function environment, nothing else.
 
-The simulator feeds a program its events through functions of the
-environment, one per list suffix. ``run_trace`` binds them all up front.
-``trace_dag``, which holds the traces of every event sequence of a given
-length for the oracle, binds them as reduction asks for them, and memoises
-what follows each point where the program reads an event: every handler
-reached at an event position is reduced once, so the work grows linearly
-with the length, not with the number of sequences. Each emitted state gets
-its own step budget.
+The simulator binds a program's event list by substitution. ``run_trace``
+puts the whole list in up front. ``trace_dag``, which holds the traces of
+every event sequence of a given length for the oracle, puts in one
+placeholder variable for the events not yet read. When reduction is stuck
+on it, the state is retried once per event, with a ``Cons`` of that event
+and the placeholder in its place, and what follows each such branch point
+is memoised: every handler reached at an event position is reduced once,
+so the work grows linearly with the length, not with the number of
+sequences. Each emitted state gets its own step budget.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .terms import (
-    App, Case, Con, Fun, Lam, Let, PWild, Term, Var, Where,
-    free_vars, fun_names, substitute,
+    App, Case, Con, Fun, Lam, Let, PWild, STATE_VAR, Term, Var, Where,
+    free_vars, substitute,
 )
 from .kleene import TruthVal, truthval_from_name
 
@@ -61,9 +62,8 @@ class FunEnv:
 
     __slots__ = ("_frame", "_parent")
 
-    def __init__(self, frame: Mapping[str, Term] | None = None,
-                 parent: "FunEnv | None" = None):
-        self._frame = dict(frame) if frame else {}
+    def __init__(self, frame: dict[str, Term], parent: "FunEnv | None" = None):
+        self._frame = frame  # owned: no caller keeps the dict
         self._parent = parent
 
     @staticmethod
@@ -83,7 +83,7 @@ class FunEnv:
         return None
 
 
-_EMPTY_ENV = FunEnv()
+_EMPTY_ENV = FunEnv({})
 
 
 # --- one-step reduction ---------------------------------------------------------
@@ -164,10 +164,11 @@ def deep_eval(t: Term, env: FunEnv | None = None, fuel: int = DEFAULT_FUEL) -> T
 def atom_truth(atom_term: Term, state: Term) -> TruthVal:
     """Evaluate an atom at an observable state.
 
-    Substitutes the state for the reserved variable ``s`` and reduces; the
-    result must be one of the nullary True/False/Undefined constructors.
+    Substitutes the state for the reserved variable ``STATE_VAR`` and
+    reduces; the result must be one of the nullary True/False/Undefined
+    constructors.
     """
-    closed = substitute(atom_term, {"s": state})
+    closed = substitute(atom_term, {STATE_VAR: state})
     try:
         value = eval_whnf(closed)
     except StuckError as exc:
@@ -184,39 +185,36 @@ def atom_truth(atom_term: Term, state: Term) -> TruthVal:
 
 NIL = Con("Nil")
 
+# The name of the event list while the simulator binds it: a variable for the
+# events ``trace_dag`` has not read yet, and under ``--cycle`` the function
+# ``run_trace`` defines as the repeating list. No parsed name has angle brackets.
+EVENT_LIST = "<events>"
+UNREAD = Var(EVENT_LIST)
 
-def _feed(k: int) -> str:
-    """Name of the event list from its ``k``-th event on; no parsed name has a space."""
-    return f"<events {k}>"
 
+def _event_list(events: Sequence[str], tail: Term) -> Term:
+    """``Cons e1 (... (Cons en tail))``, built from the tail up.
 
-def _feeds(events: Sequence[str], start: int,
-           tail: Term | None) -> list[tuple[str, Term]]:
-    """Definitions of the event list from event ``start`` on, one feed per event.
-
-    Feed ``start + i`` is ``Cons e_i (feed start+i+1)``; the feed after the
-    last event is ``tail``, or stays unbound when ``tail`` is None.
+    Each cell's free variables are memoised as it is made, so that no later
+    ``free_vars`` call recurses down a long list.
     """
-    defs: list[tuple[str, Term]] = [
-        (_feed(k), Con("Cons", (Con(e), Fun(_feed(k + 1)))))
-        for k, e in enumerate(events, start)]
-    if tail is not None:
-        defs.append((_feed(start + len(events)), tail))
-    return defs
+    out = tail
+    for e in reversed(events):
+        out = Con("Cons", (Con(e), out))
+        free_vars(out)
+    return out
 
 
-def bind_events(program: Term) -> Term:
-    """The program fed the event list that starts at feed 0.
+def bind_events(program: Term, events: Term) -> Term:
+    """The program with ``events`` for its event list.
 
     The program's single free variable is its event-list parameter; a closed
-    program is applied to the list instead. Feeds are functions named so
-    that no program can define or shadow them (see ``_feeds``).
+    program is applied to the list instead.
     """
     fv = sorted(free_vars(program))
     if len(fv) > 1:
         raise ValueError(f"program has several free variables: {', '.join(fv)}")
-    source = Fun(_feed(0))
-    return substitute(program, {fv[0]: source}) if fv else App(program, source)
+    return substitute(program, {fv[0]: events}) if fv else App(program, events)
 
 
 def _next_state(t: Term, env: FunEnv) -> Optional[tuple[Term, Term, FunEnv]]:
@@ -239,8 +237,9 @@ def run_trace(program: Term, events: Sequence[str], cycle: bool = False,
               max_states: int = 64) -> list[Term]:
     """Feed an event list to a reactive program and collect its state trace.
 
-    The program's event-list parameter is bound to the given events, cycled
-    forever when ``cycle`` is set. One state is emitted per consumed event,
+    The program's event-list parameter is bound to the given events as one
+    ``Cons`` list; with ``cycle`` set, to a function whose list of the events
+    ends in the function itself. One state is emitted per consumed event,
     after the initial state; the trace stops at ``max_states`` states or
     when the events run out. Each state may take up to ``DEFAULT_FUEL``
     reduction steps, its stream cell included; a state that needs more
@@ -248,8 +247,11 @@ def run_trace(program: Term, events: Sequence[str], cycle: bool = False,
     """
     if cycle and not events:
         raise ValueError("cannot cycle an empty event list")
-    t = bind_events(program)
-    env = FunEnv.empty().extend(_feeds(events, 0, Fun(_feed(0)) if cycle else NIL))
+    if cycle:
+        t = bind_events(program, Fun(EVENT_LIST))
+        env = FunEnv.empty().extend(((EVENT_LIST, _event_list(events, Fun(EVENT_LIST))),))
+    else:
+        t, env = bind_events(program, _event_list(events, NIL)), FunEnv.empty()
     limit = max_states if cycle else min(max_states, len(events) + 1)
     trace: list[Term] = []
     while len(trace) < limit:
@@ -261,6 +263,28 @@ def run_trace(program: Term, events: Sequence[str], cycle: bool = False,
     return trace
 
 
+def _read(t: Term, env: FunEnv, cell: Term) -> tuple[Term, FunEnv]:
+    """``t`` and ``env`` with ``cell`` in place of the unread events.
+
+    A frame is copied when its definitions name them or its parent was
+    copied, so the parents of the outermost such frame stay shared. The
+    chain is rebuilt in a loop: one state can open many where blocks.
+    """
+    sub = {EVENT_LIST: cell}
+    chain: list[FunEnv] = []
+    e: FunEnv | None = env
+    while e is not None:
+        chain.append(e)
+        e = e._parent
+    out: FunEnv | None = None
+    for frame in reversed(chain):
+        defs = frame._frame
+        if out is not frame._parent or any(EVENT_LIST in free_vars(d) for d in defs.values()):
+            frame = FunEnv({f: substitute(d, sub) for f, d in defs.items()}, out)
+        out = frame
+    return substitute(t, sub), out
+
+
 # A node of the trace DAG: the states one path emits after its parent's
 # branch point, then None where its traces end, or one child per event, in
 # alphabet order, where reduction needs the next event.
@@ -270,54 +294,24 @@ TraceNode = tuple[tuple[Term, ...], Optional[tuple["TraceNode", ...]]]
 def trace_dag(program: Term, events: Sequence[str], depth: int) -> TraceNode:
     """The traces of every event sequence of length ``depth``, as a DAG.
 
-    The walk starts with no event bound and branches over ``events`` only
-    when reduction is stuck on the next feed, then retries the state from
-    its start with that feed bound, once per event. The children of a
-    branch point are memoised for the run, keyed on the state's start term,
-    the number of events bound and of states emitted, and the frames of the
-    environment the retry can read (see ``frames``); paths that reach the
-    same handler at the same event position share them, so each is reduced
-    once. Nothing that raised is stored and the walk is depth first in
-    product order, so the exception raised is that of the first failing
-    sequence. With no events and a positive depth there is no sequence: the
-    root branches into no children.
+    The walk binds the program's event list to the placeholder ``UNREAD``,
+    a variable no program can write, and branches over ``events`` only when
+    reduction is stuck on it. Each child then retries the state from its
+    start with ``Cons e UNREAD`` (``Cons e Nil`` for the last event) in the
+    placeholder's place, in the start term and in every where frame whose
+    definitions name it (see ``_read``). The children of a branch point are
+    memoised for the run, keyed on the state's start term, its environment
+    by identity, and the numbers of events bound and of states emitted;
+    paths that reach the same handler with the same environment at the same
+    event position share them, so each is reduced once. Nothing that raised
+    is stored and the walk is depth first in product order, so the exception
+    raised is that of the first failing sequence. With no events and a
+    positive depth there is no sequence: the root branches into no children.
     """
     if depth and not events:
         return (), ()
     limit = depth + 1
-    feed_index = {_feed(k): k for k in range(depth + 1)}
     memo: dict[tuple, tuple[TraceNode, ...]] = {}
-    first_feed_of_defs: dict[FunEnv, int] = {}
-    # definitions bind_events left as parsed name no feed (no parsed name
-    # can), so the scan of a where frame skips them
-    parsed = {id(d) for _, d in program.defs} if type(program) is Where else set()
-
-    def first_feed(names) -> int:
-        return min((feed_index.get(n, depth) for n in names), default=depth)
-
-    def frames(t: Term, env: FunEnv) -> tuple[FunEnv, ...]:
-        """The frames of ``env`` that reducing ``t`` can read, by identity.
-
-        Where frames bind only program names and feed frames one feed each,
-        so the where frames decide every program name. A feed binding names
-        only the next feed, so no feed before the first one that ``t`` or a
-        where definition names can be read, and its frame is left out:
-        paths that differ only in the events already consumed share a key.
-        """
-        chain: list[tuple[FunEnv, Optional[int]]] = []
-        low = first_feed(fun_names(t))
-        e: FunEnv | None = env
-        while e is not None:
-            fed = feed_index.get(next(iter(e._frame), None))
-            if fed is None:  # a where frame, or the empty root
-                if e not in first_feed_of_defs:
-                    first_feed_of_defs[e] = first_feed(
-                        n for d in e._frame.values() if id(d) not in parsed
-                        for n in fun_names(d))
-                low = min(low, first_feed_of_defs[e])
-            chain.append((e, fed))
-            e = e._parent
-        return tuple(e for e, fed in chain if fed is None or fed >= low)
 
     def walk(t: Term, env: FunEnv, bound: int, emitted: int) -> TraceNode:
         states: list[Term] = []
@@ -325,7 +319,7 @@ def trace_dag(program: Term, events: Sequence[str], depth: int) -> TraceNode:
             try:
                 nxt = _next_state(t, env)
             except StuckError as exc:
-                if exc.term != Fun(_feed(bound)):
+                if exc.term != UNREAD:
                     raise
                 return tuple(states), branch(t, env, bound, emitted)
             if nxt is None:
@@ -336,13 +330,13 @@ def trace_dag(program: Term, events: Sequence[str], depth: int) -> TraceNode:
         return tuple(states), None
 
     def branch(t: Term, env: FunEnv, bound: int, emitted: int) -> tuple[TraceNode, ...]:
-        key = (t, bound, emitted, frames(t, env))
+        key = (t, env, bound, emitted)
         children = memo.get(key)
         if children is None:
+            rest = NIL if bound + 1 == depth else UNREAD
             children = memo[key] = tuple(
-                walk(t, env.extend(_feeds((e,), bound, None)), bound + 1, emitted)
+                walk(*_read(t, env, Con("Cons", (Con(e), rest))), bound + 1, emitted)
                 for e in events)
         return children
 
-    return walk(bind_events(program), FunEnv.empty().extend(_feeds((), depth, NIL)),
-                0, 0)
+    return walk(bind_events(program, UNREAD if depth else NIL), FunEnv.empty(), 0, 0)

@@ -242,50 +242,6 @@ def _free_vars(t: Term) -> frozenset[str]:
     raise TypeError(f"not a term: {t!r}")
 
 
-def fun_names(t: Term) -> frozenset[str]:
-    """Function names referenced in ``t`` and not bound by an inner where.
-
-    Memoized on the node, like ``free_vars``: the oracle's enumeration asks
-    for the names of the same handler bodies at every branch point.
-    """
-    cached = getattr(t, "_fn", None)
-    if cached is None:
-        cached = _fun_names(t)
-        object.__setattr__(t, "_fn", cached)
-    return cached
-
-
-def _fun_names(t: Term) -> frozenset[str]:
-    match t:
-        case Fun(name):
-            return frozenset((name,))
-        case Var(_):
-            return frozenset()
-        case Con(_, args):
-            out: frozenset[str] = frozenset()
-            for a in args:
-                out |= fun_names(a)
-            return out
-        case Lam(_, body):
-            return fun_names(body)
-        case App(fn, arg):
-            return fun_names(fn) | fun_names(arg)
-        case Case(scrutinee, alts):
-            out = fun_names(scrutinee)
-            for alt in alts:
-                out |= fun_names(alt.body)
-            return out
-        case Let(_, bound, body):
-            return fun_names(bound) | fun_names(body)
-        case Where(body, defs):
-            names = {f for f, _ in defs}
-            out = fun_names(body)
-            for _, d in defs:
-                out |= fun_names(d)
-            return out - names
-    raise TypeError(f"not a term: {t!r}")
-
-
 # --- substitution -----------------------------------------------------------
 
 def fresh_name(base: str, avoid: set[str]) -> str:

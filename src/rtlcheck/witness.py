@@ -269,7 +269,7 @@ def validate_verdict(verdict: Verdict, f: Formula) -> ValidationReport:
         elif lasso.loop:
             holds = sat_lasso(lasso, 0, f)
         else:
-            bounded = bounded_check(verdict.trace, f, 0)
+            bounded = bounded_check(verdict.trace, f)
             holds = None if bounded is Bounded.UNKNOWN else bounded is Bounded.SAT
     except AtomUndefined:
         holds = None

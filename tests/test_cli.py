@@ -123,7 +123,7 @@ def test_simulate_cycle_ignores_program_function_names(tmp_path, capsys, fname):
 
 
 def test_simulate_cycle_budget_is_per_state(corpus_paths, capsys, monkeypatch):
-    # example1 needs 6 steps a state: 1000 states fit 20 steps each, not in total
+    # example1 needs 5 steps a state: 1000 states fit 20 steps each, not in total
     monkeypatch.setattr(semantics, "DEFAULT_FUEL", 20)
     code = main(["simulate", corpus_paths["example1.rsl"],
                  "--events", "Request1,Take1,Release1", "--cycle", "-n", "1000"])

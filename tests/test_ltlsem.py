@@ -263,7 +263,7 @@ def test_bounded_check_equals_reference_on_random_traces():
             random_formula(rng, RANDOM_ATOMS, rng.randint(1, 7))
         trace = tuple(rng.choice(STATES) for _ in range(rng.randint(0, 6)))
         for i in (0, rng.randint(0, len(trace) + 1)):
-            got = _outcome(lambda: bounded_check(trace, f, i))
+            got = _outcome(lambda: bounded_check(trace[i:], f))
             assert got == _outcome(lambda: reference_bounded_check(trace, f, i)), (f, trace, i)
             raised += isinstance(got, tuple)
     assert raised > 500  # the faulty atoms are reached, not only stored

@@ -2,10 +2,33 @@ import random
 
 from rtlcheck.normform import check_simplified, is_state_term
 from rtlcheck.terms import (
-    Alt, App, Case, Con, Fun, Lam, Let, Term, Var, WILD, Where, fun_names, spine,
+    Alt, App, Case, Con, Fun, Lam, Let, Term, Var, WILD, Where, spine,
 )
 
 from gen_programs import random_program
+
+
+def fun_names(t: Term) -> frozenset[str]:
+    """Function names referenced in ``t`` and not bound by an inner where."""
+    match t:
+        case Fun(name):
+            return frozenset((name,))
+        case Var(_):
+            return frozenset()
+        case Con(_, args):
+            return frozenset().union(*map(fun_names, args))
+        case Lam(_, body):
+            return fun_names(body)
+        case App(fn, arg):
+            return fun_names(fn) | fun_names(arg)
+        case Case(scrutinee, alts):
+            return fun_names(scrutinee).union(*(fun_names(a.body) for a in alts))
+        case Let(_, bound, body):
+            return fun_names(bound) | fun_names(body)
+        case Where(body, defs):
+            inner = fun_names(body).union(*(fun_names(d) for _, d in defs))
+            return inner - {f for f, _ in defs}
+    raise TypeError(f"not a term: {t!r}")
 
 
 def only_tail_calls(t: Term) -> bool:

@@ -10,7 +10,7 @@ from rtlcheck.semantics import (
     atom_truth, deep_eval, eval_whnf, run_trace, step,
 )
 from rtlcheck.terms import (
-    Alt, App, Case, Con, Fun, Lam, Let, PCon, Var, WILD,
+    Alt, App, Case, Con, Fun, Lam, Let, PCon, Var, WILD, Where,
 )
 
 EVENTS = ("Request1", "Request2", "Take1", "Take2", "Release1", "Release2")
@@ -126,7 +126,7 @@ def test_run_trace_cycled_example1(corpus_by_name):
 
 
 def test_run_trace_budget_is_per_state(corpus_by_name, monkeypatch):
-    # example1 needs 6 steps a state: 1000 states fit 20 steps each, not in total
+    # example1 needs 5 steps a state: 1000 states fit 20 steps each, not in total
     monkeypatch.setattr(semantics, "DEFAULT_FUEL", 20)
     _, source, _ = corpus_by_name["example1"]
     trace = run_trace(source.term, ["Request1", "Take1", "Release1"],
@@ -153,6 +153,18 @@ def test_run_trace_one_state_per_event(corpus):
             events = [rng.choice(EVENTS) for _ in range(k)]
             trace = run_trace(source.term, events, max_states=99)
             assert len(trace) == k + 1
+
+
+def test_run_trace_substitutes_a_long_event_list_under_a_binder():
+    # f = \es -> case es of Cons e rest -> Cons St0 ((\x -> f rest) St0) | Nil -> Nil
+    # puts the rest of the list under the binder x at every event
+    body = Case(Var("es"), (
+        Alt(PCon("Cons", ("e", "rest")),
+            Con("Cons", (Con("St0"), App(Lam("x", App(Fun("f"), Var("rest"))), Con("St0"))))),
+        Alt(PCon("Nil"), Con("Nil"))))
+    program = Where(App(Fun("f"), Var("es")), (("f", Lam("es", body)),))
+    trace = run_trace(program, ["EvA"] * 30000, max_states=30001)
+    assert trace == [Con("St0")] * 30000
 
 
 def test_run_trace_rejects_non_stream():
