@@ -5,6 +5,10 @@ their defaults. ``parse_args`` reads ``COMMAND [OPTION ...] FILE [OPTION ...]``
 against it, each option spelt out in full as ``--opt value`` or
 ``--opt=value``; ``USAGE`` is the help text.
 
+The module holds no term logic. The event alphabet that ``--fair-all``,
+``lts`` residuals and ``oracle`` sampling use is ``SourceFile.events``, which
+the parser reads off the program's case patterns.
+
 Exit codes: verify uses 0/1/2 for True/False/Undefined; check uses 0/1 for
 conforming or not; 64 flags a usage error, 66 a missing or malformed input
 file, 70 an internal failure.
@@ -23,9 +27,7 @@ from .normform import check_simplified
 from .parser import PropertyFile, SourceFile, parse_program, parse_properties
 from .pretty import pretty_term
 from .semantics import EvalError, run_trace
-from .terms import (
-    BUILTIN_DECLS, App, Case, Con, Formula, Lam, Let, PCon, Term, Where,
-)
+from .terms import Formula
 from .verify import VerifyError, verify
 from .witness import generate, validate_verdict
 from .ltlsem import Bounded, MAX_ENUM_DEPTH, OracleError, bounded_counts
@@ -74,54 +76,9 @@ def _load_property(args, source: SourceFile) -> tuple[Formula, frozenset[str]]:
     return formula, fair
 
 
-def _pattern_constructors(t: Term) -> set[str]:
-    out: set[str] = set()
-
-    def visit(term: Term) -> None:
-        tt = type(term)
-        if tt is App:
-            visit(term.fn)
-            visit(term.arg)
-        elif tt is Case:
-            visit(term.scrutinee)
-            for alt in term.alts:
-                if type(alt.pattern) is PCon:
-                    out.add(alt.pattern.con)
-                visit(alt.body)
-        elif tt is Con:
-            for a in term.args:
-                visit(a)
-        elif tt is Lam:
-            visit(term.body)
-        elif tt is Let:
-            visit(term.bound)
-            visit(term.body)
-        elif tt is Where:
-            visit(term.body)
-            for _, d in term.defs:
-                visit(d)
-
-    visit(t)
-    return out
-
-
-def event_alphabet(source: SourceFile) -> list[str]:
-    """Nullary constructors of the datatypes the program pattern-matches on."""
-    assert source.term is not None
-    builtin = {name for d in BUILTIN_DECLS for name, _ in d.constructors}
-    matched = _pattern_constructors(source.term) - builtin
-    owners = {d.name for d in source.decls
-              if any(c == m for c, _ in d.constructors for m in matched)}
-    out: list[str] = []
-    for d in source.decls:
-        if d.name in owners:
-            out.extend(c for c, arity in d.constructors if arity == 0)
-    return out
-
-
 def _fair_set(args, source: SourceFile, props: PropertyFile) -> frozenset[str]:
     if args.fair_all:
-        return frozenset(event_alphabet(source))
+        return frozenset(source.events)
     if args.fair is not None:
         names = [n.strip() for n in args.fair.split(",") if n.strip()]
         arities = source.arities()
@@ -193,7 +150,7 @@ def _cmd_witness(args) -> int:
 
 def _cmd_lts(args) -> int:
     source = _load_program(args.file)
-    graph = extract_lts(source.term, event_alphabet(source))
+    graph = extract_lts(source.term, source.events)
     if args.format_json:
         print(to_json(graph), end="")
     else:
@@ -221,7 +178,7 @@ def _cmd_oracle(args) -> int:
     verdict = generate(source.term, formula, fair)
     report = validate_verdict(verdict, formula)
 
-    counts = bounded_counts(source.term, event_alphabet(source), args.depth, formula)
+    counts = bounded_counts(source.term, source.events, args.depth, formula)
     total = sum(counts.values())
     # a False verdict is refuted only when traces were sampled and all satisfy it
     contradiction = (verdict.truth is TRUE and counts[Bounded.UNSAT] > 0) or \

@@ -15,9 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .terms import (
-    Case, Con, Fun, Lam, PCon, PWild, Term, Var, Where, spine,
-)
+from .terms import Alt, Case, Con, Fun, Lam, PCon, PWild, Term, Var, Where, spine
 
 
 class LtsError(Exception):
@@ -82,70 +80,45 @@ def extract_lts(program: Term, event_names: Sequence[str]) -> Lts:
     if initial_fun not in order:
         raise NotReactiveShape(f"initial handler {initial_fun} is not defined")
 
-    branches: dict[str, list[tuple[str | None, set[str], Term, str]]] = {}
-    for fname, d in defs:
-        branches[fname] = _handler_branches(fname, d)
-
     states: dict[str, Term] = {initial_fun: initial_state}
     edges: list[LtsEdge] = []
-    for fname, alts in branches.items():
-        for label, preceding, state, target in alts:
+    for fname, d in defs:
+        match d:  # the shape, then what it lacks, from the innermost out
+            case Lam(_, Case(Var(_), (Alt(PCon("Cons", (_, _)), Case(Var(_), alts)),))):
+                pass
+            case Lam(_, Case(Var(_), (Alt(PCon("Cons", (_, _))),))):
+                raise NotReactiveShape(f"handler {fname} must case on the event")
+            case Lam(_, Case(Var(_), (_,))):
+                raise NotReactiveShape(
+                    f"handler {fname} must split its event list with a Cons pattern")
+            case _:
+                raise NotReactiveShape(
+                    f"handler {fname} must case on the head of its event list")
+        preceding: set[str] = set()
+        for alt in alts:
+            state, target = _dest_call(alt.body)
+            match alt.pattern:
+                case PWild():
+                    label = "_"
+                    residual = tuple(e for e in event_names if e not in preceding)
+                case PCon(con, ()):
+                    label, residual = con, None
+                    preceding.add(con)
+                case PCon(con, _):
+                    raise NotReactiveShape(
+                        f"event pattern {con} in {fname} binds variables")
             if target not in order:
                 raise NotReactiveShape(f"handler {fname} calls undefined {target}")
-            if target in states:
-                if states[target] != state:
-                    raise InconsistentNodeState(
-                        f"transitions into {target} emit different states")
-            else:
-                states[target] = state
-            if label is None:
-                residual = tuple(e for e in event_names if e not in preceding)
-                edges.append(LtsEdge(order[fname], "_", order[target], residual))
-            else:
-                edges.append(LtsEdge(order[fname], label, order[target]))
+            if states.setdefault(target, state) != state:
+                raise InconsistentNodeState(
+                    f"transitions into {target} emit different states")
+            edges.append(LtsEdge(order[fname], label, order[target], residual))
 
-    missing = [f for f in order if f not in states]
-    if missing:
-        raise NotReactiveShape(
-            f"no transition ever enters handler {missing[0]}")
+    for fname in order:
+        if fname not in states:
+            raise NotReactiveShape(f"no transition ever enters handler {fname}")
     nodes = tuple(LtsNode(order[f], f, states[f]) for f, _ in defs)
     return Lts(order[initial_fun], nodes, tuple(edges))
-
-
-def _handler_branches(fname: str, d: Term):
-    """Branches of one handler as (label or None, preceding, state, target)."""
-    match d:
-        case Lam(_, Case(Var(_), (outer_alt,))):
-            pass
-        case _:
-            raise NotReactiveShape(
-                f"handler {fname} must case on the head of its event list")
-    match outer_alt.pattern:
-        case PCon("Cons", (_, _)):
-            pass
-        case _:
-            raise NotReactiveShape(
-                f"handler {fname} must split its event list with a Cons pattern")
-    match outer_alt.body:
-        case Case(Var(_), alts):
-            pass
-        case _:
-            raise NotReactiveShape(f"handler {fname} must case on the event")
-
-    out = []
-    preceding: set[str] = set()
-    for alt in alts:
-        state, target = _dest_call(alt.body)
-        match alt.pattern:
-            case PWild():
-                out.append((None, set(preceding), state, target))
-            case PCon(con, ()):
-                out.append((con, set(preceding), state, target))
-                preceding.add(con)
-            case PCon(con, _):
-                raise NotReactiveShape(
-                    f"event pattern {con} in {fname} binds variables")
-    return out
 
 
 def _state_label(state: Term) -> str:

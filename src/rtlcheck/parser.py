@@ -26,13 +26,17 @@ parenthesized groups. ``(``, ``{``, ``let`` and ``case`` open an entry; ``)``,
 the innermost ``where``, which takes its name. Only text the descent accepts
 must be mapped right, since no term is built from any other; on that the
 pre-pass need only not raise.
+
+The descent also records the constructor of every pattern it builds, and
+``parse_program`` reads the program's event alphabet (``SourceFile.events``)
+off that set and the declarations, so no later pass walks the term for it.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
 from typing import Callable, Mapping, Optional
 
@@ -69,6 +73,9 @@ class SourceFile:
     decls: tuple[DataDecl, ...]
     term: Optional[Term]
     diagnostics: tuple[Diagnostic, ...]
+    # the event alphabet (docs/formats.md), read off the patterns as they are
+    # parsed; empty without a term, and outside the repr and equality
+    events: tuple[str, ...] = field(default=(), repr=False, compare=False)
 
     def arities(self) -> dict[str, int]:
         return arity_table(self.decls)
@@ -113,14 +120,16 @@ _FIXED_TAGS = {word: word for word in (*SYMBOLS, *KEYWORDS)}
 class _Tokens:
     """A text's tokens as parallel lists of texts, tags and lines, and a cursor."""
 
-    # blocks: what _where_blocks returns, set by the parse function that owns ts
-    __slots__ = ("texts", "tags", "lines", "rows", "pos", "blocks")
+    # blocks: what _where_blocks returns, set by the parse function that owns ts;
+    # matched: the constructor of every pattern the descent has built
+    __slots__ = ("texts", "tags", "lines", "rows", "pos", "blocks", "matched")
 
     def __init__(self, text: str):
         self.rows = rows = text.split("\n")
         self.texts = texts = []
         self.lines = lines = []
         self.pos = 0
+        self.matched = set()
         findall = _TOKEN.findall
         for line, row in enumerate(rows, 1):
             cut = row.find("#")
@@ -238,7 +247,19 @@ def parse_program(text: str) -> SourceFile:
         diagnostics.append(Diagnostic(1, 1, TOO_DEEP))
     if diagnostics:
         return SourceFile(tuple(decls), None, tuple(diagnostics))
-    return SourceFile(tuple(decls), term, ())
+    return SourceFile(tuple(decls), term, (), _events(decls, ts.matched))
+
+
+def _events(decls: list[DataDecl], matched: set[str]) -> tuple[str, ...]:
+    """The event alphabet: the nullary constructors of the datatypes ``matched`` meets.
+
+    Built-in datatypes do not count; the order is that of the declarations.
+    """
+    matched = matched - {c for d in BUILTIN_DECLS for c, _ in d.constructors}
+    owners = {d.name for d in decls
+              if any(c in matched for c, _ in d.constructors)}
+    return tuple(c for d in decls if d.name in owners
+                 for c, arity in d.constructors if arity == 0)
 
 
 def _parse_decls(ts: _Tokens) -> tuple[list[DataDecl], list[Diagnostic]]:
@@ -378,6 +399,7 @@ def _parse_alt(ts: _Tokens, funs: frozenset[str]) -> Alt:
             raise ts.error(pos, "nested pattern: patterns are a constructor "
                                 "plus variables")
         pattern = PCon(texts[start - 1], tuple(texts[start:pos]))
+        ts.matched.add(pattern.con)
         if not funs.isdisjoint(pattern.vars):
             funs = funs.difference(pattern.vars)
     else:

@@ -48,7 +48,7 @@ class FuelExhausted(EvalError):
 
 
 class NonConsOutput(EvalError):
-    """A reactive program produced something other than a state stream."""
+    """A reactive program produced something other than a stream of states."""
 
 
 class AtomError(EvalError):
@@ -154,11 +154,16 @@ def eval_whnf(t: Term, env: FunEnv | None = None, fuel: int = DEFAULT_FUEL) -> T
 
 
 def deep_eval(t: Term, env: FunEnv | None = None, fuel: int = DEFAULT_FUEL) -> Term:
-    """Fully evaluate ``t`` to a ground constructor term (lambdas kept as is)."""
+    """Fully evaluate ``t`` to a ground constructor term.
+
+    A lambda, as the value or inside its arguments, is no state: it raises
+    ``NonConsOutput``.
+    """
     value, env2, fuel = _whnf(t, env or FunEnv.empty(), fuel)
-    if isinstance(value, Con):
-        return Con(value.con, tuple(deep_eval(a, env2, fuel) for a in value.args))
-    return value
+    if type(value) is Lam:
+        raise NonConsOutput("program output is not a state stream: "
+                            "a state holds a lambda")
+    return Con(value.con, tuple(deep_eval(a, env2, fuel) for a in value.args))
 
 
 def atom_truth(atom_term: Term, state: Term) -> TruthVal:

@@ -406,6 +406,9 @@ HAND_BUILT = {
     "emits a non-stream":
         "Cons St0 (f es)\nwhere\nf = \\es -> case es of Cons e es -> "
         "case e of EvB -> St1 | _ -> Cons St0 (f es)",
+    "emits a lambda":
+        "Cons St0 (f es)\nwhere\nf = \\es -> case es of Cons e es -> "
+        "case e of EvB -> Cons (\\x -> es) (f es) | _ -> Cons St0 (f es)",
     "gets stuck":
         "Cons St0 (f es)\nwhere\nf = \\es -> case es of Cons e es -> "
         "case e of EvC -> (case St0 of St1 -> Nil) | _ -> Cons St0 (f es)",

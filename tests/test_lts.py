@@ -11,6 +11,7 @@ from rtlcheck.lts import (
 )
 from rtlcheck.parser import parse_program
 from rtlcheck.semantics import run_trace
+from rtlcheck.terms import Alt, App, Case, Con, Fun, Lam, PCon, Var, WILD, Where
 
 EVENTS = ("Request1", "Request2", "Take1", "Take2", "Release1", "Release2")
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -177,3 +178,80 @@ g = \\es -> case es of Cons e es -> case e of Go -> Cons B (g es) | _ -> Cons B 
     assert source.term is not None, source.diagnostics
     with pytest.raises(InconsistentNodeState):
         extract_lts(source.term, EVENTS)
+
+
+SHAPE_HEADER = "data E = Go | Put S\ndata S = A | B\n"
+
+
+def _on_event(alts: str) -> str:
+    return "\\es -> case es of Cons e es -> case e of " + alts
+
+
+def _emit(state: str, fun: str) -> Con:
+    return Con("Cons", (Con(state), App(Fun(fun), Var("es"))))
+
+
+def _handler(target: str) -> Lam:
+    return Lam("es", Case(Var("es"), (Alt(PCon("Cons", ("e", "es")), Case(
+        Var("e"), (Alt(WILD, _emit("A", target)),))),)))
+
+
+# each way a program can fail to have the handler shape: the program (text
+# after SHAPE_HEADER, or a term the parser cannot build), the error and its
+# message
+SHAPE_ERRORS = {
+    "not a where block": (
+        "Cons A Nil",
+        NotReactiveShape, "program must be a where block"),
+    "body emits no state and calls no handler": (
+        "Nil where f = " + _on_event("_ -> Cons A (f es)"),
+        NotReactiveShape, "branch body must emit one state and call the next handler"),
+    "handler does not case on its list": (
+        "Cons A (f es) where f = \\es -> Cons A (f es)",
+        NotReactiveShape, "handler f must case on the head of its event list"),
+    "split other than Cons": (
+        "Cons A (f es) where f = \\es -> case es of Nil -> Cons A (f es)",
+        NotReactiveShape, "handler f must split its event list with a Cons pattern"),
+    "no case on the event": (
+        "Cons A (f es) where f = \\es -> case es of Cons e es -> Cons A (f es)",
+        NotReactiveShape, "handler f must case on the event"),
+    "event pattern binds variables": (
+        "Cons A (f es) where f = " + _on_event("Go -> Cons A (f es) | Put s -> Cons A (f es)"),
+        NotReactiveShape, "event pattern Put in f binds variables"),
+    "call to an undefined handler": (
+        Where(_emit("A", "f"), (("f", _handler("g")),)),
+        NotReactiveShape, "handler f calls undefined g"),
+    "initial handler not defined": (
+        Where(_emit("A", "g"), (("f", _handler("f")),)),
+        NotReactiveShape, "initial handler g is not defined"),
+    "handler no transition enters": (
+        "Cons A (f es) where\nf = " + _on_event("_ -> Cons A (f es)")
+        + "\ng = " + _on_event("_ -> Cons A (f es)"),
+        NotReactiveShape, "no transition ever enters handler g"),
+    "inconsistent target states": (
+        "Cons A (f es) where\nf = " + _on_event("Go -> Cons A (g es) | _ -> Cons A (f es)")
+        + "\ng = " + _on_event("Go -> Cons B (g es) | _ -> Cons B (f es)"),
+        InconsistentNodeState, "transitions into g emit different states"),
+}
+
+
+@pytest.mark.parametrize("name", list(SHAPE_ERRORS))
+def test_shape_error(name):
+    program, error, message = SHAPE_ERRORS[name]
+    if isinstance(program, str):
+        source = parse_program(SHAPE_HEADER + program)
+        assert source.term is not None, source.diagnostics
+        program = source.term
+    with pytest.raises(LtsError) as info:
+        extract_lts(program, ("Go", "Put"))
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_first_problem_in_definition_order_wins():
+    # handlers are read one at a time, each branch's call and state checked
+    # right after its shape: f's call to the undefined h comes before g's shape
+    program = Where(_emit("A", "f"), (("f", _handler("h")),
+                                      ("g", Lam("es", _emit("A", "f")))))
+    with pytest.raises(NotReactiveShape, match="^handler f calls undefined h$"):
+        extract_lts(program, ("Go", "Put"))

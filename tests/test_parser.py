@@ -9,12 +9,13 @@ from rtlcheck.parser import (
 )
 from rtlcheck.pretty import pretty_term
 from rtlcheck.terms import (
-    Alt, Always, And, App, Atom, Case, Con, Eventually, Fun, Implies, Lam, Let,
-    Not, PCon, Term, Var, WILD, Where,
+    Alt, Always, And, App, Atom, BUILTIN_DECLS, Case, Con, Eventually, Fun,
+    Implies, Lam, Let, Not, PCon, Term, Var, WILD, Where,
 )
 
 from gen_programs import (
-    formula_battery, inner_where_ring, pretty_formula, random_program, ring_program,
+    formula_battery, handler_graph, inner_where_ring, pretty_formula,
+    random_program, ring_program,
 )
 
 DECLS = """\
@@ -520,6 +521,79 @@ EXPLICIT_PROGRAMS = (
     "case x of _abc -> x",
     "1x",
 )
+
+
+def _pattern_constructors(t: Term) -> set[str]:
+    """The constructor of every pattern in ``t``, found by walking the term."""
+    out: set[str] = set()
+
+    def visit(term: Term) -> None:
+        tt = type(term)
+        if tt is App:
+            visit(term.fn)
+            visit(term.arg)
+        elif tt is Case:
+            visit(term.scrutinee)
+            for alt in term.alts:
+                if type(alt.pattern) is PCon:
+                    out.add(alt.pattern.con)
+                visit(alt.body)
+        elif tt is Con:
+            for a in term.args:
+                visit(a)
+        elif tt is Lam:
+            visit(term.body)
+        elif tt is Let:
+            visit(term.bound)
+            visit(term.body)
+        elif tt is Where:
+            visit(term.body)
+            for _, d in term.defs:
+                visit(d)
+
+    visit(t)
+    return out
+
+
+def reference_events(source: SourceFile) -> tuple[str, ...]:
+    """The event alphabet by a walk over the parsed term, the parser's reference."""
+    builtin = {name for d in BUILTIN_DECLS for name, _ in d.constructors}
+    matched = _pattern_constructors(source.term) - builtin
+    owners = {d.name for d in source.decls
+              if any(c == m for c, _ in d.constructors for m in matched)}
+    out: list[str] = []
+    for d in source.decls:
+        if d.name in owners:
+            out.extend(c for c, arity in d.constructors if arity == 0)
+    return tuple(out)
+
+
+def test_events_equal_the_term_walk(corpus_text):
+    texts = [corpus_text[f"example{i}.rsl"] for i in (1, 2, 3)]
+    rng = random.Random(18)
+    texts += [GEN_DECLS + pretty_term(random_program(rng)[0]) for _ in range(300)]
+    texts += [GEN_DECLS + pretty_term(p) for p in (
+        ring_program(5), inner_where_ring(5), handler_graph(8))]
+    # one-character mutations that still parse: other patterns, other matches
+    texts += [m for text in texts[:3] for m in _mutations(text, rng, 300)]
+    texts += [  # a datatype named twice, a redeclared built-in, a state pattern
+        "data E = A\ndata E = B\ndata F = C\ncase es of Cons e r -> case e of A -> Nil",
+        "data List = Nil | Cons a (List a)\ndata E = A | B\ncase es of Nil -> Nil",
+        DECLS + "case es of Cons e r -> case e of ObsState p q -> case p of T -> Nil",
+    ]
+    parsed = [s for s in map(parse_program, texts) if s.term is not None]
+    assert len(parsed) > 500
+    assert sum(not s.events for s in parsed) > 10  # some match no event
+    for source in parsed:
+        assert source.events == reference_events(source)
+
+
+def test_events_stay_out_of_repr_and_equality():
+    source = parse_program(GEN_DECLS + pretty_term(ring_program(3)))
+    assert source.events == ("EvA", "EvB", "EvC", "EvD")
+    assert "events" not in repr(source)
+    assert source == SourceFile(source.decls, source.term, ())
+    assert hash(source) == hash(SourceFile(source.decls, source.term, ()))
 
 
 # sha256 over the results of test_parse_results_pinned: a change to the

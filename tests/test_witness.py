@@ -5,7 +5,6 @@ import pytest
 
 import rtlcheck.kleene as kleene
 from rtlcheck.corpus import obs
-from rtlcheck.cli import event_alphabet
 from rtlcheck.kleene import FALSE, TRUE, UNDEFINED, Verdict
 from rtlcheck.ltlsem import PositionedModel, sat_lasso
 from rtlcheck.parser import parse_program
@@ -272,7 +271,7 @@ VALIDATION_DIGEST = "b961d55afc6592a592d2c5f487895b7c79a0ac0fd76a7ac132667b83f1f
 def test_validation_reports_pinned(corpus):
     digest = hashlib.sha256()
     for entry, source, props in corpus:
-        assert props.fair == frozenset(event_alphabet(source))
+        assert props.fair == frozenset(source.events)
         for fair in (props.fair, frozenset()):
             for name in entry.expected_verdicts:
                 formula = props.get(name)
