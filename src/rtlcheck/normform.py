@@ -1,7 +1,8 @@
 """Conformance checking against the tail-recursive simplified program form.
 
 A conforming expression is built from: a Cons cell of a state (a
-constructor term over variables) and a conforming continuation; a function
+constructor term over variables that are not let-bound) and a conforming
+continuation; a function
 call whose arguments are all variables; a case over a variable that is not
 let-bound; an application of a let-bound variable to conforming arguments; a
 let binding a lambda abstraction; or a where block of lambda-abstracted
@@ -37,12 +38,13 @@ def check_simplified(program: Term) -> FormReport:
     return FormReport(not violations, tuple(violations))
 
 
-def is_state_term(t: Term) -> bool:
-    """Constructor term over variables: the shape of an observable state."""
+def is_state_term(t: Term, rho: frozenset[str]) -> bool:
+    """Constructor term over variables outside ``rho``: the shape of an
+    observable state. A let-bound name stands for a lambda, which is no state."""
     tt = type(t)
     if tt is Var:
-        return True
-    return tt is Con and all(is_state_term(a) for a in t.args)
+        return t.name not in rho
+    return tt is Con and all(is_state_term(a, rho) for a in t.args)
 
 
 # A path is "program" or a pair (parent path, suffix), joined into a string
@@ -62,11 +64,11 @@ def _check(t: Term, rho: frozenset[str], path: str | tuple,
     if tt is Con:
         if t.con == "Cons" and len(t.args) == 2:
             e0, e1 = t.args
-            if not is_state_term(e0):
+            if not is_state_term(e0, rho):
                 out.append(Violation(
                     _joined((path, ".state")), "cons",
                     "state position of Cons must be a constructor term "
-                    "over variables", e0))
+                    "over variables that are not let-bound", e0))
             _check(e1, rho, (path, ".tail"), out)
         else:
             out.append(Violation(

@@ -30,6 +30,16 @@ pre-pass need only not raise.
 The descent also records the constructor of every pattern it builds, and
 ``parse_program`` reads the program's event alphabet (``SourceFile.events``)
 off that set and the declarations, so no later pass walks the term for it.
+
+The descent is the only walk over a term, and records each problem of a node
+it builds as (token index, message). As ``(B) g`` saturates ``B``, a nullary
+``Con`` from a ``uid`` token waits, keyed by its ``id``, until ``_parse_app``
+saturates it and judges its arity; what waits when a program or a property
+ends is judged nullary. A pattern's problems go at its constructor, a misplaced
+wildcard at its ``_``, a function defined twice at its second name. Sorted
+stably by token index (for this grammar a pre-order walk of the term), a
+program's problems follow its declaration problems, and a property's atom
+problems its ``check_formula`` messages.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ from typing import Callable, Mapping, Optional
 from .terms import (
     Alt, Always, And, Atom, Case, Con, DataDecl, Eventually, Formula,
     Fun, Implies, Lam, Let, Next, Not, Or, PCon, Term, Var, WILD,
-    Where, app, arity_table, atoms, check_formula, check_term, BUILTIN_DECLS,
+    Where, app, arity_table, check_formula, BUILTIN_DECLS,
 )
 
 KEYWORDS = {"case", "of", "let", "in", "where", "data"}
@@ -120,16 +130,17 @@ _FIXED_TAGS = {word: word for word in (*SYMBOLS, *KEYWORDS)}
 class _Tokens:
     """A text's tokens as parallel lists of texts, tags and lines, and a cursor."""
 
-    # blocks: what _where_blocks returns, set by the parse function that owns ts;
-    # matched: the constructor of every pattern the descent has built
-    __slots__ = ("texts", "tags", "lines", "rows", "pos", "blocks", "matched")
+    # blocks, arities: set by the parse function that owns ts; matched: the pattern
+    # constructors built; problems, pending: as the module docstring tells
+    __slots__ = ("texts", "tags", "lines", "rows", "pos", "blocks", "arities",
+                 "matched", "problems", "pending")
 
     def __init__(self, text: str):
         self.rows = rows = text.split("\n")
         self.texts = texts = []
         self.lines = lines = []
         self.pos = 0
-        self.matched = set()
+        self.matched, self.problems, self.pending = set(), [], {}
         findall = _TOKEN.findall
         for line, row in enumerate(rows, 1):
             cut = row.find("#")
@@ -162,6 +173,27 @@ class _Tokens:
     def expected(self, pos: int, tag: str) -> ParseError:
         return self.error(pos, f"expected {tag!r}, "
                                f"found {self.texts[pos] or 'end of input'!r}")
+
+    def judge(self, at: int, args: int) -> None:
+        """Record a problem unless the constructor at token ``at`` takes ``args``."""
+        con = self.texts[at]
+        expects = self.arities.get(con)
+        if expects is None:
+            self.problems.append((at, f"unknown constructor {con}"))
+        elif expects != args:
+            self.problems.append((at, f"constructor arity: {con} expects {expects} "
+                                      f"arguments, got {args}"))
+
+    def located(self, start: int) -> list[Diagnostic]:
+        """The problems from index ``start`` on, in token order, each at its
+        token, once every constructor still pending is judged nullary."""
+        arities, texts = self.arities, self.texts
+        for at in self.pending.values():
+            if arities.get(texts[at]) != 0:
+                self.judge(at, 0)
+        self.pending.clear()
+        return [self.diagnostic(at, message)
+                for at, message in sorted(self.problems[start:], key=lambda p: p[0])]
 
     def expect(self, tag: str) -> int:
         """Move past the token at the cursor, which must be a ``tag``; its index."""
@@ -233,6 +265,7 @@ def parse_program(text: str) -> SourceFile:
     try:
         ts = _Tokens(text)
         decls, diagnostics = _parse_decls(ts)
+        ts.arities = arity_table(decls)
         ts.blocks = _where_blocks(ts, ts.pos)
         term = _descend(_parse_expr, ts)
         if ts.tags[ts.pos] != "eof":
@@ -240,11 +273,7 @@ def parse_program(text: str) -> SourceFile:
     except ParseError as exc:
         return SourceFile((), None, (exc.diagnostic,))
 
-    arities = arity_table(decls)
-    try:
-        diagnostics.extend(Diagnostic(1, 1, msg) for msg in check_term(term, arities))
-    except RecursionError:
-        diagnostics.append(Diagnostic(1, 1, TOO_DEEP))
+    diagnostics += ts.located(0)
     if diagnostics:
         return SourceFile(tuple(decls), None, tuple(diagnostics))
     return SourceFile(tuple(decls), term, (), _events(decls, ts.matched))
@@ -362,14 +391,20 @@ def _parse_expr(ts: _Tokens, funs: frozenset[str] = frozenset()) -> Term:
     if tags[pos] != "where":
         return term
     defs = []
+    defined: set[str] = set()
     pos += 1
     while True:  # the first definition, then each IDENT "=" that follows one
         if tags[pos] != "lid":
             raise ts.expected(pos, "lid")
         if tags[pos + 1] != "=":
             raise ts.expected(pos + 1, "=")
+        name = texts[pos]
+        if name in defined:
+            ts.problems.append((pos, f"function {name} defined twice in one "
+                                     "where block"))
+        defined.add(name)
         ts.pos = pos + 2
-        defs.append((texts[pos], _parse_expr(ts, funs)))
+        defs.append((name, _parse_expr(ts, funs)))
         pos = ts.pos
         if tags[pos] != "lid" or tags[pos + 1] != "=":
             return Where(term, tuple(defs))
@@ -378,30 +413,48 @@ def _parse_expr(ts: _Tokens, funs: frozenset[str] = frozenset()) -> Term:
 def _parse_case(ts: _Tokens, funs: frozenset[str]) -> Term:
     scrut = _parse_app(ts, funs)
     ts.expect("of")
-    alts = [_parse_alt(ts, funs)]
+    seen: set[str] = set()  # the constructors of the patterns so far
+    at = ts.pos  # the first token of the latest alternative
+    alts = [_parse_alt(ts, funs, seen)]
     while ts.tags[ts.pos] == "|":
-        ts.pos += 1
-        alts.append(_parse_alt(ts, funs))
+        if alts[-1].pattern is WILD:
+            ts.problems.append((at, "wildcard pattern must be the last alternative"))
+        at = ts.pos = ts.pos + 1
+        alts.append(_parse_alt(ts, funs, seen))
     return Case(scrut, tuple(alts))
 
 
-def _parse_alt(ts: _Tokens, funs: frozenset[str]) -> Alt:
+def _parse_alt(ts: _Tokens, funs: frozenset[str], seen: set[str]) -> Alt:
     tags, texts, pos = ts.tags, ts.texts, ts.pos
     tag = tags[pos]
     if tag == "_":
         pattern = WILD
         pos += 1
     elif tag == "uid":
+        at = pos  # the constructor: every problem of the pattern goes there
         start = pos = pos + 1
         while tags[pos] == "lid":
             pos += 1
         if tags[pos] in ("_", "uid", "("):
             raise ts.error(pos, "nested pattern: patterns are a constructor "
                                 "plus variables")
-        pattern = PCon(texts[start - 1], tuple(texts[start:pos]))
-        ts.matched.add(pattern.con)
-        if not funs.isdisjoint(pattern.vars):
-            funs = funs.difference(pattern.vars)
+        con, pvars, problems = texts[at], texts[start:pos], ts.problems
+        if con in seen:
+            problems.append((at, f"constructor {con} appears in two patterns "
+                                 "of the same case"))
+        seen.add(con)
+        if len(set(pvars)) != len(pvars):
+            problems.append((at, f"repeated pattern variable in {con} pattern"))
+        expects = ts.arities.get(con)
+        if expects is None:
+            problems.append((at, f"unknown constructor {con} in pattern"))
+        elif expects != len(pvars):
+            problems.append((at, f"pattern arity: {con} expects {expects} "
+                                 f"variables, got {len(pvars)}"))
+        pattern = PCon(con, tuple(pvars))
+        ts.matched.add(con)
+        if not funs.isdisjoint(pvars):
+            funs = funs.difference(pvars)
     else:
         raise ts.error(pos, "expected a constructor pattern or _")
     if tags[pos] != "->":
@@ -421,7 +474,9 @@ def _parse_app(ts: _Tokens, funs: frozenset[str]) -> Term:
             parts.append(Fun(name) if name in funs else Var(name))
             pos += 1
         elif tag == "uid":
-            parts.append(Con(texts[pos]))
+            con = Con(texts[pos])
+            ts.pending[id(con)] = pos
+            parts.append(con)
             pos += 1
         elif tag == "(":
             ts.pos = pos + 1
@@ -438,9 +493,10 @@ def _parse_app(ts: _Tokens, funs: frozenset[str]) -> Term:
             break
     ts.pos = pos
     head = parts[0]
-    if isinstance(head, Con) and not head.args:
+    if isinstance(head, Con) and not head.args and len(parts) > 1:
         # bare constructor applied by juxtaposition: a saturated application
-        return Con(head.con, tuple(parts[1:])) if len(parts) > 1 else head
+        ts.judge(ts.pending.pop(id(head)), len(parts) - 1)
+        return Con(head.con, tuple(parts[1:]))
     return app(head, *parts[1:])
 
 
@@ -454,10 +510,11 @@ def parse_properties(text: str, arities: Mapping[str, int]) -> PropertyFile:
     """
     try:
         ts = _Tokens(text)
+        ts.arities = arities
         ts.blocks = _where_blocks(ts, 0)
         tags, texts = ts.tags, ts.texts
         fair: list[int] = []  # the token index of each fairness name
-        props: list[tuple[int, Formula]] = []  # each with its name's index
+        props: list[tuple[int, Formula, list[Diagnostic]]] = []  # with atom problems
         while tags[ts.pos] != "eof":
             pos = ts.pos
             if tags[pos] == "lid" and texts[pos] == "fair":
@@ -471,26 +528,26 @@ def parse_properties(text: str, arities: Mapping[str, int]) -> PropertyFile:
                 ts.pos += 1
                 name = ts.expect("lid")
                 ts.expect(":")
-                props.append((name, _descend(_parse_implies, ts)))
+                start = len(ts.problems)
+                formula = _descend(_parse_implies, ts)
+                props.append((name, formula, ts.located(start)))
             else:
                 raise ts.error(pos, f"expected 'prop' or 'fair', found {texts[pos]!r}")
     except ParseError as exc:
         return PropertyFile((), frozenset(), (exc.diagnostic,))
 
-    # semantic problems are reported at the property's or fairness name
+    # other problems are reported at the property's or fairness name
     diagnostics: list[Diagnostic] = []
     seen: set[str] = set()
-    for name, _ in props:
+    for name, _, _ in props:
         if texts[name] in seen:
             diagnostics.append(ts.diagnostic(name, f"duplicate property {texts[name]}"))
         seen.add(texts[name])
-    try:
-        for name, formula in props:
+    try:  # check_formula's free variables recurse through the atom's term
+        for name, formula, problems in props:
             for msg in check_formula(formula):
                 diagnostics.append(ts.diagnostic(name, msg))
-            for atom in atoms(formula):
-                for msg in check_term(atom.term, arities):
-                    diagnostics.append(ts.diagnostic(name, msg))
+            diagnostics += problems
     except RecursionError:
         diagnostics.append(ts.diagnostic(name, TOO_DEEP))
     for name in fair:
@@ -502,7 +559,7 @@ def parse_properties(text: str, arities: Mapping[str, int]) -> PropertyFile:
                 name, f"fairness constructor {texts[name]} is not nullary"))
     if diagnostics:
         return PropertyFile((), frozenset(), tuple(diagnostics))
-    return PropertyFile(tuple((texts[name], f) for name, f in props),
+    return PropertyFile(tuple((texts[name], f) for name, f, _ in props),
                         frozenset(texts[name] for name in fair), ())
 
 

@@ -153,17 +153,23 @@ def eval_whnf(t: Term, env: FunEnv | None = None, fuel: int = DEFAULT_FUEL) -> T
     return value
 
 
-def deep_eval(t: Term, env: FunEnv | None = None, fuel: int = DEFAULT_FUEL) -> Term:
-    """Fully evaluate ``t`` to a ground constructor term.
+def deep_eval(t: Term, env: FunEnv | None = None,
+              fuel: int = DEFAULT_FUEL) -> tuple[Term, int]:
+    """Fully evaluate ``t`` to a ground constructor term; it and the fuel left.
 
-    A lambda, as the value or inside its arguments, is no state: it raises
-    ``NonConsOutput``.
+    Each argument gets the fuel that the head and the arguments before it
+    left. A lambda, as the value or inside its arguments, is no state: it
+    raises ``NonConsOutput``.
     """
-    value, env2, fuel = _whnf(t, env or FunEnv.empty(), fuel)
+    value, env, fuel = _whnf(t, env or FunEnv.empty(), fuel)
     if type(value) is Lam:
         raise NonConsOutput("program output is not a state stream: "
                             "a state holds a lambda")
-    return Con(value.con, tuple(deep_eval(a, env2, fuel) for a in value.args))
+    args = []
+    for a in value.args:
+        a, fuel = deep_eval(a, env, fuel)
+        args.append(a)
+    return Con(value.con, tuple(args)), fuel
 
 
 def atom_truth(atom_term: Term, state: Term) -> TruthVal:
@@ -230,7 +236,7 @@ def _next_state(t: Term, env: FunEnv) -> Optional[tuple[Term, Term, FunEnv]]:
     value, env, fuel = _whnf(t, env, DEFAULT_FUEL)
     match value:
         case Con("Cons", (head, tail)):
-            return deep_eval(head, env, fuel), tail, env
+            return deep_eval(head, env, fuel)[0], tail, env
         case Con("Nil", ()):
             return None
         case _:

@@ -324,78 +324,6 @@ def _under_binders(binders: tuple[str, ...], body: Term,
 
 # --- well-formedness --------------------------------------------------------
 
-def check_term(t: Term, arities: Mapping[str, int]) -> list[str]:
-    """Problems with ``t`` against the term invariants, empty when well formed.
-
-    Checks constructor arities against the declaration table and the case
-    alternative rules: at least one alternative, at most one wildcard and
-    only in last position, no constructor in two patterns of one case, no
-    repeated variable inside one pattern, no function defined twice in one
-    where block.
-    """
-    problems: list[str] = []
-    _check(t, arities, problems)
-    return problems
-
-
-def _check(t: Term, arities: Mapping[str, int], out: list[str]) -> None:
-    # runs on every parsed program and atom: dispatch on type, not match
-    tt = type(t)
-    if tt is App:
-        _check(t.fn, arities, out)
-        _check(t.arg, arities, out)
-    elif tt is Var or tt is Fun:
-        pass
-    elif tt is Con:
-        con, args = t.con, t.args
-        if con not in arities:
-            out.append(f"unknown constructor {con}")
-        elif arities[con] != len(args):
-            out.append(f"constructor arity: {con} expects {arities[con]} "
-                       f"arguments, got {len(args)}")
-        for a in args:
-            _check(a, arities, out)
-    elif tt is Case:
-        alts = t.alts
-        _check(t.scrutinee, arities, out)
-        if not alts:
-            out.append("case with no alternatives")
-        seen: set[str] = set()
-        for i, alt in enumerate(alts):
-            if isinstance(alt.pattern, PWild):
-                if i != len(alts) - 1:
-                    out.append("wildcard pattern must be the last alternative")
-            else:
-                con, pvars = alt.pattern.con, alt.pattern.vars
-                if con in seen:
-                    out.append(f"constructor {con} appears in two patterns "
-                               "of the same case")
-                seen.add(con)
-                if len(set(pvars)) != len(pvars):
-                    out.append(f"repeated pattern variable in {con} pattern")
-                if con in arities and arities[con] != len(pvars):
-                    out.append(f"pattern arity: {con} expects {arities[con]} "
-                               f"variables, got {len(pvars)}")
-                elif con not in arities:
-                    out.append(f"unknown constructor {con} in pattern")
-            _check(alt.body, arities, out)
-    elif tt is Lam:
-        _check(t.body, arities, out)
-    elif tt is Let:
-        _check(t.bound, arities, out)
-        _check(t.body, arities, out)
-    elif tt is Where:
-        _check(t.body, arities, out)
-        defined: set[str] = set()
-        for name, d in t.defs:
-            if name in defined:
-                out.append(f"function {name} defined twice in one where block")
-            defined.add(name)
-            _check(d, arities, out)
-    else:
-        out.append(f"not a term: {t!r}")
-
-
 def check_formula(f: Formula) -> list[str]:
     """Problems with formula ``f``: every atom may close over ``s`` only."""
     problems: list[str] = []

@@ -1,17 +1,22 @@
-"""Seeded generator of random conforming reactive programs.
+"""Seeded generator of random conforming reactive programs, and reference walks.
 
 Generated programs follow the corpus shape: every handler cases on the head
 of its event list and then on the event, each branch emitting one state and
 tail-calling a handler. A fraction also wraps the body in a let binding a
 lambda and applies the let variable, to exercise the abstraction rules.
+
+``pretty_formula`` prints a formula, and ``check_term`` checks a term by a
+walk of its own: the parser checks terms as it builds them, and its
+diagnostics are compared with this walk's.
 """
 
 import random
+from typing import Mapping
 
 from rtlcheck.pretty import pretty_term
 from rtlcheck.terms import (
     Alt, Always, And, App, Atom, Case, Con, Eventually, Formula, Fun, Implies,
-    Lam, Let, Next, Not, Or, PCon, Term, Var, WILD, Where,
+    Lam, Let, Next, Not, Or, PCon, PWild, Term, Var, WILD, Where,
 )
 
 EVENT_POOL = ("EvA", "EvB", "EvC", "EvD")
@@ -168,3 +173,77 @@ def handler_graph(n: int, seed: int = 0) -> Term:
             ))),)))
         defs.append((f"g{i}", handler))
     return Where(enter(0), tuple(defs))
+
+
+# --- the reference term check -----------------------------------------------
+
+def check_term(t: Term, arities: Mapping[str, int]) -> list[str]:
+    """Problems with ``t`` against the term invariants, empty when well formed.
+
+    Checks constructor arities against the declaration table and the case
+    alternative rules: at least one alternative, at most one wildcard and
+    only in last position, no constructor in two patterns of one case, no
+    repeated variable inside one pattern, no function defined twice in one
+    where block. The parser reports the same messages in the same order,
+    each at its token.
+    """
+    problems: list[str] = []
+    _check(t, arities, problems)
+    return problems
+
+
+def _check(t: Term, arities: Mapping[str, int], out: list[str]) -> None:
+    tt = type(t)
+    if tt is App:
+        _check(t.fn, arities, out)
+        _check(t.arg, arities, out)
+    elif tt is Var or tt is Fun:
+        pass
+    elif tt is Con:
+        con, args = t.con, t.args
+        if con not in arities:
+            out.append(f"unknown constructor {con}")
+        elif arities[con] != len(args):
+            out.append(f"constructor arity: {con} expects {arities[con]} "
+                       f"arguments, got {len(args)}")
+        for a in args:
+            _check(a, arities, out)
+    elif tt is Case:
+        alts = t.alts
+        _check(t.scrutinee, arities, out)
+        if not alts:
+            out.append("case with no alternatives")
+        seen: set[str] = set()
+        for i, alt in enumerate(alts):
+            if isinstance(alt.pattern, PWild):
+                if i != len(alts) - 1:
+                    out.append("wildcard pattern must be the last alternative")
+            else:
+                con, pvars = alt.pattern.con, alt.pattern.vars
+                if con in seen:
+                    out.append(f"constructor {con} appears in two patterns "
+                               "of the same case")
+                seen.add(con)
+                if len(set(pvars)) != len(pvars):
+                    out.append(f"repeated pattern variable in {con} pattern")
+                if con in arities and arities[con] != len(pvars):
+                    out.append(f"pattern arity: {con} expects {arities[con]} "
+                               f"variables, got {len(pvars)}")
+                elif con not in arities:
+                    out.append(f"unknown constructor {con} in pattern")
+            _check(alt.body, arities, out)
+    elif tt is Lam:
+        _check(t.body, arities, out)
+    elif tt is Let:
+        _check(t.bound, arities, out)
+        _check(t.body, arities, out)
+    elif tt is Where:
+        _check(t.body, arities, out)
+        defined: set[str] = set()
+        for name, d in t.defs:
+            if name in defined:
+                out.append(f"function {name} defined twice in one where block")
+            defined.add(name)
+            _check(d, arities, out)
+    else:
+        out.append(f"not a term: {t!r}")

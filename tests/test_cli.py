@@ -190,19 +190,34 @@ f = \\es -> case es of Cons e es -> case e of
 
 
 def test_oracle_sampling_a_let_bound_lambda_state_exits_70(tmp_path, capsys):
-    # in simplified form, and G True never looks at the state, so the verdict
-    # stands and the sampling reaches the lambda after EvB
+    # a let-bound name stands for a lambda, so a state that holds one is not
+    # in simplified form: G True, which never looks at the state, is refused
+    # before any sampling
     path = tmp_path / "p.rsl"
     path.write_text(LET_LAMBDA_STATE)
     props = tmp_path / "p.ltl"
     props.write_text("prop p: G { True }\n")
-    assert main(["check", str(path)]) == 0
-    capsys.readouterr()
     assert main(["oracle", str(path), "--props", str(props), "--prop", "p",
                  "--depth", "2"]) == 70
     out, err = capsys.readouterr()
     assert out == ""
-    assert "NonConsOutput" in err
+    assert "NotSimplified" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "witness", "oracle"])
+def test_let_bound_variable_as_a_state_is_not_simplified(tmp_path, capsys, command):
+    path = tmp_path / "p.rsl"
+    path.write_text(LET_LAMBDA_STATE)
+    props = tmp_path / "p.ltl"
+    props.write_text("prop p: G {case s of St0 -> True | _ -> False}\n")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "program.f.alt0.alt0.body.state: [cons] state position of Cons must be "
+        "a constructor term over variables that are not let-bound\n")
+    assert main([command, str(path), "--props", str(props), "--prop", "p"]) == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("rtlcheck: NotSimplified: program.f.alt0.alt0.body.state:")
 
 
 def test_where_defining_a_name_twice_exits_66(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import hashlib
 import random
+import re
 
 from hypothesis import given, settings, strategies as st
 
+from rtlcheck import parser
 from rtlcheck.corpus import obs
 from rtlcheck.parser import (
     PropertyFile, SourceFile, TOO_DEEP, parse_program, parse_properties,
@@ -10,12 +12,12 @@ from rtlcheck.parser import (
 from rtlcheck.pretty import pretty_term
 from rtlcheck.terms import (
     Alt, Always, And, App, Atom, BUILTIN_DECLS, Case, Con, Eventually, Fun,
-    Implies, Lam, Let, Not, PCon, Term, Var, WILD, Where,
+    Implies, Lam, Let, Not, PCon, Term, Var, WILD, Where, arity_table,
 )
 
 from gen_programs import (
-    formula_battery, handler_graph, inner_where_ring, pretty_formula,
-    random_program, ring_program,
+    check_term, formula_battery, handler_graph, inner_where_ring,
+    pretty_formula, random_program, ring_program,
 )
 
 DECLS = """\
@@ -102,9 +104,55 @@ def test_declaration_diagnostics_point_at_the_name():
     assert [str(d) for d in source.diagnostics] == [
         "1:14: constructor A already declared in D",
         "2:8: datatype TruthVal is built in and may only be redeclared verbatim"]
-    # term diagnostics carry no source position yet
+    # a term diagnostic points at its token, after the declaration problems
     source = parse_program("data D = A\n\nCons Mystery Nil")
-    assert [str(d) for d in source.diagnostics] == ["1:1: unknown constructor Mystery"]
+    assert [str(d) for d in source.diagnostics] == ["3:6: unknown constructor Mystery"]
+    source = parse_program("data D = A | A\nCons Mystery (A Nil)")
+    assert [str(d) for d in source.diagnostics] == [
+        "1:14: constructor A already declared in D",
+        "2:6: unknown constructor Mystery",
+        "2:15: constructor arity: A expects 0 arguments, got 1"]
+
+
+def test_bad_arity_points_at_the_constructor():
+    assert _diagnostics("Cons\n  Nil") == [
+        "1:1: constructor arity: Cons expects 2 arguments, got 1"]
+    # a parenthesized constructor is saturated by the enclosing application,
+    # so (B) g gives B one argument, judged at B
+    assert _diagnostics("data D = A | B\n(B) g") == [
+        "2:2: constructor arity: B expects 0 arguments, got 1"]
+    assert _diagnostics("data D = A | B X\nf ((B)) (B) A") == [
+        "2:5: constructor arity: B expects 1 arguments, got 0",
+        "2:10: constructor arity: B expects 1 arguments, got 0"]
+    assert _diagnostics("data D = A | B X\n((B)) (A) g") == [
+        "2:3: constructor arity: B expects 1 arguments, got 2"]
+
+
+def test_duplicate_case_constructor_points_at_the_second_pattern():
+    assert _diagnostics("case x of Nil -> x\n  | Nil -> x") == [
+        "2:5: constructor Nil appears in two patterns of the same case"]
+
+
+def test_misplaced_wildcard_points_at_its_underscore():
+    assert _diagnostics("case x of\n _ -> x | Nil -> x") == [
+        "2:2: wildcard pattern must be the last alternative"]
+
+
+def test_function_defined_twice_points_at_the_second_name():
+    assert _diagnostics("f where f = \\es -> f\n  g = \\es -> f\n  f = \\es -> f") == [
+        "3:3: function f defined twice in one where block"]
+    # a nested block may redefine an outer name
+    assert _diagnostics("f where f = (f where f = \\es -> f)") == []
+
+
+def test_pattern_problems_point_at_the_constructor_in_reference_order():
+    text = "data D = C X\ncase x of C y y z -> x | C -> x\n| Q -> x | _ -> x"
+    assert _diagnostics(text) == [
+        "2:11: repeated pattern variable in C pattern",
+        "2:11: pattern arity: C expects 1 variables, got 3",
+        "2:26: constructor C appears in two patterns of the same case",
+        "2:26: pattern arity: C expects 1 variables, got 0",
+        "3:3: unknown constructor Q in pattern"]
 
 
 def test_diagnostics_carry_positions():
@@ -388,6 +436,111 @@ def test_block_tokens_out_of_place_keep_their_diagnostics():
     assert _diagnostics("f where f = (g = x)") == ["1:16: expected ')', found '='"]
 
 
+# --- term checks -------------------------------------------------------------------
+
+# declarations under which the same texts break different arity rules
+ARITY_DECLS = (SCOPE_DECLS, "data D = A X | B | C X X X\n",
+               "data D = A | B X X | C\n", "data D = A X X | B | C X\n")
+
+# the token each term problem names: a constructor, "_" or a function
+_NAMED = re.compile(r"arity: (\w+)|constructor (?!arity)(\w+)|variable in (\w+)"
+                    r"|function (\w+)|(wildcard)")
+
+
+def _descent(text: str) -> tuple[Term, dict[str, int], int] | None:
+    """The term the descent builds from a program, problems or not, its
+    constructor table and its number of declaration problems; None when the
+    text does not parse."""
+    ts = parser._Tokens(text)
+    decls, problems = parser._parse_decls(ts)
+    ts.arities = arity_table(decls)
+    ts.blocks = parser._where_blocks(ts, ts.pos)
+    term = parser._parse_expr(ts)
+    if ts.tags[ts.pos] != "eof":
+        return None
+    return term, ts.arities, len(problems)
+
+
+def _problem_token(message: str) -> str:
+    name = next(g for g in _NAMED.search(message).groups() if g)
+    return "_" if name == "wildcard" else name
+
+
+def _token_at(text: str, diagnostic) -> str:
+    row = text.split("\n")[diagnostic.line - 1]
+    return re.match(r"\w+|\S", row[diagnostic.col - 1:]).group()
+
+
+def _assert_checks_like_the_reference(text: str) -> int:
+    """The number of term problems ``parse_program`` reports for ``text``,
+    after checking them against the reference walk: the same messages in the
+    same order, each at the token it names."""
+    try:
+        built = _descent(text)
+    except parser.ParseError:
+        built = None
+    source = parse_program(text)
+    if built is None:
+        assert source.term is None and len(source.diagnostics) == 1
+        return 0
+    term, arities, declared = built
+    found = source.diagnostics[declared:]
+    assert [d.message for d in found] == check_term(term, arities), text
+    for d in found:
+        assert _token_at(text, d) == _problem_token(d.message), (text, d)
+    return len(found)
+
+
+UIDS = ("Cons", "Nil", "St0", "St1", "EvA", "EvB", "Mystery", "True")
+
+
+def _token_mutation(text: str, rng: random.Random, count: int) -> str:
+    """``text`` with ``count`` constructors renamed, parenthesized, given an
+    argument or deleted, or alternatives put in at a ``|``."""
+    tokens = re.findall(r"\w+|->|\S|\n", text)
+    for i in rng.choices([i for i, t in enumerate(tokens) if t[0].isupper() or t == "|"],
+                         k=count):
+        if tokens[i] == "|":
+            tokens[i] = rng.choice(("| _ -> Nil |", "| St0 -> Nil |", "| Cons e e -> Nil |"))
+        else:
+            tokens[i] = rng.choice((rng.choice(UIDS), f"({tokens[i]})",
+                                    f"{tokens[i]} {rng.choice(('x', 'St0', '(St1)'))}", ""))
+    return " ".join(tokens)
+
+
+def test_descent_checks_terms_like_the_reference(corpus_text):
+    for i in (1, 2, 3):
+        assert _assert_checks_like_the_reference(corpus_text[f"example{i}.rsl"]) == 0
+    rng = random.Random(19)
+    mutated = [_assert_checks_like_the_reference(
+                   GEN_DECLS + _token_mutation(pretty_term(random_program(rng)[0]),
+                                               rng, rng.randint(2, 6)))
+               for _ in range(300)]
+    nested = [_assert_checks_like_the_reference(ARITY_DECLS[i % len(ARITY_DECLS)] + text)
+              for i, text in enumerate(_nested_texts(19, 2400))]
+    # many texts break several rules at once
+    assert sum(n > 1 for n in mutated) > 60
+    assert sum(n > 1 for n in nested) > 700
+
+
+def test_atoms_check_terms_like_the_reference():
+    checked = 0
+    for i, text in enumerate(_nested_texts(20, 600)):
+        decls = ARITY_DECLS[i % len(ARITY_DECLS)]
+        atom = f"prop p: G {{ {text} }}"
+        props = parse_properties(atom, parse_program(decls + "Nil").arities())
+        built = _descent(decls + text)
+        if built is None:
+            continue
+        term, arities, _ = built
+        found = [d for d in props.diagnostics if not d.message.startswith("free variable")]
+        assert [d.message for d in found] == check_term(term, arities), text
+        for d in found:
+            assert _token_at(atom, d) == _problem_token(d.message), (atom, d)
+        checked += bool(found)
+    assert checked > 250
+
+
 # --- properties ------------------------------------------------------------------
 
 def _corpus_arities(corpus_by_name):
@@ -460,8 +613,8 @@ def test_fairness_must_be_nullary(corpus_by_name):
 
 
 def test_semantic_diagnostics_point_at_the_name(corpus_by_name):
-    # duplicates and atom problems at the property's name, fairness problems
-    # at the fairness name
+    # duplicates and free variables at the property's name, fairness problems
+    # at the fairness name, an atom's term problems at their tokens
     text = ("prop mutex: G { True }\n"
             "prop free: G { t }\n"
             "fair: Take1, Nope\n"
@@ -470,8 +623,19 @@ def test_semantic_diagnostics_point_at_the_name(corpus_by_name):
     assert [str(d) for d in props.diagnostics] == [
         "4:8: duplicate property mutex",
         "2:6: free variable t in atom",
-        "4:8: constructor arity: Cons expects 2 arguments, got 0",
+        "4:19: constructor arity: Cons expects 2 arguments, got 0",
         "3:14: unknown fairness constructor Nope",
+    ]
+    # each property's atom problems follow its own free-variable problems,
+    # in token order
+    text = ("prop p: { Nope t } && { (True) s }\n"
+            "prop q: G { Cons Nil }")
+    props = parse_properties(text, _corpus_arities(corpus_by_name))
+    assert [str(d) for d in props.diagnostics] == [
+        "1:6: free variable t in atom",
+        "1:11: unknown constructor Nope",
+        "1:26: constructor arity: True expects 0 arguments, got 1",
+        "2:13: constructor arity: Cons expects 2 arguments, got 1",
     ]
 
 
@@ -599,9 +763,11 @@ def test_events_stay_out_of_repr_and_equality():
 # sha256 over the results of test_parse_results_pinned: a change to the
 # grammar, to a parsed term or to a diagnostic moves it; re-recorded when
 # property files' semantic diagnostics moved from 1:1 to the names they
-# concern, and again when program files' declaration diagnostics did (25
-# results), all else checked equal result by result each time
-PARSE_DIGEST = "1f88f634b9be30b8583b15533322899e49672efba4d5a2765cd43da38df218e9"
+# concern, again when program files' declaration diagnostics did (25
+# results), and again when term diagnostics moved from 1:1 and from the
+# property's name to their tokens (273 results), all else checked equal
+# result by result each time
+PARSE_DIGEST = "f939ad6247175003e0084e6d06c1e4b41795aebd655d7cf43093cbfff54645b8"
 
 
 def _canonical(result) -> str:

@@ -5,6 +5,7 @@ import pytest
 from rtlcheck import semantics
 from rtlcheck.corpus import obs
 from rtlcheck.kleene import FALSE, TRUE
+from rtlcheck.parser import parse_program
 from rtlcheck.semantics import (
     FuelExhausted, FunEnv, NonConsOutput, StuckError,
     atom_truth, deep_eval, eval_whnf, run_trace, step,
@@ -60,7 +61,8 @@ def test_step_is_deterministic_and_progresses(corpus_by_name):
 
 
 def test_step_preserves_closedness_and_wellformedness(corpus_by_name):
-    from rtlcheck.terms import check_term, free_vars, substitute
+    from rtlcheck.terms import free_vars, substitute
+    from gen_programs import check_term
     _, source, _ = corpus_by_name["example1"]
     arities = source.arities()
     events = Con("Cons", (Con("Request1"),
@@ -179,6 +181,20 @@ def test_run_trace_refuses_empty_cycle(corpus_by_name):
         run_trace(source.term, [], cycle=True, max_states=2)
 
 
+def test_fuel_is_shared_by_the_arguments_of_a_state(monkeypatch):
+    # 7 steps in all: the where block, then 3 for each g St0
+    program = parse_program(
+        "data S = St0 | P X X\n"
+        "Cons (P (g St0) (g St0)) es where g = \\x -> case x of St0 -> St0 | _ -> x").term
+    monkeypatch.setattr(semantics, "DEFAULT_FUEL", 6)
+    with pytest.raises(FuelExhausted):
+        run_trace(program, ["A"], max_states=1)
+    monkeypatch.setattr(semantics, "DEFAULT_FUEL", 7)
+    assert run_trace(program, ["A"], max_states=1) == [
+        Con("P", (Con("St0"), Con("St0")))]
+
+
 def test_deep_eval_normalizes_under_constructors():
     t = Con("Pair2", (App(Lam("x", Var("x")), Con("A")), Con("B")))
-    assert deep_eval(t) == Con("Pair2", (Con("A"), Con("B")))
+    # one beta step, taken from the fuel the second argument then gets
+    assert deep_eval(t, fuel=5) == (Con("Pair2", (Con("A"), Con("B"))), 4)

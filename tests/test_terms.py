@@ -2,7 +2,7 @@ from hypothesis import given, settings, strategies as st
 
 from rtlcheck.terms import (
     Alt, App, Case, Con, Fun, Lam, Let, PCon, Var, WILD, Where,
-    check_term, free_vars, fresh_name, substitute, arity_table,
+    free_vars, fresh_name, substitute,
 )
 
 
@@ -145,31 +145,3 @@ def test_renaming_only_introduces_absent_names(t, b):
     before = all_names(t) | set().union(set(), *(all_names(e) for e in b.values()))
     introduced = all_names(substitute(t, b)) - before
     assert all(name not in before for name in introduced)
-
-
-def test_check_term_flags_bad_arity():
-    problems = check_term(Con("Cons", (Con("Nil"),)), arity_table())
-    assert any("arity" in p for p in problems)
-
-
-def test_check_term_flags_duplicate_case_constructor():
-    t = Case(Var("x"), (Alt(PCon("Nil", ()), Var("x")),
-                        Alt(PCon("Nil", ()), Var("x"))))
-    problems = check_term(t, arity_table())
-    assert any("two patterns" in p for p in problems)
-
-
-def test_check_term_flags_misplaced_wildcard():
-    t = Case(Var("x"), (Alt(WILD, Var("x")), Alt(PCon("Nil", ()), Var("x"))))
-    problems = check_term(t, arity_table())
-    assert any("last" in p for p in problems)
-
-
-def test_check_term_flags_function_defined_twice_in_one_where():
-    f = Lam("es", Fun("f"))
-    twice = Where(Fun("f"), (("f", f), ("g", f), ("f", f)))
-    assert check_term(twice, arity_table()) == [
-        "function f defined twice in one where block"]
-    # a nested block may redefine an outer name
-    nested = Where(Fun("f"), (("f", Where(Fun("f"), (("f", f),))),))
-    assert check_term(nested, arity_table()) == []
