@@ -80,14 +80,19 @@ def _fair_set(args, source: SourceFile, props: PropertyFile) -> frozenset[str]:
     if args.fair_all:
         return frozenset(source.events)
     if args.fair is not None:
-        names = [n.strip() for n in args.fair.split(",") if n.strip()]
-        arities = source.arities()
-        for name in names:
-            if arities.get(name) != 0:
-                raise InputError(f"--fair: {name} is not a declared nullary "
-                                 "constructor")
-        return frozenset(names)
+        return frozenset(_constructors("--fair", args.fair, source))
     return props.fair
+
+
+def _constructors(option: str, value: str, source: SourceFile) -> list[str]:
+    """The names of a comma list, each a declared nullary constructor."""
+    names = [n.strip() for n in value.split(",") if n.strip()]
+    arities = source.arities()
+    for name in names:
+        if arities.get(name) != 0:
+            raise InputError(f"{option}: {name} is not a declared nullary "
+                             "constructor")
+    return names
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -160,12 +165,7 @@ def _cmd_lts(args) -> int:
 
 def _cmd_simulate(args) -> int:
     source = _load_program(args.file)
-    events = [e.strip() for e in args.events.split(",") if e.strip()]
-    arities = source.arities()
-    for e in events:
-        if arities.get(e) != 0:
-            raise InputError(f"--events: {e} is not a declared nullary "
-                             "constructor")
+    events = _constructors("--events", args.events, source)
     trace = run_trace(source.term, events, cycle=args.cycle, max_states=args.n)
     for state in trace:
         print(pretty_term(state))

@@ -1,13 +1,17 @@
 """Conformance checking against the tail-recursive simplified program form.
 
-A conforming expression is built from: a Cons cell of a state (a
-constructor term over variables that are not let-bound) and a conforming
-continuation; a function
-call whose arguments are all variables; a case over a variable that is not
+A conforming expression is built from: a Cons cell of a state (a ground
+constructor term) and a conforming continuation; a function call whose
+arguments are all variables; a case over a variable that is not
 let-bound; an application of a let-bound variable to conforming arguments; a
 let binding a lambda abstraction; or a where block of lambda-abstracted
 definitions. Everything the verifier and witness builder consume must pass
 this check first.
+
+States are ground because the verifier reads them as written: it binds no
+variable, neither a case pattern's nor a handler parameter's, so an atom could
+not evaluate a state that holds one. With ground states and a closed program,
+every term the library substitutes is closed too.
 """
 
 from __future__ import annotations
@@ -38,13 +42,9 @@ def check_simplified(program: Term) -> FormReport:
     return FormReport(not violations, tuple(violations))
 
 
-def is_state_term(t: Term, rho: frozenset[str]) -> bool:
-    """Constructor term over variables outside ``rho``: the shape of an
-    observable state. A let-bound name stands for a lambda, which is no state."""
-    tt = type(t)
-    if tt is Var:
-        return t.name not in rho
-    return tt is Con and all(is_state_term(a, rho) for a in t.args)
+def is_state_term(t: Term) -> bool:
+    """Ground constructor term: the shape of an observable state."""
+    return type(t) is Con and all(is_state_term(a) for a in t.args)
 
 
 # A path is "program" or a pair (parent path, suffix), joined into a string
@@ -64,11 +64,11 @@ def _check(t: Term, rho: frozenset[str], path: str | tuple,
     if tt is Con:
         if t.con == "Cons" and len(t.args) == 2:
             e0, e1 = t.args
-            if not is_state_term(e0, rho):
+            if not is_state_term(e0):
                 out.append(Violation(
                     _joined((path, ".state")), "cons",
-                    "state position of Cons must be a constructor term "
-                    "over variables that are not let-bound", e0))
+                    "state position of Cons must be a ground constructor "
+                    "term", e0))
             _check(e1, rho, (path, ".tail"), out)
         else:
             out.append(Violation(

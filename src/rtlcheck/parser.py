@@ -38,8 +38,9 @@ saturates it and judges its arity; what waits when a program or a property
 ends is judged nullary. A pattern's problems go at its constructor, a misplaced
 wildcard at its ``_``, a function defined twice at its second name. Sorted
 stably by token index (for this grammar a pre-order walk of the term), a
-program's problems follow its declaration problems, and a property's atom
-problems its ``check_formula`` messages.
+program's problems follow its declaration problems. An atom's free variables
+other than ``s`` go at the name of its ``prop``, so they precede the property's
+other problems.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from typing import Callable, Mapping, Optional
 from .terms import (
     Alt, Always, And, Atom, Case, Con, DataDecl, Eventually, Formula,
     Fun, Implies, Lam, Let, Next, Not, Or, PCon, Term, Var, WILD,
-    Where, app, arity_table, check_formula, BUILTIN_DECLS,
+    Where, app, arity_table, free_vars, BUILTIN_DECLS, STATE_VAR,
 )
 
 KEYWORDS = {"case", "of", "let", "in", "where", "data"}
@@ -131,9 +132,10 @@ class _Tokens:
     """A text's tokens as parallel lists of texts, tags and lines, and a cursor."""
 
     # blocks, arities: set by the parse function that owns ts; matched: the pattern
-    # constructors built; problems, pending: as the module docstring tells
+    # constructors built; problems, pending: as the module docstring tells; prop:
+    # the token of the property name being parsed
     __slots__ = ("texts", "tags", "lines", "rows", "pos", "blocks", "arities",
-                 "matched", "problems", "pending")
+                 "matched", "problems", "pending", "prop")
 
     def __init__(self, text: str):
         self.rows = rows = text.split("\n")
@@ -526,7 +528,7 @@ def parse_properties(text: str, arities: Mapping[str, int]) -> PropertyFile:
                     fair.append(ts.expect("uid"))
             elif tags[pos] == "lid" and texts[pos] == "prop":
                 ts.pos += 1
-                name = ts.expect("lid")
+                name = ts.prop = ts.expect("lid")
                 ts.expect(":")
                 start = len(ts.problems)
                 formula = _descend(_parse_implies, ts)
@@ -543,13 +545,8 @@ def parse_properties(text: str, arities: Mapping[str, int]) -> PropertyFile:
         if texts[name] in seen:
             diagnostics.append(ts.diagnostic(name, f"duplicate property {texts[name]}"))
         seen.add(texts[name])
-    try:  # check_formula's free variables recurse through the atom's term
-        for name, formula, problems in props:
-            for msg in check_formula(formula):
-                diagnostics.append(ts.diagnostic(name, msg))
-            diagnostics += problems
-    except RecursionError:
-        diagnostics.append(ts.diagnostic(name, TOO_DEEP))
+    for _, _, problems in props:
+        diagnostics += problems
     for name in fair:
         if arities.get(texts[name]) is None:
             diagnostics.append(ts.diagnostic(
@@ -601,6 +598,8 @@ def _parse_unary(ts: _Tokens) -> Formula:
     if tag == "{":
         term = _parse_expr(ts)
         ts.expect("}")
+        for name in sorted(free_vars(term) - {STATE_VAR}):
+            ts.problems.append((ts.prop, f"free variable {name} in atom"))
         return Atom(term)
     if tag == "(":
         inner = _parse_implies(ts)

@@ -220,11 +220,12 @@ def bind_events(program: Term, events: Term) -> Term:
     """The program with ``events`` for its event list.
 
     The program's single free variable is its event-list parameter; a closed
-    program is applied to the list instead.
+    program is applied to the list instead, and one with several free
+    variables raises ``EvalError``.
     """
     fv = sorted(free_vars(program))
     if len(fv) > 1:
-        raise ValueError(f"program has several free variables: {', '.join(fv)}")
+        raise EvalError(f"program has several free variables: {', '.join(fv)}")
     return substitute(program, {fv[0]: events}) if fv else App(program, events)
 
 

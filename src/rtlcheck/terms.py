@@ -244,19 +244,14 @@ def _free_vars(t: Term) -> frozenset[str]:
 
 # --- substitution -----------------------------------------------------------
 
-def fresh_name(base: str, avoid: set[str]) -> str:
-    """Smallest numeric suffix on ``base`` that avoids every name in scope."""
-    k = 1
-    while f"{base}{k}" in avoid:
-        k += 1
-    return f"{base}{k}"
-
-
 def substitute(t: Term, bindings: Mapping[str, Term]) -> Term:
-    """Capture-avoiding simultaneous substitution of variables in ``t``.
+    """Simultaneous substitution of the bound terms for variables in ``t``.
 
-    Bound variables are renamed (smallest fresh numeric suffix) exactly when
-    a binding would otherwise capture a free variable of a substituted term.
+    Precondition: every bound term is closed, but for the simulator's
+    ``<events>`` placeholder, a name no binder can take. States are ground and
+    the library reduces closed programs, so it substitutes nothing else (see
+    :mod:`rtlcheck.normform`). No binder can then capture a free variable of a
+    bound term, and one only hides its own names from the bindings.
     """
     return _subst(t, bindings)
 
@@ -275,19 +270,14 @@ def _subst(t: Term, sub: Mapping[str, Term]) -> Term:
     if tt is Case:
         new_alts = []
         for alt in t.alts:
-            if isinstance(alt.pattern, PCon) and alt.pattern.vars:
-                pvars, body = _under_binders(alt.pattern.vars, alt.body, sub)
-                new_alts.append(Alt(PCon(alt.pattern.con, pvars), body))
-            else:
-                new_alts.append(Alt(alt.pattern, _subst(alt.body, sub)))
+            inner = _unshadowed(alt.pattern.vars, sub) if isinstance(alt.pattern, PCon) else sub
+            new_alts.append(Alt(alt.pattern, _subst(alt.body, inner)))
         return Case(_subst(t.scrutinee, sub), tuple(new_alts))
     if tt is Lam:
-        (param,), body = _under_binders((t.param,), t.body, sub)
-        return Lam(param, body)
+        return Lam(t.param, _subst(t.body, _unshadowed((t.param,), sub)))
     if tt is Let:
-        new_bound = _subst(t.bound, sub)
-        (name,), body = _under_binders((t.name,), t.body, sub)
-        return Let(name, new_bound, body)
+        return Let(t.name, _subst(t.bound, sub),
+                   _subst(t.body, _unshadowed((t.name,), sub)))
     if tt is Where:
         return Where(_subst(t.body, sub),
                      tuple((f, _subst(d, sub)) for f, d in t.defs))
@@ -296,50 +286,8 @@ def _subst(t: Term, sub: Mapping[str, Term]) -> Term:
     raise TypeError(f"not a term: {t!r}")
 
 
-def _under_binders(binders: tuple[str, ...], body: Term,
-                   sub: Mapping[str, Term]) -> tuple[tuple[str, ...], Term]:
-    body_fv = free_vars(body)
-    live = {x: e for x, e in sub.items() if x not in binders and x in body_fv}
-    if not live:
-        return binders, body
-    incoming = set()
-    for e in live.values():
-        incoming |= free_vars(e)
-    renames: dict[str, Term] = {}
-    new_binders = []
-    # one growing avoid set keeps sibling binders from colliding
-    avoid = set(body_fv) | incoming | set(binders) | set(live)
-    for b in binders:
-        if b in incoming:
-            nb = fresh_name(b, avoid)
-            avoid.add(nb)
-            renames[b] = Var(nb)
-            new_binders.append(nb)
-        else:
-            new_binders.append(b)
-    if renames:
-        body = _subst(body, renames)
-    return tuple(new_binders), _subst(body, live)
-
-
-# --- well-formedness --------------------------------------------------------
-
-def check_formula(f: Formula) -> list[str]:
-    """Problems with formula ``f``: every atom may close over ``s`` only."""
-    problems: list[str] = []
-    for atom in atoms(f):
-        extra = free_vars(atom.term) - {STATE_VAR}
-        for name in sorted(extra):
-            problems.append(f"free variable {name} in atom")
-    return problems
-
-
-def atoms(f: Formula) -> list[Atom]:
-    match f:
-        case Atom(_):
-            return [f]
-        case Not(sub) | Always(sub) | Eventually(sub) | Next(sub):
-            return atoms(sub)
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            return atoms(l) + atoms(r)
-    raise TypeError(f"not a formula: {f!r}")
+def _unshadowed(binders: tuple[str, ...], sub: Mapping[str, Term]) -> Mapping[str, Term]:
+    """``sub`` without the bindings of names that ``binders`` shadow."""
+    if sub.keys().isdisjoint(binders):
+        return sub
+    return {x: e for x, e in sub.items() if x not in binders}

@@ -9,7 +9,8 @@ budget, call unfolding, and the errors.
 
 from __future__ import annotations
 
-from .terms import Formula, Lam, Term, Var, substitute
+from .terms import Formula, Lam, Term
+from .terms import substitute  # noqa: F401  (rebound by benchmarks/tracer.py)
 from .kleene import TruthVal
 from .semantics import FunEnv
 from .semantics import atom_truth  # noqa: F401  (rebound by benchmarks/tracer.py)
@@ -60,21 +61,20 @@ class Budget:
 
 
 def unfold_call(fname: str, argnames: tuple[str, ...], env: FunEnv) -> Term:
-    """Body of ``fname`` with its formal parameters renamed to the arguments."""
+    """Body of ``fname`` under one lambda per argument, its parameters unrenamed.
+
+    States are ground and case scrutinees are read by shape, so no rule looks
+    at the name a parameter has: renaming it to the argument changes nothing.
+    """
     body = env.lookup(fname)
     if body is None:
         raise VerifyError(f"call to undefined function {fname}")
-    formals = []
     for _ in argnames:
         if not isinstance(body, Lam):
             raise VerifyError(f"function {fname} applied to more arguments "
                               "than it abstracts")
-        formals.append(body.param)
         body = body.body
-    renaming = {formal: Var(actual)
-                for formal, actual in zip(formals, argnames)
-                if formal != actual}
-    return substitute(body, renaming) if renaming else body
+    return body
 
 
 def verify(program: Term, f: Formula, fair: FairSet = frozenset(),

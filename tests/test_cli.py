@@ -213,11 +213,67 @@ def test_let_bound_variable_as_a_state_is_not_simplified(tmp_path, capsys, comma
     assert main(["check", str(path)]) == 1
     assert capsys.readouterr().out == (
         "program.f.alt0.alt0.body.state: [cons] state position of Cons must be "
-        "a constructor term over variables that are not let-bound\n")
+        "a ground constructor term\n")
     assert main([command, str(path), "--props", str(props), "--prop", "p"]) == 70
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("rtlcheck: NotSimplified: program.f.alt0.alt0.body.state:")
+
+
+# the verifier binds no variable: a state that is a case pattern's variable, or
+# a handler parameter a call binds to one, would reach the atom unbound
+VARIABLE_STATES = {
+    "case pattern": ("Cons EvA (f es)\nwhere\n"
+                     "f = \\es -> case es of Cons e r -> Cons e (f r)\n",
+                     "program.f.alt0.state"),
+    "handler parameter": ("Cons EvA (f es)\nwhere\n"
+                          "f = \\es -> case es of Cons e r -> g e r\n"
+                          "g = \\x -> \\r -> Cons x (f r)\n",
+                          "program.g.state"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VARIABLE_STATES))
+@pytest.mark.parametrize("command", ["verify", "witness", "oracle"])
+def test_variable_as_a_state_is_not_simplified(tmp_path, capsys, command, name):
+    text, where = VARIABLE_STATES[name]
+    path = tmp_path / "p.rsl"
+    path.write_text("data Ev = EvA | EvB\n" + text)
+    props = tmp_path / "p.ltl"
+    props.write_text("prop p: G {case s of EvA -> True | _ -> False}\n")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        f"{where}: [cons] state position of Cons must be a ground constructor term\n")
+    assert main([command, str(path), "--props", str(props), "--prop", "p"]) == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"rtlcheck: NotSimplified: {where}:")
+
+
+TWO_FREE_VARIABLES = """data Ev = EvA | EvB
+data St = St0 | St1
+Cons St0 (f es)
+where
+f = \\es -> case es of Cons e r -> case e of EvA -> Cons St0 (f y) | _ -> Cons St1 (f r)
+"""
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+def test_program_with_two_free_variables_exits_70(tmp_path, capsys, command):
+    # simplified form allows it (a call's arguments are variables); the
+    # simulator has one event list to bind
+    path = tmp_path / "p.rsl"
+    path.write_text(TWO_FREE_VARIABLES)
+    props = tmp_path / "p.ltl"
+    props.write_text("prop p: G {case s of St0 -> True | _ -> False}\n")
+    assert main(["check", str(path)]) == 0
+    capsys.readouterr()
+    options = {"simulate": ["--events", "EvA,EvB"],
+               "oracle": ["--props", str(props), "--prop", "p", "--depth", "2"]}
+    assert main([command, str(path), *options[command]]) == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "rtlcheck: EvalError: program has several free variables: es, y\n"
 
 
 def test_where_defining_a_name_twice_exits_66(tmp_path, capsys):

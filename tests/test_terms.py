@@ -1,9 +1,23 @@
+import random
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from rtlcheck import semantics
+from rtlcheck.ltlsem import bounded_counts
+from rtlcheck.parser import parse_program
+from rtlcheck.semantics import EVENT_LIST, EvalError, run_trace
 from rtlcheck.terms import (
-    Alt, App, Case, Con, Fun, Lam, Let, PCon, Var, WILD, Where,
-    free_vars, fresh_name, substitute,
+    Alt, App, Case, Con, Eventually, Fun, Lam, Let, PCon, Var, WILD, Where,
+    free_vars, substitute,
 )
+from rtlcheck.witness import generate, validate_verdict
+
+from gen_programs import (
+    formula_battery, handler_graph, random_fair, random_program, ring_program,
+    state_atom,
+)
+from test_ltlsem import HAND_BUILT, HAND_BUILT_FORMULAS, HAND_BUILT_HEADER, READ_CONSUMED_EVENTS
 
 
 def naive_free(t, bound=frozenset()):
@@ -53,21 +67,19 @@ def test_substitute_simple():
     assert substitute(Var("x"), {"x": Con("A")}) == Con("A")
 
 
-def test_substitute_capture_avoidance():
-    # the binder is renamed deterministically, away from the incoming y
-    assert substitute(Lam("y", Var("x")), {"x": Var("y")}) == Lam("y1", Var("y"))
-
-
-def test_substitute_case_pattern_capture():
-    t = Case(Var("zs"), (Alt(PCon("Cons", ("y", "ys")), App(Var("y"), Var("x"))),))
-    out = substitute(t, {"x": Var("y")})
-    assert free_vars(out) == {"zs", "y"}
-    alt = out.alts[0]
-    assert alt.pattern.vars[0] != "y"
-
-
-def test_fresh_name_smallest_suffix():
-    assert fresh_name("y", {"y", "y1", "y3"}) == "y2"
+def test_a_binder_hides_only_its_own_names_from_the_bindings():
+    a, b = Con("A"), Con("B")
+    sub = {"x": a, "y": b}
+    assert substitute(Lam("x", App(Var("x"), Var("y"))), sub) == \
+        Lam("x", App(Var("x"), b))
+    # a let's name is bound in its body, not in the term it binds
+    assert substitute(Let("x", Var("x"), App(Var("x"), Var("y"))), sub) == \
+        Let("x", a, App(Var("x"), b))
+    # a pattern's variables are bound in its alternative only
+    t = Case(Var("x"), (Alt(PCon("C", ("x", "z")), App(Var("x"), Var("y"))),
+                        Alt(WILD, Var("x"))))
+    assert substitute(t, sub) == \
+        Case(a, (Alt(PCon("C", ("x", "z")), App(Var("x"), b)), Alt(WILD, a)))
 
 
 # --- randomized laws ---------------------------------------------------------
@@ -97,15 +109,21 @@ def _terms():
     )
 
 
-_bindings = st.dictionaries(_names, _terms(), max_size=3)
+def _closed(t):
+    """``t`` under one lambda per free variable: a closed term."""
+    for name in sorted(free_vars(t)):
+        t = Lam(name, t)
+    return t
+
+
+# the library substitutes closed terms only (see test_library_substitutes_*)
+_bindings = st.dictionaries(_names, _terms().map(_closed), max_size=3)
 
 
 @settings(deadline=None)
 @given(t=_terms(), b=_bindings)
 def test_substitution_free_var_law(t, b):
-    expected = (free_vars(t) - set(b)) | set().union(
-        set(), *(free_vars(b[x]) for x in free_vars(t) & set(b)))
-    assert free_vars(substitute(t, b)) == expected
+    assert free_vars(substitute(t, b)) == free_vars(t) - set(b)
 
 
 @settings(deadline=None)
@@ -116,32 +134,71 @@ def test_substitution_noop_without_free_occurrences(t, b):
         assert substitute(t, b) == t
 
 
-@settings(deadline=None)
-@given(t=_terms(), b=_bindings)
-def test_renaming_only_introduces_absent_names(t, b):
-    def all_names(term):
-        match term:
-            case Var(n) | Fun(n):
-                return {n}
-            case Lam(p, body):
-                return {p} | all_names(body)
-            case Con(_, args):
-                return set().union(set(), *(all_names(a) for a in args))
-            case App(fn, a):
-                return all_names(fn) | all_names(a)
-            case Let(n, bd, body):
-                return {n} | all_names(bd) | all_names(body)
-            case Case(s, alts):
-                out = all_names(s)
-                for alt in alts:
-                    if isinstance(alt.pattern, PCon):
-                        out |= set(alt.pattern.vars)
-                    out |= all_names(alt.body)
-                return out
-            case Where(body, defs):
-                return all_names(body).union(*(all_names(d) for _, d in defs), set())
-        raise AssertionError
+# --- the library substitutes closed terms only --------------------------------
 
-    before = all_names(t) | set().union(set(), *(all_names(e) for e in b.values()))
-    introduced = all_names(substitute(t, b)) - before
-    assert all(name not in before for name in introduced)
+@pytest.fixture()
+def substitutions(monkeypatch):
+    """Every binding the simulator and the atoms substitute, checked closed
+    but for the unread-events placeholder, and counted."""
+    seen = []
+    real = semantics.substitute
+
+    def checked(t, bindings):
+        for name, bound in bindings.items():
+            assert free_vars(bound) <= {EVENT_LIST}, (name, bound)
+        seen.append(bindings)
+        return real(t, bindings)
+
+    monkeypatch.setattr(semantics, "substitute", checked)
+    return seen
+
+
+def _exercise(program, events, formulas, fair=frozenset(), verdicts=True):
+    """Simulate, sample and (for a conforming program) check and validate."""
+    for f in formulas:
+        try:
+            bounded_counts(program, events, 3, f)
+        except EvalError:
+            pass
+        if verdicts:
+            verdict = generate(program, f, fair)
+            validate_verdict(verdict, f)
+    try:
+        run_trace(program, list(events) * 3)
+        run_trace(program, events, cycle=True, max_states=10)
+    except EvalError:
+        pass
+
+
+def test_library_substitutes_closed_terms_on_the_corpus(corpus, substitutions):
+    for _, source, props in corpus:
+        _exercise(source.term, source.events, [f for _, f in props.props],
+                  frozenset(source.events))
+    assert substitutions
+
+
+def test_library_substitutes_closed_terms_on_random_programs(substitutions):
+    rng = random.Random(20)
+    battery = formula_battery()
+    for _ in range(300):
+        program, events = random_program(rng)
+        _exercise(program, events, [rng.choice(battery)], random_fair(rng, events))
+    assert substitutions
+
+
+def test_library_substitutes_closed_terms_on_rings_and_handler_graphs(substitutions):
+    response = Eventually(state_atom("St2"))
+    for program in (ring_program(20), ring_program(60), handler_graph(8), handler_graph(10)):
+        _exercise(program, ("EvA", "EvB", "EvC"), [response], frozenset(("EvA",)))
+    assert substitutions
+
+
+HAND_BUILT_PROGRAMS = {**HAND_BUILT, **READ_CONSUMED_EVENTS}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT_PROGRAMS))
+def test_library_substitutes_closed_terms_on_hand_built_programs(name, substitutions):
+    # outside simplified form, some of them: simulated and sampled only
+    program = parse_program(HAND_BUILT_HEADER + HAND_BUILT_PROGRAMS[name]).term
+    _exercise(program, ("EvA", "EvB", "EvC"), HAND_BUILT_FORMULAS, verdicts=False)
+    assert substitutions
