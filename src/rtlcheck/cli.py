@@ -11,12 +11,14 @@ the parser reads off the program's case patterns.
 
 Exit codes: verify uses 0/1/2 for True/False/Undefined; check uses 0/1 for
 conforming or not; 64 flags a usage error, 66 a missing or malformed input
-file, 70 an internal failure.
+file, 70 an internal failure, 74 a standard output that its reader closed
+before the command had written everything.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 from typing import NoReturn, Optional, Sequence
@@ -38,6 +40,7 @@ from .ltlsem import (  # noqa: F401  (rebound by benchmarks/tracer.py)
 EX_USAGE = 64
 EX_DATA = 66
 EX_INTERNAL = 70
+EX_IOERR = 74
 
 
 class InputError(Exception):
@@ -347,7 +350,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if getattr(args, "cycle", False) and not args.events.replace(",", "").strip():
         _usage_error("simulate: --cycle needs at least one event in --events")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at the exit flush
+        return code
+    except BrokenPipeError:  # the reader closed stdout: keep the exit flush silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EX_IOERR
     except InputError as exc:
         print(f"rtlcheck: {exc}", file=sys.stderr)
         return EX_DATA

@@ -5,13 +5,14 @@ lasso-shaped models and a bounded three-valued check over finite prefixes.
 It deliberately shares no code with the verifier or the witness
 builder, so agreement between the two is meaningful evidence.
 
-The bounded check is one rule, ``_step``: the value of every subformula at
-a state, from their values one position later. Two folds drive it:
-``bounded_check`` runs it backwards over one trace, and ``bounded_counts``
-runs it backwards over the simulator's trace DAG (``semantics.trace_dag``),
-which shares the reduction relation with ``witness.gen`` but none of its
-rules, to count the event sequences that give each value.
-``enumerate_traces`` expands the DAG to one trace per event sequence."""
+Both are one rule, ``_step``: the value of every subformula at a state, from
+their values one position later. ``_fold`` runs it backwards over a trace,
+from Unknown past a prefix's end in ``bounded_check``, and in ``sat_lasso``
+from the values at a lasso loop's first position. ``bounded_counts`` runs
+it over the simulator's trace DAG (``semantics.trace_dag``), which shares
+the reduction relation with ``witness.gen`` but none of its rules, to count
+the event sequences that give each value. ``enumerate_traces`` expands the
+DAG to one trace per event sequence."""
 
 from __future__ import annotations
 
@@ -43,58 +44,19 @@ class DepthTooLarge(OracleError):
 
 @dataclass(frozen=True)
 class PositionedModel:
-    """An infinite trace presented as a finite prefix and a repeating loop; an
+    """An infinite trace: a finite prefix, then a loop repeated forever; an
     empty loop stands for the prefix alone, a finite trace."""
 
     prefix: Trace
     loop: Trace
 
-    def state_at(self, j: int) -> Term:
-        if j < len(self.prefix):
-            return self.prefix[j]
-        return self.loop[(j - len(self.prefix)) % len(self.loop)]
 
-    def canon(self, j: int) -> int:
-        """Fold a position into the prefix plus one loop copy."""
-        edge = len(self.prefix)
-        if j < edge:
-            return j
-        return edge + (j - edge) % len(self.loop)
-
-
+# Atoms are pure functions of their term and state, so a truth computed once
+# holds for every later check in the process. No bound or run scope is needed:
+# a CLI process runs one command, and the benchmark forks one per command.
 @lru_cache(maxsize=None)
 def _cached_atom(atom_term: Term, state: Term) -> TruthVal:
     return atom_truth(atom_term, state)
-
-
-def sat_lasso(m: PositionedModel, i: int, f: Formula) -> bool:
-    """Whether the model satisfies ``f`` at position ``i``.
-
-    Quantifiers range over positions up to one prefix plus two loop copies;
-    beyond that the suffix repeats a position already inspected.
-    """
-    if not m.loop:
-        raise ValueError("lasso model needs a nonempty loop")
-    i = m.canon(i)
-    horizon = len(m.prefix) + 2 * len(m.loop)
-    match f:
-        case Atom(term):
-            return _decided(_atom_value(term, m.state_at(i))) is Bounded.SAT
-        case Not(sub):
-            return not sat_lasso(m, i, sub)
-        case And(l, r):
-            return sat_lasso(m, i, l) and sat_lasso(m, i, r)
-        case Or(l, r):
-            return sat_lasso(m, i, l) or sat_lasso(m, i, r)
-        case Implies(l, r):
-            return (not sat_lasso(m, i, l)) or sat_lasso(m, i, r)
-        case Always(sub):
-            return all(sat_lasso(m, j, sub) for j in range(i, horizon))
-        case Eventually(sub):
-            return any(sat_lasso(m, j, sub) for j in range(i, horizon))
-        case Next(sub):
-            return sat_lasso(m, i + 1, sub)
-    raise TypeError(f"not a formula: {f!r}")
 
 
 class Bounded(enum.Enum):
@@ -106,13 +68,13 @@ class Bounded(enum.Enum):
         return self.value
 
 
-# --- bounded check: one rule, two folds -------------------------------------------
+# --- one rule, folded over a prefix, a loop or the trace DAG ----------------------
 #
 # The value of a subformula at a position is a Bounded, or the exception the
-# recursive definition of the bounded semantics raises there: an atom that is
-# Undefined or fails to evaluate. An error is kept as a value and raised only
-# when it reaches the formula itself, so it is the one the recursion meets
-# first.
+# recursive definition of the semantics raises there, with no connective cut
+# short: an atom that is Undefined or fails to evaluate. An error is kept as a
+# value and raised only when it reaches the formula itself, so it is the one
+# the recursion meets first.
 
 
 def _subformulas(f: Formula) -> tuple[tuple, ...]:
@@ -157,9 +119,8 @@ def _atom_value(term: Term, state: Term) -> Bounded | Exception:
 def _step(rows: tuple[tuple, ...], state: Term, later: tuple) -> tuple:
     """The value of every subformula at ``state``, from their values one position later.
 
-    Past the end of a trace every value is Unknown. A connective passes on
-    its left operand's error before its right one's, and ``G``/``F`` their
-    operand's error here before their own value later.
+    A connective passes on its left operand's error before its right one's,
+    and ``G``/``F`` their operand's error here before their own value later.
     """
     now: list = []
     for row in rows:
@@ -197,6 +158,13 @@ def _decided(value: Bounded | Exception) -> Bounded:
     return value
 
 
+def _fold(rows: tuple[tuple, ...], trace: Sequence[Term], later: tuple) -> tuple:
+    """Every subformula's value at the first state of ``trace``, from those past its end."""
+    for state in reversed(trace):
+        later = _step(rows, state, later)
+    return later
+
+
 def bounded_check(trace: Sequence[Term], f: Formula) -> Bounded:
     """Three-valued check of ``f`` on a finite prefix.
 
@@ -205,10 +173,28 @@ def bounded_check(trace: Sequence[Term], f: Formula) -> Bounded:
     rule ``_step`` is folded over the trace from its end.
     """
     rows = _subformulas(f)
-    values = (Bounded.UNKNOWN,) * len(rows)
-    for state in reversed(trace):
-        values = _step(rows, state, values)
-    return _decided(values[-1])
+    return _decided(_fold(rows, trace, (Bounded.UNKNOWN,) * len(rows))[-1])
+
+
+# G's greatest and F's least fixed point, one position past a loop
+_FIXED_POINT = {Always: Bounded.SAT, Eventually: Bounded.UNSAT}
+
+
+def sat_lasso(m: PositionedModel, f: Formula) -> bool:
+    """Whether ``m.prefix`` followed by ``m.loop`` forever satisfies ``f``.
+
+    Labels the loop as Markey and Schnoebelen do ("Model checking a path",
+    2003): one ``_fold`` over it per subformula, children first, from the
+    exact values at its first position that earlier passes left, and a
+    ``G``/``F`` row from its fixed point. Then folds the prefix from them.
+    """
+    if not m.loop:
+        raise ValueError("lasso model needs a nonempty loop")
+    rows = _subformulas(f)
+    start = [_FIXED_POINT.get(row[0], Bounded.UNKNOWN) for row in rows]
+    for k in range(len(rows)):
+        start[k] = _fold(rows, m.loop, tuple(start))[k]
+    return _decided(_fold(rows, m.prefix, tuple(start))[-1]) is Bounded.SAT
 
 
 def _neg(b: Bounded) -> Bounded:

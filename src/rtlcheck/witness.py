@@ -257,17 +257,19 @@ class ValidationReport:
 def validate_verdict(verdict: Verdict, f: Formula) -> ValidationReport:
     """Check a verdict's trace against the satisfaction semantics.
 
-    A lasso with a loop is checked exactly on the induced infinite trace. A
-    finite trace falls back to the bounded prefix check, which can still be
-    decisive (e.g. a safety violation inside the prefix). An Undefined
-    verdict, an Unknown bounded check or an Undefined atom is Inconclusive.
+    One rule of ``ltlsem`` decides both cases, from two starting points. A
+    lasso with a loop is checked exactly on the induced infinite trace
+    (``sat_lasso``). A finite trace falls back to the bounded prefix check
+    (``bounded_check``), which can still be decisive (e.g. a safety violation
+    inside the prefix). An Undefined verdict, an Unknown bounded check or an
+    Undefined atom that the formula reaches is Inconclusive.
     """
     lasso = lassoify(verdict.trace)
     try:
         if verdict.truth is UNDEFINED:
             holds = None
         elif lasso.loop:
-            holds = sat_lasso(lasso, 0, f)
+            holds = sat_lasso(lasso, f)
         else:
             bounded = bounded_check(verdict.trace, f)
             holds = None if bounded is Bounded.UNKNOWN else bounded is Bounded.SAT

@@ -367,6 +367,22 @@ def test_internal_error_exits_70(corpus_paths, tmp_path, capsys):
     assert "NotSimplified" in capsys.readouterr().err
 
 
+def test_reader_closing_stdout_early_exits_74(corpus_paths):
+    # as in `rtlcheck simulate ... | head -1`: a closed pipe is not a verdict
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rtlcheck.cli", "simulate", corpus_paths["example1.rsl"],
+         "--events", "Request1,Take1,Release1", "--cycle", "-n", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.readline() == "ObsState T T\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 74
+    assert "Traceback" not in err
+
+
 def test_usage_error_exits_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify"])  # missing file and property flags

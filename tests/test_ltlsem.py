@@ -26,26 +26,33 @@ def _props(corpus_by_name, which="example1"):
     return props
 
 
+def _next(i, f):
+    """``f`` under ``i`` Next operators: ``f`` at position ``i``."""
+    for _ in range(i):
+        f = Next(f)
+    return f
+
+
 def test_sat_lasso_mutex_violation(corpus_by_name):
     # stationary extension of the safety counterexample: (U,U) repeats forever
     mutex = _props(corpus_by_name).get("mutex")
     model = PositionedModel(
         (obs("T", "T"), obs("W", "T"), obs("W", "W"), obs("U", "W")),
         (obs("U", "U"),))
-    assert sat_lasso(model, 0, mutex) is False
+    assert sat_lasso(model, mutex) is False
 
 
 def test_sat_lasso_starvation_loop(corpus_by_name):
     # the expected counterexample for example2: (W,W) loops, process 1 never uses
     ns1 = _props(corpus_by_name).get("nonstarve1")
     model = PositionedModel((obs("T", "T"), obs("W", "T")), (obs("W", "W"),))
-    assert sat_lasso(model, 0, ns1) is False
+    assert sat_lasso(model, ns1) is False
 
 
 def test_sat_lasso_constant_model():
     atom = Atom(Con("True"))
     model = PositionedModel((), (Con("A"),))
-    assert sat_lasso(model, 0, Always(atom)) is True
+    assert sat_lasso(model, Always(atom)) is True
 
 
 def test_sat_lasso_positions_and_next(corpus_by_name):
@@ -53,12 +60,12 @@ def test_sat_lasso_positions_and_next(corpus_by_name):
     wait = ns1.sub.left      # process 1 waiting
     use = ns1.sub.right.sub  # process 1 using
     model = PositionedModel((obs("W", "T"),), (obs("U", "T"), obs("T", "T")))
-    assert sat_lasso(model, 0, wait) is True
-    assert sat_lasso(model, 1, wait) is False
-    assert sat_lasso(model, 0, Next(use)) is True
-    assert sat_lasso(model, 0, Eventually(use)) is True
-    assert sat_lasso(model, 3, use) is True   # positions fold into the loop
-    assert sat_lasso(model, 4, use) is False  # 4 lands on the (T,T) slot
+    assert sat_lasso(model, wait) is True
+    assert sat_lasso(model, Next(wait)) is False
+    assert sat_lasso(model, Next(use)) is True
+    assert sat_lasso(model, Eventually(use)) is True
+    assert sat_lasso(model, _next(3, use)) is True   # positions fold into the loop
+    assert sat_lasso(model, _next(4, use)) is False  # 4 lands on the (T,T) slot
 
 
 def test_sat_lasso_negation_clause(corpus_by_name):
@@ -72,7 +79,8 @@ def test_sat_lasso_negation_clause(corpus_by_name):
     for model in models:
         for f in formulas:
             for i in range(3):
-                assert sat_lasso(model, i, Not(f)) == (not sat_lasso(model, i, f))
+                assert sat_lasso(model, _next(i, Not(f))) == \
+                    (not sat_lasso(model, _next(i, f)))
 
 
 def test_sat_lasso_stable_under_unrolling(corpus):
@@ -85,14 +93,14 @@ def test_sat_lasso_stable_under_unrolling(corpus):
                 continue
             rolled = PositionedModel(lasso.prefix, lasso.loop)
             unrolled = PositionedModel(lasso.prefix + lasso.loop, lasso.loop)
-            assert sat_lasso(rolled, 0, formula) == sat_lasso(unrolled, 0, formula)
+            assert sat_lasso(rolled, formula) == sat_lasso(unrolled, formula)
 
 
 def test_sat_lasso_undefined_atom_raises():
     atom = Atom(Var("s"))  # evaluates to the state itself, not a truth value
     model = PositionedModel((), (Con("Undefined"),))
     with pytest.raises(AtomUndefined):
-        sat_lasso(model, 0, atom)
+        sat_lasso(model, atom)
 
 
 # --- bounded prefix check ---------------------------------------------------------
@@ -153,7 +161,7 @@ def test_bounded_sat_never_contradicts_lasso_semantics(corpus):
             if decision is Bounded.SAT:
                 for loop in loops:
                     model = PositionedModel(verdict.trace, loop)
-                    assert sat_lasso(model, 0, formula) is True
+                    assert sat_lasso(model, formula) is True
 
 
 # --- the bounded check against its recursive definition -----------------------------
@@ -267,6 +275,78 @@ def test_bounded_check_equals_reference_on_random_traces():
             assert got == _outcome(lambda: reference_bounded_check(trace, f, i)), (f, trace, i)
             raised += isinstance(got, tuple)
     assert raised > 500  # the faulty atoms are reached, not only stored
+
+
+# --- the lasso check against its recursive definition ------------------------------
+
+def reference_sat_lasso(m, f, i=0):
+    """The lasso check as the recursion over positions that defines it.
+
+    A position past the prefix folds into one loop copy, and ``G``/``F``
+    range up to one prefix plus two loop copies, beyond which the suffix
+    repeats a position already inspected. Connectives evaluate both
+    operands, left first, so the error raised is the first one met.
+    """
+    edge = len(m.prefix)
+    if i >= edge:
+        i = edge + (i - edge) % len(m.loop)
+    horizon = edge + 2 * len(m.loop)
+    match f:
+        case Atom(term):
+            value = _cached_atom(term, m.prefix[i] if i < edge else m.loop[i - edge])
+            if value is UNDEFINED:
+                raise AtomUndefined("atom evaluated to Undefined")
+            return Bounded.SAT if value is TRUE else Bounded.UNSAT
+        case Not(sub):
+            return _neg(reference_sat_lasso(m, sub, i))
+        case And(l, r):
+            return _and(reference_sat_lasso(m, l, i), reference_sat_lasso(m, r, i))
+        case Or(l, r):
+            return _neg(_and(_neg(reference_sat_lasso(m, l, i)),
+                             _neg(reference_sat_lasso(m, r, i))))
+        case Implies(l, r):
+            return _neg(_and(reference_sat_lasso(m, l, i),
+                             _neg(reference_sat_lasso(m, r, i))))
+        case Next(sub):
+            return reference_sat_lasso(m, sub, i + 1)
+        case Always(sub):
+            if any(reference_sat_lasso(m, sub, j) is Bounded.UNSAT
+                   for j in range(i, horizon)):
+                return Bounded.UNSAT
+            return Bounded.SAT
+        case Eventually(sub):
+            if any(reference_sat_lasso(m, sub, j) is Bounded.SAT
+                   for j in range(i, horizon)):
+                return Bounded.SAT
+            return Bounded.UNSAT
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def test_sat_lasso_equals_reference_on_random_lassos():
+    rng = random.Random(20261021)
+    battery = formula_battery() + [
+        Always(Implies(state_atom("St0"), Eventually(a))) for a in FAULTY_ATOMS]
+    raised = 0
+    for n in range(10000):
+        f = battery[n % len(battery)] if n < 2 * len(battery) else \
+            random_formula(rng, RANDOM_ATOMS, rng.randint(1, 6))
+        m = PositionedModel(tuple(rng.choice(STATES) for _ in range(rng.randint(0, 3))),
+                            tuple(rng.choice(STATES) for _ in range(rng.randint(1, 4))))
+        got = _outcome(lambda: sat_lasso(m, f))
+        assert got == _outcome(lambda: reference_sat_lasso(m, f) is Bounded.SAT), (f, m)
+        raised += isinstance(got, tuple)
+    assert raised > 2000  # the faulty atoms are reached, not only stored
+
+
+def test_sat_lasso_labels_a_long_loop():
+    # G F G F p holds on a lasso exactly when p holds somewhere in its loop;
+    # the recursion over positions takes hours on a loop this long
+    p = state_atom("St1")
+    f = Always(Eventually(Always(Eventually(p))))
+    n = 5000
+    for where in (None, 0, n - 1):
+        loop = tuple(Con("St1") if k == where else Con("St0") for k in range(n))
+        assert sat_lasso(PositionedModel((Con("St1"),), loop), f) is (where is not None)
 
 
 def _assert_counts_are_enumeration(program, events, depth, formulas):

@@ -289,7 +289,7 @@ def test_validation_reports_pinned(corpus):
 
 def test_sat_lasso_rejects_an_empty_loop():
     with pytest.raises(ValueError):
-        sat_lasso(PositionedModel((Con("A"),), ()), 0, Always(Atom(Con("True"))))
+        sat_lasso(PositionedModel((Con("A"),), ()), Always(Atom(Con("True"))))
 
 
 # --- trace selection instrumentation ----------------------------------------------
