@@ -184,17 +184,23 @@ def sat_lasso(m: PositionedModel, f: Formula) -> bool:
     """Whether ``m.prefix`` followed by ``m.loop`` forever satisfies ``f``.
 
     Labels the loop as Markey and Schnoebelen do ("Model checking a path",
-    2003): one ``_fold`` over it per subformula, children first, from the
-    exact values at its first position that earlier passes left, and a
-    ``G``/``F`` row from its fixed point. Then folds the prefix from them.
+    2003), children first, with one ``_fold`` over it per row that ``_step``
+    reads one position later: each ``G``/``F`` row, from its fixed point, and
+    each operand of an ``X``. A pass starts from the exact values at the
+    loop's first position that earlier passes left; no other row's value
+    there is read. The last pass, for ``f`` itself, labels every row at that
+    position, and the prefix is folded from there.
     """
     if not m.loop:
         raise ValueError("lasso model needs a nonempty loop")
     rows = _subformulas(f)
     start = [_FIXED_POINT.get(row[0], Bounded.UNKNOWN) for row in rows]
-    for k in range(len(rows)):
-        start[k] = _fold(rows, m.loop, tuple(start))[k]
-    return _decided(_fold(rows, m.prefix, tuple(start))[-1]) is Bounded.SAT
+    read = {row[1] if row[0] is Next else k for k, row in enumerate(rows)
+            if row[0] in (Next, Always, Eventually)}
+    for k in sorted(read | {len(rows) - 1}):
+        at_loop = _fold(rows, m.loop, tuple(start))
+        start[k] = at_loop[k]
+    return _decided(_fold(rows, m.prefix, at_loop)[-1]) is Bounded.SAT
 
 
 def _neg(b: Bounded) -> Bounded:

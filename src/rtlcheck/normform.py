@@ -5,20 +5,21 @@ constructor term) and a conforming continuation; a function call whose
 arguments are all variables; a case over a variable that is not
 let-bound; an application of a let-bound variable to conforming arguments; a
 let binding a lambda abstraction; or a where block of lambda-abstracted
-definitions. Everything the verifier and witness builder consume must pass
-this check first.
+definitions. The program is closed but for one variable, its event list: the
+first unbound variable the walk meets, in source order. Everything the
+verifier and witness builder consume must pass this check first.
 
 States are ground because the verifier reads them as written: it binds no
 variable, neither a case pattern's nor a handler parameter's, so an atom could
-not evaluate a state that holds one. With ground states and a closed program,
-every term the library substitutes is closed too.
+not evaluate a state that holds one. With ground states and a program closed
+but for its event list, every term the library substitutes is closed too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import Case, Con, Fun, Lam, Let, Term, Var, Where, spine
+from .terms import Case, Con, Fun, Lam, Let, PCon, Term, Var, Where, spine
 
 
 @dataclass(frozen=True)
@@ -38,13 +39,13 @@ class FormReport:
 def check_simplified(program: Term) -> FormReport:
     """Report whether ``program`` is in simplified form."""
     violations: list[Violation] = []
-    _check(program, frozenset(), "program", violations)
+    _check(program, frozenset(), frozenset(), "program", violations, [])
     return FormReport(not violations, tuple(violations))
 
 
 def is_state_term(t: Term) -> bool:
     """Ground constructor term: the shape of an observable state."""
-    return type(t) is Con and all(is_state_term(a) for a in t.args)
+    return type(t) is Con and (not t.args or all(map(is_state_term, t.args)))
 
 
 # A path is "program" or a pair (parent path, suffix), joined into a string
@@ -57,8 +58,22 @@ def _joined(path: str | tuple) -> str:
     return path + "".join(reversed(suffixes))
 
 
-def _check(t: Term, rho: frozenset[str], path: str | tuple,
-           out: list[Violation]) -> None:
+def _free(name: str, path: str | tuple, t: Term, free: list[str],
+          out: list[Violation]) -> None:
+    """Note a use of the unbound ``name``; the first such name is the event list."""
+    if name in free:
+        return
+    free.append(name)
+    if len(free) > 1:
+        out.append(Violation(
+            _joined(path), "scope",
+            f"free variable {name}: only the event list {free[0]} may be free", t))
+
+
+# rho: the let-bound variables in scope; scope: every bound variable in scope;
+# free: the unbound variables met so far, in walk order
+def _check(t: Term, rho: frozenset[str], scope: frozenset[str],
+           path: str | tuple, out: list[Violation], free: list[str]) -> None:
     # runs on every program a command loads: dispatch on type, not match
     tt = type(t)
     if tt is Con:
@@ -69,7 +84,7 @@ def _check(t: Term, rho: frozenset[str], path: str | tuple,
                     _joined((path, ".state")), "cons",
                     "state position of Cons must be a ground constructor "
                     "term", e0))
-            _check(e1, rho, (path, ".tail"), out)
+            _check(e1, rho, scope, (path, ".tail"), out, free)
         else:
             out.append(Violation(
                 _joined(path), "cons",
@@ -84,25 +99,31 @@ def _check(t: Term, rho: frozenset[str], path: str | tuple,
                 _joined(path), "case",
                 f"case scrutinee {scrut.name} is let-bound and may not be "
                 "inspected", t))
+        elif scrut.name not in scope:
+            _free(scrut.name, path, t, free, out)
         for i, alt in enumerate(t.alts):
-            _check(alt.body, rho, (path, f".alt{i}"), out)
+            pattern = alt.pattern
+            inner = scope.union(pattern.vars) if type(pattern) is PCon and pattern.vars else scope
+            _check(alt.body, rho, inner, (path, f".alt{i}"), out, free)
     elif tt is Let:
-        lam_body = t.bound
-        while isinstance(lam_body, Lam):
+        lam_body, params = t.bound, []
+        while type(lam_body) is Lam:
+            params.append(lam_body.param)
             lam_body = lam_body.body
-        if lam_body is t.bound:
+        if not params:
             out.append(Violation(
                 _joined((path, ".bound")), "let",
                 "let must bind a lambda abstraction", t.bound))
-        _check(lam_body, rho, (path, ".bound"), out)
-        _check(t.body, rho | {t.name}, (path, ".body"), out)
+        _check(lam_body, rho, scope.union(params), (path, ".bound"), out, free)
+        _check(t.body, rho | {t.name}, scope | {t.name}, (path, ".body"), out, free)
     elif tt is Where:
-        _check(t.body, rho, (path, ".body"), out)
+        _check(t.body, rho, scope, (path, ".body"), out, free)
         for fname, d in t.defs:
-            lam_body = d
-            while isinstance(lam_body, Lam):
+            lam_body, params = d, []
+            while type(lam_body) is Lam:
+                params.append(lam_body.param)
                 lam_body = lam_body.body
-            _check(lam_body, rho, (path, f".{fname}"), out)
+            _check(lam_body, rho, scope.union(params), (path, f".{fname}"), out, free)
     elif tt is Lam:
         out.append(Violation(
             _joined(path), "lambda",
@@ -110,14 +131,20 @@ def _check(t: Term, rho: frozenset[str], path: str | tuple,
     else:
         head, args = spine(t)
         if type(head) is Fun:
-            if not all(type(a) is Var for a in args):
-                out.append(Violation(
-                    _joined(path), "call",
-                    f"arguments of call to {head.name} must be variables", t))
+            for a in args:
+                if type(a) is not Var:
+                    out.append(Violation(
+                        _joined(path), "call",
+                        f"arguments of call to {head.name} must be variables", t))
+                    break
+            else:
+                for a in args:
+                    if a.name not in scope:
+                        _free(a.name, path, t, free, out)
         elif type(head) is Var:
             if head.name in rho:
                 for i, a in enumerate(args):
-                    _check(a, rho, (path, f".arg{i}"), out)
+                    _check(a, rho, scope, (path, f".arg{i}"), out, free)
             else:
                 out.append(Violation(
                     _joined(path), "rho-app",
@@ -128,3 +155,4 @@ def _check(t: Term, rho: frozenset[str], path: str | tuple,
                 _joined(path), "form",
                 f"{type(head).__name__} is not a simplified-form "
                 "production", t))
+

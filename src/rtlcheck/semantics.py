@@ -235,14 +235,14 @@ def _next_state(t: Term, env: FunEnv) -> Optional[tuple[Term, Term, FunEnv]]:
     The stream cell and its state share one budget of ``DEFAULT_FUEL`` steps.
     """
     value, env, fuel = _whnf(t, env, DEFAULT_FUEL)
-    match value:
-        case Con("Cons", (head, tail)):
-            return deep_eval(head, env, fuel)[0], tail, env
-        case Con("Nil", ()):
+    if type(value) is Con:
+        args = value.args
+        if value.con == "Cons" and len(args) == 2:
+            return deep_eval(args[0], env, fuel)[0], args[1], env
+        if value.con == "Nil" and not args:
             return None
-        case _:
-            raise NonConsOutput(
-                f"program output is not a state stream: {type(value).__name__}")
+    raise NonConsOutput(
+        f"program output is not a state stream: {type(value).__name__}")
 
 
 def run_trace(program: Term, events: Sequence[str], cycle: bool = False,

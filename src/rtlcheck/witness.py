@@ -48,14 +48,15 @@ applications instead of 1,214.
 The worst case stays exponential in the size of the visited set: ``verify
 --prop response --fair-all`` on ``benchmarks/workloads.py::graph_shape(n, 0)``
 (n handlers, two event branches and a wildcard each) takes, on one CPU core
-with CPython 3.11 (wall time of the whole command),
+with CPython 3.11 (wall time of the whole command, start-up included, best of
+nine runs on a shared 2-vCPU host),
 
     n    rule applications    wall time    without the memo
-    8    3,215                0.23 s       8,369 in 0.28 s
-    10   12,614               0.29 s       85,866 in 0.66 s
-    12   24,153               0.34 s       591,781 in 2.9 s
-    14   92,536               0.64 s       budget exceeded (exit 70)
-    16   250,441              1.2 s        budget exceeded
+    8    3,215                0.09 s       8,369 in 0.11 s
+    10   12,614               0.12 s       85,866 in 0.26 s
+    12   24,153               0.15 s       591,781 in 1.1 s
+    14   92,536               0.26 s       budget exceeded (exit 70)
+    16   250,441              0.51 s       budget exceeded
 
 Atom truths are kept for the run too, in ``Budget.atoms`` keyed on the atom's
 formula node and the state: an atom's truth depends on its state alone, so a
@@ -91,112 +92,112 @@ _UNDECIDED = Verdict(UNDEFINED, ())
 _REVISITED = {Always: Verdict(TRUE, ()), Eventually: Verdict(FALSE, ())}
 
 
-# gen's frame size (30 locals and an expression stack of 11 on CPython 3.11)
+# gen's frame size (28 locals and an expression stack of 11 on CPython 3.11)
 # decides where its recursion crosses the interpreter's 16 KB data-stack
 # chunks, and with it how many chunks deep checks map and unmap (ROADMAP item
-# 4). Per pass of the benchmark's handler graphs and chains, the memo at 30
-# locals took 436k and 266k minor page faults; with one local more (the Atom
-# rule binding its term) 445k and 289k, at 32 locals 443k and 308k, at 34
-# 473k and 270k; without the memo, 640k and 315k. Measure before adding or
-# removing a local.
+# 4). Per pass of the benchmark's handler graphs and chains, counted as the
+# forked commands' minor page faults (getrusage of the children), the type
+# tests here take 246k and 121k; the class patterns they replaced, at 30
+# locals, took 259k and 130k. Padding this version to 29, 30, 32 or 34 locals
+# moved either count by under 2%. Measure before adding or removing a local.
 def gen(t: Term, f: Formula, env: FunEnv, visited: VisitedSet, fair: FairSet,
         budget: Budget) -> Verdict:
     """Verdict of formula ``f`` for the stream of ``t``, traced from ``t`` on."""
     budget.tick()
 
-    match t:
-        case Where(body, defs):
-            return gen(body, f, env.extend(defs), visited, fair, budget)
-        case Let(_, _, body):
-            return gen(body, f, env, visited, fair, budget)
+    tt = type(t)
+    if tt is Where:
+        return gen(t.body, f, env.extend(t.defs), visited, fair, budget)
+    if tt is Let:
+        return gen(t.body, f, env, visited, fair, budget)
 
-    match f:
-        case And(l, r):
-            return and_v(gen(t, l, env, visited, fair, budget),
-                         gen(t, r, env, visited, fair, budget))
-        case Or(l, r):
-            return or_v(gen(t, l, env, visited, fair, budget),
-                        gen(t, r, env, visited, fair, budget))
-        case Implies(l, r):
-            return imp_v(gen(t, l, env, visited, fair, budget),
-                         gen(t, r, env, visited, fair, budget))
-        case Not(sub):
-            return not_v(gen(t, sub, env, visited, fair, budget))
+    tf = type(f)
+    if tf is And:
+        return and_v(gen(t, f.left, env, visited, fair, budget),
+                     gen(t, f.right, env, visited, fair, budget))
+    if tf is Or:
+        return or_v(gen(t, f.left, env, visited, fair, budget),
+                    gen(t, f.right, env, visited, fair, budget))
+    if tf is Implies:
+        return imp_v(gen(t, f.left, env, visited, fair, budget),
+                     gen(t, f.right, env, visited, fair, budget))
+    if tf is Not:
+        return not_v(gen(t, f.sub, env, visited, fair, budget))
 
-    match t:
-        case Con("Cons", (state, tail)):
-            match f:
-                case Always(sub):
-                    head = gen(t, sub, env, EMPTY_VISITED, fair, budget)
-                    if head[0] is FALSE and len(head[1]) == 1:
-                        return head  # no tail can outweigh it
-                    truth, trace = gen(tail, f, env, visited, fair, budget)
-                    return and_v(head, _verdict(Verdict, (truth, (state,) + trace)))
-                case Eventually(sub):
-                    head = gen(t, sub, env, EMPTY_VISITED, fair, budget)
-                    if head[0] is TRUE and len(head[1]) == 1:
-                        return head
-                    truth, trace = gen(tail, f, env, visited, fair, budget)
-                    return or_v(head, _verdict(Verdict, (truth, (state,) + trace)))
-                case Next(sub):
-                    truth, trace = gen(tail, sub, env, visited, fair, budget)
-                    return _verdict(Verdict, (truth, (state,) + trace))
-                case Atom():
-                    # atoms are pure: one evaluation per formula node and state
-                    key = (id(f), state)
-                    v = budget.atoms.get(key)
-                    if v is None:
-                        v = budget.atoms[key] = atom_truth(f.term, state)
-                    return _verdict(Verdict, (v, (state,)))
+    if tt is Con and t.con == "Cons" and len(t.args) == 2:
+        state, tail = t.args
+        if tf is Always:
+            head = gen(t, f.sub, env, EMPTY_VISITED, fair, budget)
+            if head[0] is FALSE and len(head[1]) == 1:
+                return head  # no tail can outweigh it
+            truth, trace = gen(tail, f, env, visited, fair, budget)
+            return and_v(head, _verdict(Verdict, (truth, (state,) + trace)))
+        if tf is Eventually:
+            head = gen(t, f.sub, env, EMPTY_VISITED, fair, budget)
+            if head[0] is TRUE and len(head[1]) == 1:
+                return head
+            truth, trace = gen(tail, f, env, visited, fair, budget)
+            return or_v(head, _verdict(Verdict, (truth, (state,) + trace)))
+        if tf is Next:
+            truth, trace = gen(tail, f.sub, env, visited, fair, budget)
+            return _verdict(Verdict, (truth, (state,) + trace))
+        if tf is Atom:
+            # atoms are pure: one evaluation per formula node and state
+            key = (id(f), state)
+            v = budget.atoms.get(key)
+            if v is None:
+                v = budget.atoms[key] = atom_truth(f.term, state)
+            return _verdict(Verdict, (v, (state,)))
 
-        case Case(Var(_), alts):
-            vs: list[Verdict] = []
-            for alt in alts:
-                vs.append(gen(alt.body, f, env, visited, fair, budget))
-            conj = reduce(and_v, vs)
-            if not isinstance(f, Eventually):
-                return conj
-            # an eventuality may instead be met by any fair branch; a
-            # wildcard is fair when a fair event escapes the patterns before it
-            preceding: set[str] = set()
-            fair_vs: list[Verdict] = []
-            for alt, v in zip(alts, vs):
-                match alt.pattern:
-                    case PCon(con):
-                        preceding.add(con)
-                        if con in fair:
-                            fair_vs.append(v)
-                    case _ if fair - preceding:
-                        fair_vs.append(v)
-            return or_v(reduce(or_v, fair_vs), conj) if fair_vs else conj
+    elif tt is Case and type(t.scrutinee) is Var:
+        alts = t.alts
+        vs: list[Verdict] = []
+        for alt in alts:
+            vs.append(gen(alt.body, f, env, visited, fair, budget))
+        conj = reduce(and_v, vs)
+        if tf is not Eventually:
+            return conj
+        # an eventuality may instead be met by any fair branch; a
+        # wildcard is fair when a fair event escapes the patterns before it
+        preceding: set[str] = set()
+        fair_vs: list[Verdict] = []
+        for alt, v in zip(alts, vs):
+            if type(alt.pattern) is PCon:
+                con = alt.pattern.con
+                preceding.add(con)
+                if con in fair:
+                    fair_vs.append(v)
+            elif fair - preceding:
+                fair_vs.append(v)
+        return or_v(reduce(or_v, fair_vs), conj) if fair_vs else conj
 
-        case _:
-            fn, args = spine(t)
-            if isinstance(fn, Var):  # application of a let-bound variable
-                return _UNDECIDED
-            if isinstance(fn, Fun):  # a call, on variables only
-                fname = fn.name
-                argnames = []
-                for arg in args:
-                    if not isinstance(arg, Var):
-                        raise VerifyError(f"call to {fname} has a "
-                                          "non-variable argument")
-                    argnames.append(arg.name)
-                if fname in visited:
-                    return _REVISITED.get(type(f), _UNDECIDED)
-                if visited:
-                    body = unfold_call(fname, tuple(argnames), env)
-                    return gen(body, f, env, visited | {fname}, fair, budget)
-                # a fresh obligation: its verdict depends on the key alone (fair
-                # is fixed for the run; f lives as long as the run, and its id,
-                # unlike its hash, costs no walk over the formula's atoms)
-                key = (fname, tuple(argnames), id(f), env)
-                v = budget.memo.get(key)
-                if v is None:
-                    body = unfold_call(fname, key[1], env)
-                    v = budget.memo[key] = gen(body, f, env, frozenset((fname,)),
-                                               fair, budget)
-                return v
+    else:
+        fn, args = spine(t)
+        if type(fn) is Var:  # application of a let-bound variable
+            return _UNDECIDED
+        if type(fn) is Fun:  # a call, on variables only
+            fname = fn.name
+            argnames = []
+            for arg in args:
+                if type(arg) is not Var:
+                    raise VerifyError(f"call to {fname} has a "
+                                      "non-variable argument")
+                argnames.append(arg.name)
+            if fname in visited:
+                return _REVISITED.get(tf, _UNDECIDED)
+            if visited:
+                body = unfold_call(fname, tuple(argnames), env)
+                return gen(body, f, env, visited | {fname}, fair, budget)
+            # a fresh obligation: its verdict depends on the key alone (fair
+            # is fixed for the run; f lives as long as the run, and its id,
+            # unlike its hash, costs no walk over the formula's atoms)
+            key = (fname, tuple(argnames), id(f), env)
+            v = budget.memo.get(key)
+            if v is None:
+                body = unfold_call(fname, key[1], env)
+                v = budget.memo[key] = gen(body, f, env, frozenset((fname,)),
+                                           fair, budget)
+            return v
 
     raise VerifyError(f"no verification rule for {type(t).__name__} "
                       f"against {type(f).__name__}")

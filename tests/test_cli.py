@@ -260,20 +260,24 @@ f = \\es -> case es of Cons e r -> case e of EvA -> Cons St0 (f y) | _ -> Cons S
 
 @pytest.mark.parametrize("command", ["simulate", "oracle"])
 def test_program_with_two_free_variables_exits_70(tmp_path, capsys, command):
-    # simplified form allows it (a call's arguments are variables); the
-    # simulator has one event list to bind
+    # the form check refuses it, though a call's arguments are variables; the
+    # simulator runs no form check, and has one event list to bind
     path = tmp_path / "p.rsl"
     path.write_text(TWO_FREE_VARIABLES)
     props = tmp_path / "p.ltl"
     props.write_text("prop p: G {case s of St0 -> True | _ -> False}\n")
-    assert main(["check", str(path)]) == 0
-    capsys.readouterr()
+    where = "program.f.alt0.alt0.tail"
+    message = "free variable y: only the event list es may be free"
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out == f"{where}: [scope] {message}\n"
     options = {"simulate": ["--events", "EvA,EvB"],
                "oracle": ["--props", str(props), "--prop", "p", "--depth", "2"]}
+    errors = {"simulate": "EvalError: program has several free variables: es, y",
+              "oracle": f"NotSimplified: {where}: {message}"}
     assert main([command, str(path), *options[command]]) == 70
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "rtlcheck: EvalError: program has several free variables: es, y\n"
+    assert err == f"rtlcheck: {errors[command]}\n"
 
 
 def test_where_defining_a_name_twice_exits_66(tmp_path, capsys):

@@ -2,7 +2,8 @@ import random
 
 from rtlcheck.normform import check_simplified, is_state_term
 from rtlcheck.terms import (
-    Alt, App, Case, Con, Fun, Lam, Let, Term, Var, WILD, Where, spine,
+    Alt, App, Case, Con, Fun, Lam, Let, PCon, Term, Var, WILD, Where,
+    free_vars, spine,
 )
 
 from gen_programs import random_program
@@ -164,3 +165,87 @@ def test_is_state_term():
     # no variable, let-bound or not, at the top or inside: the verifier binds none
     assert not is_state_term(Var("x"))
     assert not is_state_term(Con("ObsState", (Con("T"), Var("x"))))
+
+
+def _handler(body: Term) -> Term:
+    """``\\es -> case es of Cons e r -> body``"""
+    return Lam("es", Case(Var("es"), (Alt(PCon("Cons", ("e", "r")), body),)))
+
+
+def _emit(call: Term) -> Term:
+    return Con("Cons", (Con("St0"), call))
+
+
+def test_a_second_free_variable_is_reported_once_where_first_used():
+    body = Case(Var("e"), (Alt(PCon("EvA"), _emit(App(Fun("f"), Var("y")))),
+                           Alt(WILD, _emit(App(App(Fun("f"), Var("y")), Var("z"))))))
+    t = Where(_emit(App(Fun("f"), Var("es"))), (("f", _handler(body)),))
+    report = check_simplified(t)
+    assert [(v.path, v.rule, v.message) for v in report.violations] == [
+        ("program.f.alt0.alt0.tail", "scope",
+         "free variable y: only the event list es may be free"),
+        ("program.f.alt0.alt1.tail", "scope",
+         "free variable z: only the event list es may be free"),
+    ]
+    assert report.violations[0].term == App(Fun("f"), Var("y"))
+
+
+def test_every_binder_binds_for_the_scope_rule():
+    # lambda and where parameters, case patterns and lets; es alone is free
+    body = Case(Var("e"), (
+        Alt(PCon("EvA"), _emit(App(Fun("f"), Var("r")))),
+        Alt(WILD, Let("k", Lam("x", _emit(App(Fun("f"), Var("x")))),
+                      App(Var("k"), _emit(App(Fun("f"), Var("es"))))))))
+    t = Where(_emit(App(Fun("f"), Var("es"))), (("f", _handler(body)),))
+    assert check_simplified(t).conforms
+    # a case on a free variable is a use of it
+    t = Where(_emit(App(Fun("f"), Var("es"))),
+              (("f", _handler(Case(Var("y"), (Alt(WILD, _emit(Fun("f"))),)))),))
+    assert [v.rule for v in check_simplified(t).violations] == ["scope"]
+    # a let's name is not bound in the term it binds
+    t = Let("k", Lam("x", _emit(App(Fun("f"), Var("k")))),
+            App(Var("k"), _emit(App(Fun("f"), Var("es")))))
+    assert [v.rule for v in check_simplified(t).violations] == ["scope"]
+
+
+def _rename_nth_var(t: Term, n: list[int], new: str) -> Term:
+    """``t`` with its ``n[0]``-th variable occurrence, in preorder, renamed ``new``."""
+    match t:
+        case Var(name):
+            n[0] -= 1
+            return Var(new) if n[0] == -1 else t
+        case Con(con, args):
+            return Con(con, tuple(_rename_nth_var(a, n, new) for a in args))
+        case Lam(param, body):
+            return Lam(param, _rename_nth_var(body, n, new))
+        case App(fn, arg):
+            return App(_rename_nth_var(fn, n, new), _rename_nth_var(arg, n, new))
+        case Case(scrutinee, alts):
+            scrutinee = _rename_nth_var(scrutinee, n, new)
+            return Case(scrutinee, tuple(Alt(a.pattern, _rename_nth_var(a.body, n, new))
+                                         for a in alts))
+        case Let(name, bound, body):
+            bound = _rename_nth_var(bound, n, new)
+            return Let(name, bound, _rename_nth_var(body, n, new))
+        case Where(body, defs):
+            body = _rename_nth_var(body, n, new)
+            return Where(body, tuple((f, _rename_nth_var(d, n, new)) for f, d in defs))
+    return t
+
+
+def test_a_conforming_program_has_at_most_one_free_variable():
+    # random programs with one variable occurrence renamed: the form check
+    # refuses exactly those that free_vars finds a second free variable in
+    rng = random.Random(14)
+    refused = 0
+    for _ in range(300):
+        program, _ = random_program(rng, let_rate=0.5)
+        program = _rename_nth_var(program, [rng.randrange(40)], rng.choice("ey"))
+        report = check_simplified(program)
+        scope = [v for v in report.violations if v.rule == "scope"]
+        if len(free_vars(program)) > 1:
+            assert not report.conforms
+            refused += bool(scope)
+        else:
+            assert not scope
+    assert refused > 50

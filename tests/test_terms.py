@@ -1,4 +1,7 @@
+import ast
+import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +10,10 @@ from rtlcheck import semantics
 from rtlcheck.ltlsem import bounded_counts
 from rtlcheck.parser import parse_program
 from rtlcheck.semantics import EVENT_LIST, EvalError, run_trace
+from rtlcheck import terms
 from rtlcheck.terms import (
-    Alt, App, Case, Con, Eventually, Fun, Lam, Let, PCon, Var, WILD, Where,
-    free_vars, substitute,
+    Alt, App, Case, Con, Eventually, Fun, Lam, Let, PCon, PWild, Var, WILD,
+    Where, free_vars, substitute,
 )
 from rtlcheck.witness import generate, validate_verdict
 
@@ -80,6 +84,91 @@ def test_a_binder_hides_only_its_own_names_from_the_bindings():
                         Alt(WILD, Var("x"))))
     assert substitute(t, sub) == \
         Case(a, (Alt(PCon("C", ("x", "z")), App(Var("x"), b)), Alt(WILD, a)))
+
+
+# --- the node contract ---------------------------------------------------------
+
+NODE_CLASSES = (Var, Con, Lam, Fun, App, Alt, Case, Let, Where, PCon, PWild)
+
+
+def _nodes():
+    """One fresh node of each term and pattern class."""
+    handler = Lam("es", Case(Var("es"), (
+        Alt(PCon("Cons", ("e", "r")), App(Fun("f"), Var("r"))), Alt(WILD, Fun("f")))))
+    return [Var("x"), Con("Cons", (Con("St0"), Var("es"))), handler, Fun("f"),
+            App(Fun("f"), Var("es")), Alt(PCon("EvA"), Fun("f")), handler.body,
+            Let("h", Lam("x", Fun("f")), App(Var("h"), Var("es"))),
+            Where(App(Fun("f"), Var("es")), (("f", handler),)),
+            PCon("Cons", ("e", "r")), PWild()]
+
+
+def test_nodes_are_slotted_and_not_frozen():
+    assert {type(n) for n in _nodes()} == set(NODE_CLASSES)
+    for node in _nodes():
+        assert not hasattr(node, "__dict__"), type(node).__name__
+    for cls in NODE_CLASSES:
+        assert not cls.__dataclass_params__.frozen, cls.__name__
+
+
+def test_node_equality_is_structural_and_class_sensitive():
+    for a, b in zip(_nodes(), _nodes()):
+        assert a is not b and a == b and hash(a) == hash(b)
+    assert Var("x") != Fun("x")
+    assert Con("A") != Con("A", (Con("B"),))
+    assert PCon("EvA") != PCon("EvA", ("x",))
+    assert len(set(_nodes() + _nodes())) == len(NODE_CLASSES)
+
+
+def test_node_repr_is_the_dataclass_repr():
+    assert repr(Con("A")) == "Con(con='A', args=())"
+    assert repr(App(Fun("f"), Var("x"))) == "App(fn=Fun(name='f'), arg=Var(name='x'))"
+    assert repr(Alt(WILD, Var("x"))) == "Alt(pattern=PWild(), body=Var(name='x'))"
+
+
+def test_match_class_patterns_bind_fields():
+    match Con("Cons", (Con("St0"), App(Fun("f"), Var("es")))):
+        case Con("Cons", (Con(state), App(Fun(name), Var(arg)))):
+            assert (state, name, arg) == ("St0", "f", "es")
+        case _:
+            raise AssertionError("no match")
+    match Case(Var("e"), (Alt(PCon("EvA", ("x",)), Fun("g")),)):
+        case Case(Var(scrutinee), (Alt(PCon(con, pvars), body),)):
+            assert (scrutinee, con, pvars, body) == ("e", "EvA", ("x",), Fun("g"))
+        case _:
+            raise AssertionError("no match")
+
+
+def test_free_vars_fills_the_slot_without_changing_the_value():
+    t = App(Lam("x", App(Var("x"), Var("y"))), Var("z"))
+    assert t._fv is None
+    fv = free_vars(t)
+    assert fv == {"y", "z"} and t._fv is fv
+    assert t.fn._fv == {"y"} and t.arg._fv == {"z"}
+    twin = App(Lam("x", App(Var("x"), Var("y"))), Var("z"))
+    assert twin._fv is None
+    assert t == twin and hash(t) == hash(twin) and repr(t) == repr(twin)
+
+
+def test_no_module_but_terms_assigns_a_node_field():
+    # nodes are not frozen: this scan is what keeps them immutable
+    names = {f.name for cls in NODE_CLASSES for f in dataclasses.fields(cls)}
+    assert {"name", "args", "body", "alts", "_fv"} <= names
+    offences = []
+    for path in sorted(Path(terms.__file__).parent.glob("*.py")):
+        if path.name == "terms.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load) \
+                    and node.attr in names:
+                offences.append(f"{path.name}:{node.lineno}: .{node.attr}")
+            elif isinstance(node, ast.Call) and len(node.args) >= 2 \
+                    and isinstance(node.args[1], ast.Constant) \
+                    and node.args[1].value in names \
+                    and (isinstance(node.func, ast.Name) and node.func.id == "setattr"
+                         or isinstance(node.func, ast.Attribute)
+                         and node.func.attr == "__setattr__"):
+                offences.append(f"{path.name}:{node.lineno}: {node.args[1].value}")
+    assert not offences
 
 
 # --- randomized laws ---------------------------------------------------------
