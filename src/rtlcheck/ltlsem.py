@@ -9,10 +9,11 @@ Both are one rule, ``_step``: the value of every subformula at a state, from
 their values one position later. ``_fold`` runs it backwards over a trace,
 from Unknown past a prefix's end in ``bounded_check``, and in ``sat_lasso``
 from the values at a lasso loop's first position. ``bounded_counts`` runs
-it over the simulator's trace DAG (``semantics.trace_dag``), which shares
-the reduction relation with ``witness.gen`` but none of its rules, to count
-the event sequences that give each value. ``enumerate_traces`` expands the
-DAG to one trace per event sequence."""
+it over the simulator's trace DAG (``semantics.trace_dag``), built by the
+environment machine of ``semantics``, to count the event sequences that give
+each value; ``witness.gen`` shares only the function environments and
+``atom_truth`` with that machine, and none of its rules. ``enumerate_traces``
+expands the DAG to one trace per event sequence."""
 
 from __future__ import annotations
 

@@ -1,20 +1,33 @@
 """Call-by-name operational semantics, the trace simulator and its enumeration.
 
-The one-step relation reduces the head of applications and case scrutinees;
-values are weak head normal forms, i.e. constructor applications and
-lambdas. Reduction is deterministic: a non-value either has exactly one
-redex or is stuck, which signals an ill-typed configuration. A step yields
-the reduced term and its function environment, nothing else.
+Terms are run by an environment machine (Krivine's, as Sestoft derives it in
+"Deriving a lazy abstract machine", 1997, without the updates that would make
+it lazy; see also Felleisen and Friedman's CEK machine, 1986). A closure is a
+term with an environment mapping its variables to closures, so no reduction
+substitutes: an application pushes its argument's closure and a lambda pops
+it, a case evaluates its scrutinee and binds the pattern's variables to the
+closures of the constructor's arguments, a let binds its term's closure, and
+a function name is looked up in the function environment that the where
+blocks opened so far make up, with the variables its block saw. Values are
+weak head normal forms, constructor applications and lambdas; a term that is
+neither and cannot be contracted is stuck, which signals an ill-typed
+configuration.
 
-The simulator binds a program's event list by substitution. ``run_trace``
-puts the whole list in up front. ``trace_dag``, which holds the traces of
-every event sequence of a given length for the oracle, puts in one
-placeholder variable for the events not yet read. When reduction is stuck
-on it, the state is retried once per event, with a ``Cons`` of that event
-and the placeholder in its place, and what follows each such branch point
-is memoised: every handler reached at an event position is reduced once,
-so the work grows linearly with the length, not with the number of
-sequences. Each emitted state gets its own step budget.
+Fuel counts contractions: a β-reduction, a case selection, a let, a function
+unfold and the opening of a where block each cost one unit, which is what a
+small-step reduction relation counts in steps. It is checked after the
+stuck check and before the contraction.
+
+The simulator binds a program's event list in the machine's environment.
+``run_trace`` binds the whole list up front. ``trace_dag``, which holds the
+traces of every event sequence of a given length for the oracle, binds one
+placeholder variable for the events not yet read. When the machine is stuck
+on it, the state's start closure is read back into a term, substituting the
+closures of its free variables, and retried once per event with a ``Cons``
+of that event and the placeholder bound in its place. What follows each such
+branch point is memoised: every handler reached at an event position is
+reduced once, so the work grows linearly with the length, not with the
+number of sequences. Each emitted state gets its own fuel.
 """
 
 from __future__ import annotations
@@ -28,6 +41,9 @@ from .terms import (
 from .kleene import TruthVal, truthval_from_name
 
 DEFAULT_FUEL = 10 ** 6
+# an atom's budget, fixed when the module loads: DEFAULT_FUEL, which tests
+# lower, is the budget of each simulated state
+_ATOM_FUEL = DEFAULT_FUEL
 
 
 class EvalError(Exception):
@@ -55,16 +71,29 @@ class AtomError(EvalError):
     """A property atom did not evaluate to a truth-value constructor."""
 
 
-# --- function environments ----------------------------------------------------
+# --- closures and function environments -----------------------------------------
+
+# A closure is a term and the closures of its variables. Environments are
+# never changed once made: binding a variable copies the dict.
+Env = dict[str, "Closure"]
+Closure = tuple[Term, Env]
+_NO_VARS: Env = {}
+
 
 class FunEnv:
-    """Immutable chain of function-name scopes; inner frames shadow outer."""
+    """Immutable chain of function-name scopes; inner frames shadow outer.
 
-    __slots__ = ("_frame", "_parent")
+    A frame holds the definitions of one where block and the closures of
+    the variables they name.
+    """
 
-    def __init__(self, frame: dict[str, Term], parent: "FunEnv | None" = None):
+    __slots__ = ("_frame", "_parent", "_env")
+
+    def __init__(self, frame: dict[str, Term], parent: "FunEnv | None" = None,
+                 env: Env = _NO_VARS):
         self._frame = frame  # owned: no caller keeps the dict
         self._parent = parent
+        self._env = env
 
     @staticmethod
     def empty() -> "FunEnv":
@@ -86,88 +115,135 @@ class FunEnv:
 _EMPTY_ENV = FunEnv({})
 
 
-# --- one-step reduction ---------------------------------------------------------
+def _closure(t: Term, env: Env) -> Closure:
+    """``t`` under ``env``. A bound variable's closure is the one it is bound
+    to, so that chains of variables bound to variables do not grow as a run
+    reads its events."""
+    if type(t) is Var:
+        hit = env.get(t.name)
+        if hit is not None:
+            return hit
+    return t, env
 
-def step(t: Term, env: FunEnv) -> Optional[tuple[Term, FunEnv]]:
-    """``(term, env)`` after the single applicable reduction, or None for a value.
 
-    Opening a where block is a step too: it has no counterpart in the
-    reduction relation proper, and only extends the environment.
+# --- the machine -------------------------------------------------------------------
+
+def _exhausted(top: str | None, args: list, t: Term) -> FuelExhausted:
+    # named by the outermost node of the term the machine stands for: an
+    # application while arguments wait, a case while its scrutinee runs
+    name = top or ("App" if args else type(t).__name__)
+    return FuelExhausted(f"no value after step budget: {name}")
+
+
+def _whnf(t: Term, env: Env, funs: FunEnv, fuel: int,
+          top: str | None = None) -> tuple[Term, Env, FunEnv, int]:
+    """The weak head normal form of ``t`` under ``env`` and ``funs``: the value,
+    its environment, the function environment then open, and the fuel left.
+
+    The where blocks a run opens stay open for the rest of it, the state's
+    arguments and the next state included: the function environment belongs
+    to the configuration, as in the reduction relation, not to a closure.
+    A case's scrutinee runs in a nested call; ``top`` then names the node
+    that the outermost call's term begins with, for the message of
+    ``FuelExhausted``.
     """
-    tt = type(t)
-    if tt is Con or tt is Lam:
-        return None
-    if tt is App:
-        fn = t.fn
-        if type(fn) is Lam:
-            return substitute(fn.body, {fn.param: t.arg}), env
-        if type(fn) is Con:
-            raise StuckError(t, f"constructor {fn.con} applied beyond its arity")
-        inner, env = step(fn, env)
-        return App(inner, t.arg), env
-    if tt is Case:
-        scrut = t.scrutinee
-        if type(scrut) is Con:
-            con, args = scrut.con, scrut.args
+    args: list[Closure] = []  # the arguments waiting for a lambda, the next last
+    while True:
+        tt = type(t)
+        if tt is App:
+            a = t.arg
+            hit = env.get(a.name) if type(a) is Var else None  # _closure, inlined
+            args.append((a, env) if hit is None else hit)
+            t = t.fn
+        elif tt is Var:
+            hit = env.get(t.name)
+            if hit is None:
+                raise StuckError(t, f"free variable {t.name}")
+            t, env = hit
+        elif tt is Lam:
+            if not args:
+                return t, env, funs, fuel
+            if fuel <= 0:
+                raise _exhausted(top, args, t)
+            fuel -= 1
+            env = {**env, t.param: args.pop()}
+            t = t.body
+        elif tt is Con:
+            if args:
+                raise StuckError(t, f"constructor {t.con} applied beyond its arity")
+            return t, env, funs, fuel
+        elif tt is Case:
+            value, venv, funs, fuel = _whnf(t.scrutinee, env, funs, fuel,
+                                            top or ("App" if args else "Case"))
+            if type(value) is Lam:
+                raise StuckError(t, "case scrutinee is a lambda")
+            con, fields = value.con, value.args
             for alt in t.alts:
                 pattern = alt.pattern
-                if isinstance(pattern, PWild):
-                    return alt.body, env
+                if type(pattern) is PWild:
+                    break
                 if pattern.con == con:
-                    if len(pattern.vars) != len(args):
+                    if len(pattern.vars) != len(fields):
                         raise StuckError(t, f"pattern arity mismatch on {con}")
-                    return substitute(alt.body, dict(zip(pattern.vars, args))), env
-            raise StuckError(t, f"no pattern matches constructor {con}")
-        if type(scrut) is Lam:
-            raise StuckError(t, "case scrutinee is a lambda")
-        inner, env = step(scrut, env)
-        return Case(inner, t.alts), env
-    if tt is Fun:
-        body = env.lookup(t.name)
-        if body is None:
-            raise StuckError(t, f"undefined function {t.name}")
-        return body, env
-    if tt is Let:
-        return substitute(t.body, {t.name: t.bound}), env
-    if tt is Var:
-        raise StuckError(t, f"free variable {t.name}")
-    if tt is Where:
-        return t.body, env.extend(t.defs)
-    raise TypeError(f"not a term: {t!r}")
+                    if fields:
+                        env = env.copy()
+                        for x, a in zip(pattern.vars, fields):
+                            env[x] = _closure(a, venv)
+                    break
+            else:
+                raise StuckError(t, f"no pattern matches constructor {con}")
+            if fuel <= 0:
+                raise _exhausted(top, args, t)
+            fuel -= 1
+            t = alt.body
+        elif tt is Fun:
+            frame: FunEnv | None = funs
+            while frame is not None:
+                body = frame._frame.get(t.name)
+                if body is not None:
+                    break
+                frame = frame._parent
+            else:
+                raise StuckError(t, f"undefined function {t.name}")
+            if fuel <= 0:
+                raise _exhausted(top, args, t)
+            fuel -= 1
+            t, env = body, frame._env
+        elif tt is Let:
+            if fuel <= 0:
+                raise _exhausted(top, args, t)
+            fuel -= 1
+            env = {**env, t.name: _closure(t.bound, env)}
+            t = t.body
+        elif tt is Where:
+            if fuel <= 0:
+                raise _exhausted(top, args, t)
+            fuel -= 1
+            named = frozenset().union(*[free_vars(d) for _, d in t.defs])
+            funs = FunEnv(dict(t.defs), funs,
+                          {x: c for x, c in env.items() if x in named})
+            t = t.body
+        else:
+            raise TypeError(f"not a term: {t!r}")
 
 
-def _whnf(t: Term, env: FunEnv, fuel: int) -> tuple[Term, FunEnv, int]:
-    while True:
-        red = step(t, env)
-        if red is None:
-            return t, env, fuel
-        if fuel <= 0:
-            raise FuelExhausted(f"no value after step budget: {type(t).__name__}")
-        fuel -= 1
-        t, env = red
-
-
-def eval_whnf(t: Term, env: FunEnv | None = None, fuel: int = DEFAULT_FUEL) -> Term:
-    """Reduce ``t`` to weak head normal form under ``env``."""
-    value, _, _ = _whnf(t, env or FunEnv.empty(), fuel)
-    return value
-
-
-def deep_eval(t: Term, env: FunEnv | None = None,
+def deep_eval(t: Term, env: Env = _NO_VARS, funs: FunEnv = _EMPTY_ENV,
               fuel: int = DEFAULT_FUEL) -> tuple[Term, int]:
-    """Fully evaluate ``t`` to a ground constructor term; it and the fuel left.
+    """Fully evaluate ``t`` under ``env`` and ``funs`` to a ground constructor
+    term; it and the fuel left.
 
     Each argument gets the fuel that the head and the arguments before it
     left. A lambda, as the value or inside its arguments, is no state: it
     raises ``NonConsOutput``.
     """
-    value, env, fuel = _whnf(t, env or FunEnv.empty(), fuel)
+    value, env, funs, fuel = _whnf(t, env, funs, fuel)
     if type(value) is Lam:
         raise NonConsOutput("program output is not a state stream: "
                             "a state holds a lambda")
     args = []
     for a in value.args:
-        a, fuel = deep_eval(a, env, fuel)
+        if type(a) is not Con or a.args:
+            a, fuel = deep_eval(a, env, funs, fuel)
         args.append(a)
     return Con(value.con, tuple(args)), fuel
 
@@ -175,13 +251,12 @@ def deep_eval(t: Term, env: FunEnv | None = None,
 def atom_truth(atom_term: Term, state: Term) -> TruthVal:
     """Evaluate an atom at an observable state.
 
-    Substitutes the state for the reserved variable ``STATE_VAR`` and
-    reduces; the result must be one of the nullary True/False/Undefined
-    constructors.
+    Binds the state to the reserved variable ``STATE_VAR`` and reduces; the
+    result must be one of the nullary True/False/Undefined constructors.
     """
-    closed = substitute(atom_term, {STATE_VAR: state})
     try:
-        value = eval_whnf(closed)
+        value, _, _, _ = _whnf(atom_term, {STATE_VAR: (state, _NO_VARS)},
+                               _EMPTY_ENV, _ATOM_FUEL)
     except StuckError as exc:
         raise AtomError(f"atom evaluation got stuck: {exc.reason}") from exc
     if isinstance(value, Con) and not value.args:
@@ -204,20 +279,15 @@ UNREAD = Var(EVENT_LIST)
 
 
 def _event_list(events: Sequence[str], tail: Term) -> Term:
-    """``Cons e1 (... (Cons en tail))``, built from the tail up.
-
-    Each cell's free variables are memoised as it is made, so that no later
-    ``free_vars`` call recurses down a long list.
-    """
+    """``Cons e1 (... (Cons en tail))``."""
     out = tail
     for e in reversed(events):
         out = Con("Cons", (Con(e), out))
-        free_vars(out)
     return out
 
 
-def bind_events(program: Term, events: Term) -> Term:
-    """The program with ``events`` for its event list.
+def bind_events(program: Term, events: Closure) -> Closure:
+    """The program, as a closure, with ``events`` for its event list.
 
     The program's single free variable is its event-list parameter; a closed
     program is applied to the list instead, and one with several free
@@ -226,19 +296,21 @@ def bind_events(program: Term, events: Term) -> Term:
     fv = sorted(free_vars(program))
     if len(fv) > 1:
         raise EvalError(f"program has several free variables: {', '.join(fv)}")
-    return substitute(program, {fv[0]: events}) if fv else App(program, events)
+    if fv:
+        return program, {fv[0]: events}
+    return App(program, UNREAD), {EVENT_LIST: events}
 
 
-def _next_state(t: Term, env: FunEnv) -> Optional[tuple[Term, Term, FunEnv]]:
-    """``(state, rest of stream, env)`` of a state stream, or None at its end.
+def _next_state(c: Closure, funs: FunEnv) -> Optional[tuple[Term, Closure, FunEnv]]:
+    """``(state, rest of stream, funs)`` of a state stream, or None at its end.
 
     The stream cell and its state share one budget of ``DEFAULT_FUEL`` steps.
     """
-    value, env, fuel = _whnf(t, env, DEFAULT_FUEL)
+    value, env, funs, fuel = _whnf(c[0], c[1], funs, DEFAULT_FUEL)
     if type(value) is Con:
         args = value.args
         if value.con == "Cons" and len(args) == 2:
-            return deep_eval(args[0], env, fuel)[0], args[1], env
+            return deep_eval(args[0], env, funs, fuel)[0], _closure(args[1], env), funs
         if value.con == "Nil" and not args:
             return None
     raise NonConsOutput(
@@ -260,41 +332,53 @@ def run_trace(program: Term, events: Sequence[str], cycle: bool = False,
     if cycle and not events:
         raise ValueError("cannot cycle an empty event list")
     if cycle:
-        t = bind_events(program, Fun(EVENT_LIST))
-        env = FunEnv.empty().extend(((EVENT_LIST, _event_list(events, Fun(EVENT_LIST))),))
+        c = bind_events(program, (Fun(EVENT_LIST), _NO_VARS))
+        funs = FunEnv({EVENT_LIST: _event_list(events, Fun(EVENT_LIST))})
     else:
-        t, env = bind_events(program, _event_list(events, NIL)), FunEnv.empty()
+        c, funs = bind_events(program, (_event_list(events, NIL), _NO_VARS)), _EMPTY_ENV
     limit = max_states if cycle else min(max_states, len(events) + 1)
     trace: list[Term] = []
     while len(trace) < limit:
-        nxt = _next_state(t, env)
+        nxt = _next_state(c, funs)
         if nxt is None:
             break
-        state, t, env = nxt
+        state, c, funs = nxt
         trace.append(state)
     return trace
 
 
-def _read(t: Term, env: FunEnv, cell: Term) -> tuple[Term, FunEnv]:
-    """``t`` and ``env`` with ``cell`` in place of the unread events.
+# --- the trace DAG ----------------------------------------------------------------
 
-    A frame is copied when its definitions name them or its parent was
-    copied, so the parents of the outermost such frame stay shared. The
-    chain is rebuilt in a loop: one state can open many where blocks.
+def _read_back(c: Closure) -> Term:
+    """The term a closure stands for: its free variables' closures, read back
+    in turn, substituted. Closed but for the unread events."""
+    t, env = c
+    sub = {x: _read_back(env[x]) for x in free_vars(t) if x in env}
+    return substitute(t, sub) if sub else t
+
+
+def _retry(t: Term, funs: FunEnv, cell: Term) -> tuple[Closure, FunEnv]:
+    """The start of a state read back into ``t``, with ``cell`` bound for the
+    unread events, and ``funs`` with the frames that read them read back too.
+
+    A frame is copied when the closures of its variables reach the unread
+    events or its parent was copied, so the parents of the outermost such
+    frame stay shared. The chain is rebuilt in a loop: one state can open
+    many where blocks.
     """
-    sub = {EVENT_LIST: cell}
+    bound = {EVENT_LIST: (cell, _NO_VARS)}
     chain: list[FunEnv] = []
-    e: FunEnv | None = env
+    e: FunEnv | None = funs
     while e is not None:
         chain.append(e)
         e = e._parent
     out: FunEnv | None = None
     for frame in reversed(chain):
-        defs = frame._frame
-        if out is not frame._parent or any(EVENT_LIST in free_vars(d) for d in defs.values()):
-            frame = FunEnv({f: substitute(d, sub) for f, d in defs.items()}, out)
+        read = {x: _read_back(c) for x, c in frame._env.items()}
+        if out is not frame._parent or any(EVENT_LIST in free_vars(r) for r in read.values()):
+            frame = FunEnv(frame._frame, out, {x: (r, bound) for x, r in read.items()})
         out = frame
-    return substitute(t, sub), out
+    return (t, bound), out
 
 
 # A node of the trace DAG: the states one path emits after its parent's
@@ -308,47 +392,49 @@ def trace_dag(program: Term, events: Sequence[str], depth: int) -> TraceNode:
 
     The walk binds the program's event list to the placeholder ``UNREAD``,
     a variable no program can write, and branches over ``events`` only when
-    reduction is stuck on it. Each child then retries the state from its
-    start with ``Cons e UNREAD`` (``Cons e Nil`` for the last event) in the
-    placeholder's place, in the start term and in every where frame whose
-    definitions name it (see ``_read``). The children of a branch point are
-    memoised for the run, keyed on the state's start term, its environment
-    by identity, and the numbers of events bound and of states emitted;
-    paths that reach the same handler with the same environment at the same
-    event position share them, so each is reduced once. Nothing that raised
-    is stored and the walk is depth first in product order, so the exception
-    raised is that of the first failing sequence. With no events and a
-    positive depth there is no sequence: the root branches into no children.
+    the machine is stuck on it. The state's start closure is then read back
+    into a term, and each child retries it with ``Cons e UNREAD`` (``Cons e
+    Nil`` for the last event) bound in the placeholder's place, also in every
+    where frame whose variables reach it (see ``_retry``). The children of a
+    branch point are memoised for the run, keyed on the read-back start term,
+    the function environment by identity, and the numbers of events bound
+    and of states emitted; paths that reach the same handler with the same
+    environment at the same event position share them, so each is reduced
+    once. Nothing that raised is stored and the walk is depth first in
+    product order, so the exception raised is that of the first failing
+    sequence. With no events and a positive depth there is no sequence: the
+    root branches into no children.
     """
     if depth and not events:
         return (), ()
     limit = depth + 1
     memo: dict[tuple, tuple[TraceNode, ...]] = {}
 
-    def walk(t: Term, env: FunEnv, bound: int, emitted: int) -> TraceNode:
+    def walk(c: Closure, funs: FunEnv, bound: int, emitted: int) -> TraceNode:
         states: list[Term] = []
         while emitted < limit:
             try:
-                nxt = _next_state(t, env)
+                nxt = _next_state(c, funs)
             except StuckError as exc:
                 if exc.term != UNREAD:
                     raise
-                return tuple(states), branch(t, env, bound, emitted)
+                return tuple(states), branch(_read_back(c), funs, bound, emitted)
             if nxt is None:
                 break
-            state, t, env = nxt
+            state, c, funs = nxt
             states.append(state)
             emitted += 1
         return tuple(states), None
 
-    def branch(t: Term, env: FunEnv, bound: int, emitted: int) -> tuple[TraceNode, ...]:
-        key = (t, env, bound, emitted)
+    def branch(t: Term, funs: FunEnv, bound: int, emitted: int) -> tuple[TraceNode, ...]:
+        key = (t, funs, bound, emitted)
         children = memo.get(key)
         if children is None:
             rest = NIL if bound + 1 == depth else UNREAD
             children = memo[key] = tuple(
-                walk(*_read(t, env, Con("Cons", (Con(e), rest))), bound + 1, emitted)
+                walk(*_retry(t, funs, Con("Cons", (Con(e), rest))), bound + 1, emitted)
                 for e in events)
         return children
 
-    return walk(bind_events(program, UNREAD if depth else NIL), FunEnv.empty(), 0, 0)
+    return walk(bind_events(program, (UNREAD if depth else NIL, _NO_VARS)),
+                _EMPTY_ENV, 0, 0)

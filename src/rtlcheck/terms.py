@@ -230,7 +230,18 @@ def _free_vars(t: Term) -> frozenset[str]:
     if tt is Var:
         return frozenset((t.name,))
     if tt is App:
-        return free_vars(t.fn) | free_vars(t.arg)
+        # down the function spine in a loop, so that an application of many
+        # arguments does not recurse once per argument; each node's memo is
+        # filled on the way back up
+        spine = [t]
+        fn = t.fn
+        while type(fn) is App and fn._fv is None:
+            spine.append(fn)
+            fn = fn.fn
+        out = free_vars(fn)
+        for node in reversed(spine):
+            out = node._fv = out | free_vars(node.arg)
+        return out
     if tt is Con:
         out: frozenset[str] = frozenset()
         for a in t.args:
@@ -264,10 +275,12 @@ def substitute(t: Term, bindings: Mapping[str, Term]) -> Term:
     """Simultaneous substitution of the bound terms for variables in ``t``.
 
     Precondition: every bound term is closed, but for the simulator's
-    ``<events>`` placeholder, a name no binder can take. States are ground and
-    the library reduces closed programs, so it substitutes nothing else (see
-    :mod:`rtlcheck.normform`). No binder can then capture a free variable of a
-    bound term, and one only hides its own names from the bindings.
+    ``<events>`` placeholder, a name no binder can take. The library's one
+    caller, ``semantics.trace_dag``, reads the machine's closures back into
+    terms where a run needs an unread event; states are ground and programs
+    closed but for their event list (see :mod:`rtlcheck.normform`), so those
+    terms are closed. No binder can then capture a free variable of a bound
+    term, and one only hides its own names from the bindings.
     """
     return _subst(t, bindings)
 

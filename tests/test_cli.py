@@ -280,6 +280,23 @@ def test_program_with_two_free_variables_exits_70(tmp_path, capsys, command):
     assert err == f"rtlcheck: {errors[command]}\n"
 
 
+def test_simulate_an_application_of_1200_arguments_exits_70(tmp_path, capsys):
+    # the free variables of an application are read down its function spine
+    # in a loop and the machine pushes its arguments in one, so no walk
+    # recurses once per argument: the run gets as far as the second state's
+    # stream cell, a constructor applied to 1,199 more arguments
+    args = " ".join(["es"] * 1200)
+    path = tmp_path / "wide.rsl"
+    path.write_text("data Ev = EvA | EvB\ndata St = St0 | St1\nCons St0 (f es)\nwhere\n"
+                    f"f = \\es -> case es of Cons e es -> Cons St0 (f {args})\n")
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == "conforms\n"
+    assert main(["simulate", str(path), "--events", "EvA,EvA"]) == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "rtlcheck: StuckError: stuck: constructor Cons applied beyond its arity\n"
+
+
 def test_where_defining_a_name_twice_exits_66(tmp_path, capsys):
     path = tmp_path / "twice.rsl"
     path.write_text(DIVERGING_PROGRAM + "f = \\es -> Cons St1 (f es)\n")

@@ -6,12 +6,14 @@ import pytest
 
 from rtlcheck.corpus import obs
 from rtlcheck.lts import (
-    InconsistentNodeState, Lts, LtsError, LtsNode, NotReactiveShape, extract_lts,
-    to_dot, to_json,
+    InconsistentNodeState, Lts, LtsEdge, LtsError, LtsNode, NotReactiveShape,
+    extract_lts, state_to_json, to_dot, to_json,
 )
 from rtlcheck.parser import parse_program
 from rtlcheck.semantics import run_trace
 from rtlcheck.terms import Alt, App, Case, Con, Fun, Lam, PCon, Var, WILD, Where
+
+from gen_programs import ring_program
 
 EVENTS = ("Request1", "Request2", "Take1", "Take2", "Release1", "Release2")
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -155,6 +157,38 @@ def test_json_export_schema(corpus_by_name):
         "con": "ObsState",
         "args": [{"con": "T", "args": []}, {"con": "T", "args": []}],
     }
+
+
+def _json_by_the_encoder(graph: Lts) -> str:
+    """``to_json``'s text as ``json`` lays it out with ``indent=2``."""
+    import json
+    doc = {
+        "initial": graph.initial,
+        "nodes": [{"id": n.id, "fun": n.fun, "state": state_to_json(n.state)}
+                  for n in graph.nodes],
+        "edges": [
+            {"from": e.src, "label": e.label, "to": e.dst,
+             **({"residual": list(e.residual)} if e.residual is not None else {})}
+            for e in graph.edges
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_json_export_is_the_indented_encoding(corpus):
+    # byte for byte: edges with and without a residual, states with nested
+    # arguments, a variable state, and empty lists at every level
+    graphs = [extract_lts(source.term, EVENTS) for _, source, _ in corpus]
+    graphs += [extract_lts(ring_program(n), ("EvA", "EvB", "EvC")) for n in (1, 2, 7, 40)]
+    nested = Con("P", (Con("Q", (Con("A"), Con("B", (Con("C"),)))), Con("D")))
+    graphs += [
+        Lts(0, (LtsNode(0, "f", nested), LtsNode(1, "g\u00e9\"", Var("x"))),
+            (LtsEdge(0, "_", 1, ()), LtsEdge(1, "Go", 0), LtsEdge(1, "_", 1, ("Go", "Put")))),
+        Lts(0, (LtsNode(0, "f", Con("A")),), ()),
+        Lts(0, (), ()),
+    ]
+    for graph in graphs:
+        assert to_json(graph) == _json_by_the_encoder(graph)
 
 
 def test_non_reactive_shape_rejected():

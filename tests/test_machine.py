@@ -1,0 +1,110 @@
+"""The environment machine against the substituting stepper it replaced.
+
+``tests/reference_stepper.py`` keeps that stepper. On the corpus, on random
+programs and on hand-built programs that read events out of rhythm, stop,
+fail or reread consumed events, under per-state fuel from 0 to 60 steps,
+both must give the same traces, the same trace DAG and the same exception,
+type and message, since the fuel counts the same contractions.
+"""
+
+import itertools
+import random
+
+import pytest
+
+import reference_stepper as reference
+from gen_programs import random_program
+from rtlcheck import semantics
+from rtlcheck.parser import parse_program
+from test_ltlsem import (
+    HAND_BUILT, HAND_BUILT_HEADER, READ_CONSUMED_EVENTS, UNEVEN_STEPS,
+)
+
+EVENTS = ("Request1", "Request2", "Take1", "Take2", "Release1", "Release2")
+
+
+def _outcome(run):
+    """The result, or the type and message of the exception raised."""
+    try:
+        return "returned", run()
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+def _assert_same(program, events, depths, sequences):
+    for depth in depths:
+        assert (_outcome(lambda: semantics.trace_dag(program, events, depth))
+                == _outcome(lambda: reference.trace_dag(program, events, depth))), depth
+    for seq in sequences:
+        for cycle, n in ((False, len(seq) + 1), (True, 3 * len(seq) + 2)):
+            if cycle and not seq:
+                continue
+            assert (_outcome(lambda: semantics.run_trace(program, seq, cycle, n))
+                    == _outcome(lambda: reference.run_trace(program, seq, cycle, n))), (seq, cycle)
+
+
+def test_machine_equals_stepper_on_corpus(corpus):
+    rng = random.Random(23)
+    sequences = [[rng.choice(EVENTS) for _ in range(rng.randint(0, 12))]
+                 for _ in range(20)]
+    for _, source, _ in corpus:
+        _assert_same(source.term, EVENTS, range(5), sequences)
+
+
+def test_machine_equals_stepper_on_random_programs():
+    rng = random.Random(2310)
+    for _ in range(300):
+        program, events = random_program(rng)
+        sequences = [[rng.choice(events) for _ in range(rng.randint(0, 6))]
+                     for _ in range(3)]
+        _assert_same(program, events, range(4), sequences)
+
+
+LITTLE_FUEL_PROGRAMS = {**HAND_BUILT, **UNEVEN_STEPS, **READ_CONSUMED_EVENTS}
+
+
+@pytest.mark.parametrize("name", sorted(LITTLE_FUEL_PROGRAMS))
+def test_machine_equals_stepper_under_little_fuel(name, monkeypatch):
+    source = parse_program(HAND_BUILT_HEADER + LITTLE_FUEL_PROGRAMS[name])
+    assert not source.diagnostics
+    events = ("EvA", "EvB", "EvC")
+    sequences = [list(seq) for k in range(3) for seq in itertools.product(events, repeat=k)]
+    for fuel in range(61):
+        monkeypatch.setattr(semantics, "DEFAULT_FUEL", fuel)
+        _assert_same(source.term, events, range(3), sequences)
+
+
+def test_fuel_exhaustion_names_the_outermost_node(monkeypatch):
+    # the stepper names the node its whole term begins with; the machine,
+    # which keeps no such term, must name the same one at every budget
+    source = parse_program(
+        "data S = St0 | St1 | Q S S S S S\n"
+        "Cons (Q ((\\y -> y) (g St0)) (case g St0 of St0 -> St1 | _ -> St0)"
+        " (let z = g St1 in z) (k St0 where k = \\y -> g y) c) (h es)\nwhere\n"
+        "g = \\x -> case x of St0 -> St0 | _ -> St1\n"
+        "c = g St1\n"
+        "h = \\es -> case es of Cons e es -> Cons St0 (h es) | Nil -> Nil")
+    assert not source.diagnostics
+    messages = set()
+    for fuel in range(40):
+        monkeypatch.setattr(semantics, "DEFAULT_FUEL", fuel)
+        got = _outcome(lambda: semantics.run_trace(source.term, ["St0"]))
+        assert got == _outcome(lambda: reference.run_trace(source.term, ["St0"])), fuel
+        messages.add(got[-1] if got[0] == "raised" else "returned")
+    assert {"no value after step budget: App", "no value after step budget: Case",
+            "no value after step budget: Let", "no value after step budget: Where",
+            "no value after step budget: Fun", "returned"} <= messages
+
+
+def test_simulation_and_atoms_substitute_nothing(corpus, monkeypatch):
+    # the machine binds variables in environments; only trace_dag's read-back
+    # at a branch point substitutes
+    calls = []
+    monkeypatch.setattr(semantics, "substitute", lambda *a: calls.append(a))
+    for _, source, props in corpus:
+        trace = semantics.run_trace(source.term, list(EVENTS) * 4)
+        semantics.run_trace(source.term, EVENTS, cycle=True, max_states=50)
+        mutex = props.get("mutex").sub.term  # G {atom}
+        for state in trace:
+            semantics.atom_truth(mutex, state)
+    assert calls == []

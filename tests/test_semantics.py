@@ -8,11 +8,13 @@ from rtlcheck.kleene import FALSE, TRUE
 from rtlcheck.parser import parse_program
 from rtlcheck.semantics import (
     FuelExhausted, FunEnv, NonConsOutput, StuckError,
-    atom_truth, deep_eval, eval_whnf, run_trace, step,
+    atom_truth, deep_eval, run_trace,
 )
 from rtlcheck.terms import (
     Alt, App, Case, Con, Fun, Lam, Let, PCon, Var, WILD, Where,
 )
+# the step relation the machine reproduces, kept as its reference
+from reference_stepper import eval_whnf, step
 
 EVENTS = ("Request1", "Request2", "Take1", "Take2", "Release1", "Release2")
 
