@@ -7,11 +7,11 @@ term with an environment mapping its variables to closures, so no reduction
 substitutes: an application pushes its argument's closure and a lambda pops
 it, a case evaluates its scrutinee and binds the pattern's variables to the
 closures of the constructor's arguments, a let binds its term's closure, and
-a function name is looked up in the function environment that the where
-blocks opened so far make up, with the variables its block saw. Values are
-weak head normal forms, constructor applications and lambdas; a term that is
-neither and cannot be contracted is stuck, which signals an ill-typed
-configuration.
+a function name is looked up in one table that holds, for each name, the
+newest definition of the where blocks opened so far, with the variables its
+block saw. Values are weak head normal forms, constructor applications and
+lambdas; a term that is neither and cannot be contracted is stuck, which
+signals an ill-typed configuration.
 
 Fuel counts contractions: a β-reduction, a case selection, a let, a function
 unfold and the opening of a where block each cost one unit, which is what a
@@ -81,35 +81,32 @@ _NO_VARS: Env = {}
 
 
 class FunEnv:
-    """Immutable chain of function-name scopes; inner frames shadow outer.
+    """Immutable table of the where-bound functions: each name's newest
+    definition, with the closures of the variables its block saw.
 
-    A frame holds the definitions of one where block and the closures of
-    the variables they name.
+    ``extend`` puts a block's definitions on top, so a name defined again
+    shadows the older definition from then on, which is what a chain of
+    frames searched innermost first returns too.
     """
 
-    __slots__ = ("_frame", "_parent", "_env")
+    __slots__ = ("_table",)
 
-    def __init__(self, frame: dict[str, Term], parent: "FunEnv | None" = None,
-                 env: Env = _NO_VARS):
-        self._frame = frame  # owned: no caller keeps the dict
-        self._parent = parent
-        self._env = env
+    def __init__(self, table: dict[str, Closure]):
+        self._table = table  # owned: no caller keeps the dict
 
     @staticmethod
     def empty() -> "FunEnv":
         return _EMPTY_ENV
 
-    def extend(self, defs: Sequence[tuple[str, Term]]) -> "FunEnv":
-        return FunEnv(dict(defs), self)
+    def extend(self, defs: Sequence[tuple[str, Term]], env: Env = _NO_VARS) -> "FunEnv":
+        table = self._table.copy()
+        for name, d in defs:
+            table[name] = d, env
+        return FunEnv(table)
 
     def lookup(self, name: str) -> Optional[Term]:
-        env: FunEnv | None = self
-        while env is not None:
-            hit = env._frame.get(name)
-            if hit is not None:
-                return hit
-            env = env._parent
-        return None
+        hit = self._table.get(name)
+        return None if hit is None else hit[0]
 
 
 _EMPTY_ENV = FunEnv({})
@@ -142,7 +139,9 @@ def _whnf(t: Term, env: Env, funs: FunEnv, fuel: int,
 
     The where blocks a run opens stay open for the rest of it, the state's
     arguments and the next state included: the function environment belongs
-    to the configuration, as in the reduction relation, not to a closure.
+    to the configuration, as in the reduction relation, not to a closure, so
+    where-bound names are scoped dynamically. A function name is one lookup
+    in its table, and opening a block one copy of it.
     A case's scrutinee runs in a nested call; ``top`` then names the node
     that the outermost call's term begins with, for the message of
     ``FuelExhausted``.
@@ -197,18 +196,13 @@ def _whnf(t: Term, env: Env, funs: FunEnv, fuel: int,
             fuel -= 1
             t = alt.body
         elif tt is Fun:
-            frame: FunEnv | None = funs
-            while frame is not None:
-                body = frame._frame.get(t.name)
-                if body is not None:
-                    break
-                frame = frame._parent
-            else:
+            hit = funs._table.get(t.name)
+            if hit is None:
                 raise StuckError(t, f"undefined function {t.name}")
             if fuel <= 0:
                 raise _exhausted(top, args, t)
             fuel -= 1
-            t, env = body, frame._env
+            t, env = hit
         elif tt is Let:
             if fuel <= 0:
                 raise _exhausted(top, args, t)
@@ -220,8 +214,7 @@ def _whnf(t: Term, env: Env, funs: FunEnv, fuel: int,
                 raise _exhausted(top, args, t)
             fuel -= 1
             named = frozenset().union(*[free_vars(d) for _, d in t.defs])
-            funs = FunEnv(dict(t.defs), funs,
-                          {x: c for x, c in env.items() if x in named})
+            funs = funs.extend(t.defs, {x: c for x, c in env.items() if x in named})
             t = t.body
         else:
             raise TypeError(f"not a term: {t!r}")
@@ -290,15 +283,13 @@ def bind_events(program: Term, events: Closure) -> Closure:
     """The program, as a closure, with ``events`` for its event list.
 
     The program's single free variable is its event-list parameter; a closed
-    program is applied to the list instead, and one with several free
-    variables raises ``EvalError``.
+    program reads no event and comes back as it is, and one with several
+    free variables raises ``EvalError``.
     """
     fv = sorted(free_vars(program))
     if len(fv) > 1:
         raise EvalError(f"program has several free variables: {', '.join(fv)}")
-    if fv:
-        return program, {fv[0]: events}
-    return App(program, UNREAD), {EVENT_LIST: events}
+    return program, ({fv[0]: events} if fv else _NO_VARS)
 
 
 def _next_state(c: Closure, funs: FunEnv) -> Optional[tuple[Term, Closure, FunEnv]]:
@@ -333,7 +324,7 @@ def run_trace(program: Term, events: Sequence[str], cycle: bool = False,
         raise ValueError("cannot cycle an empty event list")
     if cycle:
         c = bind_events(program, (Fun(EVENT_LIST), _NO_VARS))
-        funs = FunEnv({EVENT_LIST: _event_list(events, Fun(EVENT_LIST))})
+        funs = _EMPTY_ENV.extend(((EVENT_LIST, _event_list(events, Fun(EVENT_LIST))),))
     else:
         c, funs = bind_events(program, (_event_list(events, NIL), _NO_VARS)), _EMPTY_ENV
     limit = max_states if cycle else min(max_states, len(events) + 1)
@@ -359,26 +350,24 @@ def _read_back(c: Closure) -> Term:
 
 def _retry(t: Term, funs: FunEnv, cell: Term) -> tuple[Closure, FunEnv]:
     """The start of a state read back into ``t``, with ``cell`` bound for the
-    unread events, and ``funs`` with the frames that read them read back too.
+    unread events, and ``funs`` with the entries that reach them read back too.
 
-    A frame is copied when the closures of its variables reach the unread
-    events or its parent was copied, so the parents of the outermost such
-    frame stay shared. The chain is rebuilt in a loop: one state can open
-    many where blocks.
+    The closures a block captured are read back once, and its entries are
+    rebuilt only when they reach the unread events; when none do, ``funs``
+    itself comes back, so the memo of ``trace_dag`` shares it.
     """
     bound = {EVENT_LIST: (cell, _NO_VARS)}
-    chain: list[FunEnv] = []
-    e: FunEnv | None = funs
-    while e is not None:
-        chain.append(e)
-        e = e._parent
-    out: FunEnv | None = None
-    for frame in reversed(chain):
-        read = {x: _read_back(c) for x, c in frame._env.items()}
-        if out is not frame._parent or any(EVENT_LIST in free_vars(r) for r in read.values()):
-            frame = FunEnv(frame._frame, out, {x: (r, bound) for x, r in read.items()})
-        out = frame
-    return (t, bound), out
+    # a captured env's id -> its read-back if that reaches the events, else None
+    moved: dict[int, Env | None] = {}
+    for _, env in funs._table.values():
+        if id(env) not in moved:
+            read = {x: _read_back(c) for x, c in env.items()}
+            moved[id(env)] = ({x: (r, bound) for x, r in read.items()}
+                              if any(EVENT_LIST in free_vars(r) for r in read.values()) else None)
+    if not any(moved.values()):
+        return (t, bound), funs
+    return (t, bound), FunEnv({name: (d, moved[id(env)] or env)
+                               for name, (d, env) in funs._table.items()})
 
 
 # A node of the trace DAG: the states one path emits after its parent's
@@ -395,15 +384,15 @@ def trace_dag(program: Term, events: Sequence[str], depth: int) -> TraceNode:
     the machine is stuck on it. The state's start closure is then read back
     into a term, and each child retries it with ``Cons e UNREAD`` (``Cons e
     Nil`` for the last event) bound in the placeholder's place, also in every
-    where frame whose variables reach it (see ``_retry``). The children of a
-    branch point are memoised for the run, keyed on the read-back start term,
-    the function environment by identity, and the numbers of events bound
-    and of states emitted; paths that reach the same handler with the same
-    environment at the same event position share them, so each is reduced
-    once. Nothing that raised is stored and the walk is depth first in
-    product order, so the exception raised is that of the first failing
-    sequence. With no events and a positive depth there is no sequence: the
-    root branches into no children.
+    function whose captured variables reach it (see ``_retry``). The
+    children of a branch point are memoised for the run, keyed on the
+    read-back start term, the function environment by identity, and the
+    numbers of events bound and of states emitted; paths that reach the same
+    handler with the same environment at the same event position share
+    them, so each is reduced once. Nothing that raised is stored and the
+    walk is depth first in product order, so the exception raised is that of
+    the first failing sequence. With no events and a positive depth there is
+    no sequence: the root branches into no children.
     """
     if depth and not events:
         return (), ()

@@ -18,7 +18,7 @@ from .normform import check_simplified  # noqa: F401  (rebound by benchmarks/tra
 
 DEFAULT_BUDGET = 10 ** 6
 
-VisitedSet = frozenset[str]
+VisitedSet = frozenset[int]  # ids of the definitions unfolded
 FairSet = frozenset[str]
 
 EMPTY_VISITED: VisitedSet = frozenset()

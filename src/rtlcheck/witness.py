@@ -6,7 +6,10 @@ truth value and the trace of observable states that evidences it.
 are unfolded at most once per temporal obligation: revisiting a call while
 checking an always-formula yields True (greatest fixed point), while
 checking an eventually-formula yields False (least fixed point), and
-Undefined otherwise. The visited set is reset exactly when checking moves
+Undefined otherwise. A call is known by its definition, the node that the
+name's newest where block binds, not by its name: the visited set holds the
+ids of the definitions unfolded, so a name that another block defines again
+is a different call. The visited set is reset exactly when checking moves
 inside a temporal operator at a Cons cell.
 
 Dispatch precedence: structural let/where rules fire for any formula, then
@@ -183,20 +186,22 @@ def gen(t: Term, f: Formula, env: FunEnv, visited: VisitedSet, fair: FairSet,
                     raise VerifyError(f"call to {fname} has a "
                                       "non-variable argument")
                 argnames.append(arg.name)
-            if fname in visited:
-                return _REVISITED.get(tf, _UNDECIDED)
             if visited:
-                body = unfold_call(fname, tuple(argnames), env)
-                return gen(body, f, env, visited | {fname}, fair, budget)
+                # a call is known by its definition, the name's newest one
+                body = env.lookup(fname)
+                if id(body) in visited:
+                    return _REVISITED.get(tf, _UNDECIDED)
+                return gen(unfold_call(fname, tuple(argnames), env), f, env,
+                           visited | {id(body)}, fair, budget)
             # a fresh obligation: its verdict depends on the key alone (fair
             # is fixed for the run; f lives as long as the run, and its id,
             # unlike its hash, costs no walk over the formula's atoms)
             key = (fname, tuple(argnames), id(f), env)
             v = budget.memo.get(key)
             if v is None:
-                body = unfold_call(fname, key[1], env)
-                v = budget.memo[key] = gen(body, f, env, frozenset((fname,)),
-                                           fair, budget)
+                body = env.lookup(fname)
+                v = budget.memo[key] = gen(unfold_call(fname, key[1], env), f, env,
+                                           frozenset((id(body),)), fair, budget)
             return v
 
     raise VerifyError(f"no verification rule for {type(t).__name__} "

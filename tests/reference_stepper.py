@@ -4,7 +4,8 @@
 stepper it replaced, unchanged in what it computes: one step reduces the
 head of an application or a case scrutinee and substitutes for every β-,
 case- and let-reduction, and a configuration's function environment grows
-with every where block it opens. ``run_trace`` and ``trace_dag`` here must
+with every where block it opens, as one more frame of a chain (``FunEnv``
+here, not the library's table). ``run_trace`` and ``trace_dag`` here must
 agree with the library's, results and exceptions alike
 (``tests/test_machine.py``); they read ``semantics.DEFAULT_FUEL`` at each
 call, so a test that sets it governs both.
@@ -16,13 +17,42 @@ from typing import Optional, Sequence
 
 from rtlcheck import semantics
 from rtlcheck.semantics import (
-    EVENT_LIST, NIL, UNREAD, EvalError, FuelExhausted, FunEnv, NonConsOutput,
+    EVENT_LIST, NIL, UNREAD, EvalError, FuelExhausted, NonConsOutput,
     StuckError, TraceNode,
 )
 from rtlcheck.terms import (
     App, Case, Con, Fun, Lam, Let, PWild, Term, Var, Where, free_vars,
     substitute,
 )
+
+
+class FunEnv:
+    """Immutable chain of function-name scopes; inner frames shadow outer."""
+
+    __slots__ = ("_frame", "_parent")
+
+    def __init__(self, frame: dict[str, Term], parent: "FunEnv | None" = None):
+        self._frame = frame  # owned: no caller keeps the dict
+        self._parent = parent
+
+    @staticmethod
+    def empty() -> "FunEnv":
+        return _EMPTY_ENV
+
+    def extend(self, defs: Sequence[tuple[str, Term]]) -> "FunEnv":
+        return FunEnv(dict(defs), self)
+
+    def lookup(self, name: str) -> Optional[Term]:
+        env: FunEnv | None = self
+        while env is not None:
+            hit = env._frame.get(name)
+            if hit is not None:
+                return hit
+            env = env._parent
+        return None
+
+
+_EMPTY_ENV = FunEnv({})
 
 
 def step(t: Term, env: FunEnv) -> Optional[tuple[Term, FunEnv]]:
@@ -114,11 +144,12 @@ def _event_list(events: Sequence[str], tail: Term) -> Term:
 
 
 def bind_events(program: Term, events: Term) -> Term:
-    """The program with ``events`` substituted for its event list."""
+    """The program with ``events`` substituted for its event list; a closed
+    program as it is."""
     fv = sorted(free_vars(program))
     if len(fv) > 1:
         raise EvalError(f"program has several free variables: {', '.join(fv)}")
-    return substitute(program, {fv[0]: events}) if fv else App(program, events)
+    return substitute(program, {fv[0]: events}) if fv else program
 
 
 def _next_state(t: Term, env: FunEnv) -> Optional[tuple[Term, Term, FunEnv]]:

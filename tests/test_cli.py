@@ -280,6 +280,18 @@ def test_program_with_two_free_variables_exits_70(tmp_path, capsys, command):
     assert err == f"rtlcheck: {errors[command]}\n"
 
 
+def test_closed_program_simulates(tmp_path, capsys):
+    # a program that reads no event has no event list to bind: it runs as
+    # it is, one state per event
+    path = tmp_path / "closed.rsl"
+    path.write_text("data Ev = EvA | EvB\ndata St = St0 | St1\nCons St0 f\nwhere\n"
+                    "f = Cons St1 f\n")
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == "conforms\n"
+    assert main(["simulate", str(path), "--events", "EvA,EvA"]) == 0
+    assert capsys.readouterr().out.split() == ["St0", "St1", "St1"]
+
+
 def test_simulate_an_application_of_1200_arguments_exits_70(tmp_path, capsys):
     # the free variables of an application are read down its function spine
     # in a loop and the machine pushes its arguments in one, so no walk

@@ -7,14 +7,13 @@ from rtlcheck.corpus import obs
 from rtlcheck.kleene import FALSE, TRUE
 from rtlcheck.parser import parse_program
 from rtlcheck.semantics import (
-    FuelExhausted, FunEnv, NonConsOutput, StuckError,
-    atom_truth, deep_eval, run_trace,
+    FuelExhausted, NonConsOutput, StuckError, atom_truth, deep_eval, run_trace,
 )
 from rtlcheck.terms import (
     Alt, App, Case, Con, Fun, Lam, Let, PCon, Var, WILD, Where,
 )
 # the step relation the machine reproduces, kept as its reference
-from reference_stepper import eval_whnf, step
+from reference_stepper import FunEnv, eval_whnf, step
 
 EVENTS = ("Request1", "Request2", "Take1", "Take2", "Release1", "Release2")
 

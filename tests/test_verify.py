@@ -4,7 +4,7 @@ from rtlcheck.kleene import FALSE, TRUE, UNDEFINED
 from rtlcheck.parser import parse_program
 from rtlcheck.semantics import AtomError, FunEnv
 from rtlcheck.terms import (
-    Always, And, App, Atom, Con, Eventually, Fun, Next, Not, Var,
+    Always, And, App, Atom, Con, Eventually, Fun, Lam, Next, Not, Var,
 )
 from rtlcheck.verify import (
     Budget, BudgetExceeded, EMPTY_VISITED, NotSimplified, VerifyError, verify,
@@ -37,16 +37,29 @@ def test_constant_loop_always_true_atom():
     assert verify(source.term, Always(Atom(Con("True")))) is TRUE
 
 
+# a definition whose unfolded body, a bare lambda, no rule can read
+UNREADABLE = Lam("es", Var("es"))
+
+
 def test_revisit_semantics_without_unfolding():
-    # env deliberately lacks f: a revisit must answer before any lookup
+    # f's definition is visited: a revisit answers before f is unfolded
     t = Fun("f")
-    env = FunEnv.empty()
-    visited = frozenset(("f",))
+    env = FunEnv.empty().extend([("f", UNREADABLE)])
+    visited = frozenset((id(UNREADABLE),))
     atom = Atom(Con("True"))
     assert gen(t, Always(atom), env, visited, NOFAIR, Budget()).truth is TRUE
     assert gen(t, Eventually(atom), env, visited, NOFAIR, Budget()).truth is FALSE
     assert gen(t, Next(atom), env, visited, NOFAIR, Budget()).truth is UNDEFINED
     assert gen(t, atom, env, visited, NOFAIR, Budget()).truth is UNDEFINED
+
+
+def test_a_name_defined_again_is_a_new_call():
+    # the visited set holds definitions: another block's f is unfolded
+    env = FunEnv.empty().extend([("f", UNREADABLE)])
+    env = env.extend([("f", Lam("es", Var("es")))])
+    with pytest.raises(VerifyError, match="no verification rule for Lam"):
+        gen(Fun("f"), Always(Atom(Con("True"))), env,
+            frozenset((id(UNREADABLE),)), NOFAIR, Budget())
 
 
 def test_unvisited_call_requires_definition():
@@ -72,7 +85,8 @@ def test_deciding_head_leaves_its_tail_unfolded():
 def test_call_needs_variable_arguments_even_when_revisited():
     with pytest.raises(VerifyError, match="non-variable argument"):
         gen(App(Fun("f"), Con("A")), Always(Atom(Con("True"))),
-            FunEnv.empty(), frozenset(("f",)), NOFAIR, Budget())
+            FunEnv.empty().extend([("f", UNREADABLE)]),
+            frozenset((id(UNREADABLE),)), NOFAIR, Budget())
 
 
 def test_structural_rules_fire_before_connectives(corpus_by_name):
@@ -208,6 +222,21 @@ def test_response_on_a_ring_takes_linear_work():
         assert verify(ring_program(n), formula, frozenset(("EvA", "EvB")),
                       budget) is TRUE
         assert budget.used <= 11 * n
+
+
+def test_inner_where_ring_verdicts_equal_the_flat_ring():
+    # every handler of the inner ring opens a block that defines its own g; a
+    # call is known by its definition, so one block's g is no revisit of
+    # another's
+    from gen_programs import formula_battery, inner_where_ring, ring_program
+
+    events = ("EvA", "EvB", "EvC", "EvD")
+    for n in (1, 2, 3, 5, 8, 12):
+        flat, inner = ring_program(n), inner_where_ring(n)
+        for formula in formula_battery():
+            for fair in (frozenset(), frozenset(events), frozenset(("EvA",))):
+                assert generate(inner, formula, fair) == generate(flat, formula, fair), \
+                    (n, formula, fair)
 
 
 def test_deep_ring_stays_within_recursion_limit():
