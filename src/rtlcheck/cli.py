@@ -30,7 +30,7 @@ from .parser import PropertyFile, SourceFile, parse_program, parse_properties
 from .pretty import pretty_term
 from .semantics import EvalError, run_trace
 from .terms import Formula
-from .verify import VerifyError, verify
+from .verify import VerifyError, require_simplified, verify
 from .witness import generate, validate_verdict
 from .ltlsem import Bounded, MAX_ENUM_DEPTH, OracleError, bounded_counts
 from .ltlsem import (  # noqa: F401  (rebound by benchmarks/tracer.py)
@@ -158,6 +158,7 @@ def _cmd_witness(args) -> int:
 
 def _cmd_lts(args) -> int:
     source = _load_program(args.file)
+    require_simplified(check_simplified(source.term))
     graph = extract_lts(source.term, source.events)
     if args.format_json:
         print(to_json(graph), end="")

@@ -92,8 +92,3 @@ def or_v(v1: Verdict, v2: Verdict) -> Verdict:
 
 def not_v(v: Verdict) -> Verdict:
     return Verdict(not3(v.truth), v.trace)
-
-
-def imp_v(v1: Verdict, v2: Verdict) -> Verdict:
-    return _combine(TRUE, not_v(v1), v2)
-

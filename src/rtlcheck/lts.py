@@ -56,8 +56,8 @@ def _dest_call(t: Term) -> tuple[Term, str]:
     """Split a branch body ``Cons state (f es)`` into (state, callee)."""
     match t:
         case Con("Cons", (state, tail)):
-            head, args = spine(tail)
-            if isinstance(head, Fun) and all(isinstance(a, Var) for a in args):
+            head, _ = spine(tail)
+            if isinstance(head, Fun):
                 return state, head.name
     raise NotReactiveShape(
         "branch body must emit one state and call the next handler")
@@ -146,13 +146,8 @@ def to_dot(lts: Lts, include_self_loops: bool = False) -> str:
 
 
 def state_to_json(state: Term):
-    match state:
-        case Con(con, args):
-            return {"con": con, "args": [state_to_json(a) for a in args]}
-        case Var(name):
-            return {"var": name}
-    from .pretty import pretty_term
-    return {"term": pretty_term(state)}
+    """The JSON document of a state, a ground constructor term."""
+    return {"con": state.con, "args": [state_to_json(a) for a in state.args]}
 
 
 def to_json(lts: Lts) -> str:

@@ -6,8 +6,12 @@ arguments are all variables; a case over a variable that is not
 let-bound; an application of a let-bound variable to conforming arguments; a
 let binding a lambda abstraction; or a where block of lambda-abstracted
 definitions. The program is closed but for one variable, its event list: the
-first unbound variable the walk meets, in source order. Everything the
-verifier and witness builder consume must pass this check first.
+first unbound variable the walk meets, in source order.
+
+This module is the one judge of that form: ``verify``, ``witness``,
+``oracle`` and ``lts`` run the check first, refuse what fails it, and test
+nothing it guarantees again (``witness.gen`` reads no call argument, ``lts``
+renders only ground states). Only ``simulate`` runs unchecked programs.
 
 States are ground because the verifier reads them as written: it binds no
 variable, neither a case pattern's nor a handler parameter's, so an atom could

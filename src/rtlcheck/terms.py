@@ -271,7 +271,7 @@ def _free_vars(t: Term) -> frozenset[str]:
 
 # --- substitution -----------------------------------------------------------
 
-def substitute(t: Term, bindings: Mapping[str, Term]) -> Term:
+def substitute(t: Term, sub: Mapping[str, Term]) -> Term:
     """Simultaneous substitution of the bound terms for variables in ``t``.
 
     Precondition: every bound term is closed, but for the simulator's
@@ -282,36 +282,31 @@ def substitute(t: Term, bindings: Mapping[str, Term]) -> Term:
     terms are closed. No binder can then capture a free variable of a bound
     term, and one only hides its own names from the bindings.
     """
-    return _subst(t, bindings)
-
-
-def _subst(t: Term, sub: Mapping[str, Term]) -> Term:
-    # hot path during reduction: dispatch on type, skip untouched subtrees
+    # dispatch on type, skip untouched subtrees; a Fun has no free variables,
+    # so it returns here
     if not sub or not (free_vars(t) & sub.keys()):
         return t
     tt = type(t)
     if tt is Var:
         return sub.get(t.name, t)
     if tt is Con:
-        return Con(t.con, tuple(_subst(a, sub) for a in t.args))
+        return Con(t.con, tuple(substitute(a, sub) for a in t.args))
     if tt is App:
-        return App(_subst(t.fn, sub), _subst(t.arg, sub))
+        return App(substitute(t.fn, sub), substitute(t.arg, sub))
     if tt is Case:
         new_alts = []
         for alt in t.alts:
             inner = _unshadowed(alt.pattern.vars, sub) if isinstance(alt.pattern, PCon) else sub
-            new_alts.append(Alt(alt.pattern, _subst(alt.body, inner)))
-        return Case(_subst(t.scrutinee, sub), tuple(new_alts))
+            new_alts.append(Alt(alt.pattern, substitute(alt.body, inner)))
+        return Case(substitute(t.scrutinee, sub), tuple(new_alts))
     if tt is Lam:
-        return Lam(t.param, _subst(t.body, _unshadowed((t.param,), sub)))
+        return Lam(t.param, substitute(t.body, _unshadowed((t.param,), sub)))
     if tt is Let:
-        return Let(t.name, _subst(t.bound, sub),
-                   _subst(t.body, _unshadowed((t.name,), sub)))
+        return Let(t.name, substitute(t.bound, sub),
+                   substitute(t.body, _unshadowed((t.name,), sub)))
     if tt is Where:
-        return Where(_subst(t.body, sub),
-                     tuple((f, _subst(d, sub)) for f, d in t.defs))
-    if tt is Fun:
-        return t
+        return Where(substitute(t.body, sub),
+                     tuple((f, substitute(d, sub)) for f, d in t.defs))
     raise TypeError(f"not a term: {t!r}")
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from .terms import Formula, Lam, Term
 from .terms import substitute  # noqa: F401  (rebound by benchmarks/tracer.py)
 from .kleene import TruthVal
-from .semantics import FunEnv
 from .semantics import atom_truth  # noqa: F401  (rebound by benchmarks/tracer.py)
+from .normform import FormReport
 from .normform import check_simplified  # noqa: F401  (rebound by benchmarks/tracer.py)
 
 DEFAULT_BUDGET = 10 ** 6
@@ -30,6 +30,13 @@ class VerifyError(Exception):
 
 class NotSimplified(VerifyError):
     """The program is not in simplified form; run the form check for details."""
+
+
+def require_simplified(report: FormReport) -> None:
+    """Raise NotSimplified, naming the first violation, unless ``report`` conforms."""
+    if not report.conforms:
+        first = report.violations[0]
+        raise NotSimplified(f"{first.path}: {first.message}")
 
 
 class BudgetExceeded(VerifyError):
@@ -60,16 +67,16 @@ class Budget:
             raise BudgetExceeded(f"exceeded {self.limit} rule applications")
 
 
-def unfold_call(fname: str, argnames: tuple[str, ...], env: FunEnv) -> Term:
-    """Body of ``fname`` under one lambda per argument, its parameters unrenamed.
+def unfold_call(fname: str, body: Term | None, arity: int) -> Term:
+    """``fname``'s definition ``body`` under ``arity`` lambdas, its parameters
+    unrenamed.
 
     States are ground and case scrutinees are read by shape, so no rule looks
     at the name a parameter has: renaming it to the argument changes nothing.
     """
-    body = env.lookup(fname)
     if body is None:
         raise VerifyError(f"call to undefined function {fname}")
-    for _ in argnames:
+    for _ in range(arity):
         if not isinstance(body, Lam):
             raise VerifyError(f"function {fname} applied to more arguments "
                               "than it abstracts")

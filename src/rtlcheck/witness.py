@@ -7,7 +7,8 @@ are unfolded at most once per temporal obligation: revisiting a call while
 checking an always-formula yields True (greatest fixed point), while
 checking an eventually-formula yields False (least fixed point), and
 Undefined otherwise. A call is known by its definition, the node that the
-name's newest where block binds, not by its name: the visited set holds the
+name's newest where block binds, not by its name, and its arguments, which
+the form check makes variables, are never read: the visited set holds the
 ids of the definitions unfolded, so a name that another block defines again
 is a different call. The visited set is reset exactly when checking moves
 inside a temporal operator at a Cons cell.
@@ -25,14 +26,15 @@ witness, and a last state that repeats an earlier one closes a lasso.
 A verdict therefore depends only on the term, the formula, the environment,
 the visited set and the fairness set. Calls reached with an empty visited set,
 where a temporal operator at a Cons cell opens a fresh obligation, are
-memoised for the run in ``Budget.memo``, keyed on the function, its argument
-names, the formula node and the where-scope (the fairness set is fixed for a
-run); a hit returns the stored verdict and spends no rule applications. Calls
-with a nonempty visited set unfold as before. So the table holds at most one
-entry per function, formula node and where-scope. Memoising every call, keyed
-on the visited set as well, decides larger programs but stores O(n^2) visited
-sets of size O(n) for a response check on an n-handler chain: the benchmark's
-chains then peak at 74 MB, not 24.
+memoised for the run in ``Budget.memo``, keyed on the callee's definition, the
+number of arguments, the formula node and the where-scope (the fairness set is
+fixed for a run); a hit returns the stored verdict and spends no rule
+applications. Calls with a nonempty visited set unfold as before. So the
+table holds at most one entry per definition, formula node and where-scope:
+two calls of one handler on differently named variables share an entry.
+Memoising every call, keyed on the visited set as well, decides larger
+programs but stores O(n^2) visited sets of size O(n) for a response check on
+an n-handler chain: the benchmark's chains then peak at 74 MB, not 24.
 
 The ``G`` and ``F`` rules at a Cons cell check the head, the subformula at
 this state, first, and stop there when it decides the obligation with a
@@ -76,13 +78,11 @@ from .terms import (
     Always, And, Atom, Case, Con, Eventually, Formula, Fun, Implies, Next, Not,
     Or, PCon, Term, Var, Where, Let, spine,
 )
-from .kleene import (
-    FALSE, TRUE, Trace, UNDEFINED, Verdict, and_v, imp_v, not_v, or_v,
-)
+from .kleene import FALSE, TRUE, Trace, UNDEFINED, Verdict, and_v, not_v, or_v
 from .semantics import FunEnv, atom_truth
 from .normform import check_simplified
 from .verify import (
-    Budget, EMPTY_VISITED, FairSet, NotSimplified, VerifyError, VisitedSet,
+    Budget, EMPTY_VISITED, FairSet, VerifyError, VisitedSet, require_simplified,
     unfold_call,
 )
 from .ltlsem import AtomUndefined, Bounded, PositionedModel, bounded_check, sat_lasso
@@ -95,14 +95,16 @@ _UNDECIDED = Verdict(UNDEFINED, ())
 _REVISITED = {Always: Verdict(TRUE, ()), Eventually: Verdict(FALSE, ())}
 
 
-# gen's frame size (28 locals and an expression stack of 11 on CPython 3.11)
+# gen's frame size (25 locals and an expression stack of 12 on CPython 3.11)
 # decides where its recursion crosses the interpreter's 16 KB data-stack
 # chunks, and with it how many chunks deep checks map and unmap (ROADMAP item
-# 4). Per pass of the benchmark's handler graphs and chains, counted as the
-# forked commands' minor page faults (getrusage of the children), the type
-# tests here take 246k and 121k; the class patterns they replaced, at 30
-# locals, took 259k and 130k. Padding this version to 29, 30, 32 or 34 locals
-# moved either count by under 2%. Measure before adding or removing a local.
+# 4). Per pass of the benchmark's handler graphs and chains (seeds 1 to 3,
+# median of three passes each), counted as the forked commands' minor page
+# faults (getrusage of the children), this version takes 212k and 95.5k; with
+# the loop over a call's argument names that it dropped, at 28 locals and a
+# stack of 11, it took 209k and 97k. Padding an earlier version from 28 to 29,
+# 30, 32 or 34 locals moved either count by under 2%. Measure before adding or
+# removing a local.
 def gen(t: Term, f: Formula, env: FunEnv, visited: VisitedSet, fair: FairSet,
         budget: Budget) -> Verdict:
     """Verdict of formula ``f`` for the stream of ``t``, traced from ``t`` on."""
@@ -122,12 +124,14 @@ def gen(t: Term, f: Formula, env: FunEnv, visited: VisitedSet, fair: FairSet,
         return or_v(gen(t, f.left, env, visited, fair, budget),
                     gen(t, f.right, env, visited, fair, budget))
     if tf is Implies:
-        return imp_v(gen(t, f.left, env, visited, fair, budget),
-                     gen(t, f.right, env, visited, fair, budget))
+        return or_v(not_v(gen(t, f.left, env, visited, fair, budget)),
+                    gen(t, f.right, env, visited, fair, budget))
     if tf is Not:
         return not_v(gen(t, f.sub, env, visited, fair, budget))
 
-    if tt is Con and t.con == "Cons" and len(t.args) == 2:
+    # the form check made every Con here a Cons cell, every case scrutinee a
+    # variable and every call argument one
+    if tt is Con:
         state, tail = t.args
         if tf is Always:
             head = gen(t, f.sub, env, EMPTY_VISITED, fair, budget)
@@ -152,7 +156,7 @@ def gen(t: Term, f: Formula, env: FunEnv, visited: VisitedSet, fair: FairSet,
                 v = budget.atoms[key] = atom_truth(f.term, state)
             return _verdict(Verdict, (v, (state,)))
 
-    elif tt is Case and type(t.scrutinee) is Var:
+    elif tt is Case:
         alts = t.alts
         vs: list[Verdict] = []
         for alt in alts:
@@ -178,30 +182,21 @@ def gen(t: Term, f: Formula, env: FunEnv, visited: VisitedSet, fair: FairSet,
         fn, args = spine(t)
         if type(fn) is Var:  # application of a let-bound variable
             return _UNDECIDED
-        if type(fn) is Fun:  # a call, on variables only
-            fname = fn.name
-            argnames = []
-            for arg in args:
-                if type(arg) is not Var:
-                    raise VerifyError(f"call to {fname} has a "
-                                      "non-variable argument")
-                argnames.append(arg.name)
+        if type(fn) is Fun:  # a call, known by its definition, the name's newest
+            body = env.lookup(fn.name)
             if visited:
-                # a call is known by its definition, the name's newest one
-                body = env.lookup(fname)
                 if id(body) in visited:
                     return _REVISITED.get(tf, _UNDECIDED)
-                return gen(unfold_call(fname, tuple(argnames), env), f, env,
+                return gen(unfold_call(fn.name, body, len(args)), f, env,
                            visited | {id(body)}, fair, budget)
             # a fresh obligation: its verdict depends on the key alone (fair
-            # is fixed for the run; f lives as long as the run, and its id,
-            # unlike its hash, costs no walk over the formula's atoms)
-            key = (fname, tuple(argnames), id(f), env)
+            # is fixed for the run; the definition and f live as long as the
+            # run, and f's id, unlike its hash, costs no walk over its atoms)
+            key = (id(body), len(args), id(f), env)
             v = budget.memo.get(key)
             if v is None:
-                body = env.lookup(fname)
-                v = budget.memo[key] = gen(unfold_call(fname, key[1], env), f, env,
-                                           frozenset((id(body),)), fair, budget)
+                v = budget.memo[key] = gen(unfold_call(fn.name, body, len(args)), f,
+                                           env, frozenset((id(body),)), fair, budget)
             return v
 
     raise VerifyError(f"no verification rule for {type(t).__name__} "
@@ -218,10 +213,7 @@ def generate(program: Term, f: Formula, fair: FairSet = frozenset(),
     runs carries no verdict or atom truth from one run into the next. Raises
     NotSimplified unless the program is in simplified form.
     """
-    report = check_simplified(program)
-    if not report.conforms:
-        first = report.violations[0]
-        raise NotSimplified(f"{first.path}: {first.message}")
+    require_simplified(check_simplified(program))
     if budget is None:
         budget = Budget()
     budget.memo.clear()

@@ -250,6 +250,20 @@ def test_variable_as_a_state_is_not_simplified(tmp_path, capsys, command, name):
     assert err.startswith(f"rtlcheck: NotSimplified: {where}:")
 
 
+@pytest.mark.parametrize("fmt", ["--dot", "--json"])
+def test_lts_refuses_a_program_check_refuses(tmp_path, capsys, fmt):
+    # the form check runs first, so no state is rendered that is not ground
+    path = tmp_path / "varstate.rsl"
+    path.write_text("data Ev = EvA | EvB\nCons EvA (f es)\nwhere\n"
+                    "f = \\es -> case es of Cons e r -> case e of _ -> Cons e (g r)\n"
+                    "g = \\es -> case es of Cons e r -> case e of _ -> Cons e (g r)\n")
+    assert main(["lts", str(path), fmt]) == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("rtlcheck: NotSimplified: program.f.alt0.alt0.state: state "
+                   "position of Cons must be a ground constructor term\n")
+
+
 TWO_FREE_VARIABLES = """data Ev = EvA | EvB
 data St = St0 | St1
 Cons St0 (f es)

@@ -142,6 +142,24 @@ def test_dot_line_counts(corpus_by_name):
     assert len([l for l in with_loops if "->" in l]) == 14
 
 
+def test_dot_labels_of_nullary_and_nested_states():
+    # only a state whose arguments are all nullary is labelled field by
+    # field; any other state is labelled with its printed term
+    graph = extract_lts(ring_program(3), ("EvA", "EvB", "EvC"))
+    assert to_dot(graph) == (
+        'digraph lts {\n'
+        '  n0 [shape=doublecircle label="h0\\nSt0"];\n'
+        '  n1 [shape=box label="h1\\nSt0"];\n'
+        '  n2 [shape=box label="h2\\nSt2"];\n'
+        '  n0 -> n1 [label="EvA"];\n'
+        '  n1 -> n2 [label="EvA"];\n'
+        '  n2 -> n0 [label="EvA"];\n'
+        '}\n')
+    nested = Con("P", (Con("Q", (Con("A"),)), Con("D")))
+    assert to_dot(Lts(0, (LtsNode(0, "f", nested),), ())) == (
+        'digraph lts {\n  n0 [shape=doublecircle label="f\\nP (Q A) D"];\n}\n')
+
+
 def test_json_export_schema(corpus_by_name):
     import json
     graph = _lts(corpus_by_name, "example2")
@@ -177,12 +195,12 @@ def _json_by_the_encoder(graph: Lts) -> str:
 
 def test_json_export_is_the_indented_encoding(corpus):
     # byte for byte: edges with and without a residual, states with nested
-    # arguments, a variable state, and empty lists at every level
+    # arguments, and empty lists at every level
     graphs = [extract_lts(source.term, EVENTS) for _, source, _ in corpus]
     graphs += [extract_lts(ring_program(n), ("EvA", "EvB", "EvC")) for n in (1, 2, 7, 40)]
     nested = Con("P", (Con("Q", (Con("A"), Con("B", (Con("C"),)))), Con("D")))
     graphs += [
-        Lts(0, (LtsNode(0, "f", nested), LtsNode(1, "g\u00e9\"", Var("x"))),
+        Lts(0, (LtsNode(0, "f", nested), LtsNode(1, "g\u00e9\"", Con("B"))),
             (LtsEdge(0, "_", 1, ()), LtsEdge(1, "Go", 0), LtsEdge(1, "_", 1, ("Go", "Put")))),
         Lts(0, (LtsNode(0, "f", Con("A")),), ()),
         Lts(0, (), ()),

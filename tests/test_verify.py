@@ -4,7 +4,7 @@ from rtlcheck.kleene import FALSE, TRUE, UNDEFINED
 from rtlcheck.parser import parse_program
 from rtlcheck.semantics import AtomError, FunEnv
 from rtlcheck.terms import (
-    Always, And, App, Atom, Con, Eventually, Fun, Lam, Next, Not, Var,
+    Always, And, App, Atom, Con, Eventually, Fun, Implies, Lam, Next, Not, Var,
 )
 from rtlcheck.verify import (
     Budget, BudgetExceeded, EMPTY_VISITED, NotSimplified, VerifyError, verify,
@@ -82,11 +82,42 @@ def test_deciding_head_leaves_its_tail_unfolded():
             NOFAIR, Budget())
 
 
-def test_call_needs_variable_arguments_even_when_revisited():
-    with pytest.raises(VerifyError, match="non-variable argument"):
-        gen(App(Fun("f"), Con("A")), Always(Atom(Con("True"))),
-            FunEnv.empty().extend([("f", UNREADABLE)]),
-            frozenset((id(UNREADABLE),)), NOFAIR, Budget())
+def test_call_with_a_constructor_argument_is_not_simplified():
+    # gen reads no argument of a call: the form check's call rule refuses one
+    # that is not a variable before any rule runs
+    source = parse_program(SINGLE_LOOP.replace("Cons A (f es)\nwhere",
+                                               "Cons A (f A)\nwhere"))
+    assert source.term is not None, source.diagnostics
+    with pytest.raises(NotSimplified, match=r"^program\.body\.tail: arguments "
+                       "of call to f must be variables$"):
+        generate(source.term, Always(Atom(Con("True"))))
+
+
+TWO_HANDLERS = """\
+data Ev = EvA | EvB
+data St = St0 | St1
+Cons St0 (f es)
+where
+f = \\es -> case es of Cons e xs -> case e of EvA -> Cons St1 (g xs) | _ -> Cons St0 (g es)
+g = \\ys -> case ys of Cons e rest -> case e of EvA -> Cons St0 (f rest) | _ -> Cons St1 (g rest)
+"""
+
+
+def test_memo_keys_a_call_on_its_definition_not_its_argument():
+    # f calls g on xs and on es: one call, one memo entry per obligation;
+    # keyed on argument names as well, the check took 4 entries and 95 rule
+    # applications, with the same verdict
+    from gen_programs import state_atom
+
+    source = parse_program(TWO_HANDLERS)
+    assert source.term is not None, source.diagnostics
+    formula = Always(Implies(state_atom("St0"), Eventually(state_atom("St1"))))
+    st0, st1 = Con("St0"), Con("St1")
+    for fair, verdict in ((NOFAIR, (FALSE, (st0, st0, st0))),
+                          (frozenset(("EvA", "EvB")), (TRUE, (st0, st1, st0, st1)))):
+        budget = Budget()
+        assert generate(source.term, formula, fair, budget) == verdict
+        assert (len(budget.memo), budget.used) == (3, 81)
 
 
 def test_structural_rules_fire_before_connectives(corpus_by_name):

@@ -7,7 +7,7 @@ import rtlcheck.kleene as kleene
 from rtlcheck.corpus import obs
 from rtlcheck.kleene import FALSE, TRUE, UNDEFINED, Verdict
 from rtlcheck.ltlsem import PositionedModel, sat_lasso
-from rtlcheck.parser import parse_program
+from rtlcheck.parser import parse_program, parse_properties
 from rtlcheck.pretty import pretty_term
 from rtlcheck.terms import Always, Atom, Con
 from rtlcheck.verify import NotSimplified, verify
@@ -169,6 +169,21 @@ def test_validate_undefined_is_inconclusive(corpus_by_name):
     verdict = Verdict(UNDEFINED, (obs("T", "T"),))
     report = validate_verdict(verdict, props.get("mutex"))
     assert report.status is Validation.INCONCLUSIVE
+
+
+def test_validate_undefined_atom_is_inconclusive(corpus_by_name):
+    # the engine decides the disjunction by its right operand, while the
+    # lasso check meets the left one's Undefined atom
+    _, source, _ = corpus_by_name["example1"]
+    props = parse_properties(
+        "prop p: {case s of _ -> Undefined} || G {case s of _ -> True}\n",
+        source.arities())
+    formula = props.get("p")
+    verdict = generate(source.term, formula, frozenset(source.events))
+    report = validate_verdict(verdict, formula)
+    assert verdict.truth is TRUE
+    assert report.status is Validation.INCONCLUSIVE
+    assert (len(report.lasso.prefix), len(report.lasso.loop)) == (0, 6)
 
 
 def test_validate_all_corpus_lassos(corpus):
