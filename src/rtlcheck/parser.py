@@ -16,16 +16,18 @@ passes it, so lookahead needs no bounds check. A column is found only when a
 diagnostic needs one, by scanning that token's line again.
 
 The descent builds ``Fun`` for a name that an enclosing ``where`` defines
-and no lambda, ``let`` or pattern binder shadows, else ``Var``. A block's body
-and forward references precede its later definitions, so a pre-pass over the
-block tokens records the names each block defines, keyed by the token that
-starts its body, found by walking back from ``where`` over words and
-parenthesized groups. ``(``, ``{``, ``let`` and ``case`` open an entry; ``)``,
-``}`` and ``in`` close entries through their opener, ``|`` down to the nearest
-``case``, and a definition head (a word and ``=`` not after ``let``) down to
-the innermost ``where``, which takes its name. Only text the descent accepts
-must be mapped right, since no term is built from any other; on that the
-pre-pass need only not raise.
+and no lambda, ``let`` or pattern binder shadows, else ``Var``, and gives it
+the dict of the innermost such block's definitions by name, which it fills
+in as it closes the block. A block's body and forward references precede its
+later definitions, so a pre-pass over the block tokens makes each block's
+dict, with the names it defines, keyed by the token that starts its body,
+found by walking back from ``where`` over words and parenthesized groups.
+``(``, ``{``, ``let`` and ``case`` open an entry; ``)``, ``}`` and ``in``
+close entries through their opener, ``|`` down to the nearest ``case``, and a
+definition head (a word and ``=`` not after ``let``) down to the innermost
+``where``, which takes its name. Only text the descent accepts must be mapped
+right, since no term is built from any other; on that the pre-pass need only
+not raise.
 
 The descent also records the constructor of every pattern it builds, and
 ``parse_program`` reads the program's event alphabet (``SourceFile.events``)
@@ -211,15 +213,16 @@ _BLOCK_TAGS = frozenset(("(", ")", "{", "}", "let", "in", "case", "|", "where", 
 _OPENERS = {")": "(", "}": "{", "in": "let"}
 
 
-def _where_blocks(ts: _Tokens, first: int) -> dict[int, set[str]]:
-    """The names each where block defines, keyed by the token that starts its body.
+def _where_blocks(ts: _Tokens, first: int) -> dict[int, dict[str, Term]]:
+    """The dict of each where block's definitions, keyed by the token that
+    starts its body; it holds the names the block defines.
 
     ``first`` is the term's first token; the module docstring gives the rules.
     """
     tags, texts = ts.tags, ts.texts
-    blocks: dict[int, set[str]] = {}
+    blocks: dict[int, dict[str, Term]] = {}
     groups: dict[int, int] = {}  # the index of each ")" to that of its "("
-    stack: list[tuple[str, int | set[str]]] = []  # open entries, innermost last
+    stack: list[tuple[str, int | dict[str, Term]]] = []  # open entries, innermost last
     for pos in compress(range(first, len(tags)),
                         map(_BLOCK_TAGS.__contains__, islice(tags, first, None))):
         tag = tags[pos]
@@ -228,7 +231,7 @@ def _where_blocks(ts: _Tokens, first: int) -> dict[int, set[str]]:
                 while stack and stack[-1][0] != "where":
                     stack.pop()
                 if stack:
-                    stack[-1][1].add(texts[pos - 1])
+                    stack[-1][1][texts[pos - 1]] = None
         elif tag in _OPENERS:
             while stack:
                 top, at = stack.pop()
@@ -244,7 +247,7 @@ def _where_blocks(ts: _Tokens, first: int) -> dict[int, set[str]]:
             while start > first and (start - 1 in groups
                                      or tags[start - 1] in ("lid", "uid")):
                 start = groups.get(start - 1, start - 1)
-            names = blocks[start] = set()
+            names = blocks[start] = {}
             stack.append((tag, names))
         else:
             stack.append((tag, pos))
@@ -353,8 +356,9 @@ def _skip_type_atom(ts: _Tokens) -> None:
             return
 
 
-def _parse_expr(ts: _Tokens, funs: frozenset[str] = frozenset()) -> Term:
-    """An expression in which the names in ``funs`` are where-bound functions."""
+def _parse_expr(ts: _Tokens, funs: Mapping[str, dict] = {}) -> Term:
+    """An expression in which the names in ``funs`` are where-bound functions,
+    each to the definitions of the innermost block that defines it."""
     tags, texts, pos = ts.tags, ts.texts, ts.pos
     tag = tags[pos]
     if tag == "\\":
@@ -368,8 +372,8 @@ def _parse_expr(ts: _Tokens, funs: frozenset[str] = frozenset()) -> Term:
             raise ts.expected(pos, "->")
         ts.pos = pos + 1
         params = texts[start:pos]
-        if not funs.isdisjoint(params):
-            funs = funs.difference(params)
+        if not funs.keys().isdisjoint(params):
+            funs = {f: block for f, block in funs.items() if f not in params}
         body = _parse_expr(ts, funs)
         for param in reversed(params):
             body = Lam(param, body)
@@ -380,14 +384,16 @@ def _parse_expr(ts: _Tokens, funs: frozenset[str] = frozenset()) -> Term:
         ts.expect("=")
         bound = _parse_expr(ts, funs)
         ts.expect("in")
-        return Let(name, bound, _parse_expr(ts, funs - {name} if name in funs else funs))
+        if name in funs:
+            funs = {f: block for f, block in funs.items() if f != name}
+        return Let(name, bound, _parse_expr(ts, funs))
     if tag == "case":
         ts.pos = pos + 1
         return _parse_case(ts, funs)
     # a lambda, let or case ends in an expression that took any where block
-    names = ts.blocks.get(pos)  # defined by a where block whose body starts here
-    if names:
-        funs = funs.union(names)
+    block = ts.blocks.get(pos)  # of a where block whose body starts here
+    if block:
+        funs = {**funs, **dict.fromkeys(block, block)}
     term = _parse_app(ts, funs)
     pos = ts.pos
     if tags[pos] != "where":
@@ -409,10 +415,12 @@ def _parse_expr(ts: _Tokens, funs: frozenset[str] = frozenset()) -> Term:
         defs.append((name, _parse_expr(ts, funs)))
         pos = ts.pos
         if tags[pos] != "lid" or tags[pos + 1] != "=":
+            if block is not None:
+                block.update(defs)
             return Where(term, tuple(defs))
 
 
-def _parse_case(ts: _Tokens, funs: frozenset[str]) -> Term:
+def _parse_case(ts: _Tokens, funs: Mapping[str, dict]) -> Term:
     scrut = _parse_app(ts, funs)
     ts.expect("of")
     seen: set[str] = set()  # the constructors of the patterns so far
@@ -426,7 +434,7 @@ def _parse_case(ts: _Tokens, funs: frozenset[str]) -> Term:
     return Case(scrut, tuple(alts))
 
 
-def _parse_alt(ts: _Tokens, funs: frozenset[str], seen: set[str]) -> Alt:
+def _parse_alt(ts: _Tokens, funs: Mapping[str, dict], seen: set[str]) -> Alt:
     tags, texts, pos = ts.tags, ts.texts, ts.pos
     tag = tags[pos]
     if tag == "_":
@@ -455,8 +463,8 @@ def _parse_alt(ts: _Tokens, funs: frozenset[str], seen: set[str]) -> Alt:
                                  f"variables, got {len(pvars)}"))
         pattern = PCon(con, tuple(pvars))
         ts.matched.add(con)
-        if not funs.isdisjoint(pvars):
-            funs = funs.difference(pvars)
+        if not funs.keys().isdisjoint(pvars):
+            funs = {f: block for f, block in funs.items() if f not in pvars}
     else:
         raise ts.error(pos, "expected a constructor pattern or _")
     if tags[pos] != "->":
@@ -465,7 +473,7 @@ def _parse_alt(ts: _Tokens, funs: frozenset[str], seen: set[str]) -> Alt:
     return Alt(pattern, _parse_expr(ts, funs))
 
 
-def _parse_app(ts: _Tokens, funs: frozenset[str]) -> Term:
+def _parse_app(ts: _Tokens, funs: Mapping[str, dict]) -> Term:
     """Atoms side by side, up to a token that starts none or a ``where`` definition."""
     tags, texts, pos = ts.tags, ts.texts, ts.pos
     parts: list[Term] = []
@@ -473,7 +481,8 @@ def _parse_app(ts: _Tokens, funs: frozenset[str]) -> Term:
         tag = tags[pos]
         if tag == "lid":
             name = texts[pos]
-            parts.append(Fun(name) if name in funs else Var(name))
+            block = funs.get(name)
+            parts.append(Var(name) if block is None else Fun(name, block))
             pos += 1
         elif tag == "uid":
             con = Con(texts[pos])

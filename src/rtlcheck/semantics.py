@@ -7,9 +7,11 @@ term with an environment mapping its variables to closures, so no reduction
 substitutes: an application pushes its argument's closure and a lambda pops
 it, a case evaluates its scrutinee and binds the pattern's variables to the
 closures of the constructor's arguments, a let binds its term's closure, and
-a function name is looked up in one table that holds, for each name, the
-newest definition of the where blocks opened so far, with the variables its
-block saw. Values are weak head normal forms, constructor applications and
+a where block binds its scope: its definitions under its instance, which
+holds the closures of the variables they name and the scope itself (letrec).
+A function name is looked up from the innermost scope out, so each closure
+carries its own scope and names are scoped lexically, as the parser resolved
+them. Values are weak head normal forms, constructor applications and
 lambdas; a term that is neither and cannot be contracted is stuck, which
 signals an ill-typed configuration.
 
@@ -22,12 +24,11 @@ The simulator binds a program's event list in the machine's environment.
 ``run_trace`` binds the whole list up front. ``trace_dag``, which holds the
 traces of every event sequence of a given length for the oracle, binds one
 placeholder variable for the events not yet read. When the machine is stuck
-on it, the state's start closure is read back into a term, substituting the
-closures of its free variables, and retried once per event with a ``Cons``
-of that event and the placeholder bound in its place. What follows each such
-branch point is memoised: every handler reached at an event position is
-reduced once, so the work grows linearly with the length, not with the
-number of sequences. Each emitted state gets its own fuel.
+on it, the state's start closure is retried once per event with a ``Cons``
+of that event and the placeholder bound in the placeholder's place. What
+follows each such branch point is memoised: every handler reached at an
+event position is reduced once, so the work grows linearly with the length,
+not with the number of sequences. Each emitted state gets its own fuel.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class AtomError(EvalError):
     """A property atom did not evaluate to a truth-value constructor."""
 
 
-# --- closures and function environments -----------------------------------------
+# --- closures -------------------------------------------------------------------
 
 # A closure is a term and the closures of its variables. Environments are
 # never changed once made: binding a variable copies the dict.
@@ -79,37 +80,10 @@ Env = dict[str, "Closure"]
 Closure = tuple[Term, Env]
 _NO_VARS: Env = {}
 
-
-class FunEnv:
-    """Immutable table of the where-bound functions: each name's newest
-    definition, with the closures of the variables its block saw.
-
-    ``extend`` puts a block's definitions on top, so a name defined again
-    shadows the older definition from then on, which is what a chain of
-    frames searched innermost first returns too.
-    """
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: dict[str, Closure]):
-        self._table = table  # owned: no caller keeps the dict
-
-    @staticmethod
-    def empty() -> "FunEnv":
-        return _EMPTY_ENV
-
-    def extend(self, defs: Sequence[tuple[str, Term]], env: Env = _NO_VARS) -> "FunEnv":
-        table = self._table.copy()
-        for name, d in defs:
-            table[name] = d, env
-        return FunEnv(table)
-
-    def lookup(self, name: str) -> Optional[Term]:
-        hit = self._table.get(name)
-        return None if hit is None else hit[0]
-
-
-_EMPTY_ENV = FunEnv({})
+# where an environment holds its innermost block's scope, the closure of the
+# block's definitions by name under its instance, and where an instance holds
+# the scope the block opened in; no parsed name has angle brackets
+SCOPE, OUTER = "<where>", "<outer>"
 
 
 def _closure(t: Term, env: Env) -> Closure:
@@ -132,16 +106,11 @@ def _exhausted(top: str | None, args: list, t: Term) -> FuelExhausted:
     return FuelExhausted(f"no value after step budget: {name}")
 
 
-def _whnf(t: Term, env: Env, funs: FunEnv, fuel: int,
-          top: str | None = None) -> tuple[Term, Env, FunEnv, int]:
-    """The weak head normal form of ``t`` under ``env`` and ``funs``: the value,
-    its environment, the function environment then open, and the fuel left.
+def _whnf(t: Term, env: Env, fuel: int,
+          top: str | None = None) -> tuple[Term, Env, int]:
+    """The weak head normal form of ``t`` under ``env``: the value, its
+    environment and the fuel left.
 
-    The where blocks a run opens stay open for the rest of it, the state's
-    arguments and the next state included: the function environment belongs
-    to the configuration, as in the reduction relation, not to a closure, so
-    where-bound names are scoped dynamically. A function name is one lookup
-    in its table, and opening a block one copy of it.
     A case's scrutinee runs in a nested call; ``top`` then names the node
     that the outermost call's term begins with, for the message of
     ``FuelExhausted``.
@@ -161,7 +130,7 @@ def _whnf(t: Term, env: Env, funs: FunEnv, fuel: int,
             t, env = hit
         elif tt is Lam:
             if not args:
-                return t, env, funs, fuel
+                return t, env, fuel
             if fuel <= 0:
                 raise _exhausted(top, args, t)
             fuel -= 1
@@ -170,10 +139,10 @@ def _whnf(t: Term, env: Env, funs: FunEnv, fuel: int,
         elif tt is Con:
             if args:
                 raise StuckError(t, f"constructor {t.con} applied beyond its arity")
-            return t, env, funs, fuel
+            return t, env, fuel
         elif tt is Case:
-            value, venv, funs, fuel = _whnf(t.scrutinee, env, funs, fuel,
-                                            top or ("App" if args else "Case"))
+            value, venv, fuel = _whnf(t.scrutinee, env, fuel,
+                                      top or ("App" if args else "Case"))
             if type(value) is Lam:
                 raise StuckError(t, "case scrutinee is a lambda")
             con, fields = value.con, value.args
@@ -196,13 +165,15 @@ def _whnf(t: Term, env: Env, funs: FunEnv, fuel: int,
             fuel -= 1
             t = alt.body
         elif tt is Fun:
-            hit = funs._table.get(t.name)
-            if hit is None:
+            scope = env.get(SCOPE)
+            while scope is not None and t.name not in scope[0]:
+                scope = scope[1].get(OUTER)
+            if scope is None:
                 raise StuckError(t, f"undefined function {t.name}")
             if fuel <= 0:
                 raise _exhausted(top, args, t)
             fuel -= 1
-            t, env = hit
+            t, env = scope[0][t.name], scope[1]
         elif tt is Let:
             if fuel <= 0:
                 raise _exhausted(top, args, t)
@@ -213,30 +184,36 @@ def _whnf(t: Term, env: Env, funs: FunEnv, fuel: int,
             if fuel <= 0:
                 raise _exhausted(top, args, t)
             fuel -= 1
+            # the block's instance binds the variables its definitions name,
+            # the scope the block opens in, and the block's own scope
             named = frozenset().union(*[free_vars(d) for _, d in t.defs])
-            funs = funs.extend(t.defs, {x: c for x, c in env.items() if x in named})
+            inst = {x: env[x] for x in named if x in env}
+            if SCOPE in env:
+                inst[OUTER] = env[SCOPE]
+            inst[SCOPE] = scope = dict(t.defs), inst
+            env = {**env, SCOPE: scope}
             t = t.body
         else:
             raise TypeError(f"not a term: {t!r}")
 
 
-def deep_eval(t: Term, env: Env = _NO_VARS, funs: FunEnv = _EMPTY_ENV,
+def deep_eval(t: Term, env: Env = _NO_VARS,
               fuel: int = DEFAULT_FUEL) -> tuple[Term, int]:
-    """Fully evaluate ``t`` under ``env`` and ``funs`` to a ground constructor
-    term; it and the fuel left.
+    """Fully evaluate ``t`` under ``env`` to a ground constructor term; it and
+    the fuel left.
 
     Each argument gets the fuel that the head and the arguments before it
     left. A lambda, as the value or inside its arguments, is no state: it
     raises ``NonConsOutput``.
     """
-    value, env, funs, fuel = _whnf(t, env, funs, fuel)
+    value, env, fuel = _whnf(t, env, fuel)
     if type(value) is Lam:
         raise NonConsOutput("program output is not a state stream: "
                             "a state holds a lambda")
     args = []
     for a in value.args:
         if type(a) is not Con or a.args:
-            a, fuel = deep_eval(a, env, funs, fuel)
+            a, fuel = deep_eval(a, env, fuel)
         args.append(a)
     return Con(value.con, tuple(args)), fuel
 
@@ -248,8 +225,7 @@ def atom_truth(atom_term: Term, state: Term) -> TruthVal:
     result must be one of the nullary True/False/Undefined constructors.
     """
     try:
-        value, _, _, _ = _whnf(atom_term, {STATE_VAR: (state, _NO_VARS)},
-                               _EMPTY_ENV, _ATOM_FUEL)
+        value, _, _ = _whnf(atom_term, {STATE_VAR: (state, _NO_VARS)}, _ATOM_FUEL)
     except StuckError as exc:
         raise AtomError(f"atom evaluation got stuck: {exc.reason}") from exc
     if isinstance(value, Con) and not value.args:
@@ -269,6 +245,8 @@ NIL = Con("Nil")
 # ``run_trace`` defines as the repeating list. No parsed name has angle brackets.
 EVENT_LIST = "<events>"
 UNREAD = Var(EVENT_LIST)
+# the closure of the events not read yet; every binding of them is this object
+_PENDING: Closure = UNREAD, _NO_VARS
 
 
 def _event_list(events: Sequence[str], tail: Term) -> Term:
@@ -292,16 +270,16 @@ def bind_events(program: Term, events: Closure) -> Closure:
     return program, ({fv[0]: events} if fv else _NO_VARS)
 
 
-def _next_state(c: Closure, funs: FunEnv) -> Optional[tuple[Term, Closure, FunEnv]]:
-    """``(state, rest of stream, funs)`` of a state stream, or None at its end.
+def _next_state(c: Closure) -> Optional[tuple[Term, Closure]]:
+    """``(state, rest of stream)`` of a state stream, or None at its end.
 
     The stream cell and its state share one budget of ``DEFAULT_FUEL`` steps.
     """
-    value, env, funs, fuel = _whnf(c[0], c[1], funs, DEFAULT_FUEL)
+    value, env, fuel = _whnf(c[0], c[1], DEFAULT_FUEL)
     if type(value) is Con:
         args = value.args
         if value.con == "Cons" and len(args) == 2:
-            return deep_eval(args[0], env, funs, fuel)[0], _closure(args[1], env), funs
+            return deep_eval(args[0], env, fuel)[0], _closure(args[1], env)
         if value.con == "Nil" and not args:
             return None
     raise NonConsOutput(
@@ -323,51 +301,56 @@ def run_trace(program: Term, events: Sequence[str], cycle: bool = False,
     if cycle and not events:
         raise ValueError("cannot cycle an empty event list")
     if cycle:
-        c = bind_events(program, (Fun(EVENT_LIST), _NO_VARS))
-        funs = _EMPTY_ENV.extend(((EVENT_LIST, _event_list(events, Fun(EVENT_LIST))),))
+        inst: Env = {}
+        inst[SCOPE] = {EVENT_LIST: _event_list(events, Fun(EVENT_LIST))}, inst
+        c = bind_events(program, (Fun(EVENT_LIST), inst))
     else:
-        c, funs = bind_events(program, (_event_list(events, NIL), _NO_VARS)), _EMPTY_ENV
+        c = bind_events(program, (_event_list(events, NIL), _NO_VARS))
     limit = max_states if cycle else min(max_states, len(events) + 1)
     trace: list[Term] = []
     while len(trace) < limit:
-        nxt = _next_state(c, funs)
+        nxt = _next_state(c)
         if nxt is None:
             break
-        state, c, funs = nxt
+        state, c = nxt
         trace.append(state)
     return trace
 
 
 # --- the trace DAG ----------------------------------------------------------------
 
-def _read_back(c: Closure) -> Term:
+def _read_back(c: Closure, scopes: list[Env | None]) -> Term:
     """The term a closure stands for: its free variables' closures, read back
-    in turn, substituted. Closed but for the unread events."""
+    in turn, substituted. Closed but for the unread events. ``scopes`` gets
+    each closure's innermost block instance, which tells what its calls mean."""
     t, env = c
-    sub = {x: _read_back(env[x]) for x in free_vars(t) if x in env}
+    scope = env.get(SCOPE)
+    scopes.append(scope and scope[1])
+    sub = {x: _read_back(env[x], scopes) for x in sorted(free_vars(t)) if x in env}
     return substitute(t, sub) if sub else t
 
 
-def _retry(t: Term, funs: FunEnv, cell: Term) -> tuple[Closure, FunEnv]:
-    """The start of a state read back into ``t``, with ``cell`` bound for the
-    unread events, and ``funs`` with the entries that reach them read back too.
-
-    The closures a block captured are read back once, and its entries are
-    rebuilt only when they reach the unread events; when none do, ``funs``
-    itself comes back, so the memo of ``trace_dag`` shares it.
-    """
-    bound = {EVENT_LIST: (cell, _NO_VARS)}
-    # a captured env's id -> its read-back if that reaches the events, else None
-    moved: dict[int, Env | None] = {}
-    for _, env in funs._table.values():
-        if id(env) not in moved:
-            read = {x: _read_back(c) for x, c in env.items()}
-            moved[id(env)] = ({x: (r, bound) for x, r in read.items()}
-                              if any(EVENT_LIST in free_vars(r) for r in read.values()) else None)
-    if not any(moved.values()):
-        return (t, bound), funs
-    return (t, bound), FunEnv({name: (d, moved[id(env)] or env)
-                               for name, (d, env) in funs._table.items()})
+def _rebound(c: Closure, cell: Closure, done: dict[int, tuple[Env, Env]]) -> Closure:
+    """``c`` with ``cell`` for the unread events wherever it reaches them, and
+    ``c`` itself where it does not. ``done`` maps the id of each environment
+    met to it and what it became; an entry that holds its own environment,
+    as a block's instance holds its scope, follows it."""
+    if c is _PENDING:
+        return cell
+    env = c[1]
+    hit = done.get(id(env))
+    if hit is None:
+        done[id(env)] = env, env
+        moved = {x: r for x, e in env.items()
+                 if e[1] is not env and (r := _rebound(e, cell, done)) is not e}
+        new = env
+        if moved:
+            new = {**env, **moved}
+            for x, e in env.items():
+                if e[1] is env:
+                    new[x] = e[0], new
+        hit = done[id(env)] = env, new
+    return c if hit[1] is env else (c[0], hit[1])
 
 
 # A node of the trace DAG: the states one path emits after its parent's
@@ -381,49 +364,50 @@ def trace_dag(program: Term, events: Sequence[str], depth: int) -> TraceNode:
 
     The walk binds the program's event list to the placeholder ``UNREAD``,
     a variable no program can write, and branches over ``events`` only when
-    the machine is stuck on it. The state's start closure is then read back
-    into a term, and each child retries it with ``Cons e UNREAD`` (``Cons e
-    Nil`` for the last event) bound in the placeholder's place, also in every
-    function whose captured variables reach it (see ``_retry``). The
-    children of a branch point are memoised for the run, keyed on the
-    read-back start term, the function environment by identity, and the
-    numbers of events bound and of states emitted; paths that reach the same
-    handler with the same environment at the same event position share
-    them, so each is reduced once. Nothing that raised is stored and the
-    walk is depth first in product order, so the exception raised is that of
-    the first failing sequence. With no events and a positive depth there is
-    no sequence: the root branches into no children.
+    the machine is stuck on it. Each child then retries the state's start
+    closure with ``Cons e UNREAD`` (``Cons e Nil`` for the last event) in the
+    placeholder's place (``_rebound``). The children of a branch point are
+    memoised for the run, keyed on the start closure read back, with the
+    block instances its calls are resolved in, and the numbers of events
+    bound and of states emitted; paths that reach the same handler with the
+    same environment at the same event position share them, so each is
+    reduced once. Nothing that raised is stored and the walk is depth
+    first in product order, so the exception raised is that of the first
+    failing sequence. With no events and a positive depth there is no
+    sequence: the root branches into no children.
     """
     if depth and not events:
         return (), ()
     limit = depth + 1
-    memo: dict[tuple, tuple[TraceNode, ...]] = {}
+    # each entry holds the block instances whose ids are in its key
+    memo: dict[tuple, tuple[tuple[TraceNode, ...], list[Env | None]]] = {}
 
-    def walk(c: Closure, funs: FunEnv, bound: int, emitted: int) -> TraceNode:
+    def walk(c: Closure, bound: int, emitted: int) -> TraceNode:
         states: list[Term] = []
         while emitted < limit:
             try:
-                nxt = _next_state(c, funs)
+                nxt = _next_state(c)
             except StuckError as exc:
                 if exc.term != UNREAD:
                     raise
-                return tuple(states), branch(_read_back(c), funs, bound, emitted)
+                return tuple(states), branch(c, bound, emitted)
             if nxt is None:
                 break
-            state, c, funs = nxt
+            state, c = nxt
             states.append(state)
             emitted += 1
         return tuple(states), None
 
-    def branch(t: Term, funs: FunEnv, bound: int, emitted: int) -> tuple[TraceNode, ...]:
-        key = (t, funs, bound, emitted)
-        children = memo.get(key)
-        if children is None:
-            rest = NIL if bound + 1 == depth else UNREAD
-            children = memo[key] = tuple(
-                walk(*_retry(t, funs, Con("Cons", (Con(e), rest))), bound + 1, emitted)
-                for e in events)
-        return children
+    def branch(c: Closure, bound: int, emitted: int) -> tuple[TraceNode, ...]:
+        scopes: list[Env | None] = []
+        key = (_read_back(c, scopes), bound, emitted, *map(id, scopes))
+        hit = memo.get(key)
+        if hit is None:
+            rest = (NIL, _NO_VARS) if bound + 1 == depth else _PENDING
+            hit = memo[key] = tuple(
+                walk(_rebound(c, (Con("Cons", (Con(e), UNREAD)), {EVENT_LIST: rest}), {}),
+                     bound + 1, emitted)
+                for e in events), scopes
+        return hit[0]
 
-    return walk(bind_events(program, (UNREAD if depth else NIL, _NO_VARS)),
-                _EMPTY_ENV, 0, 0)
+    return walk(bind_events(program, _PENDING if depth else (NIL, _NO_VARS)), 0, 0)

@@ -3,7 +3,8 @@
 Terms are immutable; every operation here is a pure function over them.
 Variables bound by lambdas, lets and case patterns are distinct from
 function names bound by ``where`` blocks: the former are ``Var`` nodes,
-the latter ``Fun`` nodes, so substitution never touches function names.
+the latter ``Fun`` nodes, so substitution never touches function names. The
+parser gives each ``Fun`` the definitions of the innermost block defining it.
 
 Term and pattern nodes are slotted dataclasses with a generated hash, not
 frozen ones: every command builds and walks them, and a frozen node costs
@@ -11,10 +12,10 @@ two to three times as much to build, since its ``__init__`` sets each field
 through ``object.__setattr__`` (``Con("A", ())``: 0.45 to 0.8 us against
 0.24 to 0.3 us on CPython 3.11, best of seven timings on a shared host).
 They are immutable by contract instead: no module but this one assigns to a
-node's field, and only ``free_vars`` writes its memo slot ``_fv``, which
-takes no part in equality, hashing or ``repr`` (``tests/test_terms.py``
-holds both to it). The hash is not cached: hashing takes under 2% of any
-workload.
+node's field, and only ``free_vars`` writes its memo slot ``_fv``. That slot
+and ``Fun.block`` take no part in equality, hashing or ``repr``
+(``tests/test_terms.py`` holds them to it). The hash is not cached: hashing
+takes under 2% of any workload.
 """
 
 from __future__ import annotations
@@ -77,6 +78,10 @@ class Fun(Term):
     """Reference to a function bound by an enclosing ``where``."""
 
     name: str
+    # the definitions by name of the innermost where block defining the name,
+    # as the parser resolved it; None in a term built by hand
+    block: dict[str, Term] | None = field(default=None, repr=False, compare=False,
+                                          hash=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)

@@ -4,7 +4,9 @@ The verification rules exist once, in :func:`rtlcheck.witness.gen`, which
 decides a property and builds the trace that evidences the answer in the
 same pass; :func:`verify` returns the truth value of that verdict. This
 module holds what the rules share with their callers: the rule-application
-budget, call unfolding, and the errors.
+budget, call unfolding and the errors. A call's definition comes from its
+``Fun`` node, which the parser resolved, so no rule carries a table of
+functions.
 """
 
 from __future__ import annotations
@@ -67,15 +69,13 @@ class Budget:
             raise BudgetExceeded(f"exceeded {self.limit} rule applications")
 
 
-def unfold_call(fname: str, body: Term | None, arity: int) -> Term:
+def unfold_call(fname: str, body: Term, arity: int) -> Term:
     """``fname``'s definition ``body`` under ``arity`` lambdas, its parameters
     unrenamed.
 
     States are ground and case scrutinees are read by shape, so no rule looks
     at the name a parameter has: renaming it to the argument changes nothing.
     """
-    if body is None:
-        raise VerifyError(f"call to undefined function {fname}")
     for _ in range(arity):
         if not isinstance(body, Lam):
             raise VerifyError(f"function {fname} applied to more arguments "

@@ -6,12 +6,13 @@ truth value and the trace of observable states that evidences it.
 are unfolded at most once per temporal obligation: revisiting a call while
 checking an always-formula yields True (greatest fixed point), while
 checking an eventually-formula yields False (least fixed point), and
-Undefined otherwise. A call is known by its definition, the node that the
-name's newest where block binds, not by its name, and its arguments, which
-the form check makes variables, are never read: the visited set holds the
-ids of the definitions unfolded, so a name that another block defines again
-is a different call. The visited set is reset exactly when checking moves
-inside a temporal operator at a Cons cell.
+Undefined otherwise. A call is known by its definition, which the parser
+gave its ``Fun`` node: that of the innermost where block defining the name,
+so scoping is lexical and a where rule only passes on to its body. Neither
+the call's name nor its arguments, which the form check makes variables, are
+read: the visited set holds the ids of the definitions unfolded, so a name
+that another block defines again is a different call. The visited set is
+reset exactly when checking moves inside a temporal operator at a Cons cell.
 
 Dispatch precedence: structural let/where rules fire for any formula, then
 formula connectives, then the rules keyed on the shapes of expression and
@@ -23,15 +24,15 @@ before its tail's trace, and revisits and let-variable applications give the
 empty trace. A False verdict's trace is a counterexample, a True one's a
 witness, and a last state that repeats an earlier one closes a lasso.
 
-A verdict therefore depends only on the term, the formula, the environment,
-the visited set and the fairness set. Calls reached with an empty visited set,
-where a temporal operator at a Cons cell opens a fresh obligation, are
-memoised for the run in ``Budget.memo``, keyed on the callee's definition, the
-number of arguments, the formula node and the where-scope (the fairness set is
-fixed for a run); a hit returns the stored verdict and spends no rule
-applications. Calls with a nonempty visited set unfold as before. So the
-table holds at most one entry per definition, formula node and where-scope:
-two calls of one handler on differently named variables share an entry.
+A verdict therefore depends only on the term, the formula, the visited set
+and the fairness set. Calls reached with an empty visited set, where a
+temporal operator at a Cons cell opens a fresh obligation, are memoised for
+the run in ``Budget.memo``, keyed on the callee's definition, the number of
+arguments and the formula node (the fairness set is fixed for a run); a hit
+returns the stored verdict and spends no rule applications. Calls with a
+nonempty visited set unfold as before. So the table holds at most one entry
+per definition, arity and formula node: two calls of one handler on
+differently named variables share an entry.
 Memoising every call, keyed on the visited set as well, decides larger
 programs but stores O(n^2) visited sets of size O(n) for a response check on
 an n-handler chain: the benchmark's chains then peak at 74 MB, not 24.
@@ -44,8 +45,8 @@ at least as long, and ``kleene._combine`` lets an annihilating operand win
 over the left one only with a strictly shorter trace. No tail can change the
 truth or the trace; since verdicts are path-free, a skipped tail only leaves
 memo entries unfilled, which a later lookup computes the same way. A skipped
-tail is not unfolded at all, so a call there to an undefined function raises
-nothing (the parser never builds one). Without the stop an ``F`` obligation
+tail is not unfolded at all, so a definition there that no rule can read
+raises nothing. Without the stop an ``F`` obligation
 met at its head went on round a ring of handlers until a revisit, and ``G F
 St0`` on ``tests/gen_programs.py::ring_program(120)`` took 116,646 rule
 applications instead of 1,214.
@@ -79,7 +80,7 @@ from .terms import (
     Or, PCon, Term, Var, Where, Let, spine,
 )
 from .kleene import FALSE, TRUE, Trace, UNDEFINED, Verdict, and_v, not_v, or_v
-from .semantics import FunEnv, atom_truth
+from .semantics import atom_truth
 from .normform import check_simplified
 from .verify import (
     Budget, EMPTY_VISITED, FairSet, VerifyError, VisitedSet, require_simplified,
@@ -95,58 +96,55 @@ _UNDECIDED = Verdict(UNDEFINED, ())
 _REVISITED = {Always: Verdict(TRUE, ()), Eventually: Verdict(FALSE, ())}
 
 
-# gen's frame size (25 locals and an expression stack of 12 on CPython 3.11)
+# gen's frame size (24 locals and an expression stack of 11 on CPython 3.11)
 # decides where its recursion crosses the interpreter's 16 KB data-stack
 # chunks, and with it how many chunks deep checks map and unmap (ROADMAP item
-# 4). Per pass of the benchmark's handler graphs and chains (seeds 1 to 3,
-# median of three passes each), counted as the forked commands' minor page
-# faults (getrusage of the children), this version takes 212k and 95.5k; with
-# the loop over a call's argument names that it dropped, at 28 locals and a
-# stack of 11, it took 209k and 97k. Padding an earlier version from 28 to 29,
-# 30, 32 or 34 locals moved either count by under 2%. Measure before adding or
-# removing a local.
-def gen(t: Term, f: Formula, env: FunEnv, visited: VisitedSet, fair: FairSet,
+# 4). Counted as the forked commands' minor page faults (getrusage of the
+# children) per pass of the benchmark's handler graphs and chains, summed over
+# seeds 1 to 3 (each the median of three passes; median of three such runs),
+# this version takes 241k and 82k, as did the one before it, which also passed
+# a function table (25 locals, a stack of 12); runs of one version spread by
+# 3%. Measure before adding or removing a local.
+def gen(t: Term, f: Formula, visited: VisitedSet, fair: FairSet,
         budget: Budget) -> Verdict:
     """Verdict of formula ``f`` for the stream of ``t``, traced from ``t`` on."""
     budget.tick()
 
     tt = type(t)
-    if tt is Where:
-        return gen(t.body, f, env.extend(t.defs), visited, fair, budget)
-    if tt is Let:
-        return gen(t.body, f, env, visited, fair, budget)
+    if tt is Where or tt is Let:
+        return gen(t.body, f, visited, fair, budget)
 
     tf = type(f)
     if tf is And:
-        return and_v(gen(t, f.left, env, visited, fair, budget),
-                     gen(t, f.right, env, visited, fair, budget))
+        return and_v(gen(t, f.left, visited, fair, budget),
+                     gen(t, f.right, visited, fair, budget))
     if tf is Or:
-        return or_v(gen(t, f.left, env, visited, fair, budget),
-                    gen(t, f.right, env, visited, fair, budget))
+        return or_v(gen(t, f.left, visited, fair, budget),
+                    gen(t, f.right, visited, fair, budget))
     if tf is Implies:
-        return or_v(not_v(gen(t, f.left, env, visited, fair, budget)),
-                    gen(t, f.right, env, visited, fair, budget))
+        return or_v(not_v(gen(t, f.left, visited, fair, budget)),
+                    gen(t, f.right, visited, fair, budget))
     if tf is Not:
-        return not_v(gen(t, f.sub, env, visited, fair, budget))
+        return not_v(gen(t, f.sub, visited, fair, budget))
 
     # the form check made every Con here a Cons cell, every case scrutinee a
     # variable and every call argument one
     if tt is Con:
         state, tail = t.args
         if tf is Always:
-            head = gen(t, f.sub, env, EMPTY_VISITED, fair, budget)
+            head = gen(t, f.sub, EMPTY_VISITED, fair, budget)
             if head[0] is FALSE and len(head[1]) == 1:
                 return head  # no tail can outweigh it
-            truth, trace = gen(tail, f, env, visited, fair, budget)
+            truth, trace = gen(tail, f, visited, fair, budget)
             return and_v(head, _verdict(Verdict, (truth, (state,) + trace)))
         if tf is Eventually:
-            head = gen(t, f.sub, env, EMPTY_VISITED, fair, budget)
+            head = gen(t, f.sub, EMPTY_VISITED, fair, budget)
             if head[0] is TRUE and len(head[1]) == 1:
                 return head
-            truth, trace = gen(tail, f, env, visited, fair, budget)
+            truth, trace = gen(tail, f, visited, fair, budget)
             return or_v(head, _verdict(Verdict, (truth, (state,) + trace)))
         if tf is Next:
-            truth, trace = gen(tail, f.sub, env, visited, fair, budget)
+            truth, trace = gen(tail, f.sub, visited, fair, budget)
             return _verdict(Verdict, (truth, (state,) + trace))
         if tf is Atom:
             # atoms are pure: one evaluation per formula node and state
@@ -160,7 +158,7 @@ def gen(t: Term, f: Formula, env: FunEnv, visited: VisitedSet, fair: FairSet,
         alts = t.alts
         vs: list[Verdict] = []
         for alt in alts:
-            vs.append(gen(alt.body, f, env, visited, fair, budget))
+            vs.append(gen(alt.body, f, visited, fair, budget))
         conj = reduce(and_v, vs)
         if tf is not Eventually:
             return conj
@@ -182,21 +180,21 @@ def gen(t: Term, f: Formula, env: FunEnv, visited: VisitedSet, fair: FairSet,
         fn, args = spine(t)
         if type(fn) is Var:  # application of a let-bound variable
             return _UNDECIDED
-        if type(fn) is Fun:  # a call, known by its definition, the name's newest
-            body = env.lookup(fn.name)
+        if type(fn) is Fun:  # a call, known by the definition the parser gave it
+            body = fn.block[fn.name]
             if visited:
                 if id(body) in visited:
                     return _REVISITED.get(tf, _UNDECIDED)
-                return gen(unfold_call(fn.name, body, len(args)), f, env,
+                return gen(unfold_call(fn.name, body, len(args)), f,
                            visited | {id(body)}, fair, budget)
             # a fresh obligation: its verdict depends on the key alone (fair
             # is fixed for the run; the definition and f live as long as the
             # run, and f's id, unlike its hash, costs no walk over its atoms)
-            key = (id(body), len(args), id(f), env)
+            key = (id(body), len(args), id(f))
             v = budget.memo.get(key)
             if v is None:
                 v = budget.memo[key] = gen(unfold_call(fn.name, body, len(args)), f,
-                                           env, frozenset((id(body),)), fair, budget)
+                                           frozenset((id(body),)), fair, budget)
             return v
 
     raise VerifyError(f"no verification rule for {type(t).__name__} "
@@ -205,7 +203,7 @@ def gen(t: Term, f: Formula, env: FunEnv, visited: VisitedSet, fair: FairSet,
 
 def generate(program: Term, f: Formula, fair: FairSet = frozenset(),
              budget: Budget | None = None) -> Verdict:
-    """Entry point: gen with empty environment and visited set.
+    """Entry point: gen with an empty visited set.
 
     ``budget`` defaults to a fresh one; pass one to read how many rule
     applications the run used. Every run starts with empty memo and atom
@@ -218,8 +216,7 @@ def generate(program: Term, f: Formula, fair: FairSet = frozenset(),
         budget = Budget()
     budget.memo.clear()
     budget.atoms.clear()
-    return gen(program, f, FunEnv.empty(), EMPTY_VISITED, frozenset(fair),
-               budget)
+    return gen(program, f, EMPTY_VISITED, frozenset(fair), budget)
 
 
 def lassoify(trace: Trace) -> PositionedModel:

@@ -4,6 +4,8 @@ Generated programs follow the corpus shape: every handler cases on the head
 of its event list and then on the event, each branch emitting one state and
 tail-calling a handler. A fraction also wraps the body in a let binding a
 lambda and applies the let variable, to exercise the abstraction rules.
+Every builder returns its term as the parser reads it back from its printed
+form (``resolved``), so that each call knows its definition.
 
 ``pretty_formula`` prints a formula, and ``check_term`` checks a term by a
 walk of its own: the parser checks terms as it builds them, and its
@@ -13,6 +15,7 @@ diagnostics are compared with this walk's.
 import random
 from typing import Mapping
 
+from rtlcheck.parser import parse_program
 from rtlcheck.pretty import pretty_term
 from rtlcheck.terms import (
     Alt, Always, And, App, Atom, Case, Con, Eventually, Formula, Fun, Implies,
@@ -21,6 +24,14 @@ from rtlcheck.terms import (
 
 EVENT_POOL = ("EvA", "EvB", "EvC", "EvD")
 STATE_POOL = ("St0", "St1", "St2")
+DECLS = "data GEvent = EvA | EvB | EvC | EvD\ndata GState = St0 | St1 | St2\n"
+
+
+def resolved(t: Term) -> Term:
+    """``t`` parsed back from its printed form, under ``DECLS``."""
+    source = parse_program(DECLS + pretty_term(t))
+    assert source.term is not None, source.diagnostics
+    return source.term
 
 
 def random_program(rng: random.Random, max_funcs: int = 6,
@@ -54,7 +65,7 @@ def random_program(rng: random.Random, max_funcs: int = 6,
         body = Con("Cons", (Con(rng.choice(STATE_POOL)),
                             Let("h", bound,
                                 App(Var("h"), App(Fun(funs[0]), Var("es"))))))
-    return Where(body, tuple(defs)), events
+    return resolved(Where(body, tuple(defs))), events
 
 
 def ring_program(n: int) -> Term:
@@ -76,7 +87,7 @@ def ring_program(n: int) -> Term:
                 Alt(WILD, emit(i)),
             ))),)))
         defs.append((f"h{i}", handler))
-    return Where(emit(0), tuple(defs))
+    return resolved(Where(emit(0), tuple(defs)))
 
 
 def inner_where_ring(n: int) -> Term:
@@ -86,9 +97,9 @@ def inner_where_ring(n: int) -> Term:
     definition of the outer block ends in an inner block.
     """
     ring = ring_program(n)
-    return Where(ring.body, tuple(
+    return resolved(Where(ring.body, tuple(
         (name, Lam("es", Where(App(Fun("g"), Var("es")), (("g", handler),))))
-        for name, handler in ring.defs))
+        for name, handler in ring.defs)))
 
 
 def state_atom(state_name: str) -> Atom:
@@ -172,7 +183,7 @@ def handler_graph(n: int, seed: int = 0) -> Term:
                 Alt(WILD, enter(tw)),
             ))),)))
         defs.append((f"g{i}", handler))
-    return Where(enter(0), tuple(defs))
+    return resolved(Where(enter(0), tuple(defs)))
 
 
 # --- the reference term check -----------------------------------------------

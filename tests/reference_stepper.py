@@ -1,14 +1,16 @@
 """The substituting small-step stepper, kept as the reference for the machine.
 
 ``rtlcheck.semantics`` runs an environment machine. This module is the
-stepper it replaced, unchanged in what it computes: one step reduces the
-head of an application or a case scrutinee and substitutes for every β-,
-case- and let-reduction, and a configuration's function environment grows
-with every where block it opens, as one more frame of a chain (``FunEnv``
-here, not the library's table). ``run_trace`` and ``trace_dag`` here must
-agree with the library's, results and exceptions alike
-(``tests/test_machine.py``); they read ``semantics.DEFAULT_FUEL`` at each
-call, so a test that sets it governs both.
+stepper it replaced: one step reduces the head of an application or a case
+scrutinee and substitutes for every β-, case- and let-reduction, and a
+configuration's function table (``FunEnv``) gains the definitions of every
+where block it opens. Where-bound names are scoped lexically without the
+parser's resolution: a block that opens renames apart each of its names the
+table already holds, in its body and definitions, so every name in the
+table has one definition. ``run_trace`` and ``trace_dag`` here must agree
+with the library's, results and exceptions alike (``tests/test_machine.py``);
+they read ``semantics.DEFAULT_FUEL`` at each call, so a test that sets it
+governs both.
 """
 
 from __future__ import annotations
@@ -21,38 +23,65 @@ from rtlcheck.semantics import (
     StuckError, TraceNode,
 )
 from rtlcheck.terms import (
-    App, Case, Con, Fun, Lam, Let, PWild, Term, Var, Where, free_vars,
+    Alt, App, Case, Con, Fun, Lam, Let, PWild, Term, Var, Where, free_vars,
     substitute,
 )
 
 
 class FunEnv:
-    """Immutable chain of function-name scopes; inner frames shadow outer."""
+    """Immutable table of the where-bound functions by name, each defined once."""
 
-    __slots__ = ("_frame", "_parent")
+    __slots__ = ("_table",)
 
-    def __init__(self, frame: dict[str, Term], parent: "FunEnv | None" = None):
-        self._frame = frame  # owned: no caller keeps the dict
-        self._parent = parent
+    def __init__(self, table: dict[str, Term]):
+        self._table = table  # owned: no caller keeps the dict
 
     @staticmethod
     def empty() -> "FunEnv":
         return _EMPTY_ENV
 
     def extend(self, defs: Sequence[tuple[str, Term]]) -> "FunEnv":
-        return FunEnv(dict(defs), self)
+        return FunEnv({**self._table, **dict(defs)})
 
     def lookup(self, name: str) -> Optional[Term]:
-        env: FunEnv | None = self
-        while env is not None:
-            hit = env._frame.get(name)
-            if hit is not None:
-                return hit
-            env = env._parent
-        return None
+        return self._table.get(name)
 
 
 _EMPTY_ENV = FunEnv({})
+
+
+def _apart(block: Where, env: FunEnv) -> tuple[Term, list[tuple[str, Term]]]:
+    """The body and definitions of ``block``, each of its names that ``env``
+    holds renamed to one that nothing holds; names with a quote do not parse."""
+    new = {f: f"{f}'{len(env._table)}" for f, _ in block.defs if f in env._table}
+    return _rename(block.body, new), [(new.get(f, f), _rename(d, new))
+                                      for f, d in block.defs]
+
+
+def _rename(t: Term, new: dict[str, str]) -> Term:
+    """``t`` with each call of a name in ``new`` renamed, but inside a block
+    that defines the name again."""
+    tt = type(t)
+    if not new or tt is Var:
+        return t
+    if tt is Fun:
+        return Fun(new[t.name]) if t.name in new else t
+    if tt is Con:
+        return Con(t.con, tuple(_rename(a, new) for a in t.args))
+    if tt is App:
+        return App(_rename(t.fn, new), _rename(t.arg, new))
+    if tt is Lam:
+        return Lam(t.param, _rename(t.body, new))
+    if tt is Let:
+        return Let(t.name, _rename(t.bound, new), _rename(t.body, new))
+    if tt is Case:
+        return Case(_rename(t.scrutinee, new),
+                    tuple(Alt(alt.pattern, _rename(alt.body, new)) for alt in t.alts))
+    if tt is Where:
+        inner = {f: g for f, g in new.items() if all(f != d for d, _ in t.defs)}
+        return Where(_rename(t.body, inner),
+                     tuple((f, _rename(d, inner)) for f, d in t.defs))
+    raise TypeError(f"not a term: {t!r}")
 
 
 def step(t: Term, env: FunEnv) -> Optional[tuple[Term, FunEnv]]:
@@ -99,7 +128,8 @@ def step(t: Term, env: FunEnv) -> Optional[tuple[Term, FunEnv]]:
     if tt is Var:
         raise StuckError(t, f"free variable {t.name}")
     if tt is Where:
-        return t.body, env.extend(t.defs)
+        body, defs = _apart(t, env)
+        return body, env.extend(defs)
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -185,24 +215,13 @@ def run_trace(program: Term, events: Sequence[str], cycle: bool = False,
 
 
 def _read(t: Term, env: FunEnv, cell: Term) -> tuple[Term, FunEnv]:
-    """``t`` and ``env`` with ``cell`` in place of the unread events.
-
-    A frame is copied when its definitions name them or its parent was
-    copied, so the parents of the outermost such frame stay shared.
-    """
+    """``t`` and ``env`` with ``cell`` in place of the unread events; ``env``
+    itself when no definition names them."""
     sub = {EVENT_LIST: cell}
-    chain: list[FunEnv] = []
-    e: FunEnv | None = env
-    while e is not None:
-        chain.append(e)
-        e = e._parent
-    out: FunEnv | None = None
-    for frame in reversed(chain):
-        defs = frame._frame
-        if out is not frame._parent or any(EVENT_LIST in free_vars(d) for d in defs.values()):
-            frame = FunEnv({f: substitute(d, sub) for f, d in defs.items()}, out)
-        out = frame
-    return substitute(t, sub), out
+    table = env._table
+    if any(EVENT_LIST in free_vars(d) for d in table.values()):
+        env = FunEnv({f: substitute(d, sub) for f, d in table.items()})
+    return substitute(t, sub), env
 
 
 def trace_dag(program: Term, events: Sequence[str], depth: int) -> TraceNode:

@@ -344,6 +344,40 @@ def test_oracle_consistency(corpus_paths, capsys):
     assert doc["contradiction"] is False
 
 
+# h's block defines an m of its own, which only that block's calls mean: n's
+# call of m is the outer m's, so every state is St0
+INNER_SHADOW = """\
+data Ev = EvA | EvB
+data St = St0 | St1
+Cons St0 (n es)
+where
+n = \\es -> case es of Cons e es -> case e of EvA -> Cons St0 (h es) | _ -> Cons St0 (m es)
+m = \\es -> case es of Cons e es -> Cons St0 (n es)
+h = \\es -> (k es where
+  k = \\es -> case es of Cons e es -> Cons St0 (n es)
+  m = \\es -> case es of Cons e es -> Cons St1 (m es))
+"""
+
+
+def test_commands_agree_on_an_inner_block_that_shadows_a_name(tmp_path, capsys):
+    # with where-bound names scoped dynamically, simulate ended in St1 and the
+    # oracle found 4 Unsat sequences against the verifier's True
+    program = tmp_path / "p.rsl"
+    program.write_text(INNER_SHADOW)
+    props = tmp_path / "p.ltl"
+    props.write_text("prop always0: G { case s of St0 -> True | _ -> False }\n")
+    check = ["--props", str(props), "--prop", "always0"]
+    assert main(["verify", str(program), *check]) == 0
+    assert capsys.readouterr().out == "True\n"
+    assert main(["simulate", str(program), "--events", "EvA,EvB,EvB,EvB"]) == 0
+    assert capsys.readouterr().out.split() == ["St0"] * 5
+    assert main(["oracle", str(program), *check, "--depth", "4", "--fair-all",
+                 "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["truth"], doc["validation"], doc["bounded"]["Unsat"],
+            doc["contradiction"]) == ("True", "Valid", 0, False)
+
+
 # sha256 of the nine outputs of oracle --json --depth 4 --fair-all, in the
 # order of the loops below, recorded while every event sequence was
 # simulated and bounded-checked on its own

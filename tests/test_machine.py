@@ -17,7 +17,6 @@ from gen_programs import inner_where_ring, random_program
 from rtlcheck import semantics
 from rtlcheck.parser import parse_program
 from rtlcheck.pretty import pretty_term
-from rtlcheck.terms import Con
 from test_ltlsem import (
     HAND_BUILT, HAND_BUILT_HEADER, READ_CONSUMED_EVENTS, UNEVEN_STEPS,
 )
@@ -81,8 +80,8 @@ RING_EVENTS = ("EvA", "EvB", "EvC", "EvD")
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_machine_equals_stepper_on_inner_where_rings(n):
-    # each handler opens a block of its own, so the chain grows by a frame
-    # per event while the table keeps one entry per name
+    # each handler opens a block of its own: the reference renames its g
+    # apart at every opening after the first, the machine binds a new scope
     rng = random.Random(n)
     sequences = [[rng.choice(RING_EVENTS) for _ in range(rng.randint(0, 12))]
                  for _ in range(10)]
@@ -110,32 +109,38 @@ def test_machine_equals_stepper_under_shadowing():
     events = ("EvA", "EvB")
     sequences = [list(seq) for k in range(6) for seq in itertools.product(events, repeat=k)]
     _assert_same(_shadowing(), events, range(6), sequences)
-    # where-bound names are scoped dynamically: the inner m, once opened,
-    # answers n's call too
+    # the inner m, once opened, does not answer n's call
     trace = semantics.run_trace(_shadowing(), ["EvA"] * 4)
-    assert [pretty_term(s) for s in trace] == ["St0", "St1", "St0", "St1", "St1"]
+    assert [pretty_term(s) for s in trace] == ["St0", "St1", "St0", "St0", "St0"]
 
 
-@pytest.mark.xfail(strict=True, reason="where-bound names are scoped dynamically")
 def test_where_bound_names_are_scoped_lexically():
     # n is defined beside the outer m, so its call means that m
     trace = semantics.run_trace(_shadowing(), ["EvA"] * 4)
     assert [pretty_term(s) for s in trace] == ["St0", "St1", "St0", "St0", "St0"]
 
 
-def test_function_table_equals_the_chain():
-    # the table holds each name's newest definition, which is what the
-    # reference's chain of frames finds first
-    rng = random.Random(24)
-    names = ("f", "g", "h", "k")
-    for _ in range(200):
-        table, chain = semantics.FunEnv.empty(), reference.FunEnv.empty()
-        for _ in range(rng.randint(0, 6)):
-            defs = [(x, Con(f"D{rng.randrange(1000)}"))
-                    for x in rng.sample(names, rng.randint(0, len(names)))]
-            table, chain = table.extend(defs), chain.extend(defs)
-            for x in names + ("nowhere",):
-                assert table.lookup(x) is chain.lookup(x)
+# both m's are called: k's inner m after EvA, n's outer m after EvB; the two
+# calls read back to the same term, m applied to the unread events
+LIVE_SHADOWING = HAND_BUILT_HEADER + """Cons St0 (n es)
+where
+n = \\es -> case es of Cons e es -> case e of EvA -> Cons St1 (h es) | _ -> Cons St0 (m es)
+h = \\es -> (k es where
+  k = \\es -> case es of Cons e es -> case e of EvA -> Cons St1 (m es) | _ -> Cons St0 (n es)
+  m = \\es -> case es of Cons e es -> case e of EvA -> Cons St1 (m es) | _ -> Cons St1 (n es))
+m = \\es -> case es of Cons e es -> case e of EvA -> Cons St0 (m es) | _ -> Cons St0 (n es)
+"""
+
+
+def test_trace_dag_tells_a_shadowed_call_from_the_outer_one():
+    source = parse_program(LIVE_SHADOWING)
+    assert not source.diagnostics
+    events = ("EvA", "EvB")
+    sequences = [list(seq) for k in range(6) for seq in itertools.product(events, repeat=k)]
+    _assert_same(source.term, events, range(7), sequences)
+    trace = semantics.run_trace(source.term, ["EvA", "EvA", "EvA", "EvB", "EvB", "EvA"])
+    assert [pretty_term(s) for s in trace] == [
+        "St0", "St1", "St1", "St1", "St1", "St0", "St0"]
 
 
 def test_fuel_exhaustion_names_the_outermost_node(monkeypatch):

@@ -283,6 +283,34 @@ def _resolve(t: Term, funs: frozenset[str]) -> Term:
     raise TypeError(f"not a term: {t!r}")
 
 
+def _known(t: Term, blocks: dict[str, dict[str, Term]]) -> bool:
+    """Whether each call in ``t`` holds the definitions of the innermost where
+    block that defines its name; ``blocks`` maps each name in scope to them."""
+    def hiding(names) -> dict[str, dict[str, Term]]:
+        return {f: defs for f, defs in blocks.items() if f not in names}
+
+    tt = type(t)
+    if tt is Fun:
+        mine = blocks[t.name]
+        return t.block.keys() == mine.keys() and t.block[t.name] is mine[t.name]
+    if tt is App:
+        return _known(t.fn, blocks) and _known(t.arg, blocks)
+    if tt is Con:
+        return all(_known(a, blocks) for a in t.args)
+    if tt is Case:
+        return _known(t.scrutinee, blocks) and all(
+            _known(alt.body, hiding(getattr(alt.pattern, "vars", ()))) for alt in t.alts)
+    if tt is Lam:
+        return _known(t.body, hiding((t.param,)))
+    if tt is Let:
+        return _known(t.bound, blocks) and _known(t.body, hiding((t.name,)))
+    if tt is Where:
+        mine = dict(t.defs)
+        inner = {**blocks, **dict.fromkeys(mine, mine)}
+        return _known(t.body, inner) and all(_known(d, inner) for d in mine.values())
+    return tt is Var
+
+
 SCOPE_DECLS = "data D = A | B X | C X X\n"
 SCOPE_NAMES = ("f", "g", "h", "x")
 SCOPE_PATTERNS = ("A", "B f", "C g x", "Cons h x")
@@ -364,6 +392,7 @@ def test_descent_resolves_names_like_the_reference_resolver(corpus):
     for term in terms + nested:
         assert term is not None
         assert _resolve(term, frozenset()) == term
+        assert _known(term, {})
 
 
 def test_atoms_resolve_names_like_the_reference_resolver():
@@ -374,6 +403,7 @@ def test_atoms_resolve_names_like_the_reference_resolver():
         if props.props:
             term = props.get("p").sub.term
             assert _resolve(term, frozenset()) == term
+            assert _known(term, {})
             accepted.append((text, term))
     assert len(accepted) > 550
     assert sum(_mixes_fun_and_var(term) for _, term in accepted) > 120

@@ -149,6 +149,13 @@ def test_free_vars_fills_the_slot_without_changing_the_value():
     assert t == twin and hash(t) == hash(twin) and repr(t) == repr(twin)
 
 
+def test_a_calls_definitions_are_no_part_of_its_value():
+    # the parser's resolution keeps every term's equality, hash and repr
+    call = Fun("f", {"f": Lam("x", Var("x"))})
+    assert call == Fun("f") and hash(call) == hash(Fun("f"))
+    assert repr(call) == "Fun(name='f')"
+
+
 def test_no_module_but_terms_assigns_a_node_field():
     # nodes are not frozen: this scan is what keeps them immutable
     names = {f.name for cls in NODE_CLASSES for f in dataclasses.fields(cls)}

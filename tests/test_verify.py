@@ -2,9 +2,9 @@ import pytest
 
 from rtlcheck.kleene import FALSE, TRUE, UNDEFINED
 from rtlcheck.parser import parse_program
-from rtlcheck.semantics import AtomError, FunEnv
+from rtlcheck.semantics import AtomError
 from rtlcheck.terms import (
-    Always, And, App, Atom, Con, Eventually, Fun, Implies, Lam, Next, Not, Var,
+    Always, And, Atom, Con, Eventually, Implies, Next, Not, Var,
 )
 from rtlcheck.verify import (
     Budget, BudgetExceeded, EMPTY_VISITED, NotSimplified, VerifyError, verify,
@@ -37,49 +37,56 @@ def test_constant_loop_always_true_atom():
     assert verify(source.term, Always(Atom(Con("True")))) is TRUE
 
 
-# a definition whose unfolded body, a bare lambda, no rule can read
-UNREADABLE = Lam("es", Var("es"))
+# f's definition unfolds to a bare lambda, which no rule can read
+UNREADABLE = parse_program("data S = A\nCons A (f es)\nwhere\nf = \\es -> \\x -> x").term
 
 
 def test_revisit_semantics_without_unfolding():
     # f's definition is visited: a revisit answers before f is unfolded
-    t = Fun("f")
-    env = FunEnv.empty().extend([("f", UNREADABLE)])
-    visited = frozenset((id(UNREADABLE),))
+    (_, definition), = UNREADABLE.defs
+    call = UNREADABLE.body.args[1]
+    assert call.fn.block["f"] is definition
+    visited = frozenset((id(definition),))
     atom = Atom(Con("True"))
-    assert gen(t, Always(atom), env, visited, NOFAIR, Budget()).truth is TRUE
-    assert gen(t, Eventually(atom), env, visited, NOFAIR, Budget()).truth is FALSE
-    assert gen(t, Next(atom), env, visited, NOFAIR, Budget()).truth is UNDEFINED
-    assert gen(t, atom, env, visited, NOFAIR, Budget()).truth is UNDEFINED
+    assert gen(call, Always(atom), visited, NOFAIR, Budget()).truth is TRUE
+    assert gen(call, Eventually(atom), visited, NOFAIR, Budget()).truth is FALSE
+    assert gen(call, Next(atom), visited, NOFAIR, Budget()).truth is UNDEFINED
+    assert gen(call, atom, visited, NOFAIR, Budget()).truth is UNDEFINED
 
 
 def test_a_name_defined_again_is_a_new_call():
-    # the visited set holds definitions: another block's f is unfolded
-    env = FunEnv.empty().extend([("f", UNREADABLE)])
-    env = env.extend([("f", Lam("es", Var("es")))])
+    # the visited set holds definitions: the inner block's f, which the inner
+    # call means, is unfolded though the outer f is visited
+    source = parse_program("data S = A\nCons A (f es)\nwhere\n"
+                           "f = \\es -> (f es where f = \\xs -> \\x -> x)")
+    (_, outer), = source.term.defs
+    inner_call = outer.body.body
+    assert inner_call.fn.block["f"] is outer.body.defs[0][1]
     with pytest.raises(VerifyError, match="no verification rule for Lam"):
-        gen(Fun("f"), Always(Atom(Con("True"))), env,
-            frozenset((id(UNREADABLE),)), NOFAIR, Budget())
+        gen(inner_call, Always(Atom(Con("True"))), frozenset((id(outer),)),
+            NOFAIR, Budget())
 
 
 def test_unvisited_call_requires_definition():
-    with pytest.raises(VerifyError):
-        gen(Fun("f"), Always(Atom(Con("True"))), FunEnv.empty(),
-            EMPTY_VISITED, NOFAIR, Budget())
+    # a name that no where block defines is parsed as a variable, never a
+    # call, so no rule meets a call without a definition
+    source = parse_program("data S = A\nCons A (f es)")
+    assert source.term.args[1].fn == Var("f")
+    with pytest.raises(NotSimplified, match="variable f is not let-bound"):
+        verify(source.term, Always(Atom(Con("True"))))
 
 
 def test_deciding_head_leaves_its_tail_unfolded():
     # F met, or G failed, at a Cons cell's own state stops there; the tail's
-    # call to an undefined function is never reached
-    t = Con("Cons", (Con("A"), App(Fun("f"), Var("es"))))
+    # call to a definition no rule can read is never unfolded
+    t = UNREADABLE.body
     for formula, truth in ((Eventually(Atom(Con("True"))), TRUE),
                            (Always(Atom(Con("False"))), FALSE)):
         budget = Budget()
-        verdict = gen(t, formula, FunEnv.empty(), EMPTY_VISITED, NOFAIR, budget)
+        verdict = gen(t, formula, EMPTY_VISITED, NOFAIR, budget)
         assert verdict == (truth, (Con("A"),)) and budget.used == 2
-    with pytest.raises(VerifyError):
-        gen(t, Eventually(Atom(Con("False"))), FunEnv.empty(), EMPTY_VISITED,
-            NOFAIR, Budget())
+    with pytest.raises(VerifyError, match="no verification rule for Lam"):
+        gen(t, Eventually(Atom(Con("False"))), EMPTY_VISITED, NOFAIR, Budget())
 
 
 def test_call_with_a_constructor_argument_is_not_simplified():
