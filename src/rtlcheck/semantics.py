@@ -89,11 +89,14 @@ SCOPE, OUTER = "<where>", "<outer>"
 def _closure(t: Term, env: Env) -> Closure:
     """``t`` under ``env``. A bound variable's closure is the one it is bound
     to, so that chains of variables bound to variables do not grow as a run
-    reads its events."""
-    if type(t) is Var:
+    reads its events, and a constant keeps no environment."""
+    tt = type(t)
+    if tt is Var:
         hit = env.get(t.name)
         if hit is not None:
             return hit
+    elif tt is Con and not t.args:
+        return t, _NO_VARS
     return t, env
 
 
@@ -319,14 +322,14 @@ def run_trace(program: Term, events: Sequence[str], cycle: bool = False,
 
 # --- the trace DAG ----------------------------------------------------------------
 
-def _read_back(c: Closure, scopes: list[Env | None]) -> Term:
+def _read_back(c: Closure, scopes: list[Env]) -> Term:
     """The term a closure stands for: its free variables' closures, read back
     in turn, substituted. Closed but for the unread events. ``scopes`` gets
     each closure's innermost block instance, which tells what its calls mean."""
     t, env = c
-    scope = env.get(SCOPE)
-    scopes.append(scope and scope[1])
-    sub = {x: _read_back(env[x], scopes) for x in sorted(free_vars(t)) if x in env}
+    if SCOPE in env:
+        scopes.append(env[SCOPE][1])
+    sub = {x: _read_back(env[x], scopes) for x in free_vars(t) if x in env}
     return substitute(t, sub) if sub else t
 
 
@@ -335,9 +338,9 @@ def _rebound(c: Closure, cell: Closure, done: dict[int, tuple[Env, Env]]) -> Clo
     ``c`` itself where it does not. ``done`` maps the id of each environment
     met to it and what it became; an entry that holds its own environment,
     as a block's instance holds its scope, follows it."""
-    if c is _PENDING:
-        return cell
     env = c[1]
+    if not env:  # c reaches nothing, unless it is the unread events
+        return cell if c is _PENDING else c
     hit = done.get(id(env))
     if hit is None:
         done[id(env)] = env, env
@@ -380,7 +383,7 @@ def trace_dag(program: Term, events: Sequence[str], depth: int) -> TraceNode:
         return (), ()
     limit = depth + 1
     # each entry holds the block instances whose ids are in its key
-    memo: dict[tuple, tuple[tuple[TraceNode, ...], list[Env | None]]] = {}
+    memo: dict[tuple, tuple[tuple[TraceNode, ...], list[Env]]] = {}
 
     def walk(c: Closure, bound: int, emitted: int) -> TraceNode:
         states: list[Term] = []
@@ -399,7 +402,7 @@ def trace_dag(program: Term, events: Sequence[str], depth: int) -> TraceNode:
         return tuple(states), None
 
     def branch(c: Closure, bound: int, emitted: int) -> tuple[TraceNode, ...]:
-        scopes: list[Env | None] = []
+        scopes: list[Env] = []
         key = (_read_back(c, scopes), bound, emitted, *map(id, scopes))
         hit = memo.get(key)
         if hit is None:
