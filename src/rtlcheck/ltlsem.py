@@ -11,9 +11,10 @@ from Unknown past a prefix's end in ``bounded_check``, and in ``sat_lasso``
 from the values at a lasso loop's first position. ``bounded_counts`` runs
 it over the simulator's trace DAG (``semantics.trace_dag``), built by the
 environment machine of ``semantics``, to count the event sequences that give
-each value; ``witness.gen`` shares only the function environments and
-``atom_truth`` with that machine, and none of its rules. ``enumerate_traces``
-expands the DAG to one trace per event sequence."""
+each value; ``witness.gen`` shares only ``atom_truth`` and the parser's where
+blocks, which give each call its definitions, with that machine, and none of
+its rules. ``enumerate_traces`` expands the DAG to one trace per event
+sequence."""
 
 from __future__ import annotations
 

@@ -256,11 +256,13 @@ def _where_blocks(ts: _Tokens, first: int) -> dict[int, dict[str, Term]]:
 
 def _descend(parse: Callable[[_Tokens], Term | Formula],
              ts: _Tokens) -> Term | Formula:
-    """``parse(ts)``, with nesting too deep for the stack reported where it stands."""
+    """``parse(ts)``, with nesting too deep for the stack reported at the token
+    it began at, which does not depend on how deep the caller's stack is."""
+    start = ts.pos
     try:
         return parse(ts)
     except RecursionError:
-        raise ts.error(ts.pos, TOO_DEEP) from None
+        raise ts.error(start, TOO_DEEP) from None
 
 
 # --- program parsing ------------------------------------------------------------
@@ -417,7 +419,7 @@ def _parse_expr(ts: _Tokens, funs: Mapping[str, dict] = {}) -> Term:
         if tags[pos] != "lid" or tags[pos + 1] != "=":
             if block is not None:
                 block.update(defs)
-            return Where(term, tuple(defs))
+            return Where(term, tuple(defs), block)
 
 
 def _parse_case(ts: _Tokens, funs: Mapping[str, dict]) -> Term:

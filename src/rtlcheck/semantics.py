@@ -7,8 +7,9 @@ term with an environment mapping its variables to closures, so no reduction
 substitutes: an application pushes its argument's closure and a lambda pops
 it, a case evaluates its scrutinee and binds the pattern's variables to the
 closures of the constructor's arguments, a let binds its term's closure, and
-a where block binds its scope: its definitions under its instance, which
-holds the closures of the variables they name and the scope itself (letrec).
+a where block binds its scope: the parser's dict of its definitions
+(``Where.block``) under a new instance, which holds the closures of the
+variables they name and the scope itself (letrec).
 A function name is looked up from the innermost scope out, so each closure
 carries its own scope and names are scoped lexically, as the parser resolved
 them. Values are weak head normal forms, constructor applications and
@@ -22,10 +23,11 @@ stuck check and before the contraction.
 
 The simulator binds a program's event list in the machine's environment.
 ``run_trace`` binds the whole list up front. ``trace_dag``, which holds the
-traces of every event sequence of a given length for the oracle, binds one
-placeholder variable for the events not yet read. When the machine is stuck
-on it, the state's start closure is retried once per event with a ``Cons``
-of that event and the placeholder bound in the placeholder's place. What
+traces of every event sequence of a given length for the oracle, reads each
+event position through a cell: a two-item list that the machine reads like
+any closure, and the one mutable object it reads. When the machine is stuck
+on a cell's placeholder, the walk sets the cell to a ``Cons`` of each event
+in turn and the next cell, and retries the state's start closure. What
 follows each such branch point is memoised: every handler reached at an
 event position is reduced once, so the work grows linearly with the length,
 not with the number of sequences. Each emitted state gets its own fuel.
@@ -75,9 +77,10 @@ class AtomError(EvalError):
 # --- closures -------------------------------------------------------------------
 
 # A closure is a term and the closures of its variables. Environments are
-# never changed once made: binding a variable copies the dict.
+# never changed once made: binding a variable copies the dict. A closure may
+# also be a list, trace_dag's cell of an event position.
 Env = dict[str, "Closure"]
-Closure = tuple[Term, Env]
+Closure = tuple[Term, Env] | list
 _NO_VARS: Env = {}
 
 # where an environment holds its innermost block's scope, the closure of the
@@ -193,7 +196,7 @@ def _whnf(t: Term, env: Env, fuel: int,
             inst = {x: env[x] for x in named if x in env}
             if SCOPE in env:
                 inst[OUTER] = env[SCOPE]
-            inst[SCOPE] = scope = dict(t.defs), inst
+            inst[SCOPE] = scope = t.block, inst
             env = {**env, SCOPE: scope}
             t = t.body
         else:
@@ -243,13 +246,12 @@ def atom_truth(atom_term: Term, state: Term) -> TruthVal:
 
 NIL = Con("Nil")
 
-# The name of the event list while the simulator binds it: a variable for the
-# events ``trace_dag`` has not read yet, and under ``--cycle`` the function
-# ``run_trace`` defines as the repeating list. No parsed name has angle brackets.
+# The name of the event list while the simulator binds it: the placeholder
+# that a cell of ``trace_dag`` holds until its event is chosen, and under
+# ``--cycle`` the function ``run_trace`` defines as the repeating list. No
+# parsed name has angle brackets.
 EVENT_LIST = "<events>"
 UNREAD = Var(EVENT_LIST)
-# the closure of the events not read yet; every binding of them is this object
-_PENDING: Closure = UNREAD, _NO_VARS
 
 
 def _event_list(events: Sequence[str], tail: Term) -> Term:
@@ -322,38 +324,25 @@ def run_trace(program: Term, events: Sequence[str], cycle: bool = False,
 
 # --- the trace DAG ----------------------------------------------------------------
 
-def _read_back(c: Closure, scopes: list[Env]) -> Term:
-    """The term a closure stands for: its free variables' closures, read back
-    in turn, substituted. Closed but for the unread events. ``scopes`` gets
-    each closure's innermost block instance, which tells what its calls mean."""
+def _read_back(c: Closure) -> Term:
+    """The term a closure stands for, closed but for the unread events: its
+    free variables' closures, read back in turn, substituted. Each block
+    instance of its scope, which tells what its calls mean, wraps that, from
+    the innermost out, as the first argument of a constructor ``<block N>``
+    whose others are the values it captured, read back in the order of their
+    names. N is the parser's block, which the program keeps alive, and which
+    fixes the names its instances capture."""
     t, env = c
-    if SCOPE in env:
-        scopes.append(env[SCOPE][1])
-    sub = {x: _read_back(env[x], scopes) for x in free_vars(t) if x in env}
-    return substitute(t, sub) if sub else t
-
-
-def _rebound(c: Closure, cell: Closure, done: dict[int, tuple[Env, Env]]) -> Closure:
-    """``c`` with ``cell`` for the unread events wherever it reaches them, and
-    ``c`` itself where it does not. ``done`` maps the id of each environment
-    met to it and what it became; an entry that holds its own environment,
-    as a block's instance holds its scope, follows it."""
-    env = c[1]
-    if not env:  # c reaches nothing, unless it is the unread events
-        return cell if c is _PENDING else c
-    hit = done.get(id(env))
-    if hit is None:
-        done[id(env)] = env, env
-        moved = {x: r for x, e in env.items()
-                 if e[1] is not env and (r := _rebound(e, cell, done)) is not e}
-        new = env
-        if moved:
-            new = {**env, **moved}
-            for x, e in env.items():
-                if e[1] is env:
-                    new[x] = e[0], new
-        hit = done[id(env)] = env, new
-    return c if hit[1] is env else (c[0], hit[1])
+    sub = {x: _read_back(env[x]) for x in free_vars(t) if x in env}
+    if sub:
+        t = substitute(t, sub)
+    scope = env.get(SCOPE)
+    while scope is not None:
+        block, inst = scope
+        t = Con(f"<block {id(block)}>", (t, *[_read_back(inst[x]) for x in sorted(inst)
+                                              if x != SCOPE and x != OUTER]))
+        scope = inst.get(OUTER)
+    return t
 
 
 # A node of the trace DAG: the states one path emits after its parent's
@@ -365,27 +354,26 @@ TraceNode = tuple[tuple[Term, ...], Optional[tuple["TraceNode", ...]]]
 def trace_dag(program: Term, events: Sequence[str], depth: int) -> TraceNode:
     """The traces of every event sequence of length ``depth``, as a DAG.
 
-    The walk binds the program's event list to the placeholder ``UNREAD``,
-    a variable no program can write, and branches over ``events`` only when
-    the machine is stuck on it. Each child then retries the state's start
-    closure with ``Cons e UNREAD`` (``Cons e Nil`` for the last event) in the
-    placeholder's place (``_rebound``). The children of a branch point are
-    memoised for the run, keyed on the start closure read back, with the
-    block instances its calls are resolved in, and the numbers of events
-    bound and of states emitted; paths that reach the same handler with the
-    same environment at the same event position share them, so each is
-    reduced once. Nothing that raised is stored and the walk is depth
-    first in product order, so the exception raised is that of the first
-    failing sequence. With no events and a positive depth there is no
-    sequence: the root branches into no children.
+    The program's event list is the first position's cell, which holds the
+    placeholder ``UNREAD``, a variable no program can write; the walk
+    branches over ``events`` only when the machine is stuck on it. Each child
+    sets the cell to ``Cons e`` of the next cell (of ``Nil`` after the last
+    event) and walks the state's start closure again. The children of a
+    branch point are memoised, keyed on the start closure read back and the
+    numbers of events bound and of states emitted, so paths that reach the
+    same handler with the same values at the same position share them. The
+    walk is depth first in product order and the memo holds only finished
+    nodes, so a cell gets its next event only once all under the last one is
+    walked, nothing that raised is stored, and the exception raised is that
+    of the first failing sequence. With no events and a positive depth there
+    is no sequence: the root branches into no children.
     """
     if depth and not events:
         return (), ()
     limit = depth + 1
-    # each entry holds the block instances whose ids are in its key
-    memo: dict[tuple, tuple[tuple[TraceNode, ...], list[Env]]] = {}
+    memo: dict[tuple[Term, int, int], tuple[TraceNode, ...]] = {}
 
-    def walk(c: Closure, bound: int, emitted: int) -> TraceNode:
+    def walk(c: Closure, cell: list, bound: int, emitted: int) -> TraceNode:
         states: list[Term] = []
         while emitted < limit:
             try:
@@ -393,7 +381,7 @@ def trace_dag(program: Term, events: Sequence[str], depth: int) -> TraceNode:
             except StuckError as exc:
                 if exc.term != UNREAD:
                     raise
-                return tuple(states), branch(c, bound, emitted)
+                return tuple(states), branch(c, cell, bound, emitted)
             if nxt is None:
                 break
             state, c = nxt
@@ -401,16 +389,18 @@ def trace_dag(program: Term, events: Sequence[str], depth: int) -> TraceNode:
             emitted += 1
         return tuple(states), None
 
-    def branch(c: Closure, bound: int, emitted: int) -> tuple[TraceNode, ...]:
-        scopes: list[Env] = []
-        key = (_read_back(c, scopes), bound, emitted, *map(id, scopes))
+    def branch(c: Closure, cell: list, bound: int,
+               emitted: int) -> tuple[TraceNode, ...]:
+        key = _read_back(c), bound, emitted
         hit = memo.get(key)
         if hit is None:
-            rest = (NIL, _NO_VARS) if bound + 1 == depth else _PENDING
-            hit = memo[key] = tuple(
-                walk(_rebound(c, (Con("Cons", (Con(e), UNREAD)), {EVENT_LIST: rest}), {}),
-                     bound + 1, emitted)
-                for e in events), scopes
-        return hit[0]
+            children = []
+            for e in events:
+                rest = [UNREAD if bound + 1 < depth else NIL, _NO_VARS]
+                cell[:] = Con("Cons", (Con(e), UNREAD)), {EVENT_LIST: rest}
+                children.append(walk(c, rest, bound + 1, emitted))
+            hit = memo[key] = tuple(children)
+        return hit
 
-    return walk(bind_events(program, _PENDING if depth else (NIL, _NO_VARS)), 0, 0)
+    first = [UNREAD if depth else NIL, _NO_VARS]
+    return walk(bind_events(program, first), first, 0, 0)

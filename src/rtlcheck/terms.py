@@ -4,7 +4,8 @@ Terms are immutable; every operation here is a pure function over them.
 Variables bound by lambdas, lets and case patterns are distinct from
 function names bound by ``where`` blocks: the former are ``Var`` nodes,
 the latter ``Fun`` nodes, so substitution never touches function names. The
-parser gives each ``Fun`` the definitions of the innermost block defining it.
+parser gives each ``Where`` its definitions by name as a dict, its block, and
+each ``Fun`` the block of the innermost ``where`` defining it: the same dict.
 
 Term and pattern nodes are slotted dataclasses with a generated hash, not
 frozen ones: every command builds and walks them, and a frozen node costs
@@ -12,8 +13,8 @@ two to three times as much to build, since its ``__init__`` sets each field
 through ``object.__setattr__`` (``Con("A", ())``: 0.45 to 0.8 us against
 0.24 to 0.3 us on CPython 3.11, best of seven timings on a shared host).
 They are immutable by contract instead: no module but this one assigns to a
-node's field, and only ``free_vars`` writes its memo slot ``_fv``. That slot
-and ``Fun.block`` take no part in equality, hashing or ``repr``
+node's field, and only ``free_vars`` writes its memo slot ``_fv``. That slot,
+``Fun.block`` and ``Where.block`` take no part in equality, hashing or ``repr``
 (``tests/test_terms.py`` holds them to it). The hash is not cached: hashing
 takes under 2% of any workload.
 """
@@ -113,6 +114,10 @@ class Let(Term):
 class Where(Term):
     body: Term
     defs: tuple[tuple[str, Term], ...]
+    # its definitions by name, the dict its calls' Fun.block holds, as the
+    # parser made it; None in a term built by hand or by substitute
+    block: dict[str, Term] | None = field(default=None, repr=False, compare=False,
+                                          hash=False)
 
 
 def app(fn: Term, *args: Term) -> Term:

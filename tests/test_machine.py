@@ -13,8 +13,9 @@ import random
 import pytest
 
 import reference_stepper as reference
-from gen_programs import inner_where_ring, random_program
+from gen_programs import formula_battery, inner_where_ring, random_program, ring_program
 from rtlcheck import semantics
+from rtlcheck.ltlsem import bounded_counts
 from rtlcheck.parser import parse_program
 from rtlcheck.pretty import pretty_term
 from test_ltlsem import (
@@ -88,6 +89,34 @@ def test_machine_equals_stepper_on_inner_where_rings(n):
     _assert_same(inner_where_ring(n), RING_EVENTS, range(4), sequences)
 
 
+def test_trace_dag_shares_branch_points_under_inner_where_blocks(monkeypatch):
+    # each call of a handler opens a new instance of its inner block; a branch
+    # point is keyed on the block and the values it captured, so the inner
+    # ring shares its branch points about as the flat ring does
+    calls = 0
+    next_state = semantics._next_state
+
+    def counted(c):
+        nonlocal calls
+        calls += 1
+        return next_state(c)
+
+    monkeypatch.setattr(semantics, "_next_state", counted)
+    inner, flat = inner_where_ring(3), ring_program(3)
+    for depth in (4, 6, 8):
+        work = []
+        for program in (inner, flat):
+            calls = 0
+            semantics.trace_dag(program, RING_EVENTS, depth)
+            work.append(calls)
+        assert work[0] <= 2 * work[1], (depth, work)
+    # and the two programs are equivalent
+    for f in formula_battery():
+        for depth in (4, 6, 8):
+            assert (bounded_counts(inner, RING_EVENTS, depth, f)
+                    == bounded_counts(flat, RING_EVENTS, depth, f)), (f, depth)
+
+
 # h opens a block whose m shadows the outer m; n, defined beside h, calls m
 SHADOWING = HAND_BUILT_HEADER + """Cons St0 (h es)
 where
@@ -141,6 +170,43 @@ def test_trace_dag_tells_a_shadowed_call_from_the_outer_one():
     trace = semantics.run_trace(source.term, ["EvA", "EvA", "EvA", "EvB", "EvB", "EvA"])
     assert [pretty_term(s) for s in trace] == [
         "St0", "St1", "St1", "St1", "St1", "St0", "St0"]
+
+
+# h's block captures the event h read, which k, called at the next event,
+# emits: k's calls read back alike after EvA and after EvB, and only the
+# values that the block's instance captured tell them apart
+CAPTURING = HAND_BUILT_HEADER + """Cons St0 (h es)
+where
+h = \\es -> case es of Cons e es -> (Cons St0 (k es) where
+  k = \\es -> case es of Cons d es -> Cons (Pair e d) (h es))
+"""
+
+
+# a and b each open a block that defines an m of its own, which captures
+# nothing; after a state that both emit alike, each call of m reads back to
+# the same term under the same scope depth, and only the block tells them apart
+SIBLING_BLOCKS = HAND_BUILT_HEADER + """Cons St0 (n es)
+where
+n = \\es -> case es of Cons e es -> case e of EvA -> Cons St0 (a es) | _ -> Cons St0 (b es)
+a = \\es -> case es of Cons e es -> (Cons St1 (m es) where
+  m = \\es -> case es of Cons e es -> Cons St1 (n es))
+b = \\es -> case es of Cons e es -> (Cons St1 (m es) where
+  m = \\es -> case es of Cons e es -> Cons St0 (n es))
+"""
+
+
+@pytest.mark.parametrize("text, run, states", [
+    (CAPTURING, ["EvA", "EvB", "EvB", "EvA"],
+     ["St0", "St0", "Pair EvA EvB", "St0", "Pair EvB EvA"]),
+    (SIBLING_BLOCKS, ["EvB", "EvA", "EvA"], ["St0", "St0", "St1", "St0"]),
+], ids=["captured-values", "sibling-blocks"])
+def test_trace_dag_tells_apart_calls_that_read_back_alike(text, run, states):
+    source = parse_program(text)
+    assert not source.diagnostics
+    events = ("EvA", "EvB")
+    sequences = [list(seq) for k in range(5) for seq in itertools.product(events, repeat=k)]
+    _assert_same(source.term, events, range(6), sequences)
+    assert [pretty_term(s) for s in semantics.run_trace(source.term, run)] == states
 
 
 def test_fuel_exhaustion_names_the_outermost_node(monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from rtlcheck import parser
 from rtlcheck.corpus import obs
 from rtlcheck.parser import (
-    PropertyFile, SourceFile, TOO_DEEP, parse_program, parse_properties,
+    Diagnostic, PropertyFile, SourceFile, TOO_DEEP, parse_program, parse_properties,
 )
 from rtlcheck.pretty import pretty_term
 from rtlcheck.terms import (
@@ -878,6 +878,24 @@ def test_nesting_too_deep_for_the_stack_is_a_diagnostic():
         props = parse_properties(text, arities)
         assert props.props == ()
         assert [d.message for d in props.diagnostics] == [TOO_DEEP]
+
+
+def _deeper(frames, parse):
+    """``parse()``, called ``frames`` frames deeper than the caller."""
+    return parse() if frames == 0 else _deeper(frames - 1, parse)
+
+
+def test_nesting_too_deep_is_reported_where_the_descent_began():
+    # not where the cursor stood when the stack ran out, which moves with the
+    # depth of the caller's stack
+    deep = "(" * 5000 + "Nil" + ")" * 5000
+    arities = parse_program("Nil").arities()
+    for frames in (0, 100, 300):
+        source = _deeper(frames, lambda: parse_program("data D = A\n" + deep))
+        assert source.diagnostics == (Diagnostic(2, 1, TOO_DEEP),), frames
+        props = _deeper(frames, lambda: parse_properties("prop p: G { " + deep + " }",
+                                                         arities))
+        assert props.diagnostics == (Diagnostic(1, 9, TOO_DEEP),), frames
 
 
 # grammar fragments mixed with arbitrary characters, so that fuzzed text

@@ -12,6 +12,7 @@ from rtlcheck.semantics import (
 from rtlcheck.terms import (
     Alt, App, Case, Con, Fun, Lam, Let, PCon, Var, WILD, Where,
 )
+from gen_programs import resolved
 # the step relation the machine reproduces, kept as its reference
 from reference_stepper import FunEnv, eval_whnf, step
 
@@ -165,7 +166,8 @@ def test_run_trace_substitutes_a_long_event_list_under_a_binder():
         Alt(PCon("Cons", ("e", "rest")),
             Con("Cons", (Con("St0"), App(Lam("x", App(Fun("f"), Var("rest"))), Con("St0"))))),
         Alt(PCon("Nil"), Con("Nil"))))
-    program = Where(App(Fun("f"), Var("es")), (("f", Lam("es", body)),))
+    # through the parser, which gives the block and its call their definitions
+    program = resolved(Where(App(Fun("f"), Var("es")), (("f", Lam("es", body)),)))
     trace = run_trace(program, ["EvA"] * 30000, max_states=30001)
     assert trace == [Con("St0")] * 30000
 

@@ -151,9 +151,24 @@ def test_free_vars_fills_the_slot_without_changing_the_value():
 
 def test_a_calls_definitions_are_no_part_of_its_value():
     # the parser's resolution keeps every term's equality, hash and repr
-    call = Fun("f", {"f": Lam("x", Var("x"))})
+    defs = {"f": Lam("x", Var("x"))}
+    call = Fun("f", defs)
     assert call == Fun("f") and hash(call) == hash(Fun("f"))
     assert repr(call) == "Fun(name='f')"
+    block, bare = Where(call, tuple(defs.items()), defs), Where(Fun("f"), tuple(defs.items()))
+    assert block == bare and hash(block) == hash(bare)
+    assert repr(block) == repr(bare) == (
+        "Where(body=Fun(name='f'), defs=(('f', Lam(param='x', body=Var(name='x'))),))")
+
+
+def test_a_block_and_its_calls_hold_one_dict_of_its_definitions():
+    outer = parse_program("f es where\nf = \\es -> (g es where g = \\x -> f x)\n").term
+    inner = outer.defs[0][1].body
+    for where in (outer, inner):
+        assert where.block == dict(where.defs)
+        assert where.body.fn.block is where.block
+    # g's body calls the f of the block around it
+    assert inner.defs[0][1].body.fn.block is outer.block
 
 
 def test_no_module_but_terms_assigns_a_node_field():
