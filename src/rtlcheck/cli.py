@@ -20,8 +20,8 @@ from __future__ import annotations
 import json
 import os
 import sys
+from collections.abc import Sequence
 from types import SimpleNamespace
-from typing import NoReturn, Optional, Sequence
 
 from .kleene import FALSE, TRUE, UNDEFINED, Verdict
 from .lts import LtsError, extract_lts, to_dot, to_json, state_to_json
@@ -268,12 +268,14 @@ _COMMANDS = {
 }
 
 
-def _usage_error(reason: str) -> NoReturn:
+def _usage_error(reason: str):
+    """Print ``USAGE`` and ``reason`` to stderr; raises ``SystemExit`` (64)."""
     sys.stderr.write(f"{USAGE}rtlcheck: error: {reason}\n")
     raise SystemExit(EX_USAGE)
 
 
-def _help() -> NoReturn:
+def _help():
+    """Print ``USAGE``; raises ``SystemExit`` (0)."""
     sys.stdout.write(USAGE)
     raise SystemExit(0)
 
@@ -342,7 +344,7 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
     return SimpleNamespace(**values)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     if not 0 <= getattr(args, "depth", 0) <= MAX_ENUM_DEPTH:
         _usage_error(f"oracle: --depth must be between 0 and {MAX_ENUM_DEPTH}")

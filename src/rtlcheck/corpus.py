@@ -9,20 +9,24 @@ package data in ``corpus/``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
 from .kleene import FALSE, TRUE, Trace, TruthVal
-from .terms import Con, Term
+from .terms import Con, Record, Term
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    program_file: str
-    property_file: str
-    expected_verdicts: Mapping[str, TruthVal]
-    expected_traces: Mapping[str, Trace]
+class CorpusEntry(Record):
+    __slots__ = __match_args__ = ("name", "program_file", "property_file",
+                                  "expected_verdicts", "expected_traces")
+
+    def __init__(self, name: str, program_file: str, property_file: str,
+                 expected_verdicts: Mapping[str, TruthVal],
+                 expected_traces: Mapping[str, Trace]):
+        self.name = name
+        self.program_file = program_file
+        self.property_file = property_file
+        self.expected_verdicts = expected_verdicts
+        self.expected_traces = expected_traces
 
 
 def obs(p1: str, p2: str) -> Term:

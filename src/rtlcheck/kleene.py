@@ -19,7 +19,7 @@ golden counterexample traces in the test suite.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .terms import Term
 
@@ -42,7 +42,7 @@ UNDEFINED = TruthVal.UNDEFINED
 _BY_NAME = {v.value: v for v in TruthVal}
 
 
-def truthval_from_name(name: str) -> Optional[TruthVal]:
+def truthval_from_name(name: str) -> TruthVal | None:
     return _BY_NAME.get(name)
 
 
@@ -58,9 +58,8 @@ def not3(a: TruthVal) -> TruthVal:
 
 # --- verdicts -----------------------------------------------------------------
 
-class Verdict(NamedTuple):
-    truth: TruthVal
-    trace: Trace
+# a truth value (TruthVal) and the trace (Trace) that evidences it
+Verdict = namedtuple("Verdict", "truth trace")
 
 
 def _combine(annihilator: TruthVal, v1: Verdict, v2: Verdict) -> Verdict:

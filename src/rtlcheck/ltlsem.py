@@ -19,13 +19,12 @@ sequence."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import repeat
-from typing import Sequence
 
 from .terms import (
-    Always, And, Atom, Eventually, Formula, Implies, Next, Not, Or, Term,
+    Always, And, Atom, Eventually, Formula, Implies, Next, Not, Or, Record, Term,
 )
 from .kleene import TRUE, Trace, TruthVal, UNDEFINED
 from .semantics import TraceNode, atom_truth, trace_dag
@@ -44,13 +43,15 @@ class DepthTooLarge(OracleError):
     pass
 
 
-@dataclass(frozen=True)
-class PositionedModel:
+class PositionedModel(Record):
     """An infinite trace: a finite prefix, then a loop repeated forever; an
     empty loop stands for the prefix alone, a finite trace."""
 
-    prefix: Trace
-    loop: Trace
+    __slots__ = __match_args__ = ("prefix", "loop")
+
+    def __init__(self, prefix: Trace, loop: Trace):
+        self.prefix = prefix
+        self.loop = loop
 
 
 # Atoms are pure functions of their term and state, so a truth computed once

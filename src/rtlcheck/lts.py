@@ -12,10 +12,11 @@ alphabet that no earlier pattern of its handler matches.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
-from .terms import Alt, Case, Con, Fun, Lam, PCon, PWild, Term, Var, Where, spine
+from .terms import (
+    Alt, Case, Con, Fun, Lam, PCon, PWild, Record, Term, Var, Where, spine,
+)
 
 
 class LtsError(Exception):
@@ -30,26 +31,33 @@ class InconsistentNodeState(LtsError):
     """Two transitions into one handler emit different states."""
 
 
-@dataclass(frozen=True)
-class LtsNode:
-    id: int
-    fun: str
-    state: Term
+class LtsNode(Record):
+    __slots__ = __match_args__ = ("id", "fun", "state")
+
+    def __init__(self, id: int, fun: str, state: Term):
+        self.id = id
+        self.fun = fun
+        self.state = state
 
 
-@dataclass(frozen=True)
-class LtsEdge:
-    src: int
-    label: str  # event constructor, or "_" for the wildcard branch
-    dst: int
-    residual: Optional[tuple[str, ...]] = None  # events a wildcard stands for
+class LtsEdge(Record):
+    __slots__ = __match_args__ = ("src", "label", "dst", "residual")
+
+    def __init__(self, src: int, label: str, dst: int,
+                 residual: tuple[str, ...] | None = None):
+        self.src = src
+        self.label = label  # event constructor, or "_" for the wildcard branch
+        self.dst = dst
+        self.residual = residual  # events a wildcard stands for
 
 
-@dataclass(frozen=True)
-class Lts:
-    initial: int
-    nodes: tuple[LtsNode, ...]
-    edges: tuple[LtsEdge, ...]
+class Lts(Record):
+    __slots__ = __match_args__ = ("initial", "nodes", "edges")
+
+    def __init__(self, initial: int, nodes: tuple[LtsNode, ...], edges: tuple[LtsEdge, ...]):
+        self.initial = initial
+        self.nodes = nodes
+        self.edges = edges
 
 
 def _dest_call(t: Term) -> tuple[Term, str]:

@@ -21,23 +21,25 @@ but for its event list, every term the library substitutes is closed too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .terms import Case, Con, Fun, Lam, Let, PCon, Term, Var, Where, spine
+from .terms import Case, Con, Fun, Lam, Let, PCon, Record, Term, Var, Where, spine
 
 
-@dataclass(frozen=True)
-class Violation:
-    path: str
-    rule: str
-    message: str
-    term: Term
+class Violation(Record):
+    __slots__ = __match_args__ = ("path", "rule", "message", "term")
+
+    def __init__(self, path: str, rule: str, message: str, term: Term):
+        self.path = path
+        self.rule = rule
+        self.message = message
+        self.term = term
 
 
-@dataclass(frozen=True)
-class FormReport:
-    conforms: bool
-    violations: tuple[Violation, ...]
+class FormReport(Record):
+    __slots__ = __match_args__ = ("conforms", "violations")
+
+    def __init__(self, conforms: bool, violations: tuple[Violation, ...]):
+        self.conforms = conforms
+        self.violations = violations
 
 
 def check_simplified(program: Term) -> FormReport:

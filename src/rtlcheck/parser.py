@@ -49,13 +49,12 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections.abc import Callable, Mapping
 from itertools import compress, islice, repeat
-from typing import Callable, Mapping, Optional
 
 from .terms import (
     Alt, Always, And, Atom, Case, Con, DataDecl, Eventually, Formula,
-    Fun, Implies, Lam, Let, Next, Not, Or, PCon, Term, Var, WILD,
+    Fun, Implies, Lam, Let, Next, Not, Or, PCon, Record, Term, Var, WILD,
     Where, app, arity_table, free_vars, BUILTIN_DECLS, STATE_VAR,
 )
 
@@ -71,36 +70,45 @@ _TOKEN = re.compile(r"->|=>|&&|\|\||[\\(){}|=:,_!]|\w+|#|[^ \t\r]")
 TOO_DEEP = "nested too deeply to parse"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    line: int
-    col: int
-    message: str
+class Diagnostic(Record):
+    __slots__ = __match_args__ = ("line", "col", "message")
+
+    def __init__(self, line: int, col: int, message: str):
+        self.line = line
+        self.col = col
+        self.message = message
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}: {self.message}"
 
 
-@dataclass(frozen=True)
-class SourceFile:
-    decls: tuple[DataDecl, ...]
-    term: Optional[Term]
-    diagnostics: tuple[Diagnostic, ...]
-    # the event alphabet (docs/formats.md), read off the patterns as they are
-    # parsed; empty without a term, and outside the repr and equality
-    events: tuple[str, ...] = field(default=(), repr=False, compare=False)
+class SourceFile(Record):
+    # events: the event alphabet (docs/formats.md), read off the patterns as
+    # they are parsed; empty without a term, and outside the repr and equality
+    __slots__ = ("decls", "term", "diagnostics", "events")
+    __match_args__ = ("decls", "term", "diagnostics")
+
+    def __init__(self, decls: tuple[DataDecl, ...], term: Term | None,
+                 diagnostics: tuple[Diagnostic, ...], events: tuple[str, ...] = ()):
+        self.decls = decls
+        self.term = term
+        self.diagnostics = diagnostics
+        self.events = events
 
     def arities(self) -> dict[str, int]:
         return arity_table(self.decls)
 
 
-@dataclass(frozen=True)
-class PropertyFile:
-    props: tuple[tuple[str, Formula], ...]
-    fair: frozenset[str]
-    diagnostics: tuple[Diagnostic, ...]
+class PropertyFile(Record):
+    __slots__ = __match_args__ = ("props", "fair", "diagnostics")
 
-    def get(self, name: str) -> Optional[Formula]:
+    def __init__(self, props: tuple[tuple[str, Formula], ...], fair: frozenset[str],
+                 diagnostics: tuple[Diagnostic, ...]):
+        self.props = props
+        self.fair = fair
+        self.diagnostics = diagnostics
+
+    def get(self, name: str) -> Formula | None:
         for n, f in self.props:
             if n == name:
                 return f

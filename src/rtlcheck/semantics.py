@@ -35,7 +35,7 @@ not with the number of sequences. Each emitted state gets its own fuel.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .terms import (
     App, Case, Con, Fun, Lam, Let, PWild, STATE_VAR, Term, Var, Where,
@@ -275,7 +275,7 @@ def bind_events(program: Term, events: Closure) -> Closure:
     return program, ({fv[0]: events} if fv else _NO_VARS)
 
 
-def _next_state(c: Closure) -> Optional[tuple[Term, Closure]]:
+def _next_state(c: Closure) -> tuple[Term, Closure] | None:
     """``(state, rest of stream)`` of a state stream, or None at its end.
 
     The stream cell and its state share one budget of ``DEFAULT_FUEL`` steps.
@@ -348,7 +348,7 @@ def _read_back(c: Closure) -> Term:
 # A node of the trace DAG: the states one path emits after its parent's
 # branch point, then None where its traces end, or one child per event, in
 # alphabet order, where reduction needs the next event.
-TraceNode = tuple[tuple[Term, ...], Optional[tuple["TraceNode", ...]]]
+TraceNode = tuple[tuple[Term, ...], tuple["TraceNode", ...] | None]
 
 
 def trace_dag(program: Term, events: Sequence[str], depth: int) -> TraceNode:

@@ -7,37 +7,90 @@ the latter ``Fun`` nodes, so substitution never touches function names. The
 parser gives each ``Where`` its definitions by name as a dict, its block, and
 each ``Fun`` the block of the innermost ``where`` defining it: the same dict.
 
-Term and pattern nodes are slotted dataclasses with a generated hash, not
-frozen ones: every command builds and walks them, and a frozen node costs
-two to three times as much to build, since its ``__init__`` sets each field
-through ``object.__setattr__`` (``Con("A", ())``: 0.45 to 0.8 us against
+Every class here and every record of the package is a plain slotted class
+over ``Record``, not a dataclass: creating the package's 31 dataclasses took
+four fifths of the time that ``import rtlcheck.cli`` took from cached bytecode
+(CPython 3.11, a shared host), and every process pays its imports before it
+runs its one command. A class names the fields of its value in
+``__match_args__``, which ``Record`` reads for equality, hash and a ``repr``
+that reads as a dataclass's would. Term and pattern nodes write their own
+equality and hash, which the oracle's memos and the atom caches call: on a
+30-deep term each takes about 16 us, against 110 and 60 us through
+``Record``'s loop over the fields (best of seven timings).
+
+Nodes are not frozen: every command builds and walks them, and a frozen node
+costs two to three times as much to build, since its ``__init__`` sets each
+field through ``object.__setattr__`` (``Con("A", ())``: 0.45 to 0.8 us against
 0.24 to 0.3 us on CPython 3.11, best of seven timings on a shared host).
 They are immutable by contract instead: no module but this one assigns to a
 node's field, and only ``free_vars`` writes its memo slot ``_fv``. That slot,
-``Fun.block`` and ``Where.block`` take no part in equality, hashing or ``repr``
-(``tests/test_terms.py`` holds them to it). The hash is not cached: hashing
-takes under 2% of any workload.
+``Fun.block`` and ``Where.block`` are no fields of the node's value: they take
+no part in equality, hashing or ``repr`` (``tests/test_terms.py`` holds them to
+it). The hash is not cached: hashing takes under 2% of any workload.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
+
+
+class Record:
+    """Base of the package's value classes.
+
+    A subclass declares ``__slots__``, its fields in ``__match_args__`` and an
+    ``__init__`` setting every slot. Two records are equal when they are of
+    one class and their fields are equal; hash and ``repr`` read the fields.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
 
 
 # --- patterns ---------------------------------------------------------------
 
-@dataclass(slots=True, unsafe_hash=True)
-class PCon:
+class PCon(Record):
     """Flat constructor pattern: a constructor name plus distinct variables."""
 
-    con: str
-    vars: tuple[str, ...] = ()
+    __slots__ = __match_args__ = ("con", "vars")
+
+    def __init__(self, con: str, vars: tuple[str, ...] = ()):
+        self.con = con
+        self.vars = vars
+
+    def __eq__(self, other: object):
+        if other.__class__ is PCon:
+            return (self.con, self.vars) == (other.con, other.vars)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.con, self.vars))
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class PWild:
+class PWild(Record):
     """Wildcard pattern, matching anything."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object):
+        return True if other.__class__ is PWild else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
 
 
 Pattern = PCon | PWild
@@ -46,78 +99,175 @@ WILD = PWild()
 
 # --- terms ------------------------------------------------------------------
 
-@dataclass(slots=True)
-class Term:
+class Term(Record):
     """Base class for object-language expressions."""
 
     # free_vars' memo: None until first asked, and no part of the node's value
-    _fv: frozenset[str] | None = field(default=None, init=False, repr=False,
-                                       compare=False, hash=False)
+    __slots__ = ("_fv",)
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Var(Term):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        self._fv = None
+        self.name = name
+
+    def __eq__(self, other: object):
+        if other.__class__ is Var:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Con(Term):
     """Saturated constructor application."""
 
-    con: str
-    args: tuple[Term, ...] = ()
+    __slots__ = __match_args__ = ("con", "args")
+
+    def __init__(self, con: str, args: tuple[Term, ...] = ()):
+        self._fv = None
+        self.con = con
+        self.args = args
+
+    def __eq__(self, other: object):
+        if other.__class__ is Con:
+            return (self.con, self.args) == (other.con, other.args)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.con, self.args))
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Lam(Term):
-    param: str
-    body: Term
+    __slots__ = __match_args__ = ("param", "body")
+
+    def __init__(self, param: str, body: Term):
+        self._fv = None
+        self.param = param
+        self.body = body
+
+    def __eq__(self, other: object):
+        if other.__class__ is Lam:
+            return (self.param, self.body) == (other.param, other.body)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.param, self.body))
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Fun(Term):
     """Reference to a function bound by an enclosing ``where``."""
 
-    name: str
-    # the definitions by name of the innermost where block defining the name,
-    # as the parser resolved it; None in a term built by hand
-    block: dict[str, Term] | None = field(default=None, repr=False, compare=False,
-                                          hash=False)
+    # block: the definitions by name of the innermost where block defining
+    # the name, as the parser resolved it; None in a term built by hand
+    __slots__ = ("name", "block")
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str, block: dict[str, Term] | None = None):
+        self._fv = None
+        self.name = name
+        self.block = block
+
+    def __eq__(self, other: object):
+        if other.__class__ is Fun:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class App(Term):
-    fn: Term
-    arg: Term
+    __slots__ = __match_args__ = ("fn", "arg")
+
+    def __init__(self, fn: Term, arg: Term):
+        self._fv = None
+        self.fn = fn
+        self.arg = arg
+
+    def __eq__(self, other: object):
+        if other.__class__ is App:
+            return (self.fn, self.arg) == (other.fn, other.arg)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.fn, self.arg))
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Alt:
-    pattern: Pattern
-    body: Term
+class Alt(Record):
+    __slots__ = __match_args__ = ("pattern", "body")
+
+    def __init__(self, pattern: Pattern, body: Term):
+        self.pattern = pattern
+        self.body = body
+
+    def __eq__(self, other: object):
+        if other.__class__ is Alt:
+            return (self.pattern, self.body) == (other.pattern, other.body)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.pattern, self.body))
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Case(Term):
-    scrutinee: Term
-    alts: tuple[Alt, ...]
+    __slots__ = __match_args__ = ("scrutinee", "alts")
+
+    def __init__(self, scrutinee: Term, alts: tuple[Alt, ...]):
+        self._fv = None
+        self.scrutinee = scrutinee
+        self.alts = alts
+
+    def __eq__(self, other: object):
+        if other.__class__ is Case:
+            return (self.scrutinee, self.alts) == (other.scrutinee, other.alts)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.scrutinee, self.alts))
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Let(Term):
-    name: str
-    bound: Term
-    body: Term
+    __slots__ = __match_args__ = ("name", "bound", "body")
+
+    def __init__(self, name: str, bound: Term, body: Term):
+        self._fv = None
+        self.name = name
+        self.bound = bound
+        self.body = body
+
+    def __eq__(self, other: object):
+        if other.__class__ is Let:
+            return (self.name, self.bound, self.body) == (other.name, other.bound, other.body)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.bound, self.body))
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Where(Term):
-    body: Term
-    defs: tuple[tuple[str, Term], ...]
-    # its definitions by name, the dict its calls' Fun.block holds, as the
-    # parser made it; None in a term built by hand or by substitute
-    block: dict[str, Term] | None = field(default=None, repr=False, compare=False,
-                                          hash=False)
+    # block: its definitions by name, the dict its calls' Fun.block holds, as
+    # the parser made it; None in a term built by hand or by substitute
+    __slots__ = ("body", "defs", "block")
+    __match_args__ = ("body", "defs")
+
+    def __init__(self, body: Term, defs: tuple[tuple[str, Term], ...],
+                 block: dict[str, Term] | None = None):
+        self._fv = None
+        self.body = body
+        self.defs = defs
+        self.block = block
+
+    def __eq__(self, other: object):
+        if other.__class__ is Where:
+            return (self.body, self.defs) == (other.body, other.defs)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.body, self.defs))
 
 
 def app(fn: Term, *args: Term) -> Term:
@@ -139,12 +289,14 @@ def spine(t: Term) -> tuple[Term, tuple[Term, ...]]:
 
 # --- data declarations ------------------------------------------------------
 
-@dataclass(frozen=True)
-class DataDecl:
+class DataDecl(Record):
     """An algebraic datatype: a type name and its constructors with arities."""
 
-    name: str
-    constructors: tuple[tuple[str, int], ...]
+    __slots__ = __match_args__ = ("name", "constructors")
+
+    def __init__(self, name: str, constructors: tuple[tuple[str, int], ...]):
+        self.name = name
+        self.constructors = constructors
 
 
 # List and TruthVal are built in; True/False/Undefined and Nil/Cons are
@@ -166,55 +318,63 @@ def arity_table(decls: Iterable[DataDecl] = ()) -> dict[str, int]:
 
 # --- formulas ---------------------------------------------------------------
 
-class Formula:
-    """Base class for temporal formulas over observable states."""
+class Formula(Record):
+    """Base class for temporal formulas over observable states, immutable by
+    contract as terms are."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
     """State predicate: a term whose only free variable is ``s``."""
 
-    term: Term
+    __slots__ = __match_args__ = ("term",)
+
+    def __init__(self, term: Term):
+        self.term = term
 
 
-@dataclass(frozen=True)
-class Not(Formula):
-    sub: Formula
+class _Unary(Formula):
+    __slots__ = __match_args__ = ("sub",)
+
+    def __init__(self, sub: Formula):
+        self.sub = sub
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class Not(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Always(Formula):
-    sub: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Eventually(Formula):
-    sub: Formula
+class Implies(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Next(Formula):
-    sub: Formula
+class Always(_Unary):
+    __slots__ = ()
+
+
+class Eventually(_Unary):
+    __slots__ = ()
+
+
+class Next(_Unary):
+    __slots__ = ()
 
 
 STATE_VAR = "s"

@@ -72,12 +72,11 @@ repeat reuses it, though it still counts its rule application.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import reduce
 
 from .terms import (
     Always, And, Atom, Case, Con, Eventually, Formula, Fun, Implies, Next, Not,
-    Or, PCon, Term, Var, Where, Let, spine,
+    Or, PCon, Record, Term, Var, Where, Let, spine,
 )
 from .kleene import FALSE, TRUE, Trace, UNDEFINED, Verdict, and_v, not_v, or_v
 from .semantics import atom_truth
@@ -89,7 +88,7 @@ from .verify import (
 from .ltlsem import AtomUndefined, Bounded, PositionedModel, bounded_check, sat_lasso
 
 
-# Verdict(truth, trace) without the Python frame of the NamedTuple's __new__
+# Verdict(truth, trace) without the Python frame of the namedtuple's __new__
 _verdict = tuple.__new__
 
 _UNDECIDED = Verdict(UNDEFINED, ())
@@ -243,10 +242,12 @@ class Validation(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    status: Validation
-    lasso: PositionedModel
+class ValidationReport(Record):
+    __slots__ = __match_args__ = ("status", "lasso")
+
+    def __init__(self, status: Validation, lasso: PositionedModel):
+        self.status = status
+        self.lasso = lasso
 
 
 def validate_verdict(verdict: Verdict, f: Formula) -> ValidationReport:

@@ -9,10 +9,15 @@ the module-level statements that bind no name. A statement that binds
 names is used once one of its names is, and an imported name once the
 importing module's binding is, so two helpers that only read each other
 are unused. A helper that only tests call belongs in ``tests/``.
+
+Importing the library loads neither ``dataclasses`` nor the modules it
+loads: a process that runs one command spends most of its time importing.
 """
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -151,3 +156,29 @@ def test_helpers_that_only_read_each_other_are_unused():
     # an imported name is used once the importing module's binding is, and
     # an import alone reads nothing
     assert unused_names(sources, {("b", "echo")}) == ["a.helper", "a.main", "b.Y"]
+
+
+def test_importing_the_commands_loads_no_dataclasses_inspect_or_typing():
+    # -S: modules that site hooks import do not count
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); before = set(sys.modules)\n"
+            "import rtlcheck.cli, rtlcheck.corpus\n"
+            "print(*sorted(set(sys.modules) - before))\n")
+    loaded = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert "rtlcheck.cli" in loaded
+    assert not {"dataclasses", "inspect", "typing"} & set(loaded)
+
+
+def test_no_library_module_imports_dataclasses():
+    offences = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            offences += [f"{path.name}:{node.lineno}" for module in modules
+                         if module.partition(".")[0] == "dataclasses"]
+    assert not offences

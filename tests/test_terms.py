@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import random
 from pathlib import Path
 
@@ -7,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rtlcheck import semantics
-from rtlcheck.ltlsem import bounded_counts
-from rtlcheck.parser import parse_program
+from rtlcheck.ltlsem import PositionedModel, bounded_counts
+from rtlcheck.normform import FormReport
+from rtlcheck.parser import SourceFile, parse_program
 from rtlcheck.semantics import EVENT_LIST, EvalError, run_trace
 from rtlcheck import terms
 from rtlcheck.terms import (
-    Alt, App, Case, Con, Eventually, Fun, Lam, Let, PCon, PWild, Var, WILD,
-    Where, free_vars, substitute,
+    Alt, Always, And, App, Atom, Case, Con, Eventually, Fun, Lam, Let, Next, Not, Or,
+    PCon, PWild, Var, WILD, Where, free_vars, substitute,
 )
 from rtlcheck.witness import generate, validate_verdict
 
@@ -106,8 +106,8 @@ def test_nodes_are_slotted_and_not_frozen():
     assert {type(n) for n in _nodes()} == set(NODE_CLASSES)
     for node in _nodes():
         assert not hasattr(node, "__dict__"), type(node).__name__
-    for cls in NODE_CLASSES:
-        assert not cls.__dataclass_params__.frozen, cls.__name__
+        for name in node.__match_args__:
+            setattr(node, name, getattr(node, name))
 
 
 def test_node_equality_is_structural_and_class_sensitive():
@@ -117,6 +117,18 @@ def test_node_equality_is_structural_and_class_sensitive():
     assert Con("A") != Con("A", (Con("B"),))
     assert PCon("EvA") != PCon("EvA", ("x",))
     assert len(set(_nodes() + _nodes())) == len(NODE_CLASSES)
+
+
+def test_formula_and_record_equality_is_class_sensitive():
+    p, q = Atom(Var("s")), Atom(Con("A"))
+    assert And(p, q) == And(Atom(Var("s")), q) and hash(And(p, q)) == hash(And(Atom(Var("s")), q))
+    assert And(p, q) != Or(p, q) and Always(p) != Eventually(p) != Next(p) != Not(p)
+    assert repr(Not(q)) == "Not(sub=Atom(term=Con(con='A', args=())))"
+    assert PositionedModel((), ()) != FormReport((), ())
+    # the event alphabet is no part of a source file's value
+    source = SourceFile((), Con("A"), (), ("EvA",))
+    assert source == SourceFile((), Con("A"), ()) and hash(source) == hash(SourceFile((), Con("A"), ()))
+    assert repr(source) == "SourceFile(decls=(), term=Con(con='A', args=()), diagnostics=())"
 
 
 def test_node_repr_is_the_dataclass_repr():
@@ -173,15 +185,19 @@ def test_a_block_and_its_calls_hold_one_dict_of_its_definitions():
 
 def test_no_module_but_terms_assigns_a_node_field():
     # nodes are not frozen: this scan is what keeps them immutable
-    names = {f.name for cls in NODE_CLASSES for f in dataclasses.fields(cls)}
-    assert {"name", "args", "body", "alts", "_fv"} <= names
+    names = {name for cls in NODE_CLASSES for base in cls.__mro__
+             for name in getattr(base, "__slots__", ())}
+    assert {"name", "args", "body", "alts", "_fv", "block"} <= names
     offences = []
     for path in sorted(Path(terms.__file__).parent.glob("*.py")):
         if path.name == "terms.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            # a record's __init__ sets its own fields on self, and no class
+            # outside terms.py is a node class
             if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load) \
-                    and node.attr in names:
+                    and node.attr in names \
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "self"):
                 offences.append(f"{path.name}:{node.lineno}: .{node.attr}")
             elif isinstance(node, ast.Call) and len(node.args) >= 2 \
                     and isinstance(node.args[1], ast.Constant) \
