@@ -80,11 +80,13 @@ def _load_property(args, source: SourceFile) -> tuple[Formula, frozenset[str]]:
 
 
 def _fair_set(args, source: SourceFile, props: PropertyFile) -> frozenset[str]:
+    """The events that ``--fair-all``, ``--fair`` or the ``fair:`` header
+    names; any other name, a state constructor say, constrains nothing."""
+    events = frozenset(source.events)
     if args.fair_all:
-        return frozenset(source.events)
-    if args.fair is not None:
-        return frozenset(_constructors("--fair", args.fair, source))
-    return props.fair
+        return events
+    named = props.fair if args.fair is None else _constructors("--fair", args.fair, source)
+    return events.intersection(named)
 
 
 def _constructors(option: str, value: str, source: SourceFile) -> list[str]:

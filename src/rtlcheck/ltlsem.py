@@ -26,7 +26,7 @@ from itertools import repeat
 from .terms import (
     Always, And, Atom, Eventually, Formula, Implies, Next, Not, Or, Record, Term,
 )
-from .kleene import TRUE, Trace, TruthVal, UNDEFINED
+from .kleene import TRUE, TruthVal, UNDEFINED
 from .semantics import TraceNode, atom_truth, trace_dag
 from .semantics import run_trace  # noqa: F401  (rebound by benchmarks/tracer.py)
 
@@ -48,10 +48,6 @@ class PositionedModel(Record):
     empty loop stands for the prefix alone, a finite trace."""
 
     __slots__ = __match_args__ = ("prefix", "loop")
-
-    def __init__(self, prefix: Trace, loop: Trace):
-        self.prefix = prefix
-        self.loop = loop
 
 
 # Atoms are pure functions of their term and state, so a truth computed once

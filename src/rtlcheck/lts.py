@@ -54,11 +54,6 @@ class LtsEdge(Record):
 class Lts(Record):
     __slots__ = __match_args__ = ("initial", "nodes", "edges")
 
-    def __init__(self, initial: int, nodes: tuple[LtsNode, ...], edges: tuple[LtsEdge, ...]):
-        self.initial = initial
-        self.nodes = nodes
-        self.edges = edges
-
 
 def _dest_call(t: Term) -> tuple[Term, str]:
     """Split a branch body ``Cons state (f es)`` into (state, callee)."""

@@ -27,19 +27,9 @@ from .terms import Case, Con, Fun, Lam, Let, PCon, Record, Term, Var, Where, spi
 class Violation(Record):
     __slots__ = __match_args__ = ("path", "rule", "message", "term")
 
-    def __init__(self, path: str, rule: str, message: str, term: Term):
-        self.path = path
-        self.rule = rule
-        self.message = message
-        self.term = term
-
 
 class FormReport(Record):
     __slots__ = __match_args__ = ("conforms", "violations")
-
-    def __init__(self, conforms: bool, violations: tuple[Violation, ...]):
-        self.conforms = conforms
-        self.violations = violations
 
 
 def check_simplified(program: Term) -> FormReport:

@@ -73,11 +73,6 @@ TOO_DEEP = "nested too deeply to parse"
 class Diagnostic(Record):
     __slots__ = __match_args__ = ("line", "col", "message")
 
-    def __init__(self, line: int, col: int, message: str):
-        self.line = line
-        self.col = col
-        self.message = message
-
     def __str__(self) -> str:
         return f"{self.line}:{self.col}: {self.message}"
 
@@ -101,12 +96,6 @@ class SourceFile(Record):
 
 class PropertyFile(Record):
     __slots__ = __match_args__ = ("props", "fair", "diagnostics")
-
-    def __init__(self, props: tuple[tuple[str, Formula], ...], fair: frozenset[str],
-                 diagnostics: tuple[Diagnostic, ...]):
-        self.props = props
-        self.fair = fair
-        self.diagnostics = diagnostics
 
     def get(self, name: str) -> Formula | None:
         for n, f in self.props:

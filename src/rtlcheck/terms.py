@@ -8,15 +8,18 @@ parser gives each ``Where`` its definitions by name as a dict, its block, and
 each ``Fun`` the block of the innermost ``where`` defining it: the same dict.
 
 Every class here and every record of the package is a plain slotted class
-over ``Record``, not a dataclass: creating the package's 31 dataclasses took
-four fifths of the time that ``import rtlcheck.cli`` took from cached bytecode
-(CPython 3.11, a shared host), and every process pays its imports before it
-runs its one command. A class names the fields of its value in
-``__match_args__``, which ``Record`` reads for equality, hash and a ``repr``
-that reads as a dataclass's would. Term and pattern nodes write their own
-equality and hash, which the oracle's memos and the atom caches call: on a
-30-deep term each takes about 16 us, against 110 and 60 us through
-``Record``'s loop over the fields (best of seven timings).
+over ``Record``, not a dataclass, whose creation took four fifths of the
+import of ``rtlcheck.cli`` from cached bytecode. ``Record`` reads a class's
+fields, named in ``__match_args__``, for its constructor, equality, hash and
+a dataclass-style ``repr``. A class writes its own method only where commands
+call it often (counted over a seed-1 pass of each benchmark workload in one
+process): node constructors, about 151,000 calls; the nodes' equality and
+hash, but for ``Lam``, ``Let`` and ``Where``, never compared or hashed
+(``Con``: 56,271 hashes, 40,123 comparisons; 16 us on a 30-deep term against
+110 and 60 us through ``Record``); ``LtsNode`` and ``LtsEdge``, one per
+handler or edge (0.25 against 0.70 us); ``SourceFile``, with a slot outside
+its value, and ``CorpusEntry``, built by keyword. Other records, formulas
+among them, are built a few dozen times per command (``Atom``: 2,968 times).
 
 Nodes are not frozen: every command builds and walks them, and a frozen node
 costs two to three times as much to build, since its ``__init__`` sets each
@@ -37,13 +40,21 @@ from collections.abc import Iterable, Mapping
 class Record:
     """Base of the package's value classes.
 
-    A subclass declares ``__slots__``, its fields in ``__match_args__`` and an
-    ``__init__`` setting every slot. Two records are equal when they are of
-    one class and their fields are equal; hash and ``repr`` read the fields.
+    A subclass declares ``__slots__`` and its fields in ``__match_args__``,
+    which this ``__init__`` sets from its positional arguments, in order. Two
+    records are equal when they are of one class and their fields are equal;
+    hash and ``repr`` read the fields.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+
+    def __init__(self, *fields):
+        names = self.__match_args__
+        if len(fields) != len(names):
+            raise TypeError(f"{type(self).__name__} takes ({', '.join(names)}), got {len(fields)} values")
+        for name, value in zip(names, fields):
+            setattr(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -149,14 +160,6 @@ class Lam(Term):
         self.param = param
         self.body = body
 
-    def __eq__(self, other: object):
-        if other.__class__ is Lam:
-            return (self.param, self.body) == (other.param, other.body)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.param, self.body))
-
 
 class Fun(Term):
     """Reference to a function bound by an enclosing ``where``."""
@@ -239,14 +242,6 @@ class Let(Term):
         self.bound = bound
         self.body = body
 
-    def __eq__(self, other: object):
-        if other.__class__ is Let:
-            return (self.name, self.bound, self.body) == (other.name, other.bound, other.body)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.bound, self.body))
-
 
 class Where(Term):
     # block: its definitions by name, the dict its calls' Fun.block holds, as
@@ -260,14 +255,6 @@ class Where(Term):
         self.body = body
         self.defs = defs
         self.block = block
-
-    def __eq__(self, other: object):
-        if other.__class__ is Where:
-            return (self.body, self.defs) == (other.body, other.defs)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.body, self.defs))
 
 
 def app(fn: Term, *args: Term) -> Term:
@@ -293,10 +280,6 @@ class DataDecl(Record):
     """An algebraic datatype: a type name and its constructors with arities."""
 
     __slots__ = __match_args__ = ("name", "constructors")
-
-    def __init__(self, name: str, constructors: tuple[tuple[str, int], ...]):
-        self.name = name
-        self.constructors = constructors
 
 
 # List and TruthVal are built in; True/False/Undefined and Nil/Cons are
@@ -330,23 +313,13 @@ class Atom(Formula):
 
     __slots__ = __match_args__ = ("term",)
 
-    def __init__(self, term: Term):
-        self.term = term
-
 
 class _Unary(Formula):
     __slots__ = __match_args__ = ("sub",)
 
-    def __init__(self, sub: Formula):
-        self.sub = sub
-
 
 class _Binary(Formula):
     __slots__ = __match_args__ = ("left", "right")
-
-    def __init__(self, left: Formula, right: Formula):
-        self.left = left
-        self.right = right
 
 
 class Not(_Unary):

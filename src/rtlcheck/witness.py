@@ -101,9 +101,8 @@ _REVISITED = {Always: Verdict(TRUE, ()), Eventually: Verdict(FALSE, ())}
 # 4). Counted as the forked commands' minor page faults (getrusage of the
 # children) per pass of the benchmark's handler graphs and chains, summed over
 # seeds 1 to 3 (each the median of three passes; median of three such runs),
-# this version takes 241k and 82k, as did the one before it, which also passed
-# a function table (25 locals, a stack of 12); runs of one version spread by
-# 3%. Measure before adding or removing a local.
+# this version takes 241k and 82k; runs of one version spread by 3%. Measure
+# before adding or removing a local.
 def gen(t: Term, f: Formula, visited: VisitedSet, fair: FairSet,
         budget: Budget) -> Verdict:
     """Verdict of formula ``f`` for the stream of ``t``, traced from ``t`` on."""
@@ -204,6 +203,10 @@ def generate(program: Term, f: Formula, fair: FairSet = frozenset(),
              budget: Budget | None = None) -> Verdict:
     """Entry point: gen with an empty visited set.
 
+    Precondition: ``fair`` holds events only (``SourceFile.events``): a
+    wildcard is fair when a fair name escapes the patterns before it, as
+    any other name, a state constructor say, always does.
+
     ``budget`` defaults to a fresh one; pass one to read how many rule
     applications the run used. Every run starts with empty memo and atom
     tables (``budget.memo``, ``budget.atoms``), so a budget passed to several
@@ -244,10 +247,6 @@ class Validation(enum.Enum):
 
 class ValidationReport(Record):
     __slots__ = __match_args__ = ("status", "lasso")
-
-    def __init__(self, status: Validation, lasso: PositionedModel):
-        self.status = status
-        self.lasso = lasso
 
 
 def validate_verdict(verdict: Verdict, f: Formula) -> ValidationReport:

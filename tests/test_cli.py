@@ -406,6 +406,31 @@ def test_fair_list_rejects_unknown_names(corpus_paths, capsys):
     assert code == EX_DATA
 
 
+_STATE_FAIR_PROGRAM = """\
+data Ev = EvA | EvB
+data St = St0 | St1
+Cons St0 (f es)
+where
+f = \\es -> case es of Cons e es -> case e of EvA -> Cons St0 (f es) | _ -> Cons St1 (f es)
+"""
+
+
+@pytest.mark.parametrize("header, fair", [
+    ("", ["--fair", "EvA"]),
+    ("", ["--fair", "EvA,St0"]),
+    ("fair: St0\n", []),
+], ids=["fair_EvA", "fair_EvA_St0", "header_St0"])
+def test_a_fair_name_that_is_no_event_constrains_nothing(tmp_path, capsys, header, fair):
+    # the run of EvA alone is fair to EvA and never reaches St1; St0 is a
+    # declared nullary constructor but no event, so naming it changes nothing
+    program = tmp_path / "p.rsl"
+    program.write_text(_STATE_FAIR_PROGRAM)
+    props = tmp_path / "p.ltl"
+    props.write_text(header + "prop reach1: F { case s of St1 -> True | _ -> False }\n")
+    code = main(["verify", str(program), "--props", str(props), "--prop", "reach1", *fair])
+    assert (code, capsys.readouterr().out.strip()) == (1, "False")
+
+
 def test_missing_file_exits_66(capsys):
     assert main(["check", "no/such/file.rsl"]) == EX_DATA
 

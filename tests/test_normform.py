@@ -1,6 +1,10 @@
 import random
 
+import pytest
+
 from rtlcheck.normform import check_simplified, is_state_term
+from rtlcheck.parser import parse_program
+from rtlcheck.semantics import StuckError, run_trace
 from rtlcheck.terms import (
     Alt, App, Case, Con, Fun, Lam, Let, PCon, Term, Var, WILD, Where,
     free_vars, spine,
@@ -249,3 +253,19 @@ def test_a_conforming_program_has_at_most_one_free_variable():
         else:
             assert not scope
     assert refused > 50
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14: event cases need not be exhaustive")
+def test_an_event_case_without_a_wildcard_covers_every_event():
+    # EvB matches no pattern, so a run that reads it gets stuck; yet the
+    # program conforms, and verify says G {St0 | St1} holds
+    source = parse_program("""\
+data Ev = EvA | EvB
+data St = St0 | St1
+Cons St0 (f es)
+where
+f = \\es -> case es of Cons e es -> case e of EvA -> Cons St1 (f es)
+""")
+    with pytest.raises(StuckError):
+        run_trace(source.term, ["EvB"])
+    assert not check_simplified(source.term).conforms

@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rtlcheck import semantics
+from rtlcheck.lts import Lts
 from rtlcheck.ltlsem import PositionedModel, bounded_counts
-from rtlcheck.normform import FormReport
-from rtlcheck.parser import SourceFile, parse_program
+from rtlcheck.normform import FormReport, Violation
+from rtlcheck.parser import Diagnostic, PropertyFile, SourceFile, parse_program
 from rtlcheck.semantics import EVENT_LIST, EvalError, run_trace
 from rtlcheck import terms
 from rtlcheck.terms import (
-    Alt, Always, And, App, Atom, Case, Con, Eventually, Fun, Lam, Let, Next, Not, Or,
-    PCon, PWild, Var, WILD, Where, free_vars, substitute,
+    Alt, Always, And, App, Atom, Case, Con, DataDecl, Eventually, Fun, Lam, Let, Next,
+    Not, Or, PCon, PWild, Term, Var, WILD, Where, free_vars, substitute,
 )
-from rtlcheck.witness import generate, validate_verdict
+from rtlcheck.witness import ValidationReport, generate, validate_verdict
 
 from gen_programs import (
     formula_battery, handler_graph, random_fair, random_program, ring_program,
@@ -129,6 +130,19 @@ def test_formula_and_record_equality_is_class_sensitive():
     source = SourceFile((), Con("A"), (), ("EvA",))
     assert source == SourceFile((), Con("A"), ()) and hash(source) == hash(SourceFile((), Con("A"), ()))
     assert repr(source) == "SourceFile(decls=(), term=Con(con='A', args=()), diagnostics=())"
+    # the records without a constructor of their own build through Record's:
+    # positional fields only, as many as __match_args__ names, set in its order
+    for cls in (DataDecl, Atom, Not, And, Diagnostic, PropertyFile, Lts, Violation,
+                FormReport, ValidationReport, PositionedModel):
+        fields = cls.__match_args__
+        assert cls.__init__ is terms.Record.__init__
+        assert repr(cls(*range(len(fields)))) == \
+            f"{cls.__name__}({', '.join(f'{f}={i}' for i, f in enumerate(fields))})"
+        for wrong in (len(fields) - 1, len(fields) + 1):
+            with pytest.raises(TypeError, match=cls.__name__):
+                cls(*range(wrong))
+        with pytest.raises(TypeError):
+            cls(*range(len(fields) - 1), **{fields[-1]: 0})
 
 
 def test_node_repr_is_the_dataclass_repr():
@@ -159,6 +173,13 @@ def test_free_vars_fills_the_slot_without_changing_the_value():
     twin = App(Lam("x", App(Var("x"), Var("y"))), Var("z"))
     assert twin._fv is None
     assert t == twin and hash(t) == hash(twin) and repr(t) == repr(twin)
+    # so for every term node, Lam, Let and Where among them, which compare
+    # through Record
+    for filled, fresh in zip(_nodes(), _nodes()):
+        if isinstance(filled, Term):
+            free_vars(filled)
+            assert filled._fv is not None and fresh._fv is None
+            assert filled == fresh and hash(filled) == hash(fresh) and repr(filled) == repr(fresh)
 
 
 def test_a_calls_definitions_are_no_part_of_its_value():
@@ -168,6 +189,8 @@ def test_a_calls_definitions_are_no_part_of_its_value():
     assert call == Fun("f") and hash(call) == hash(Fun("f"))
     assert repr(call) == "Fun(name='f')"
     block, bare = Where(call, tuple(defs.items()), defs), Where(Fun("f"), tuple(defs.items()))
+    assert block == bare and hash(block) == hash(bare)
+    free_vars(block)
     assert block == bare and hash(block) == hash(bare)
     assert repr(block) == repr(bare) == (
         "Where(body=Fun(name='f'), defs=(('f', Lam(param='x', body=Var(name='x'))),))")

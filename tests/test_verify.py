@@ -2,9 +2,10 @@ import pytest
 
 from rtlcheck.kleene import FALSE, TRUE, UNDEFINED
 from rtlcheck.parser import parse_program
-from rtlcheck.semantics import AtomError
+from rtlcheck.semantics import AtomError, run_trace
 from rtlcheck.terms import (
-    Always, And, Atom, Con, Eventually, Implies, Next, Not, Var,
+    Alt, Always, And, Atom, Case, Con, Eventually, Implies, Next, Not, PCon, Var,
+    WILD,
 )
 from rtlcheck.verify import (
     Budget, BudgetExceeded, EMPTY_VISITED, NotSimplified, VerifyError, verify,
@@ -162,6 +163,29 @@ def test_partial_fairness_on_relevant_events(corpus_by_name):
     ns1 = props.get("nonstarve1")
     assert verify(source.term, ns1,
                   frozenset(("Take1", "Release1", "Release2"))) is TRUE
+
+
+# ROADMAP item 3: gen's Case rule lets a fair branch meet an eventuality even
+# at a handler visited once, so a run that takes the other branch is missed
+FAIR_BRANCH_ONCE = """\
+data Ev = EvA | EvB
+data St = St0 | St1 | St2
+Cons St2 (g0 es)
+where
+g0 = \\es -> case es of Cons e r -> case e of EvB -> Cons St0 (g1 r) | _ -> Cons St1 (g1 r)
+g1 = \\es -> case es of Cons e r -> case e of _ -> Cons St0 (g1 r)
+"""
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: fair branch taken outside a loop")
+def test_a_fair_branch_taken_once_proves_no_eventuality():
+    source = parse_program(FAIR_BRANCH_ONCE)
+    st1 = Con("St1")
+    # a run fair to both events that starts with EvB never reaches St1
+    assert st1 not in run_trace(source.term, ["EvB", "EvA", "EvB", "EvA"])
+    reach = Eventually(Atom(Case(Var("s"), (Alt(PCon("St1"), Con("True")),
+                                            Alt(WILD, Con("False"))))))
+    assert verify(source.term, reach, frozenset(source.events)) is not TRUE
 
 
 def test_atom_error_on_non_truthvalue():
