@@ -48,13 +48,23 @@ class InputError(Exception):
 
 
 def _read(path: str) -> str:
+    """The file's text, decoded as UTF-8, with "\\r\\n" and a lone "\\r" read
+    as "\\n", as a text-mode read gives it; read as bytes, which costs a
+    forked command a third of a first text-mode read."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            data = b"".join(iter(lambda: os.read(fd, 1 << 20), b""))
+        finally:
+            os.close(fd)
+        text = data.decode("utf-8")
+    except OSError as exc:  # a directory fails at the read, as at a text-mode open
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read {path}: not UTF-8 ({exc.reason})") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _load_program(path: str) -> SourceFile:

@@ -63,6 +63,10 @@ class Bounded(enum.Enum):
     UNSAT = "Unsat"
     UNKNOWN = "Unknown"
 
+    # the members are singletons, compared by identity; Enum.__hash__ is a
+    # Python call per hash, and bounded_counts hashes tuples of them
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 

@@ -48,14 +48,15 @@ other problems.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import bisect_right
 from collections.abc import Callable, Mapping
-from itertools import compress, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import itemgetter
 
 from .terms import (
-    Alt, Always, And, Atom, Case, Con, DataDecl, Eventually, Formula,
+    Alt, Always, And, App, Atom, Case, Con, DataDecl, Eventually, Formula,
     Fun, Implies, Lam, Let, Next, Not, Or, PCon, Record, Term, Var, WILD,
-    Where, app, arity_table, free_vars, BUILTIN_DECLS, STATE_VAR,
+    Where, arity_table, free_vars, BUILTIN_DECLS, STATE_VAR,
 )
 
 KEYWORDS = {"case", "of", "let", "in", "where", "data"}
@@ -112,59 +113,97 @@ class ParseError(Exception):
 
 # --- lexer --------------------------------------------------------------------
 
+# the one-character symbols that no longer token holds: with blanks put
+# around them, a line splits at its blanks into chunks that are mostly whole
+# tokens
+_SPACED = ("(", ")", "{", "}", "\\", ",", ":", "!")
+
+# the ASCII blanks at which str.split() splits a line and _TOKEN does not
+_ODD_BLANKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
 class _Tags(dict):
-    """Token text to tag; a word is classified on its first lookup."""
+    """Chunk to tag, for the symbols and keywords and each chunk seen so far.
+
+    A chunk not yet seen is tagged on its first lookup: ``uid`` or ``lid`` when
+    it is one word (``_TOKEN`` finds it whole, and it starts with a letter),
+    else None, for a chunk of several tokens or a token that is no word.
+    """
 
     __slots__ = ()
 
-    def __missing__(self, word: str) -> str:
-        if not word[0].isalpha():  # a digit first, or any other character
-            raise KeyError(word)
-        tag = self[word] = "uid" if word[0].isupper() else "lid"
+    def __missing__(self, chunk: str) -> str | None:
+        tag = None
+        if chunk[0].isalpha() and _TOKEN.findall(chunk) == [chunk]:
+            tag = "uid" if chunk[0].isupper() else "lid"
+        self[chunk] = tag
         return tag
 
 
 _FIXED_TAGS = {word: word for word in (*SYMBOLS, *KEYWORDS)}
 
 
-class _Tokens:
-    """A text's tokens as parallel lists of texts, tags and lines, and a cursor."""
+class _Vars(dict):
+    """Name to the one ``Var`` of a parse that stands for it."""
 
-    # blocks, arities: set by the parse function that owns ts; matched: the pattern
-    # constructors built; problems, pending: as the module docstring tells; prop:
-    # the token of the property name being parsed
-    __slots__ = ("texts", "tags", "lines", "rows", "pos", "blocks", "arities",
-                 "matched", "problems", "pending", "prop")
+    __slots__ = ()
+
+    def __missing__(self, name: str) -> Var:
+        var = self[name] = Var(name)
+        return var
+
+
+class _Tokens:
+    """A text's tokens as parallel lists of texts and tags, and a cursor."""
+
+    # ends: the number of tokens up to the end of each line; blocks, arities:
+    # set by the parse function that owns ts; matched: the pattern constructors
+    # built; problems, pending: as the module docstring tells; prop: the token
+    # of the property name being parsed; variables: the one Var of each name
+    __slots__ = ("texts", "tags", "ends", "rows", "pos", "blocks", "arities",
+                 "matched", "problems", "pending", "prop", "variables")
 
     def __init__(self, text: str):
         self.rows = rows = text.split("\n")
-        self.texts = texts = []
-        self.lines = lines = []
         self.pos = 0
         self.matched, self.problems, self.pending = set(), [], {}
-        findall = _TOKEN.findall
-        for line, row in enumerate(rows, 1):
-            cut = row.find("#")
-            words = findall(row) if cut < 0 else findall(row, 0, cut)
-            texts += words
-            lines += repeat(line, len(words))
-        try:
-            self.tags = list(map(_Tags(_FIXED_TAGS).__getitem__, texts))
-        except KeyError as exc:
-            word = exc.args[0]
-            raise self.error(texts.index(word),
-                             f"unexpected character {word[0]!r}") from None
+        self.variables = _Vars()
+        if "#" in text:  # each line ends at its first "#"
+            text = "\n".join(map(itemgetter(0), map(str.partition, rows, repeat("#"))))
+        for symbol in _SPACED:
+            text = text.replace(symbol, f" {symbol} ")
+        if text.isascii() and not any(map(text.__contains__, _ODD_BLANKS)):
+            chunks = list(map(str.split, text.split("\n")))
+        else:  # split at " \t\r" only: any other blank is a token to _TOKEN
+            text = text.replace("\t", " ").replace("\r", " ")
+            chunks = list(map(list, map(filter, repeat(None),
+                                        map(str.split, text.split("\n"), repeat(" ")))))
+        table = _Tags(_FIXED_TAGS)
+        texts = list(chain.from_iterable(chunks))
+        tags = list(map(table.__getitem__, texts))
+        if None in tags:  # a chunk of several tokens, or a token that is no word
+            chunks = [list(chain.from_iterable(map(_TOKEN.findall, row))) for row in chunks]
+            texts = list(chain.from_iterable(chunks))
+            tags = list(map(table.__getitem__, texts))
+        self.texts, self.tags = texts, tags
+        self.ends = list(accumulate(map(len, chunks)))
+        if None in tags:
+            pos = tags.index(None)
+            raise self.error(pos, f"unexpected character {texts[pos][0]!r}")
         texts.append("")
-        self.tags.append("eof")
-        lines.append(len(rows))
+        tags.append("eof")
+
+    def line(self, pos: int) -> int:
+        """The line of token ``pos``; the last line for ``eof``."""
+        return min(bisect_right(self.ends, pos), len(self.ends) - 1) + 1
 
     def diagnostic(self, pos: int, message: str) -> Diagnostic:
         """``message`` at token ``pos``; the column comes from lexing its line again."""
-        line = self.lines[pos]
+        line = self.line(pos)
         row = self.rows[line - 1]
         if not self.texts[pos]:  # eof: past the last line, comment included
             return Diagnostic(line, len(row) + 1, message)
-        nth = pos - bisect_left(self.lines, line)
+        nth = pos - (self.ends[line - 2] if line > 1 else 0)
         col = next(islice(_TOKEN.finditer(row), nth, None)).start() + 1
         return Diagnostic(line, col, message)
 
@@ -297,14 +336,14 @@ def _events(decls: list[DataDecl], matched: set[str]) -> tuple[str, ...]:
 
 def _parse_decls(ts: _Tokens) -> tuple[list[DataDecl], list[Diagnostic]]:
     """The data declarations, and their problems at the names they concern."""
-    tags, texts, lines = ts.tags, ts.texts, ts.lines
+    tags, texts, line_of = ts.tags, ts.texts, ts.line
     decls: list[DataDecl] = []
     problems: list[Diagnostic] = []
     builtin = {d.name: d for d in BUILTIN_DECLS}
     seen: dict[str, str] = {c: d.name for d in BUILTIN_DECLS
                             for c, _ in d.constructors}
     while tags[ts.pos] == "data":
-        line = lines[ts.pos]
+        line = line_of(ts.pos)
         ts.pos += 1
         name = ts.expect("uid")
         ts.expect("=")
@@ -315,11 +354,11 @@ def _parse_decls(ts: _Tokens) -> tuple[list[DataDecl], list[Diagnostic]]:
             con_at.append(at)
             arity = 0
             # each atomic type token on the declaration line is one argument
-            while lines[ts.pos] == line and tags[ts.pos] in ("uid", "lid", "("):
+            while line_of(ts.pos) == line and tags[ts.pos] in ("uid", "lid", "("):
                 _skip_type_atom(ts)
                 arity += 1
             constructors.append((texts[at], arity))
-            if lines[ts.pos] != line or tags[ts.pos] != "|":
+            if line_of(ts.pos) != line or tags[ts.pos] != "|":
                 break
             ts.pos += 1
         decl = DataDecl(texts[name], tuple(constructors))
@@ -355,9 +394,10 @@ def _skip_type_atom(ts: _Tokens) -> None:
             return
 
 
-def _parse_expr(ts: _Tokens, funs: Mapping[str, dict] = {}) -> Term:
+def _parse_expr(ts: _Tokens, funs: Mapping[str, Fun] = {}) -> Term:
     """An expression in which the names in ``funs`` are where-bound functions,
-    each to the definitions of the innermost block that defines it."""
+    each to its one ``Fun``, which holds the definitions of the innermost
+    block that defines it."""
     tags, texts, pos = ts.tags, ts.texts, ts.pos
     tag = tags[pos]
     if tag == "\\":
@@ -372,7 +412,7 @@ def _parse_expr(ts: _Tokens, funs: Mapping[str, dict] = {}) -> Term:
         ts.pos = pos + 1
         params = texts[start:pos]
         if not funs.keys().isdisjoint(params):
-            funs = {f: block for f, block in funs.items() if f not in params}
+            funs = {f: fun for f, fun in funs.items() if f not in params}
         body = _parse_expr(ts, funs)
         for param in reversed(params):
             body = Lam(param, body)
@@ -384,7 +424,7 @@ def _parse_expr(ts: _Tokens, funs: Mapping[str, dict] = {}) -> Term:
         bound = _parse_expr(ts, funs)
         ts.expect("in")
         if name in funs:
-            funs = {f: block for f, block in funs.items() if f != name}
+            funs = {f: fun for f, fun in funs.items() if f != name}
         return Let(name, bound, _parse_expr(ts, funs))
     if tag == "case":
         ts.pos = pos + 1
@@ -392,7 +432,7 @@ def _parse_expr(ts: _Tokens, funs: Mapping[str, dict] = {}) -> Term:
     # a lambda, let or case ends in an expression that took any where block
     block = ts.blocks.get(pos)  # of a where block whose body starts here
     if block:
-        funs = {**funs, **dict.fromkeys(block, block)}
+        funs = {**funs, **{name: Fun(name, block) for name in block}}
     term = _parse_app(ts, funs)
     pos = ts.pos
     if tags[pos] != "where":
@@ -419,7 +459,7 @@ def _parse_expr(ts: _Tokens, funs: Mapping[str, dict] = {}) -> Term:
             return Where(term, tuple(defs), block)
 
 
-def _parse_case(ts: _Tokens, funs: Mapping[str, dict]) -> Term:
+def _parse_case(ts: _Tokens, funs: Mapping[str, Fun]) -> Term:
     scrut = _parse_app(ts, funs)
     ts.expect("of")
     seen: set[str] = set()  # the constructors of the patterns so far
@@ -433,7 +473,7 @@ def _parse_case(ts: _Tokens, funs: Mapping[str, dict]) -> Term:
     return Case(scrut, tuple(alts))
 
 
-def _parse_alt(ts: _Tokens, funs: Mapping[str, dict], seen: set[str]) -> Alt:
+def _parse_alt(ts: _Tokens, funs: Mapping[str, Fun], seen: set[str]) -> Alt:
     tags, texts, pos = ts.tags, ts.texts, ts.pos
     tag = tags[pos]
     if tag == "_":
@@ -463,7 +503,7 @@ def _parse_alt(ts: _Tokens, funs: Mapping[str, dict], seen: set[str]) -> Alt:
         pattern = PCon(con, tuple(pvars))
         ts.matched.add(con)
         if not funs.keys().isdisjoint(pvars):
-            funs = {f: block for f, block in funs.items() if f not in pvars}
+            funs = {f: fun for f, fun in funs.items() if f not in pvars}
     else:
         raise ts.error(pos, "expected a constructor pattern or _")
     if tags[pos] != "->":
@@ -472,42 +512,50 @@ def _parse_alt(ts: _Tokens, funs: Mapping[str, dict], seen: set[str]) -> Alt:
     return Alt(pattern, _parse_expr(ts, funs))
 
 
-def _parse_app(ts: _Tokens, funs: Mapping[str, dict]) -> Term:
-    """Atoms side by side, up to a token that starts none or a ``where`` definition."""
-    tags, texts, pos = ts.tags, ts.texts, ts.pos
-    parts: list[Term] = []
+def _parse_app(ts: _Tokens, funs: Mapping[str, Fun]) -> Term:
+    """Atoms side by side, up to a token that starts none or a ``where`` definition.
+
+    A bare constructor head takes the atoms after it as its arguments; any
+    other head is applied to them one by one.
+    """
+    tags, texts, variables, pos = ts.tags, ts.texts, ts.variables, ts.pos
+    head = args = None  # args: a bare constructor head's arguments so far
     while True:
         tag = tags[pos]
         if tag == "lid":
-            name = texts[pos]
-            block = funs.get(name)
-            parts.append(Var(name) if block is None else Fun(name, block))
-            pos += 1
+            atom = funs.get(texts[pos]) or variables[texts[pos]]
         elif tag == "uid":
-            con = Con(texts[pos])
-            ts.pending[id(con)] = pos
-            parts.append(con)
-            pos += 1
+            atom = Con(texts[pos])
+            if head is None:  # an enclosing application may saturate it
+                ts.pending[id(atom)] = pos
+            else:
+                ts.judge(pos, 0)
         elif tag == "(":
             ts.pos = pos + 1
-            parts.append(_parse_expr(ts, funs))
+            atom = _parse_expr(ts, funs)
             pos = ts.pos
             if tags[pos] != ")":
                 raise ts.expected(pos, ")")
-            pos += 1
         else:
             raise ts.error(pos, "expected an expression, "
                                 f"found {texts[pos] or 'end of input'!r}")
+        pos += 1
+        if head is None:
+            head = atom
+            if type(atom) is Con and not atom.args:
+                args = []
+        elif args is None:
+            head = App(head, atom)
+        else:
+            args.append(atom)
         tag = tags[pos]
         if not (tag == "uid" or tag == "(" or (tag == "lid" and tags[pos + 1] != "=")):
             break
     ts.pos = pos
-    head = parts[0]
-    if isinstance(head, Con) and not head.args and len(parts) > 1:
-        # bare constructor applied by juxtaposition: a saturated application
-        ts.judge(ts.pending.pop(id(head)), len(parts) - 1)
-        return Con(head.con, tuple(parts[1:]))
-    return app(head, *parts[1:])
+    if args:  # a bare constructor applied by juxtaposition: a saturated application
+        ts.judge(ts.pending.pop(id(head)), len(args))
+        return Con(head.con, tuple(args))
+    return head
 
 
 # --- property parsing ------------------------------------------------------------

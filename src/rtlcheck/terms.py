@@ -257,14 +257,6 @@ class Where(Term):
         self.block = block
 
 
-def app(fn: Term, *args: Term) -> Term:
-    """Left-associated application of ``fn`` to ``args``."""
-    out = fn
-    for a in args:
-        out = App(out, a)
-    return out
-
-
 def spine(t: Term) -> tuple[Term, tuple[Term, ...]]:
     """Unwind left-nested applications into (head, args)."""
     args: list[Term] = []

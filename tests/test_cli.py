@@ -510,6 +510,30 @@ def test_non_utf8_file_exits_66(tmp_path, corpus_paths, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
+def test_directory_as_file_exits_66(tmp_path, capsys):
+    assert main(["check", str(tmp_path)]) == EX_DATA
+    assert f"cannot read {tmp_path}: Is a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+def test_crlf_and_lone_cr_files_read_as_lf(corpus_paths, tmp_path, capsys, newline):
+    # a file's "\r\n" and lone "\r" end lines, as a text-mode read gives them
+    copies = {}
+    for name in ("example3.rsl", "mutex.ltl"):
+        copy = tmp_path / f"{newline.hex()}-{name}"
+        copy.write_bytes(Path(corpus_paths[name]).read_bytes().replace(b"\n", newline))
+        copies[name] = str(copy)
+    prop = ["--props", "mutex.ltl", "--prop", "nonstarve1", "--fair-all"]
+    for argv in (["check", "example3.rsl"], ["verify", "example3.rsl", *prop],
+                 ["witness", "example3.rsl", *prop, "--json"],
+                 ["lts", "example3.rsl", "--dot"]):
+        runs = []
+        for paths in (corpus_paths, copies):
+            code = main([paths.get(arg, arg) for arg in argv])
+            runs.append((code, capsys.readouterr().out))
+        assert runs[0] == runs[1], argv
+
+
 def test_negative_oracle_depth_is_usage_error(corpus_paths, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["oracle", corpus_paths["example1.rsl"],

@@ -1,0 +1,130 @@
+"""The lexer against the per-line regex lexer, kept here as the reference.
+
+The library splits each line at its blanks into chunks and tags each
+distinct chunk once; only a chunk that holds several tokens goes through
+``_TOKEN``. The reference runs ``_TOKEN`` along every line, as the lexer
+did before, and must give the same tokens, tags, lines and columns, and the
+same first error.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from rtlcheck import parser
+from rtlcheck.parser import Diagnostic, ParseError
+from rtlcheck.pretty import pretty_term
+
+from gen_programs import DECLS, handler_graph, ring_program
+
+
+def reference_tokens(text: str) -> list[tuple[str, str, int, int]] | Diagnostic:
+    """(text, tag, line, column) of each token of ``text``, then the end of
+    input as ("", "eof", last line, one past its end); or the diagnostic of
+    the first token that is no symbol, keyword or word."""
+    fixed = {*parser.SYMBOLS, *parser.KEYWORDS}
+    rows = text.split("\n")
+    out = []
+    for line, row in enumerate(rows, 1):
+        cut = row.find("#")
+        for m in parser._TOKEN.finditer(row, 0, len(row) if cut < 0 else cut):
+            word = m.group()
+            if word in fixed:
+                tag = word
+            elif word[0].isalpha():
+                tag = "uid" if word[0].isupper() else "lid"
+            else:
+                return Diagnostic(line, m.start() + 1, f"unexpected character {word[0]!r}")
+            out.append((word, tag, line, m.start() + 1))
+    out.append(("", "eof", len(rows), len(rows[-1]) + 1))
+    return out
+
+
+def library_tokens(text: str) -> list[tuple[str, str, int, int]] | Diagnostic:
+    try:
+        ts = parser._Tokens(text)
+    except ParseError as exc:
+        return exc.diagnostic
+    return [(word, tag, d.line, d.col)
+            for word, tag, d in zip(ts.texts, ts.tags,
+                                    (ts.diagnostic(i, "") for i in range(len(ts.texts))))]
+
+
+# glued operators, words with "_" and digits, the blanks the lexer skips,
+# non-ASCII letters, comments and empty lines
+VALID = ("case", "of", "where", "data", "Cons", "St0", "es", "f", "x_y", "x9",
+         "_x", "_", "->", "=>", "&&", "||", "|||", "a->b", "=", "==", "\\",
+         "\\x", "(", ")", "{", "}", "|", ":", ",", "!", "!=", " ", "  ", "\t",
+         "\r", "ǅ", "変", "é", "Éa", "#", "# c", "\n", "\n\n")
+# with a word that starts with a digit, characters that are no token, and
+# blanks that the lexer does not skip: ASCII, NEL, no-break, ideographic, and
+# the line and paragraph separators, at which lines do not end either
+FRAGMENTS = (*VALID, "9x", "-", "-->", ".", "\x0b", "\x0c", "\x1c", "\x85",
+             "\xa0", "\u3000", "\u2028", "\u2029")
+
+
+@settings(deadline=None, max_examples=400)
+@given(text=st.lists(st.sampled_from(VALID)).map("".join))
+def test_lexer_matches_the_reference_on_valid_text(text):
+    assert library_tokens(text) == reference_tokens(text)
+
+
+@settings(deadline=None, max_examples=400)
+@given(text=st.lists(st.sampled_from(FRAGMENTS) | st.characters()).map("".join))
+def test_lexer_matches_the_reference_on_any_text(text):
+    assert library_tokens(text) == reference_tokens(text)
+
+
+def test_lexer_matches_the_reference_on_explicit_cases():
+    for text in ("", "\n", "a->b", "_x x_y", "|||", "f\x0bg", "f\x0cg", "f\x1fg", "f\xa0g", "9x",
+                 "x # y\n# z\nw", "data D = A\r\nA\r\n", "a\tb\rc", "ǅ 変",
+                 "f (g) {h}", "x -- y", "x y # \x0b"):
+        assert library_tokens(text) == reference_tokens(text), text
+    assert library_tokens("f\x0bg") == Diagnostic(1, 2, "unexpected character '\\x0b'")
+
+
+# --- the fast path ---------------------------------------------------------------
+
+TOKEN = parser._TOKEN
+
+
+class _SplitSpy:
+    """``_TOKEN``, noting each chunk whose ``findall`` finds several tokens."""
+
+    def __init__(self):
+        self.split: list[str] = []
+
+    def findall(self, chunk: str) -> list[str]:
+        words = TOKEN.findall(chunk)
+        if words != [chunk]:
+            self.split.append(chunk)
+        return words
+
+    def finditer(self, *args):
+        return TOKEN.finditer(*args)
+
+
+def _atom(state: str) -> str:
+    return f"{{ case s of {state} -> True | _ -> False }}"
+
+
+# a property file as the benchmark's handler graphs read them
+GRAPH_PROPS = "".join(
+    f"prop {name}: {text}\n" for name, text in (
+        ("always_a", f"G {_atom('St0')}"),
+        ("response", f"G ({_atom('St0')} => F {_atom('St1')})"),
+        ("next_b", f"X {_atom('St1')}"),
+        ("not_always_a", f"!G {_atom('St0')}"),
+        ("safe_and_live", f"G ({_atom('St0')} || {_atom('St1')}) && F {_atom('St0')}"),
+        ("now_a", _atom("St0"))))
+
+
+def test_common_files_lex_without_a_regex_split(corpus_text, monkeypatch):
+    spy = _SplitSpy()
+    monkeypatch.setattr(parser, "_TOKEN", spy)
+    texts = [*corpus_text.values(), GRAPH_PROPS,
+             DECLS + pretty_term(ring_program(40)),
+             DECLS + pretty_term(handler_graph(8))]
+    for text in texts:
+        parser._Tokens(text)
+    assert spy.split == []
+    parser._Tokens("f a->b")  # the spy sees a split where there is one
+    assert set(spy.split) == {"a->b"}
