@@ -7,18 +7,26 @@ layout-free. A new ``where`` definition is recognized by the two-token
 lookahead IDENT ``=``. A property file is read against the constructor table
 of the program it describes. See docs/formats.md for the full EBNF.
 
-The lexer cuts each line (lines end at "\\n" only) at its first ``#`` and
-scans the rest with one ``findall`` into flat lists of token texts, tags and
-line numbers; the descent reads them at a cursor. A tag is the text of a symbol
-or keyword, else ``lid`` or ``uid``, from a per-call table that classifies each
-distinct word once. One ``eof`` entry ends the lists and the cursor never
-passes it, so lookahead needs no bounds check. A column is found only when a
-diagnostic needs one, by scanning that token's line again.
+The lexer cuts each line (lines end at "\\n" only) at its first ``#``, puts
+blanks around the one-character symbols that no longer token holds, and
+splits each line at its blanks into chunks by ``str.split``, mapped over the
+lines; where the text holds a blank that ``str.split`` splits at and ``_TOKEN``
+does not skip, at space, tab and "\\r" only. A per-call table tags each
+distinct chunk once: a symbol or keyword by its own text, a chunk that
+``_TOKEN`` finds whole and that starts with a letter as ``lid`` or ``uid``. A
+chunk of several tokens (``a->b``, ``_x``, ``|||``) is rare; the lexer then
+splits every chunk with ``_TOKEN``, the one definition of a token, and the
+first token that is no word is an error. The descent reads the flat lists of
+token texts and tags at a cursor. One ``eof`` entry ends them and the cursor
+never passes it, so lookahead needs no bounds check. A line or column is found
+only when a diagnostic or a ``data`` declaration needs one, the column by
+scanning that token's line again with ``_TOKEN``.
 
-The descent builds ``Fun`` for a name that an enclosing ``where`` defines
-and no lambda, ``let`` or pattern binder shadows, else ``Var``, and gives it
-the dict of the innermost such block's definitions by name, which it fills
-in as it closes the block. A block's body and forward references precede its
+The descent builds a name that an enclosing ``where`` defines and no lambda,
+``let`` or pattern binder shadows as that block's one ``Fun`` for the name,
+else as the parse's one ``Var`` for it. The ``Fun`` holds the dict of the
+innermost such block's definitions by name, which the descent fills in as it
+closes the block. A block's body and forward references precede its
 later definitions, so a pre-pass over the block tokens makes each block's
 dict, with the names it defines, keyed by the token that starts its body,
 found by walking back from ``where`` over words and parenthesized groups.
@@ -34,8 +42,9 @@ The descent also records the constructor of every pattern it builds, and
 off that set and the declarations, so no later pass walks the term for it.
 
 The descent is the only walk over a term, and records each problem of a node
-it builds as (token index, message). As ``(B) g`` saturates ``B``, a nullary
-``Con`` from a ``uid`` token waits, keyed by its ``id``, until ``_parse_app``
+it builds as (token index, message). A constructor in argument position is
+judged nullary at once. As ``(B) g`` saturates ``B``, a constructor that heads
+an application of nothing waits, keyed by its ``id``, until ``_parse_app``
 saturates it and judges its arity; what waits when a program or a property
 ends is judged nullary. A pattern's problems go at its constructor, a misplaced
 wildcard at its ``_``, a function defined twice at its second name. Sorted
