@@ -9,18 +9,14 @@ of the program it describes. See docs/formats.md for the full EBNF.
 
 The lexer cuts each line (lines end at "\\n" only) at its first ``#``, puts
 blanks around the one-character symbols that no longer token holds, and
-splits each line at its blanks into chunks by ``str.split``, mapped over the
-lines; where the text holds a blank that ``str.split`` splits at and ``_TOKEN``
-does not skip, at space, tab and "\\r" only. A per-call table tags each
-distinct chunk once: a symbol or keyword by its own text, a chunk that
-``_TOKEN`` finds whole and that starts with a letter as ``lid`` or ``uid``. A
-chunk of several tokens (``a->b``, ``_x``, ``|||``) is rare; the lexer then
-splits every chunk with ``_TOKEN``, the one definition of a token, and the
-first token that is no word is an error. The descent reads the flat lists of
-token texts and tags at a cursor. One ``eof`` entry ends them and the cursor
-never passes it, so lookahead needs no bounds check. A line or column is found
-only when a diagnostic or a ``data`` declaration needs one, the column by
-scanning that token's line again with ``_TOKEN``.
+splits each line at its blanks with ``str.split``; at " \\t\\r" only where the
+text holds another blank, which ``_TOKEN`` does not skip. A per-call table
+tags each distinct chunk once (``_Tags``). Should a chunk hold several tokens
+(``a->b``, ``_x``), every chunk is split with ``_TOKEN``, the one definition
+of a token. The descent reads the flat lists of token texts and tags at a
+cursor; one ``eof`` entry ends them and the cursor never passes it, so
+lookahead needs no bounds check. A line or column is found only when needed,
+the column by scanning the token's line again.
 
 The descent builds a name that an enclosing ``where`` defines and no lambda,
 ``let`` or pattern binder shadows as that block's one ``Fun`` for the name,
@@ -43,11 +39,11 @@ off that set and the declarations, so no later pass walks the term for it.
 
 The descent is the only walk over a term, and records each problem of a node
 it builds as (token index, message). A constructor in argument position is
-judged nullary at once. As ``(B) g`` saturates ``B``, a constructor that heads
-an application of nothing waits, keyed by its ``id``, until ``_parse_app``
-saturates it and judges its arity; what waits when a program or a property
-ends is judged nullary. A pattern's problems go at its constructor, a misplaced
-wildcard at its ``_``, a function defined twice at its second name. Sorted
+judged nullary at once. As ``(B) g`` saturates ``B``, a constructor head given
+no arguments waits, keyed by its ``id``, until ``_parse_app`` saturates it
+and judges its arity; what waits when a program or a property ends is judged
+nullary. A pattern's problems go at its constructor, a misplaced wildcard at
+its ``_``, a function defined twice at its second name. Sorted
 stably by token index (for this grammar a pre-order walk of the term), a
 program's problems follow its declaration problems. An atom's free variables
 other than ``s`` go at the name of its ``prop``, so they precede the property's
@@ -122,9 +118,7 @@ class ParseError(Exception):
 
 # --- lexer --------------------------------------------------------------------
 
-# the one-character symbols that no longer token holds: with blanks put
-# around them, a line splits at its blanks into chunks that are mostly whole
-# tokens
+# the one-character symbols that no longer token holds
 _SPACED = ("(", ")", "{", "}", "\\", ",", ":", "!")
 
 # the ASCII blanks at which str.split() splits a line and _TOKEN does not
@@ -132,12 +126,9 @@ _ODD_BLANKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
 class _Tags(dict):
-    """Chunk to tag, for the symbols and keywords and each chunk seen so far.
-
-    A chunk not yet seen is tagged on its first lookup: ``uid`` or ``lid`` when
-    it is one word (``_TOKEN`` finds it whole, and it starts with a letter),
-    else None, for a chunk of several tokens or a token that is no word.
-    """
+    """Chunk to tag: a symbol or keyword its own text; a chunk seen first,
+    ``uid`` or ``lid`` when ``_TOKEN`` finds it whole and it starts with a
+    letter, else None (several tokens, or a token that is no word)."""
 
     __slots__ = ()
 
