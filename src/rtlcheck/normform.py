@@ -15,8 +15,7 @@ renders only ground states). Only ``simulate`` runs unchecked programs.
 
 States are ground because the verifier reads them as written: it binds no
 variable, neither a case pattern's nor a handler parameter's, so an atom could
-not evaluate a state that holds one. With ground states and a program closed
-but for its event list, every term the library substitutes is closed too.
+not evaluate a state that holds one.
 """
 
 from __future__ import annotations

@@ -9,11 +9,11 @@ of the program it describes. See docs/formats.md for the full EBNF.
 
 The lexer cuts each line (lines end at "\\n" only) at its first ``#``, puts
 blanks around the one-character symbols that no longer token holds, and
-splits each line at its blanks with ``str.split``; at " \\t\\r" only where the
-text holds another blank, which ``_TOKEN`` does not skip. A per-call table
-tags each distinct chunk once (``_Tags``). Should a chunk hold several tokens
-(``a->b``, ``_x``), every chunk is split with ``_TOKEN``, the one definition
-of a token. The descent reads the flat lists of token texts and tags at a
+splits each line at its blanks with ``str.split``; where the text is not
+ASCII or holds a blank that ``_TOKEN`` does not skip, each line is one chunk.
+A per-call table tags each distinct chunk once (``_Tags``). Should a chunk
+hold several tokens (``a->b``, ``_x``, a line), every chunk is split with
+``_TOKEN``, the one definition of a token. The descent reads the flat lists of token texts and tags at a
 cursor; one ``eof`` entry ends them and the cursor never passes it, so
 lookahead needs no bounds check. A line or column is found only when needed,
 the column by scanning the token's line again.
@@ -174,10 +174,8 @@ class _Tokens:
             text = text.replace(symbol, f" {symbol} ")
         if text.isascii() and not any(map(text.__contains__, _ODD_BLANKS)):
             chunks = list(map(str.split, text.split("\n")))
-        else:  # split at " \t\r" only: any other blank is a token to _TOKEN
-            text = text.replace("\t", " ").replace("\r", " ")
-            chunks = list(map(list, map(filter, repeat(None),
-                                        map(str.split, text.split("\n"), repeat(" ")))))
+        else:  # one chunk per line, which _TOKEN splits below
+            chunks = [[row] if row else [] for row in text.split("\n")]
         table = _Tags(_FIXED_TAGS)
         texts = list(chain.from_iterable(chunks))
         tags = list(map(table.__getitem__, texts))

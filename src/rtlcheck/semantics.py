@@ -28,19 +28,19 @@ event position through a cell: a two-item list that the machine reads like
 any closure, and the one mutable object it reads. When the machine is stuck
 on a cell's placeholder, the walk sets the cell to a ``Cons`` of each event
 in turn and the next cell, and retries the state's start closure. What
-follows each such branch point is memoised: every handler reached at an
-event position is reduced once, so the work grows linearly with the length,
-not with the number of sequences. Each emitted state gets its own fuel.
+follows each such branch point is memoised, keyed on that closure's code and
+the keys of what it is bound to, so the walk substitutes nothing either:
+every handler reached at an event position is reduced once, so the work
+grows linearly with the length, not with the number of sequences. Each
+emitted state gets its own fuel.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .terms import (
-    App, Case, Con, Fun, Lam, Let, PWild, STATE_VAR, Term, Var, Where,
-    free_vars, substitute,
-)
+from .terms import App, Case, Con, Fun, Lam, Let, PWild, STATE_VAR, Term, Var, Where, free_vars
+from .terms import substitute  # noqa: F401  (rebound by benchmarks/tracer.py)
 from .kleene import TruthVal, truthval_from_name
 
 DEFAULT_FUEL = 10 ** 6
@@ -324,25 +324,23 @@ def run_trace(program: Term, events: Sequence[str], cycle: bool = False,
 
 # --- the trace DAG ----------------------------------------------------------------
 
-def _read_back(c: Closure) -> Term:
-    """The term a closure stands for, closed but for the unread events: its
-    free variables' closures, read back in turn, substituted. Each block
-    instance of its scope, which tells what its calls mean, wraps that, from
-    the innermost out, as the first argument of a constructor ``<block N>``
-    whose others are the values it captured, read back in the order of their
-    names. N is the parser's block, which the program keeps alive, and which
-    fixes the names its instances capture."""
+def _key(c: Closure) -> tuple:
+    """What tells a closure apart from the others, with nothing substituted:
+    its code, by value; the key of the closure each of its free variables is
+    bound to, by name; and each block instance of its scope, which tells what
+    its calls mean, from the innermost out, as its block's id and the keys of
+    the values it captured, in the order of their names. The parser's block,
+    which the program keeps alive, fixes the names its instances capture. A
+    cell counts as the closure it holds."""
     t, env = c
-    sub = {x: _read_back(env[x]) for x in free_vars(t) if x in env}
-    if sub:
-        t = substitute(t, sub)
+    key = [t, tuple([(x, _key(env[x])) for x in sorted(free_vars(t)) if x in env])]
     scope = env.get(SCOPE)
     while scope is not None:
         block, inst = scope
-        t = Con(f"<block {id(block)}>", (t, *[_read_back(inst[x]) for x in sorted(inst)
-                                              if x != SCOPE and x != OUTER]))
+        key += id(block), tuple([_key(inst[x]) for x in sorted(inst)
+                                 if x != SCOPE and x != OUTER])
         scope = inst.get(OUTER)
-    return t
+    return tuple(key)
 
 
 # A node of the trace DAG: the states one path emits after its parent's
@@ -359,7 +357,7 @@ def trace_dag(program: Term, events: Sequence[str], depth: int) -> TraceNode:
     branches over ``events`` only when the machine is stuck on it. Each child
     sets the cell to ``Cons e`` of the next cell (of ``Nil`` after the last
     event) and walks the state's start closure again. The children of a
-    branch point are memoised, keyed on the start closure read back and the
+    branch point are memoised, keyed on the start closure's ``_key`` and the
     numbers of events bound and of states emitted, so paths that reach the
     same handler with the same values at the same position share them. The
     walk is depth first in product order and the memo holds only finished
@@ -371,7 +369,7 @@ def trace_dag(program: Term, events: Sequence[str], depth: int) -> TraceNode:
     if depth and not events:
         return (), ()
     limit = depth + 1
-    memo: dict[tuple[Term, int, int], tuple[TraceNode, ...]] = {}
+    memo: dict[tuple[tuple, int, int], tuple[TraceNode, ...]] = {}
 
     def walk(c: Closure, cell: list, bound: int, emitted: int) -> TraceNode:
         states: list[Term] = []
@@ -391,7 +389,7 @@ def trace_dag(program: Term, events: Sequence[str], depth: int) -> TraceNode:
 
     def branch(c: Closure, cell: list, bound: int,
                emitted: int) -> tuple[TraceNode, ...]:
-        key = _read_back(c), bound, emitted
+        key = _key(c), bound, emitted
         hit = memo.get(key)
         if hit is None:
             children = []

@@ -410,12 +410,12 @@ def substitute(t: Term, sub: Mapping[str, Term]) -> Term:
     """Simultaneous substitution of the bound terms for variables in ``t``.
 
     Precondition: every bound term is closed, but for the simulator's
-    ``<events>`` placeholder, a name no binder can take. The library's one
-    caller, ``semantics.trace_dag``, reads the machine's closures back into
-    terms where a run needs an unread event; states are ground and programs
-    closed but for their event list (see :mod:`rtlcheck.normform`), so those
-    terms are closed. No binder can then capture a free variable of a bound
-    term, and one only hides its own names from the bindings.
+    ``<events>`` placeholder, a name no binder can take. No binder can then
+    capture a free variable of a bound term, and one only hides its own names
+    from the bindings. No library function calls it: the substituting
+    reference stepper, ``tests/reference_stepper.py``, does, and
+    ``semantics`` and ``verify`` import it only for ``benchmarks/tracer.py``
+    to rebind.
     """
     # dispatch on type, skip untouched subtrees; a Fun has no free variables,
     # so it returns here

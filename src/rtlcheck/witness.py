@@ -142,7 +142,7 @@ def gen(t: Term, f: Formula, visited: VisitedSet, fair: FairSet,
             truth, trace = gen(tail, f, visited, fair, budget)
             return or_v(head, _verdict(Verdict, (truth, (state,) + trace)))
         if tf is Next:
-            truth, trace = gen(tail, f.sub, visited, fair, budget)
+            truth, trace = gen(tail, f.sub, EMPTY_VISITED, fair, budget)
             return _verdict(Verdict, (truth, (state,) + trace))
         if tf is Atom:
             # atoms are pure: one evaluation per formula node and state

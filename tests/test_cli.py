@@ -10,6 +10,7 @@ import pytest
 from rtlcheck import ltlsem, semantics
 from rtlcheck.cli import EX_DATA, EX_USAGE, USAGE, main, parse_args
 from rtlcheck.ltlsem import MAX_ENUM_DEPTH
+from rtlcheck.parser import parse_program
 
 CORPUS = "src/rtlcheck/corpus"
 
@@ -384,6 +385,48 @@ def test_commands_agree_on_an_inner_block_that_shadows_a_name(tmp_path, capsys):
 ORACLE_JSON_DIGEST = "b48e8bc1b62d5dd7cfb6b1fce45c85da5ef4ab16060404c59ed3b26117b30a3b"
 
 
+# emits St0 forever; a formula that nests X over G St1 is False at the root
+# Cons cell and at a root call alike
+ST0_FOREVER = """\
+data Ev = EvA | EvB
+data St = St0 | St1
+{root}
+where
+f = \\es -> case es of Cons e es -> case e of EvA -> Cons St0 (f es) | _ -> Cons St0 (f es)
+"""
+
+
+@pytest.mark.parametrize("root, formula", [
+    ("Cons St0 (f es)", "X (X (G {st1}))"),
+    ("f es", "X (X (G {st1}))"),
+    ("f es", "X (G {st1})"),
+])
+def test_a_revisit_under_next_closes_only_its_own_obligation(tmp_path, capsys,
+                                                             root, formula):
+    # the tail of an X is a fresh obligation: a call revisited there closes
+    # the fixpoint of G St1, not that of an enclosing X or of nothing
+    program = tmp_path / "p.rsl"
+    program.write_text(ST0_FOREVER.format(root=root))
+    props = tmp_path / "p.ltl"
+    props.write_text("prop p: " + formula.format(
+        st1="{ case s of St1 -> True | _ -> False }") + "\n")
+    check = [str(program), "--props", str(props), "--prop", "p"]
+    for fair in ([], ["--fair-all"]):
+        assert main(["verify", *check, *fair]) == 1
+        assert capsys.readouterr().out == "False\n"
+    assert main(["witness", *check, "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["truth"], doc["validation"]) == ("False", "Valid")
+    if root == "f es":
+        # a root call reads an event before its first state, so at the last
+        # position f meets Nil, which it has no case for: the oracle exits 70
+        return
+    assert main(["oracle", *check, "--depth", "4", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["truth"], doc["validation"], doc["bounded"]["Unsat"],
+            doc["contradiction"]) == ("False", "Valid", 16, False)
+
+
 def test_oracle_json_pinned_on_corpus(corpus_paths, capsys):
     digest, unsat = _oracle_json_on_corpus(corpus_paths, capsys, 4)
     assert unsat == {"example1/mutex": 4}
@@ -532,6 +575,29 @@ def test_crlf_and_lone_cr_files_read_as_lf(corpus_paths, tmp_path, capsys, newli
             code = main([paths.get(arg, arg) for arg in argv])
             runs.append((code, capsys.readouterr().out))
         assert runs[0] == runs[1], argv
+
+
+def test_byte_order_mark_files_read_as_the_originals(corpus_paths, tmp_path, capsys):
+    # the commands drop a leading UTF-8 byte-order mark; parse_program, given
+    # a string, still refuses it
+    copies = {}
+    for name in ("example1.rsl", "mutex.ltl"):
+        copy = tmp_path / f"bom-{name}"
+        copy.write_bytes(b"\xef\xbb\xbf" + Path(corpus_paths[name]).read_bytes())
+        copies[name] = str(copy)
+    prop = ["--props", "mutex.ltl", "--prop", "mutex", "--fair-all"]
+    for argv in (["check", "example1.rsl"], ["verify", "example1.rsl", *prop],
+                 ["witness", "example1.rsl", *prop, "--json"],
+                 ["oracle", "example1.rsl", *prop, "--depth", "2"],
+                 ["lts", "example1.rsl", "--json"]):
+        runs = []
+        for paths in (corpus_paths, copies):
+            code = main([paths.get(arg, arg) for arg in argv])
+            runs.append((code, capsys.readouterr().out))
+        assert runs[0] == runs[1], argv
+    text = Path(copies["example1.rsl"]).read_text(encoding="utf-8")
+    assert [str(d) for d in parse_program(text).diagnostics] == [
+        "1:1: unexpected character '\\ufeff'"]
 
 
 def test_negative_oracle_depth_is_usage_error(corpus_paths, capsys):

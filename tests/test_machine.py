@@ -117,6 +117,43 @@ def test_trace_dag_shares_branch_points_under_inner_where_blocks(monkeypatch):
                     == bounded_counts(flat, RING_EVENTS, depth, f)), (f, depth)
 
 
+# trace_dag's _next_state calls at depths 4, 6 and 8, as its memo key shares
+# branch points; a key that shares less, or more work per branch point,
+# changes them
+NEXT_STATE_CALLS = {
+    "example1": (170, 380, 596),
+    "example2": (158, 302, 446),
+    "example3": (188, 404, 620),
+    "inner_where_ring(3)": (82, 178, 274),
+    "ring_program(3)": (62, 110, 158),
+}
+
+
+def test_trace_dag_next_state_calls_pinned(corpus_by_name, monkeypatch):
+    calls = 0
+    next_state = semantics._next_state
+
+    def counted(c):
+        nonlocal calls
+        calls += 1
+        return next_state(c)
+
+    monkeypatch.setattr(semantics, "_next_state", counted)
+    programs = {name: (source.term, source.events)
+                for name, (_, source, _) in corpus_by_name.items()}
+    programs["inner_where_ring(3)"] = inner_where_ring(3), RING_EVENTS
+    programs["ring_program(3)"] = ring_program(3), RING_EVENTS
+    work = {}
+    for name, (program, events) in programs.items():
+        work[name] = []
+        for depth in (4, 6, 8):
+            calls = 0
+            semantics.trace_dag(program, events, depth)
+            work[name].append(calls)
+        work[name] = tuple(work[name])
+    assert work == NEXT_STATE_CALLS
+
+
 # h opens a block whose m shadows the outer m; n, defined beside h, calls m
 SHADOWING = HAND_BUILT_HEADER + """Cons St0 (h es)
 where
@@ -229,17 +266,3 @@ def test_fuel_exhaustion_names_the_outermost_node(monkeypatch):
     assert {"no value after step budget: App", "no value after step budget: Case",
             "no value after step budget: Let", "no value after step budget: Where",
             "no value after step budget: Fun", "returned"} <= messages
-
-
-def test_simulation_and_atoms_substitute_nothing(corpus, monkeypatch):
-    # the machine binds variables in environments; only trace_dag's read-back
-    # at a branch point substitutes
-    calls = []
-    monkeypatch.setattr(semantics, "substitute", lambda *a: calls.append(a))
-    for _, source, props in corpus:
-        trace = semantics.run_trace(source.term, list(EVENTS) * 4)
-        semantics.run_trace(source.term, EVENTS, cycle=True, max_states=50)
-        mutex = props.get("mutex").sub.term  # G {atom}
-        for state in trace:
-            semantics.atom_truth(mutex, state)
-    assert calls == []

@@ -1,16 +1,19 @@
 import ast
+import importlib
+import pkgutil
 import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rtlcheck
 from rtlcheck import semantics
 from rtlcheck.lts import Lts
 from rtlcheck.ltlsem import PositionedModel, bounded_counts
 from rtlcheck.normform import FormReport, Violation
 from rtlcheck.parser import Diagnostic, PropertyFile, SourceFile, parse_program
-from rtlcheck.semantics import EVENT_LIST, EvalError, run_trace
+from rtlcheck.semantics import EvalError, run_trace
 from rtlcheck import terms
 from rtlcheck.terms import (
     Alt, Always, And, App, Atom, Case, Con, DataDecl, Eventually, Fun, Lam, Let, Next,
@@ -266,7 +269,7 @@ def _closed(t):
     return t
 
 
-# the library substitutes closed terms only (see test_library_substitutes_*)
+# substitute's precondition: every bound term is closed
 _bindings = st.dictionaries(_names, _terms().map(_closed), max_size=3)
 
 
@@ -284,24 +287,7 @@ def test_substitution_noop_without_free_occurrences(t, b):
         assert substitute(t, b) == t
 
 
-# --- the library substitutes closed terms only --------------------------------
-
-@pytest.fixture()
-def substitutions(monkeypatch):
-    """Every binding the simulator and the atoms substitute, checked closed
-    but for the unread-events placeholder, and counted."""
-    seen = []
-    real = semantics.substitute
-
-    def checked(t, bindings):
-        for name, bound in bindings.items():
-            assert free_vars(bound) <= {EVENT_LIST}, (name, bound)
-        seen.append(bindings)
-        return real(t, bindings)
-
-    monkeypatch.setattr(semantics, "substitute", checked)
-    return seen
-
+# --- the library substitutes nothing --------------------------------------------
 
 def _exercise(program, events, formulas, fair=frozenset(), verdicts=True):
     """Simulate, sample and (for a conforming program) check and validate."""
@@ -320,37 +306,49 @@ def _exercise(program, events, formulas, fair=frozenset(), verdicts=True):
         pass
 
 
-def test_library_substitutes_closed_terms_on_the_corpus(corpus, substitutions):
-    for _, source, props in corpus:
-        _exercise(source.term, source.events, [f for _, f in props.props],
-                  frozenset(source.events))
-    assert substitutions
-
-
-def test_library_substitutes_closed_terms_on_random_programs(substitutions):
-    rng = random.Random(20)
-    battery = formula_battery()
-    for _ in range(300):
-        program, events = random_program(rng)
-        _exercise(program, events, [rng.choice(battery)], random_fair(rng, events))
-    assert substitutions
-
-
-def test_library_substitutes_closed_terms_on_rings_and_handler_graphs(substitutions):
-    response = Eventually(state_atom("St2"))
-    for program in (ring_program(20), ring_program(60), handler_graph(8), handler_graph(10)):
-        _exercise(program, ("EvA", "EvB", "EvC"), [response], frozenset(("EvA",)))
-    assert substitutions
-
-
 HAND_BUILT_PROGRAMS = {**HAND_BUILT, **READ_CONSUMED_EVENTS}
 
 
-@pytest.mark.parametrize("name", sorted(HAND_BUILT_PROGRAMS))
-def test_library_substitutes_closed_terms_on_hand_built_programs(name, substitutions):
-    # outside simplified form, some of them: simulated and sampled only
-    program = parse_program(HAND_BUILT_HEADER + HAND_BUILT_PROGRAMS[name]).term
-    _exercise(program, ("EvA", "EvB", "EvC"), HAND_BUILT_FORMULAS, verdicts=False)
-    # only the enumeration's branch points substitute, and a program that
-    # never reads an event has none
-    assert substitutions or name == "never reads an event"
+@pytest.mark.parametrize("programs", [
+    "the corpus", "random programs", "rings and handler graphs", *sorted(HAND_BUILT_PROGRAMS)])
+def test_library_substitutes_nothing(programs, corpus, monkeypatch):
+    # the machine binds variables in environments and trace_dag keys its
+    # branch points on closures, so every library binding of substitute and
+    # _unshadowed may raise
+    def refuse(*args):
+        raise AssertionError(f"the library substituted: {args!r}")
+
+    real = {name: getattr(terms, name) for name in ("substitute", "_unshadowed")}
+    patched = set()
+    for info in pkgutil.iter_modules(rtlcheck.__path__):
+        module = importlib.import_module(f"rtlcheck.{info.name}")
+        for name, function in real.items():
+            if getattr(module, name, None) is function:
+                monkeypatch.setattr(module, name, refuse)
+                patched.add(f"{info.name}.{name}")
+    assert {"terms.substitute", "terms._unshadowed", "semantics.substitute",
+            "verify.substitute"} <= patched
+    keys = []
+    key = semantics._key
+    monkeypatch.setattr(semantics, "_key", lambda c: keys.append(c) or key(c))
+    if programs == "the corpus":
+        for _, source, props in corpus:
+            _exercise(source.term, source.events, [f for _, f in props.props],
+                      frozenset(source.events))
+    elif programs == "random programs":
+        rng = random.Random(20)
+        battery = formula_battery()
+        for _ in range(300):
+            program, events = random_program(rng)
+            _exercise(program, events, [rng.choice(battery)], random_fair(rng, events))
+    elif programs == "rings and handler graphs":
+        response = Eventually(state_atom("St2"))
+        for program in (ring_program(20), ring_program(60), handler_graph(8), handler_graph(10)):
+            _exercise(program, ("EvA", "EvB", "EvC"), [response], frozenset(("EvA",)))
+    else:
+        # outside simplified form, some of them: simulated and sampled only
+        program = parse_program(HAND_BUILT_HEADER + HAND_BUILT_PROGRAMS[programs]).term
+        _exercise(program, ("EvA", "EvB", "EvC"), HAND_BUILT_FORMULAS, verdicts=False)
+    # the enumeration reached branch points, but for a program that never
+    # reads an event
+    assert keys or programs == "never reads an event"

@@ -9,11 +9,11 @@ from rtlcheck.kleene import FALSE, TRUE, UNDEFINED, Verdict
 from rtlcheck.ltlsem import PositionedModel, sat_lasso
 from rtlcheck.parser import parse_program, parse_properties
 from rtlcheck.pretty import pretty_term
-from rtlcheck.terms import Always, Atom, Con
+from rtlcheck.terms import Always, Atom, Con, Eventually, Implies, Next
 from rtlcheck.verify import NotSimplified, verify
 from rtlcheck.witness import Validation, generate, lassoify, validate_verdict
 
-from gen_programs import formula_battery, random_fair, random_program
+from gen_programs import formula_battery, random_fair, random_program, state_atom
 
 
 def test_example1_mutex_counterexample(corpus_by_name):
@@ -300,6 +300,38 @@ def test_validation_reports_pinned(corpus):
         formula = battery[i % len(battery)]
         digest.update(_validation_line(generate(program, formula, fair), formula))
     assert digest.hexdigest() == VALIDATION_DIGEST
+
+
+# sha256 of _validation_line over the six formulas with X of ROADMAP item 21,
+# which nest X, put it under G or open an obligation under it, on 300 random
+# programs each of seeds 1 and 2, with no event fair and with all
+NEXT_DIGEST = "6efa8ba905dcd7548bd5dbd07b0981cd963c0060be8a70093d0dc74961174471"
+
+
+def test_next_formulas_pinned():
+    st0, st1 = state_atom("St0"), state_atom("St1")
+    formulas = {
+        "X X G St0": Next(Next(Always(st0))),
+        "X X F St1": Next(Next(Eventually(st1))),
+        "X G St0": Next(Always(st0)),
+        "X F St1": Next(Eventually(st1)),
+        "G X St0": Always(Next(st0)),
+        "G (St0 => X G St0)": Always(Implies(st0, Next(Always(st0)))),
+    }
+    digest = hashlib.sha256()
+    invalid = dict.fromkeys(formulas, 0)
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        for _ in range(300):
+            program, events = random_program(rng)
+            for fair in (frozenset(), frozenset(events)):
+                for name, formula in formulas.items():
+                    line = _validation_line(generate(program, formula, fair), formula)
+                    invalid[name] += line.endswith(b" Invalid\n")
+                    digest.update(line)
+    # the Invalid validations left are those of items 2 and 3 in ROADMAP.md
+    assert invalid == {**dict.fromkeys(formulas, 0), "X X F St1": 32}
+    assert digest.hexdigest() == NEXT_DIGEST
 
 
 def test_sat_lasso_rejects_an_empty_loop():
