@@ -266,3 +266,17 @@ def test_fuel_exhaustion_names_the_outermost_node(monkeypatch):
     assert {"no value after step budget: App", "no value after step budget: Case",
             "no value after step budget: Let", "no value after step budget: Where",
             "no value after step budget: Fun", "returned"} <= messages
+
+
+def test_simulation_and_atoms_substitute_nothing(corpus, monkeypatch):
+    # the machine binds variables in environments, over long event lists and
+    # cycled ones alike; test_terms checks the same for the whole library
+    calls = []
+    monkeypatch.setattr(semantics, "substitute", lambda *a: calls.append(a))
+    for _, source, props in corpus:
+        trace = semantics.run_trace(source.term, list(EVENTS) * 4)
+        semantics.run_trace(source.term, EVENTS, cycle=True, max_states=50)
+        mutex = props.get("mutex").sub.term  # G {atom}
+        for state in trace:
+            semantics.atom_truth(mutex, state)
+    assert calls == []
