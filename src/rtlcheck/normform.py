@@ -43,17 +43,16 @@ def is_state_term(t: Term) -> bool:
     return type(t) is Con and (not t.args or all(map(is_state_term, t.args)))
 
 
-# A path is "program" or a pair (parent path, suffix), joined into a string
-# only for a violation: joining at every step costs time quadratic in depth.
-def _joined(path: str | tuple) -> str:
-    suffixes = []
-    while type(path) is tuple:
-        path, suffix = path
-        suffixes.append(suffix)
-    return path + "".join(reversed(suffixes))
+def _params(t: Term) -> tuple[list[str], Term]:
+    """The parameters of the lambdas that ``t`` begins with, and their body."""
+    params = []
+    while type(t) is Lam:
+        params.append(t.param)
+        t = t.body
+    return params, t
 
 
-def _free(name: str, path: str | tuple, t: Term, free: list[str],
+def _free(name: str, path: str, t: Term, free: list[str],
           out: list[Violation]) -> None:
     """Note a use of the unbound ``name``; the first such name is the event list."""
     if name in free:
@@ -61,14 +60,14 @@ def _free(name: str, path: str | tuple, t: Term, free: list[str],
     free.append(name)
     if len(free) > 1:
         out.append(Violation(
-            _joined(path), "scope",
+            path, "scope",
             f"free variable {name}: only the event list {free[0]} may be free", t))
 
 
 # rho: the let-bound variables in scope; scope: every bound variable in scope;
 # free: the unbound variables met so far, in walk order
 def _check(t: Term, rho: frozenset[str], scope: frozenset[str],
-           path: str | tuple, out: list[Violation], free: list[str]) -> None:
+           path: str, out: list[Violation], free: list[str]) -> None:
     # runs on every program a command loads: dispatch on type, not match
     tt = type(t)
     if tt is Con:
@@ -76,22 +75,22 @@ def _check(t: Term, rho: frozenset[str], scope: frozenset[str],
             e0, e1 = t.args
             if not is_state_term(e0):
                 out.append(Violation(
-                    _joined((path, ".state")), "cons",
+                    path + ".state", "cons",
                     "state position of Cons must be a ground constructor "
                     "term", e0))
-            _check(e1, rho, scope, (path, ".tail"), out, free)
+            _check(e1, rho, scope, path + ".tail", out, free)
         else:
             out.append(Violation(
-                _joined(path), "cons",
+                path, "cons",
                 f"only Cons cells may be constructed here, not {t.con}", t))
     elif tt is Case:
         scrut = t.scrutinee
         if type(scrut) is not Var:
             out.append(Violation(
-                _joined(path), "case", "case scrutinee must be a variable", scrut))
+                path, "case", "case scrutinee must be a variable", scrut))
         elif scrut.name in rho:
             out.append(Violation(
-                _joined(path), "case",
+                path, "case",
                 f"case scrutinee {scrut.name} is let-bound and may not be "
                 "inspected", t))
         elif scrut.name not in scope:
@@ -99,29 +98,23 @@ def _check(t: Term, rho: frozenset[str], scope: frozenset[str],
         for i, alt in enumerate(t.alts):
             pattern = alt.pattern
             inner = scope.union(pattern.vars) if type(pattern) is PCon and pattern.vars else scope
-            _check(alt.body, rho, inner, (path, f".alt{i}"), out, free)
+            _check(alt.body, rho, inner, f"{path}.alt{i}", out, free)
     elif tt is Let:
-        lam_body, params = t.bound, []
-        while type(lam_body) is Lam:
-            params.append(lam_body.param)
-            lam_body = lam_body.body
+        params, lam_body = _params(t.bound)
         if not params:
             out.append(Violation(
-                _joined((path, ".bound")), "let",
+                path + ".bound", "let",
                 "let must bind a lambda abstraction", t.bound))
-        _check(lam_body, rho, scope.union(params), (path, ".bound"), out, free)
-        _check(t.body, rho | {t.name}, scope | {t.name}, (path, ".body"), out, free)
+        _check(lam_body, rho, scope.union(params), path + ".bound", out, free)
+        _check(t.body, rho | {t.name}, scope | {t.name}, path + ".body", out, free)
     elif tt is Where:
-        _check(t.body, rho, scope, (path, ".body"), out, free)
+        _check(t.body, rho, scope, path + ".body", out, free)
         for fname, d in t.defs:
-            lam_body, params = d, []
-            while type(lam_body) is Lam:
-                params.append(lam_body.param)
-                lam_body = lam_body.body
-            _check(lam_body, rho, scope.union(params), (path, f".{fname}"), out, free)
+            params, lam_body = _params(d)
+            _check(lam_body, rho, scope.union(params), f"{path}.{fname}", out, free)
     elif tt is Lam:
         out.append(Violation(
-            _joined(path), "lambda",
+            path, "lambda",
             "lambdas may appear only as let or where definitions", t))
     else:
         head, args = spine(t)
@@ -129,7 +122,7 @@ def _check(t: Term, rho: frozenset[str], scope: frozenset[str],
             for a in args:
                 if type(a) is not Var:
                     out.append(Violation(
-                        _joined(path), "call",
+                        path, "call",
                         f"arguments of call to {head.name} must be variables", t))
                     break
             else:
@@ -139,15 +132,15 @@ def _check(t: Term, rho: frozenset[str], scope: frozenset[str],
         elif type(head) is Var:
             if head.name in rho:
                 for i, a in enumerate(args):
-                    _check(a, rho, scope, (path, f".arg{i}"), out, free)
+                    _check(a, rho, scope, f"{path}.arg{i}", out, free)
             else:
                 out.append(Violation(
-                    _joined(path), "rho-app",
+                    path, "rho-app",
                     f"variable {head.name} is not let-bound and cannot stand "
                     "for an expression here", t))
         else:
             out.append(Violation(
-                _joined(path), "form",
+                path, "form",
                 f"{type(head).__name__} is not a simplified-form "
                 "production", t))
 

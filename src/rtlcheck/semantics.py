@@ -16,10 +16,15 @@ them. Values are weak head normal forms, constructor applications and
 lambdas; a term that is neither and cannot be contracted is stuck, which
 signals an ill-typed configuration.
 
+The machine is one loop: a case pushes a frame of itself, its environment
+and the arguments waiting for it, and runs its scrutinee, and a value returns
+if no frame is pending and else selects the innermost case's alternative.
+
 Fuel counts contractions: a β-reduction, a case selection, a let, a function
 unfold and the opening of a where block each cost one unit, which is what a
 small-step reduction relation counts in steps. It is checked after the
-stuck check and before the contraction.
+stuck check and before the contraction. Each atom evaluation and each
+simulated state gets ``DEFAULT_FUEL`` steps, read when it starts.
 
 The simulator binds a program's event list in the machine's environment.
 ``run_trace`` binds the whole list up front. ``trace_dag``, which holds the
@@ -31,8 +36,7 @@ in turn and the next cell, and retries the state's start closure. What
 follows each such branch point is memoised, keyed on that closure's code and
 the keys of what it is bound to, so the walk substitutes nothing either:
 every handler reached at an event position is reduced once, so the work
-grows linearly with the length, not with the number of sequences. Each
-emitted state gets its own fuel.
+grows linearly with the length, not with the number of sequences.
 """
 
 from __future__ import annotations
@@ -44,9 +48,6 @@ from .terms import substitute  # noqa: F401  (rebound by benchmarks/tracer.py)
 from .kleene import TruthVal, truthval_from_name
 
 DEFAULT_FUEL = 10 ** 6
-# an atom's budget, fixed when the module loads: DEFAULT_FUEL, which tests
-# lower, is the budget of each simulated state
-_ATOM_FUEL = DEFAULT_FUEL
 
 
 class EvalError(Exception):
@@ -105,23 +106,22 @@ def _closure(t: Term, env: Env) -> Closure:
 
 # --- the machine -------------------------------------------------------------------
 
-def _exhausted(top: str | None, args: list, t: Term) -> FuelExhausted:
+def _exhausted(frames: list, args: list, t: Term) -> FuelExhausted:
     # named by the outermost node of the term the machine stands for: an
     # application while arguments wait, a case while its scrutinee runs
-    name = top or ("App" if args else type(t).__name__)
+    if frames:
+        t, _, args = frames[0]
+    name = "App" if args else type(t).__name__
     return FuelExhausted(f"no value after step budget: {name}")
 
 
-def _whnf(t: Term, env: Env, fuel: int,
-          top: str | None = None) -> tuple[Term, Env, int]:
+def _whnf(t: Term, env: Env, fuel: int) -> tuple[Term, Env, int]:
     """The weak head normal form of ``t`` under ``env``: the value, its
-    environment and the fuel left.
-
-    A case's scrutinee runs in a nested call; ``top`` then names the node
-    that the outermost call's term begins with, for the message of
-    ``FuelExhausted``.
-    """
+    environment and the fuel left."""
     args: list[Closure] = []  # the arguments waiting for a lambda, the next last
+    # the cases whose scrutinee runs, with their environments and the
+    # arguments waiting for them, the innermost last
+    frames: list[tuple[Case, Env, list[Closure]]] = []
     while True:
         tt = type(t)
         if tt is App:
@@ -134,22 +134,21 @@ def _whnf(t: Term, env: Env, fuel: int,
             if hit is None:
                 raise StuckError(t, f"free variable {t.name}")
             t, env = hit
-        elif tt is Lam:
-            if not args:
-                return t, env, fuel
+        elif tt is Lam and args:
             if fuel <= 0:
-                raise _exhausted(top, args, t)
+                raise _exhausted(frames, args, t)
             fuel -= 1
             env = {**env, t.param: args.pop()}
             t = t.body
-        elif tt is Con:
+        elif tt is Lam or tt is Con:
             if args:
                 raise StuckError(t, f"constructor {t.con} applied beyond its arity")
-            return t, env, fuel
-        elif tt is Case:
-            value, venv, fuel = _whnf(t.scrutinee, env, fuel,
-                                      top or ("App" if args else "Case"))
-            if type(value) is Lam:
+            if not frames:
+                return t, env, fuel
+            # a value: the innermost pending case selects an alternative
+            value, venv = t, env
+            t, env, args = frames.pop()
+            if tt is Lam:
                 raise StuckError(t, "case scrutinee is a lambda")
             con, fields = value.con, value.args
             for alt in t.alts:
@@ -167,9 +166,13 @@ def _whnf(t: Term, env: Env, fuel: int,
             else:
                 raise StuckError(t, f"no pattern matches constructor {con}")
             if fuel <= 0:
-                raise _exhausted(top, args, t)
+                raise _exhausted(frames, args, t)
             fuel -= 1
             t = alt.body
+        elif tt is Case:
+            frames.append((t, env, args))
+            args = []
+            t = t.scrutinee
         elif tt is Fun:
             scope = env.get(SCOPE)
             while scope is not None and t.name not in scope[0]:
@@ -177,18 +180,18 @@ def _whnf(t: Term, env: Env, fuel: int,
             if scope is None:
                 raise StuckError(t, f"undefined function {t.name}")
             if fuel <= 0:
-                raise _exhausted(top, args, t)
+                raise _exhausted(frames, args, t)
             fuel -= 1
             t, env = scope[0][t.name], scope[1]
         elif tt is Let:
             if fuel <= 0:
-                raise _exhausted(top, args, t)
+                raise _exhausted(frames, args, t)
             fuel -= 1
             env = {**env, t.name: _closure(t.bound, env)}
             t = t.body
         elif tt is Where:
             if fuel <= 0:
-                raise _exhausted(top, args, t)
+                raise _exhausted(frames, args, t)
             fuel -= 1
             # the block's instance binds the variables its definitions name,
             # the scope the block opens in, and the block's own scope
@@ -231,7 +234,7 @@ def atom_truth(atom_term: Term, state: Term) -> TruthVal:
     result must be one of the nullary True/False/Undefined constructors.
     """
     try:
-        value, _, _ = _whnf(atom_term, {STATE_VAR: (state, _NO_VARS)}, _ATOM_FUEL)
+        value, _, _ = _whnf(atom_term, {STATE_VAR: (state, _NO_VARS)}, DEFAULT_FUEL)
     except StuckError as exc:
         raise AtomError(f"atom evaluation got stuck: {exc.reason}") from exc
     if isinstance(value, Con) and not value.args:

@@ -160,6 +160,35 @@ def test_state_that_diverges_on_its_own_exits_70(tmp_path, capsys, monkeypatch):
     assert "FuelExhausted" in capsys.readouterr().err
 
 
+# a case whose scrutinee calls the function the case is in: each call opens
+# one more pending case, and no value ever comes back to one
+SELF_NESTING_ATOM = "{ g s where g = \\x -> case (g x) of True -> True | _ -> False }"
+SELF_NESTING_PROGRAM = """\
+data Ev = EvA | EvB
+data St = St0 | St1
+Cons St0 (f es)
+where
+f = \\es -> case (f es) of Cons s r -> Cons s r
+"""
+
+
+def test_self_nesting_scrutinees_exhaust_the_fuel(tmp_path, corpus_paths,
+                                                   capsys, monkeypatch):
+    # atoms get DEFAULT_FUEL as states do; 5,000 steps nest more pending
+    # cases than Python's recursion limit, which a call per scrutinee hit
+    monkeypatch.setattr(semantics, "DEFAULT_FUEL", 5000)
+    props = tmp_path / "p.ltl"
+    props.write_text(f"prop p: G {SELF_NESTING_ATOM}\n")
+    check = [corpus_paths["example1.rsl"], "--props", str(props), "--prop", "p"]
+    program = tmp_path / "p.rsl"
+    program.write_text(SELF_NESTING_PROGRAM)
+    for argv in (["verify", *check], ["witness", *check],
+                 ["oracle", *check, "--depth", "2"],
+                 ["simulate", str(program), "--events", "EvA,EvA"]):
+        assert main(argv) == 70
+        assert "FuelExhausted" in capsys.readouterr().err
+
+
 # a lambda is no state: printing one would show the simulator's own name for
 # the event list, which the lambda closes over
 LAMBDA_STATE = """data E = EvA | EvB
@@ -418,13 +447,27 @@ def test_a_revisit_under_next_closes_only_its_own_obligation(tmp_path, capsys,
     doc = json.loads(capsys.readouterr().out)
     assert (doc["truth"], doc["validation"]) == ("False", "Valid")
     if root == "f es":
-        # a root call reads an event before its first state, so at the last
-        # position f meets Nil, which it has no case for: the oracle exits 70
+        # a root call's oracle exits 70 (StuckError): pinned as a strict
+        # xfail by test_a_root_call_runs_every_event_sequence (item 14)
         return
     assert main(["oracle", *check, "--depth", "4", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert (doc["truth"], doc["validation"], doc["bounded"]["Unsat"],
             doc["contradiction"]) == ("False", "Valid", 16, False)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14: a list case need not match Nil")
+def test_a_root_call_runs_every_event_sequence(tmp_path, capsys):
+    # a root call reads an event before its first state, so a run of n events
+    # asks f for a state at Nil, which it has no case for
+    program = tmp_path / "p.rsl"
+    program.write_text(ST0_FOREVER.format(root="f es"))
+    props = tmp_path / "p.ltl"
+    props.write_text("prop p: X (X (G { case s of St1 -> True | _ -> False }))\n")
+    main(["simulate", str(program), "--events", "EvA,EvB"])
+    assert "StuckError" not in capsys.readouterr().err
+    main(["oracle", str(program), "--props", str(props), "--prop", "p", "--depth", "4"])
+    assert "StuckError" not in capsys.readouterr().err
 
 
 def test_oracle_json_pinned_on_corpus(corpus_paths, capsys):
