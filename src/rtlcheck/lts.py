@@ -6,7 +6,9 @@ and then on the event, each branch emitting a state and calling the next
 handler. Nodes are the handlers, labelled with the state every incoming
 transition emits for them; edges carry event names, with "_" for the
 wildcard branch, which also keeps its residual: the events of the caller's
-alphabet that no earlier pattern of its handler matches.
+alphabet that no earlier pattern of its handler matches. ``to_dot`` draws
+the system for Graphviz, and ``to_json`` writes it with the ``json``
+encoder, as the CLI writes its other documents.
 """
 
 from __future__ import annotations
@@ -154,49 +156,16 @@ def state_to_json(state: Term):
 
 
 def to_json(lts: Lts) -> str:
-    """JSON document with the full edge data, self-loops included.
-
-    The text is ``json.dumps(doc, indent=2) + "\\n"`` for the document of
-    ``initial``, ``nodes`` and ``edges``, laid out here because ``indent``
-    makes ``json`` take its pure-Python encoder, twice as slow on a
-    400-handler ring. Strings go through ``json.dumps``; the integer ids are
-    written as ``json`` writes them.
-    """
-    nodes = [_layout([f'"id": {n.id}', f'"fun": {json.dumps(n.fun)}',
-                      f'"state": {_indented(state_to_json(n.state), _M3)}'], _M2, "{}")
-             for n in lts.nodes]
+    """``json.dumps(doc, indent=2)`` and a newline, for the document of
+    ``initial``, ``nodes`` and ``edges``, self-loops included."""
     edges = []
     for e in lts.edges:
-        fields = [f'"from": {e.src}', f'"label": {json.dumps(e.label)}', f'"to": {e.dst}']
+        edge = {"from": e.src, "label": e.label, "to": e.dst}
         if e.residual is not None:
-            fields.append(f'"residual": {_indented(list(e.residual), _M3)}')
-        edges.append(_layout(fields, _M2, "{}"))
-    return _layout([f'"initial": {lts.initial}', f'"nodes": {_layout(nodes, _M1)}',
-                    f'"edges": {_layout(edges, _M1)}'], "\n", "{}") + "\n"
-
-
-# a newline and the indentation of the first, second and third level
-_M1, _M2, _M3 = "\n  ", "\n    ", "\n      "
-
-
-def _layout(items: list[str], margin: str, brackets: str = "[]") -> str:
-    """A list or dict, as ``json``'s ``indent=2`` lays it out, of items laid
-    out one level below ``margin``: a newline and the indentation of the
-    line that the list or dict ends on."""
-    if not items:
-        return brackets
-    inner = margin + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + margin + brackets[1]
-
-
-def _indented(value, margin: str) -> str:
-    """``json.dumps(value, indent=2)`` for dicts with string keys, lists and
-    scalars at ``margin`` (see ``_layout``); only the scalars go through
-    ``json.dumps``."""
-    inner = margin + "  "
-    if type(value) is dict:
-        return _layout([f"{json.dumps(k)}: {_indented(v, inner)}" for k, v in value.items()],
-                       margin, "{}")
-    if type(value) is list:
-        return _layout([_indented(v, inner) for v in value], margin)
-    return json.dumps(value)
+            edge["residual"] = list(e.residual)
+        edges.append(edge)
+    doc = {"initial": lts.initial,
+           "nodes": [{"id": n.id, "fun": n.fun, "state": state_to_json(n.state)}
+                     for n in lts.nodes],
+           "edges": edges}
+    return json.dumps(doc, indent=2) + "\n"

@@ -41,7 +41,7 @@ grows linearly with the length, not with the number of sequences.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from .terms import App, Case, Con, Fun, Lam, Let, PWild, STATE_VAR, Term, Var, Where, free_vars
 from .terms import substitute  # noqa: F401  (rebound by benchmarks/tracer.py)
@@ -213,18 +213,31 @@ def deep_eval(t: Term, env: Env = _NO_VARS,
 
     Each argument gets the fuel that the head and the arguments before it
     left. A lambda, as the value or inside its arguments, is no state: it
-    raises ``NonConsOutput``.
+    raises ``NonConsOutput``. The constructors whose arguments are still to
+    come wait on a stack, so a deep state costs no recursion.
     """
-    value, env, fuel = _whnf(t, env, fuel)
-    if type(value) is Lam:
-        raise NonConsOutput("program output is not a state stream: "
-                            "a state holds a lambda")
-    args = []
-    for a in value.args:
-        if type(a) is not Con or a.args:
-            a, fuel = deep_eval(a, env, fuel)
-        args.append(a)
-    return Con(value.con, tuple(args)), fuel
+    # the constructors around the one in hand, the innermost last: each one's
+    # name, environment, arguments to come and the values of those before
+    frames: list[tuple[str, Env, Iterator[Term], list[Term]]] = []
+    while True:
+        value, env, fuel = _whnf(t, env, fuel)
+        if type(value) is Lam:
+            raise NonConsOutput("program output is not a state stream: "
+                                "a state holds a lambda")
+        con, rest, values = value.con, iter(value.args), []
+        while True:
+            t = next(rest, None)
+            if t is None:
+                value = Con(con, tuple(values))
+                if not frames:
+                    return value, fuel
+                con, env, rest, values = frames.pop()
+                values.append(value)
+            elif type(t) is Con and not t.args:
+                values.append(t)
+            else:
+                frames.append((con, env, rest, values))
+                break
 
 
 def atom_truth(atom_term: Term, state: Term) -> TruthVal:

@@ -364,18 +364,21 @@ def _free_vars(t: Term) -> frozenset[str]:
     tt = type(t)
     if tt is Var:
         return frozenset((t.name,))
-    if tt is App:
-        # down the function spine in a loop, so that an application of many
-        # arguments does not recurse once per argument; each node's memo is
-        # filled on the way back up
-        spine = [t]
-        fn = t.fn
-        while type(fn) is App and fn._fv is None:
-            spine.append(fn)
-            fn = fn.fn
-        out = free_vars(fn)
-        for node in reversed(spine):
-            out = node._fv = out | free_vars(node.arg)
+    if tt is App or tt is Let:
+        # down a chain of applications' functions and lets' bodies in a loop,
+        # so that neither many arguments nor many nested lets recurse once
+        # each; each node's memo is filled on the way back up
+        chain = []
+        while (tt is App or tt is Let) and t._fv is None:
+            chain.append(t)
+            t = t.fn if tt is App else t.body
+            tt = type(t)
+        out = free_vars(t)
+        for node in reversed(chain):
+            if type(node) is App:
+                out = node._fv = out | free_vars(node.arg)
+            else:
+                out = node._fv = free_vars(node.bound) | (out - {node.name})
         return out
     if tt is Con:
         out: frozenset[str] = frozenset()
@@ -394,8 +397,6 @@ def _free_vars(t: Term) -> frozenset[str]:
         return out
     if tt is Lam:
         return free_vars(t.body) - {t.param}
-    if tt is Let:
-        return free_vars(t.bound) | (free_vars(t.body) - {t.name})
     if tt is Where:
         out = free_vars(t.body)
         for _, d in t.defs:

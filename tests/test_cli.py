@@ -92,6 +92,12 @@ def test_lts_dot_and_json(corpus_paths, capsys):
     assert len(doc["nodes"]) == 6
 
 
+def test_lts_json_matches_golden(corpus_paths, capsys):
+    assert main(["lts", corpus_paths["example2.rsl"], "--json"]) == 0
+    golden = Path(__file__).parent / "golden" / "example2.json"
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_simulate(corpus_paths, capsys):
     code = main(["simulate", corpus_paths["example1.rsl"],
                  "--events", "Request1,Take1,Release1", "--cycle", "-n", "4"])
@@ -187,6 +193,43 @@ def test_self_nesting_scrutinees_exhaust_the_fuel(tmp_path, corpus_paths,
                  ["simulate", str(program), "--events", "EvA,EvA"]):
         assert main(argv) == 70
         assert "FuelExhausted" in capsys.readouterr().err
+
+
+# a state that is a constructor applied to itself without end
+CONSTRUCTOR_TOWER = """\
+data Ev = EvA | EvB
+data N = Z | S N
+Cons (g es) Nil
+where
+g = \\x -> S (g x)
+"""
+
+
+def test_a_constructor_tower_exhausts_the_fuel(tmp_path, capsys, monkeypatch):
+    # 5,000 steps build more levels than Python's recursion limit, which a
+    # call per constructor argument hit
+    monkeypatch.setattr(semantics, "DEFAULT_FUEL", 5000)
+    path = tmp_path / "p.rsl"
+    path.write_text(CONSTRUCTOR_TOWER)
+    assert main(["simulate", str(path), "--events", "EvA"]) == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "rtlcheck: FuelExhausted: no value after step budget: App\n"
+
+
+def test_a_long_let_chain_runs_as_its_body(tmp_path, capsys):
+    # 900 lets above the root: two calls per let hit Python's recursion limit
+    # in the free-variable walk that binds the event list
+    body = ("Cons St0 (f es)\nwhere\nf = \\es -> case es of Cons e es -> "
+            "case e of EvA -> Cons St1 (f es) | _ -> Cons St0 (f es)\n")
+    lets = "".join(f"let v{i} = St0 in " for i in range(900))
+    outs = []
+    for root in (body, lets + body):
+        path = tmp_path / "p.rsl"
+        path.write_text("data Ev = EvA | EvB\ndata St = St0 | St1\n" + root)
+        assert main(["simulate", str(path), "--events", "EvA,EvB"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[1] == outs[0] == "St0\nSt1\nSt0\n"
 
 
 # a lambda is no state: printing one would show the simulator's own name for
