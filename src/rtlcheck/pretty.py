@@ -23,9 +23,8 @@ def pretty_term(t: Term, prec: int = _TOP) -> str:
             return name
         case Con(con, ()):
             return con
-        case Con(con, args):
-            body = " ".join([con, *(pretty_term(a, _OPERAND) for a in args)])
-            return f"({body})" if prec >= _OPERAND else body
+        case Con():
+            return _pretty_con(t, prec)
         case App(_, _):
             head, args = spine(t)
             body = " ".join(pretty_term(x, _OPERAND) for x in (head, *args))
@@ -53,6 +52,30 @@ def pretty_term(t: Term, prec: int = _TOP) -> str:
             out = "\n".join(lines)
             return f"({out})" if prec >= _OPERAND else out
     raise TypeError(f"not a term: {t!r}")
+
+
+def _pretty_con(t: Con, prec: int) -> str:
+    """A constructor application, its constructor arguments walked on a
+    stack, so that a state of any depth prints."""
+    out: list[str] = []
+    todo: list = [(t, prec)]  # terms to print and text to emit, last first
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        u, p = item
+        if type(u) is not Con or not u.args:
+            out.append(pretty_term(u, p))
+            continue
+        if p >= _OPERAND:
+            out.append("(")
+            todo.append(")")
+        out.append(u.con)
+        for a in reversed(u.args):
+            todo.append((a, _OPERAND))
+            todo.append(" ")
+    return "".join(out)
 
 
 def _ends_in_where(t: Term) -> bool:

@@ -20,10 +20,11 @@ from .normform import check_simplified  # noqa: F401  (rebound by benchmarks/tra
 
 DEFAULT_BUDGET = 10 ** 6
 
-VisitedSet = frozenset[int]  # ids of the definitions unfolded
+# the definitions unfolded, one bit each in the numbering of Budget.bits
+VisitedSet = int
 FairSet = frozenset[str]
 
-EMPTY_VISITED: VisitedSet = frozenset()
+EMPTY_VISITED: VisitedSet = 0
 
 
 class VerifyError(Exception):
@@ -45,21 +46,34 @@ class BudgetExceeded(VerifyError):
     """More rule applications than the configured budget."""
 
 
+class _Bits(dict):
+    """Each definition's bit in a visited set, by the definition's id,
+    numbered the first time a call reaches it."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: int) -> int:
+        bit = self[key] = 1 << len(self)
+        return bit
+
+
 class Budget:
     """Mutable countdown of rule applications shared across one run.
 
-    ``memo`` is the run's table of verdicts for calls that open a fresh
-    obligation (see :func:`rtlcheck.witness.gen`), and ``atoms`` its table
-    of atom truths by atom formula node and state; ``generate`` empties both
-    at the start of every run, since their keys hold neither the fairness
-    set nor the formula itself.
+    ``bits`` numbers the definitions for the run's visited sets, ``memo`` is
+    its table of verdicts for calls (see :func:`rtlcheck.witness.gen`), and
+    ``atoms`` its table of atom truths by atom formula node and state;
+    ``generate`` empties all three at the start of every run, since their
+    keys hold neither the fairness set nor the formula itself, and ids of
+    another run's definitions may be reused.
     """
 
-    __slots__ = ("limit", "used", "memo", "atoms")
+    __slots__ = ("limit", "used", "bits", "memo", "atoms")
 
     def __init__(self, limit: int = DEFAULT_BUDGET):
         self.limit = limit
         self.used = 0
+        self.bits: dict[int, int] = _Bits()
         self.memo: dict = {}
         self.atoms: dict = {}
 

@@ -10,9 +10,12 @@ Undefined otherwise. A call is known by its definition, which the parser
 gave its ``Fun`` node: that of the innermost where block defining the name,
 so scoping is lexical and a where rule only passes on to its body. Neither
 the call's name nor its arguments, which the form check makes variables, are
-read: the visited set holds the ids of the definitions unfolded, so a name
-that another block defines again is a different call. The visited set is
-reset exactly when checking moves inside a temporal operator at a Cons cell.
+read: the visited set holds the definitions unfolded, one bit each in an
+int (``Budget.bits`` numbers a definition the first time a call reaches
+it), so a name that another block defines again is a different call, and
+extending the set is one ``|``, not a copy as long as the path. The visited
+set is reset exactly when checking moves inside a temporal operator at a
+Cons cell.
 
 Dispatch precedence: structural let/where rules fire for any formula, then
 formula connectives, then the rules keyed on the shapes of expression and
@@ -25,17 +28,12 @@ empty trace. A False verdict's trace is a counterexample, a True one's a
 witness, and a last state that repeats an earlier one closes a lasso.
 
 A verdict therefore depends only on the term, the formula, the visited set
-and the fairness set. Calls reached with an empty visited set, where a
-temporal operator at a Cons cell opens a fresh obligation, are memoised for
-the run in ``Budget.memo``, keyed on the callee's definition, the number of
-arguments and the formula node (the fairness set is fixed for a run); a hit
-returns the stored verdict and spends no rule applications. Calls with a
-nonempty visited set unfold as before. So the table holds at most one entry
-per definition, arity and formula node: two calls of one handler on
-differently named variables share an entry.
-Memoising every call, keyed on the visited set as well, decides larger
-programs but stores O(n^2) visited sets of size O(n) for a response check on
-an n-handler chain: the benchmark's chains then peak at 74 MB, not 24.
+and the fairness set. Every call is memoised for the run in ``Budget.memo``,
+keyed on the callee's bit, the number of arguments, the formula node and the
+visited set with the callee added (the fairness set is fixed for a run); a
+hit returns the stored verdict and spends no rule applications. No argument
+is part of the key: two calls of one handler on differently named variables
+share an entry.
 
 The ``G`` and ``F`` rules at a Cons cell check the head, the subformula at
 this state, first, and stop there when it decides the obligation with a
@@ -44,25 +42,34 @@ exact. The tail's verdict puts this state before its trace, so that trace is
 at least as long, and ``kleene._combine`` lets an annihilating operand win
 over the left one only with a strictly shorter trace. No tail can change the
 truth or the trace; since verdicts are path-free, a skipped tail only leaves
-memo entries unfilled, which a later lookup computes the same way. A skipped
-tail is not unfolded at all, so a definition there that no rule can read
-raises nothing. Without the stop an ``F`` obligation
-met at its head went on round a ring of handlers until a revisit, and ``G F
-St0`` on ``tests/gen_programs.py::ring_program(120)`` took 116,646 rule
-applications instead of 1,214.
+memo entries unfilled, which a later lookup computes the same way. Without
+the stop an ``F`` obligation met at its head went on round a ring of
+handlers until a revisit, and ``G F St0`` on
+``tests/gen_programs.py::ring_program(120)`` took 116,646 rule applications
+instead of 1,214.
+
+``&&``, ``||`` and ``=>`` stop the same way at a Cons cell: every verdict
+there has at least one state, so a left operand that gives the annihilator
+(False under ``&&``, True under ``||``, False, negated to True, under
+``=>``) with a one-state trace is the result, and the right operand is not
+run. A skipped tail or operand is not evaluated at all: a definition there
+that no rule can read, or an atom there that would raise, raises nothing.
 
 The worst case stays exponential in the size of the visited set: ``verify
 --prop response --fair-all`` on ``benchmarks/workloads.py::graph_shape(n, 0)``
 (n handlers, two event branches and a wildcard each) takes, on one CPU core
 with CPython 3.11 (wall time of the whole command, start-up included, best of
-nine runs on a shared 2-vCPU host),
+at least 18 runs on a shared 2-vCPU host),
 
-    n    rule applications    wall time    without the memo
-    8    3,215                0.09 s       8,369 in 0.11 s
-    10   12,614               0.12 s       85,866 in 0.26 s
-    12   24,153               0.15 s       591,781 in 1.1 s
-    14   92,536               0.26 s       budget exceeded (exit 70)
-    16   250,441              0.51 s       budget exceeded
+    n    rule applications    wall time    memoising fresh obligations only
+    8    1,248                0.05 s       3,215 in 0.07 s
+    10   1,698                0.05 s       12,614 in 0.10 s
+    12   9,285                0.06 s       24,153 in 0.09 s
+    14   22,645               0.08 s       92,536 in 0.17 s
+    16   88,372               0.15 s       250,441 in 0.31 s
+    20   233,282                           742,471
+    22   233,379                           budget exceeded (exit 70)
+    24   budget exceeded
 
 Atom truths are kept for the run too, in ``Budget.atoms`` keyed on the atom's
 formula node and the state: an atom's truth depends on its state alone, so a
@@ -95,14 +102,15 @@ _UNDECIDED = Verdict(UNDEFINED, ())
 _REVISITED = {Always: Verdict(TRUE, ()), Eventually: Verdict(FALSE, ())}
 
 
-# gen's frame size (24 locals and an expression stack of 11 on CPython 3.11)
+# gen's frame size (26 locals and an expression stack of 10 on CPython 3.11)
 # decides where its recursion crosses the interpreter's 16 KB data-stack
 # chunks, and with it how many chunks deep checks map and unmap (ROADMAP item
 # 4). Counted as the forked commands' minor page faults (getrusage of the
 # children) per pass of the benchmark's handler graphs and chains, summed over
 # seeds 1 to 3 (each the median of three passes; median of three such runs),
-# this version takes 241k and 82k; runs of one version spread by 3%. Measure
-# before adding or removing a local.
+# this version takes 649k and 301k, and the one before it with 24 locals and
+# a stack of 11 took 641k and 302k; runs of one version spread by 1.5%.
+# Measure before adding or removing a local.
 def gen(t: Term, f: Formula, visited: VisitedSet, fair: FairSet,
         budget: Budget) -> Verdict:
     """Verdict of formula ``f`` for the stream of ``t``, traced from ``t`` on."""
@@ -112,16 +120,24 @@ def gen(t: Term, f: Formula, visited: VisitedSet, fair: FairSet,
     if tt is Where or tt is Let:
         return gen(t.body, f, visited, fair, budget)
 
+    # at a Cons cell every verdict has a state, so a left operand that gives
+    # the annihilator with one state decides: no right operand can outweigh it
     tf = type(f)
     if tf is And:
-        return and_v(gen(t, f.left, visited, fair, budget),
-                     gen(t, f.right, visited, fair, budget))
+        left = gen(t, f.left, visited, fair, budget)
+        if tt is Con and left[0] is FALSE and len(left[1]) == 1:
+            return left
+        return and_v(left, gen(t, f.right, visited, fair, budget))
     if tf is Or:
-        return or_v(gen(t, f.left, visited, fair, budget),
-                    gen(t, f.right, visited, fair, budget))
+        left = gen(t, f.left, visited, fair, budget)
+        if tt is Con and left[0] is TRUE and len(left[1]) == 1:
+            return left
+        return or_v(left, gen(t, f.right, visited, fair, budget))
     if tf is Implies:
-        return or_v(not_v(gen(t, f.left, visited, fair, budget)),
-                    gen(t, f.right, visited, fair, budget))
+        left = not_v(gen(t, f.left, visited, fair, budget))
+        if tt is Con and left[0] is TRUE and len(left[1]) == 1:
+            return left
+        return or_v(left, gen(t, f.right, visited, fair, budget))
     if tf is Not:
         return not_v(gen(t, f.sub, visited, fair, budget))
 
@@ -180,19 +196,18 @@ def gen(t: Term, f: Formula, visited: VisitedSet, fair: FairSet,
             return _UNDECIDED
         if type(fn) is Fun:  # a call, known by the definition the parser gave it
             body = fn.block[fn.name]
-            if visited:
-                if id(body) in visited:
-                    return _REVISITED.get(tf, _UNDECIDED)
-                return gen(unfold_call(fn.name, body, len(args)), f,
-                           visited | {id(body)}, fair, budget)
-            # a fresh obligation: its verdict depends on the key alone (fair
-            # is fixed for the run; the definition and f live as long as the
-            # run, and f's id, unlike its hash, costs no walk over its atoms)
-            key = (id(body), len(args), id(f))
+            bit = budget.bits[id(body)]
+            if visited & bit:
+                return _REVISITED.get(tf, _UNDECIDED)
+            # its verdict depends on the key alone (fair is fixed for the run;
+            # the definition and f live as long as the run, and f's id, unlike
+            # its hash, costs no walk over its atoms)
+            visited |= bit
+            key = (bit, len(args), id(f), visited)
             v = budget.memo.get(key)
             if v is None:
                 v = budget.memo[key] = gen(unfold_call(fn.name, body, len(args)), f,
-                                           frozenset((id(body),)), fair, budget)
+                                           visited, fair, budget)
             return v
 
     raise VerifyError(f"no verification rule for {type(t).__name__} "
@@ -208,14 +223,16 @@ def generate(program: Term, f: Formula, fair: FairSet = frozenset(),
     any other name, a state constructor say, always does.
 
     ``budget`` defaults to a fresh one; pass one to read how many rule
-    applications the run used. Every run starts with empty memo and atom
-    tables (``budget.memo``, ``budget.atoms``), so a budget passed to several
-    runs carries no verdict or atom truth from one run into the next. Raises
-    NotSimplified unless the program is in simplified form.
+    applications the run used. Every run starts with empty definition, memo
+    and atom tables (``budget.bits``, ``budget.memo``, ``budget.atoms``), so
+    a budget passed to several runs carries no verdict or atom truth from
+    one run into the next. Raises NotSimplified unless the program is in
+    simplified form.
     """
     require_simplified(check_simplified(program))
     if budget is None:
         budget = Budget()
+    budget.bits.clear()
     budget.memo.clear()
     budget.atoms.clear()
     return gen(program, f, EMPTY_VISITED, frozenset(fair), budget)

@@ -217,6 +217,20 @@ def test_a_constructor_tower_exhausts_the_fuel(tmp_path, capsys, monkeypatch):
     assert err == "rtlcheck: FuelExhausted: no value after step budget: App\n"
 
 
+def test_a_state_deeper_than_the_recursion_limit_prints(tmp_path, capsys):
+    # 3,000 handlers each wrap the next one's state in S: printing the state
+    # with a call per constructor argument hit Python's recursion limit
+    n = 3000
+    handlers = "".join(f"n{i} = \\x -> S (n{i + 1} x)\n" for i in range(n))
+    path = tmp_path / "p.rsl"
+    path.write_text("data Ev = EvA | EvB\ndata N = Z | S N\nCons (n0 es) Nil\n"
+                    f"where\n{handlers}n{n} = \\x -> Z\n")
+    assert main(["simulate", str(path), "--events", "EvA"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "S (" * (n - 1) + "S Z" + ")" * (n - 1) + "\n"
+    assert err == ""
+
+
 def test_a_long_let_chain_runs_as_its_body(tmp_path, capsys):
     # 900 lets above the root: two calls per let hit Python's recursion limit
     # in the free-variable walk that binds the event list

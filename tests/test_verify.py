@@ -4,11 +4,12 @@ from rtlcheck.kleene import FALSE, TRUE, UNDEFINED
 from rtlcheck.parser import parse_program
 from rtlcheck.semantics import AtomError, run_trace
 from rtlcheck.terms import (
-    Alt, Always, And, Atom, Case, Con, Eventually, Implies, Next, Not, PCon, Var,
-    WILD,
+    Alt, Always, And, Atom, Case, Con, Eventually, Implies, Next, Not, Or, PCon,
+    Var, WILD,
 )
 from rtlcheck.verify import (
-    Budget, BudgetExceeded, EMPTY_VISITED, NotSimplified, VerifyError, verify,
+    Budget, BudgetExceeded, EMPTY_VISITED, NotSimplified, VerifyError,
+    unfold_call, verify,
 )
 from rtlcheck.witness import gen, generate
 
@@ -47,12 +48,13 @@ def test_revisit_semantics_without_unfolding():
     (_, definition), = UNREADABLE.defs
     call = UNREADABLE.body.args[1]
     assert call.fn.block["f"] is definition
-    visited = frozenset((id(definition),))
+    budget = Budget()
+    visited = budget.bits[id(definition)]
     atom = Atom(Con("True"))
-    assert gen(call, Always(atom), visited, NOFAIR, Budget()).truth is TRUE
-    assert gen(call, Eventually(atom), visited, NOFAIR, Budget()).truth is FALSE
-    assert gen(call, Next(atom), visited, NOFAIR, Budget()).truth is UNDEFINED
-    assert gen(call, atom, visited, NOFAIR, Budget()).truth is UNDEFINED
+    assert gen(call, Always(atom), visited, NOFAIR, budget).truth is TRUE
+    assert gen(call, Eventually(atom), visited, NOFAIR, budget).truth is FALSE
+    assert gen(call, Next(atom), visited, NOFAIR, budget).truth is UNDEFINED
+    assert gen(call, atom, visited, NOFAIR, budget).truth is UNDEFINED
 
 
 def test_a_name_defined_again_is_a_new_call():
@@ -63,9 +65,10 @@ def test_a_name_defined_again_is_a_new_call():
     (_, outer), = source.term.defs
     inner_call = outer.body.body
     assert inner_call.fn.block["f"] is outer.body.defs[0][1]
+    budget = Budget()
     with pytest.raises(VerifyError, match="no verification rule for Lam"):
-        gen(inner_call, Always(Atom(Con("True"))), frozenset((id(outer),)),
-            NOFAIR, Budget())
+        gen(inner_call, Always(Atom(Con("True"))), budget.bits[id(outer)],
+            NOFAIR, budget)
 
 
 def test_unvisited_call_requires_definition():
@@ -90,6 +93,25 @@ def test_deciding_head_leaves_its_tail_unfolded():
         gen(t, Eventually(Atom(Con("False"))), EMPTY_VISITED, NOFAIR, Budget())
 
 
+def test_deciding_left_operand_leaves_the_right_unevaluated():
+    # at a Cons cell, a left operand that gives the annihilator with one
+    # state decides the connective; the right operand, whose tail calls a
+    # definition no rule can read, is never evaluated
+    t = UNREADABLE.body
+    yes, no = Atom(Con("True")), Atom(Con("False"))
+    unreadable = Eventually(no)
+    for formula, truth in ((And(no, unreadable), FALSE),
+                           (Or(yes, unreadable), TRUE),
+                           (Implies(no, unreadable), TRUE)):
+        budget = Budget()
+        verdict = gen(t, formula, EMPTY_VISITED, NOFAIR, budget)
+        assert verdict == (truth, (Con("A"),)) and budget.used == 2
+    # a left operand that does not decide leaves the right one to run
+    for formula in (And(yes, unreadable), Or(no, unreadable), Implies(yes, unreadable)):
+        with pytest.raises(VerifyError, match="no verification rule for Lam"):
+            gen(t, formula, EMPTY_VISITED, NOFAIR, Budget())
+
+
 def test_call_with_a_constructor_argument_is_not_simplified():
     # gen reads no argument of a call: the form check's call rule refuses one
     # that is not a variable before any rule runs
@@ -112,8 +134,8 @@ g = \\ys -> case ys of Cons e rest -> case e of EvA -> Cons St0 (f rest) | _ -> 
 
 
 def test_memo_keys_a_call_on_its_definition_not_its_argument():
-    # f calls g on xs and on es: one call, one memo entry per obligation;
-    # keyed on argument names as well, the check took 4 entries and 95 rule
+    # f calls g on xs and on es: one call, one memo entry per visited set;
+    # keyed on argument names as well, the check takes 8 entries and 82 rule
     # applications, with the same verdict
     from gen_programs import state_atom
 
@@ -125,7 +147,7 @@ def test_memo_keys_a_call_on_its_definition_not_its_argument():
                           (frozenset(("EvA", "EvB")), (TRUE, (st0, st1, st0, st1)))):
         budget = Budget()
         assert generate(source.term, formula, fair, budget) == verdict
-        assert (len(budget.memo), budget.used) == (3, 81)
+        assert (len(budget.memo), budget.used) == (6, 62)
 
 
 def test_structural_rules_fire_before_connectives(corpus_by_name):
@@ -226,9 +248,10 @@ def _formula_size(f):
 
 def test_rule_applications_scale_with_functions_and_formula():
     # empirical termination bound on random conforming programs; the
-    # measured worst case sits at 41.3x (67.5x before G and F stopped at a
-    # deciding head, 221.2x without the memo of calls on fresh obligations),
-    # asserted with headroom
+    # measured worst case sits at 19.7x (41.3x with calls memoised on fresh
+    # obligations only and connectives that ran both operands, 67.5x before G
+    # and F stopped at a deciding head, 221.2x without the memo), asserted
+    # with headroom
     import random
     from gen_programs import formula_battery, random_fair, random_program
 
@@ -242,17 +265,28 @@ def test_rule_applications_scale_with_functions_and_formula():
             assert budget.used <= 200 * (n + 1) * _formula_size(formula)
 
 
-def test_handler_graph_decides_within_default_budget():
-    # without the memo this check takes more than 10**6 rule applications;
-    # with it, one table entry per function and formula node at most
+def test_handler_graph_decides_within_default_budget(monkeypatch):
+    # without the memo this check takes more than 10**6 rule applications,
+    # with calls memoised on fresh obligations only 21,183; every entry is
+    # stored by the one unfold of a call that missed, and a hit unfolds none
+    import rtlcheck.witness as W
     from gen_programs import formula_battery, handler_graph
 
+    unfolds = 0
+
+    def counted(*args):
+        nonlocal unfolds
+        unfolds += 1
+        return unfold_call(*args)
+
+    monkeypatch.setattr(W, "unfold_call", counted)
     program = handler_graph(12)
     formula = formula_battery()[2]  # always (St0 implies eventually St1)
     budget = Budget()
     truth = verify(program, formula, frozenset(("EvA", "EvB")), budget)
-    assert truth is not UNDEFINED
-    assert len(budget.memo) <= len(program.defs) * _formula_size(formula)
+    assert truth is TRUE
+    assert budget.used == 5963
+    assert len(budget.memo) <= unfolds
 
 
 def test_reused_budget_gives_fresh_verdicts():
