@@ -51,8 +51,11 @@ class PositionedModel(Record):
 
 
 # Atoms are pure functions of their term and state, so a truth computed once
-# holds for every later check in the process. No bound or run scope is needed:
-# a CLI process runs one command, and the benchmark forks one per command.
+# holds for every later check in the process; keyed by value, no key can
+# stand for another term. A CLI process runs one command, and the benchmark
+# forks one per command. A check meets it only once per atom row and state:
+# the rows of _subformulas keep each atom's values by the state's identity,
+# for as long as the check holds the rows.
 @lru_cache(maxsize=None)
 def _cached_atom(atom_term: Term, state: Term) -> TruthVal:
     return atom_truth(atom_term, state)
@@ -81,29 +84,33 @@ class Bounded(enum.Enum):
 
 
 def _subformulas(f: Formula) -> tuple[tuple, ...]:
-    """The distinct subformulas of ``f``, children first and ``f`` last.
+    """The subformula objects of ``f``, children first and ``f`` last.
 
-    A row is the operator's class and its operands: the term of an atom,
-    otherwise the rows of the subformulas, by index.
+    A row is the operator's class and its operands: for an atom, its term
+    and the table of its values at the states it has met, keyed on the id of
+    the state, which each entry keeps alive; otherwise the rows of the
+    subformulas, by index. Subformulas are told apart by identity, which
+    ``f`` keeps for the call, so no formula is hashed by value.
     """
     rows: list[tuple] = []
-    index: dict[Formula, int] = {}
+    index: dict[int, int] = {}
 
     def visit(g: Formula) -> int:
-        if g in index:
-            return index[g]
+        k = index.get(id(g))
+        if k is not None:
+            return k
         match g:
             case Atom(term):
-                row = (Atom, term)
+                row = (Atom, term, {})
             case Not(sub) | Next(sub) | Always(sub) | Eventually(sub):
                 row = (type(g), visit(sub))
             case And(l, r) | Or(l, r) | Implies(l, r):
                 row = (type(g), visit(l), visit(r))
             case _:
                 raise TypeError(f"not a formula: {g!r}")
-        index[g] = len(rows)
+        k = index[id(g)] = len(rows)
         rows.append(row)
-        return index[g]
+        return k
 
     visit(f)
     return tuple(rows)
@@ -129,7 +136,10 @@ def _step(rows: tuple[tuple, ...], state: Term, later: tuple) -> tuple:
     for row in rows:
         op = row[0]
         if op is Atom:
-            value = _atom_value(row[1], state)
+            hit = row[2].get(id(state))
+            if hit is None:
+                hit = row[2][id(state)] = state, _atom_value(row[1], state)
+            value = hit[1]
         elif op is Next:
             value = later[row[1]]
         else:
@@ -261,7 +271,8 @@ def bounded_counts(program: Term, event_names: Sequence[str], depth: int,
     maps the values of every subformula at its first state to the number of
     sequences that reach them; a leaf starts from the all-Unknown values
     past the end, a shared tuple of children merges its tables once, and
-    ``_step`` runs once per state and values one position later. The tables
+    ``_step`` runs once per state, which the DAG holds as one object per
+    value, and values one position later. The tables
     keep the order of their first sequence, so the first error among the
     values of ``f`` is that of the first sequence in product order.
     """
@@ -269,7 +280,9 @@ def bounded_counts(program: Term, event_names: Sequence[str], depth: int,
     width = len(event_names)
     rows = _subformulas(f)
     past_end = (Bounded.UNKNOWN,) * len(rows)
-    steps: dict[tuple[Term, tuple], tuple] = {}
+    # by state object, one per value in the DAG: the values at the state,
+    # by the values one position later
+    steps: dict[int, tuple[Term, dict[tuple, tuple]]] = {}
     tables: dict[int, dict[tuple, int]] = {}
 
     def fold(node: TraceNode, bound: int) -> dict[tuple, int]:
@@ -285,11 +298,15 @@ def bounded_counts(program: Term, event_names: Sequence[str], depth: int,
                         table[values] = table.get(values, 0) + n
                 tables[id(children)] = table
         for state in reversed(states):
+            at = steps.get(id(state))
+            if at is None:
+                at = steps[id(state)] = state, {}
+            after = at[1]
             earlier: dict[tuple, int] = {}
             for values, n in table.items():
-                now = steps.get((state, values))
+                now = after.get(values)
                 if now is None:
-                    now = steps[state, values] = _step(rows, state, values)
+                    now = after[values] = _step(rows, state, values)
                 earlier[now] = earlier.get(now, 0) + n
             table = earlier
         return table

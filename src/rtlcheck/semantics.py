@@ -31,12 +31,15 @@ The simulator binds a program's event list in the machine's environment.
 traces of every event sequence of a given length for the oracle, reads each
 event position through a cell: a two-item list that the machine reads like
 any closure, and the one mutable object it reads. When the machine is stuck
-on a cell's placeholder, the walk sets the cell to a ``Cons`` of each event
-in turn and the next cell, and retries the state's start closure. What
-follows each such branch point is memoised, keyed on that closure's code and
-the keys of what it is bound to, so the walk substitutes nothing either:
-every handler reached at an event position is reduced once, so the work
-grows linearly with the length, not with the number of sequences.
+on a cell's placeholder, the state's start closure is a branch point, keyed
+on its code and the keys of what it is bound to, so the walk substitutes
+nothing either, and not on the position it was reached at. A branch point
+sets its cell to a ``Cons`` of each event and a new cell, runs the machine
+once for each, and keeps what it emits up to the next branch point; each
+position only cuts that to the states it allows. So every handler reached
+with the same values is reduced once per event, however many positions
+reach it: the work is bounded by the program's handlers, not by the length
+or the number of sequences.
 """
 
 from __future__ import annotations
@@ -340,17 +343,50 @@ def run_trace(program: Term, events: Sequence[str], cycle: bool = False,
 
 # --- the trace DAG ----------------------------------------------------------------
 
+def _calls(t: Term) -> set[str]:
+    """The function names that ``t`` calls, in the where blocks it opens too."""
+    names: set[str] = set()
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        tt = type(t)
+        if tt is Fun:
+            names.add(t.name)
+        elif tt is App:
+            stack += t.fn, t.arg
+        elif tt is Con:
+            stack += t.args
+        elif tt is Lam:
+            stack.append(t.body)
+        elif tt is Case:
+            stack.append(t.scrutinee)
+            stack += [alt.body for alt in t.alts]
+        elif tt is Let:
+            stack += t.bound, t.body
+        elif tt is Where:
+            stack.append(t.body)
+            stack += [d for _, d in t.defs]
+    return names
+
+
 def _key(c: Closure) -> tuple:
     """What tells a closure apart from the others, with nothing substituted:
     its code, by value; the key of the closure each of its free variables is
-    bound to, by name; and each block instance of its scope, which tells what
-    its calls mean, from the innermost out, as its block's id and the keys of
-    the values it captured, in the order of their names. The parser's block,
-    which the program keeps alive, fixes the names its instances capture. A
-    cell counts as the closure it holds."""
+    bound to, by name; and the block instances of its scope, from the
+    innermost one whose block defines a name its code calls out, as each
+    block's id and the keys of the values it captured, in the order of their
+    names. An instance inside that one cannot change what the closure does:
+    no call of its code resolves there, and a block the code opens looks
+    names up past it only for calls that the code holds too. The parser's
+    block, which the program keeps alive, fixes the names its instances
+    capture. A cell counts as the closure it holds."""
     t, env = c
     key = [t, tuple([(x, _key(env[x])) for x in sorted(free_vars(t)) if x in env])]
     scope = env.get(SCOPE)
+    if scope is not None:
+        calls = _calls(t)
+        while scope is not None and not any(name in scope[0] for name in calls):
+            scope = scope[1].get(OUTER)
     while scope is not None:
         block, inst = scope
         key += id(block), tuple([_key(inst[x]) for x in sorted(inst)
@@ -364,57 +400,121 @@ def _key(c: Closure) -> tuple:
 # alphabet order, where reduction needs the next event.
 TraceNode = tuple[tuple[Term, ...], tuple["TraceNode", ...] | None]
 
+_END = "end"  # where a segment whose stream ended ends
+
+
+class _Segment:
+    """One run of the machine from a branch point, with the point's cell set
+    to one event (or to ``Nil``): the states it emitted so far and, while it
+    is open, the closure of the next one. It ends in ``_END`` or in the
+    branch point where it needs the next event, read from ``rest``. ``path``
+    holds what each cell it reads is set to, since other runs set them."""
+
+    __slots__ = ("states", "c", "path", "rest", "end")
+
+    def __init__(self, c: Closure, path: tuple, rest: list | None):
+        self.states: list[Term] = []
+        self.c, self.path, self.rest = c, path, rest
+        self.end: str | _BranchPoint | None = None
+
+
+class _BranchPoint:
+    """A state's start closure, stuck on its unread ``cell``, with its
+    segments: one per event, made at its first branch, and one on ``Nil``,
+    made when a path's last event leads here; and its children by the
+    numbers of events bound and states emitted on the way."""
+
+    __slots__ = ("c", "cell", "path", "segments", "nil", "children")
+
+    def __init__(self, c: Closure, cell: list, path: tuple):
+        self.c, self.cell, self.path = c, cell, path
+        self.segments: list[_Segment] | None = None
+        self.nil: _Segment | None = None
+        self.children: dict[tuple[int, int], tuple[TraceNode, ...]] = {}
+
 
 def trace_dag(program: Term, events: Sequence[str], depth: int) -> TraceNode:
     """The traces of every event sequence of length ``depth``, as a DAG.
 
     The program's event list is the first position's cell, which holds the
-    placeholder ``UNREAD``, a variable no program can write; the walk
-    branches over ``events`` only when the machine is stuck on it. Each child
-    sets the cell to ``Cons e`` of the next cell (of ``Nil`` after the last
-    event) and walks the state's start closure again. The children of a
-    branch point are memoised, keyed on the start closure's ``_key`` and the
-    numbers of events bound and of states emitted, so paths that reach the
-    same handler with the same values at the same position share them. The
-    walk is depth first in product order and the memo holds only finished
-    nodes, so a cell gets its next event only once all under the last one is
-    walked, nothing that raised is stored, and the exception raised is that
-    of the first failing sequence. With no events and a positive depth there
-    is no sequence: the root branches into no children.
+    placeholder ``UNREAD``, a variable no program can write; the machine
+    runs until it is stuck on it. There the state's start closure is a
+    branch point, keyed on its ``_key`` alone, so every path that reaches
+    the same handler with the same values, wherever it has got to, shares
+    it. For each event the branch point runs the machine once, with its cell
+    set to ``Cons e`` of a new cell, and keeps what it emits as a segment,
+    up to the next branch point; on ``Nil`` it runs it once more for the
+    paths whose events ran out there. A position takes the states of a
+    segment that its length still allows, and past its last event the
+    ``Nil`` segment of the branch point reached, so the DAG is the one that
+    running each position on its own would give. A segment is extended only
+    as far as a position asks, depth first in product order, so no state is
+    reduced that some sequence's run would not reduce, and the exception
+    raised is that of the first failing sequence. States equal by value are
+    one object throughout the DAG, so its readers can key them on identity.
+    With no events and a positive depth there is no sequence: the root
+    branches into no children.
     """
     if depth and not events:
         return (), ()
     limit = depth + 1
-    memo: dict[tuple[tuple, int, int], tuple[TraceNode, ...]] = {}
+    points: dict[tuple, _BranchPoint] = {}
+    heads = [Con("Cons", (Con(e), UNREAD)) for e in events]
+    states_by_value: dict[Term, Term] = {}
 
-    def walk(c: Closure, cell: list, bound: int, emitted: int) -> TraceNode:
-        states: list[Term] = []
-        while emitted < limit:
-            try:
-                nxt = _next_state(c)
-            except StuckError as exc:
-                if exc.term != UNREAD:
-                    raise
-                return tuple(states), branch(c, cell, bound, emitted)
-            if nxt is None:
-                break
-            state, c = nxt
-            states.append(state)
-            emitted += 1
-        return tuple(states), None
+    def grow(seg: _Segment, bound: int, emitted: int) -> TraceNode:
+        # the node of a path that bound `bound` events, this segment's
+        # included, and emitted `emitted` states before it
+        room = limit - emitted
+        states = seg.states
+        if seg.end is None and len(states) < room:
+            # run the segment on, with the cells set as it reads them
+            for cell, value in seg.path:
+                cell[:] = value
+            c = seg.c
+            while len(states) < room:
+                try:
+                    nxt = _next_state(c)
+                except StuckError as exc:
+                    if exc.term != UNREAD:
+                        raise
+                    key = _key(c)
+                    point = points.get(key)
+                    if point is None:
+                        point = points[key] = _BranchPoint(c, seg.rest, seg.path)
+                    seg.end = point
+                    break
+                if nxt is None:
+                    seg.end = _END
+                    break
+                state, c = nxt
+                states.append(states_by_value.setdefault(state, state))
+            seg.c = c
+        end = seg.end
+        if len(states) >= room or type(end) is not _BranchPoint:
+            return tuple(states[:room]), None
+        if bound < depth:
+            return tuple(states), branch(end, bound, emitted + len(states))
+        if end.nil is None:
+            end.nil = _Segment(end.c, (*end.path, (end.cell, (NIL, _NO_VARS))), None)
+        more, _ = grow(end.nil, bound, emitted + len(states))
+        return (*states, *more), None
 
-    def branch(c: Closure, cell: list, bound: int,
+    def branch(point: _BranchPoint, bound: int,
                emitted: int) -> tuple[TraceNode, ...]:
-        key = _key(c), bound, emitted
-        hit = memo.get(key)
+        hit = point.children.get((bound, emitted))
         if hit is None:
-            children = []
-            for e in events:
-                rest = [UNREAD if bound + 1 < depth else NIL, _NO_VARS]
-                cell[:] = Con("Cons", (Con(e), UNREAD)), {EVENT_LIST: rest}
-                children.append(walk(c, rest, bound + 1, emitted))
-            hit = memo[key] = tuple(children)
+            if point.segments is None:
+                point.segments = []
+                for head in heads:
+                    rest = [UNREAD, _NO_VARS]
+                    value = head, {EVENT_LIST: rest}
+                    point.segments.append(
+                        _Segment(point.c, (*point.path, (point.cell, value)), rest))
+            hit = point.children[bound, emitted] = tuple(
+                [grow(seg, bound + 1, emitted) for seg in point.segments])
         return hit
 
-    first = [UNREAD if depth else NIL, _NO_VARS]
-    return walk(bind_events(program, first), first, 0, 0)
+    first = [UNREAD, _NO_VARS]
+    root = _Segment(bind_events(program, first), ((first, (UNREAD, _NO_VARS)),), first)
+    return grow(root, 0, 0)

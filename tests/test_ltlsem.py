@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from collections import Counter
@@ -12,13 +13,13 @@ from rtlcheck.ltlsem import (
 )
 from rtlcheck import semantics
 from rtlcheck.kleene import TRUE, UNDEFINED
-from rtlcheck.parser import parse_program
+from rtlcheck.parser import parse_program, parse_properties
 from rtlcheck.semantics import run_trace
 from rtlcheck.terms import (
     Alt, Always, And, Atom, Case, Con, Eventually, Implies, Next, Not, Or,
     PCon, Var, WILD,
 )
-from rtlcheck.witness import generate, lassoify
+from rtlcheck.witness import Validation, generate, lassoify, validate_verdict
 
 
 def _props(corpus_by_name, which="example1"):
@@ -492,6 +493,21 @@ HAND_BUILT = {
     "gets stuck":
         "Cons St0 (f es)\nwhere\nf = \\es -> case es of Cons e es -> "
         "case e of EvC -> (case St0 of St1 -> Nil) | _ -> Cons St0 (f es)",
+    # a position keeps only the states of an event that its length allows
+    "three states per event":
+        "Cons St0 (f es)\nwhere\nf = \\es -> case es of Nil -> Nil | Cons e es -> "
+        "Cons (Pair e e) (Cons St1 (Cons St0 (f es)))",
+    # f is reached after one state or after three, so a run cut short on one
+    # path is taken further on another
+    "three states after EvA, one after the others":
+        "Cons St0 (f es)\nwhere\nf = \\es -> case es of Nil -> Nil | Cons e es -> "
+        "case e of EvA -> Cons St0 (Cons St1 (Cons (Pair e e) (f es))) "
+        "| _ -> Cons (Pair e e) (f es)",
+    # past the last event, the states of the Nil case fill the trace up
+    "Nil branch emits states forever":
+        "Cons St0 (f es)\nwhere\nf = \\es -> case es of Nil -> Cons St1 (f es) "
+        "| Cons a es -> case es of Nil -> Cons (Pair a a) (f es) "
+        "| Cons b es -> Cons (Pair a b) (f es)",
 }
 
 
@@ -502,6 +518,15 @@ def test_enumerate_equals_run_trace_on_hand_built_programs(name):
     for events in (("EvA", "EvB", "EvC"), ("EvB", "EvA"), ("EvA",)):
         for depth in range(5):
             _assert_enumeration_is_run_trace(source.term, events, depth)
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_bounded_counts_equal_enumeration_on_hand_built_programs(name):
+    source = parse_program(HAND_BUILT_HEADER + HAND_BUILT[name])
+    assert not source.diagnostics
+    for events in (("EvA", "EvB", "EvC"), ("EvB", "EvA")):
+        for depth in range(5):
+            _assert_counts_are_enumeration(source.term, events, depth, HAND_BUILT_FORMULAS)
 
 
 def test_enumerate_empty_alphabet(corpus_by_name):
@@ -598,6 +623,15 @@ READ_CONSUMED_EVENTS = {
         "Cons St0 (f es)\nwhere\n"
         "f = \\xs -> case xs of Cons e rest -> Cons (g St0) (f rest)\n"
         "  where\n  g = \\x -> case xs of Cons a r -> a",
+    # f's run on the last event is cut after its first state, and taken on
+    # from an earlier position once other runs have set f's cell: its second
+    # state must still read the event it matched
+    "a handler rereads its event a state later":
+        "Cons St0 (h es)\nwhere\n"
+        "h = \\es -> case es of Cons e es -> case e of EvA -> Cons St0 (h es) "
+        "| _ -> Cons St1 (f es)\n"
+        "f = \\xs -> case xs of Cons e rest -> "
+        "Cons St0 (Cons (case xs of Cons a r -> Pair a a) (f rest))",
 }
 
 
@@ -610,3 +644,45 @@ def test_enumeration_of_programs_reading_consumed_events(name):
             _assert_enumeration_is_run_trace(source.term, events, depth)
             _assert_counts_are_enumeration(source.term, events, depth,
                                            HAND_BUILT_FORMULAS)
+
+
+# EvA steps through four states, so an atom on each decides differently
+RING4 = """data Event = EvA | EvB
+data State = St0 | St1 | St2 | St3
+data TruthVal = True | False | Undefined
+Cons St0 (h0 es)
+where
+h0 = \\es -> case es of Cons e es -> case e of EvA -> Cons St1 (h1 es) | _ -> Cons St0 (h0 es)
+h1 = \\es -> case es of Cons e es -> case e of EvA -> Cons St2 (h2 es) | _ -> Cons St1 (h1 es)
+h2 = \\es -> case es of Cons e es -> case e of EvA -> Cons St3 (h3 es) | _ -> Cons St2 (h2 es)
+h3 = \\es -> case es of Cons e es -> case e of EvA -> Cons St0 (h0 es) | _ -> Cons St3 (h3 es)
+"""
+
+
+def test_atom_values_do_not_outlive_their_formula():
+    # each round parses a property whose atom differs from the last round's,
+    # uses it and drops it, so that a new atom's term now and then takes a
+    # dropped one's address: a table of atom values that outlived its
+    # formula, keyed on the id of the atom's term, would then answer for the
+    # dropped atom. The expected values evaluate each atom by value. Each
+    # round ends in a collection, since a check's nested functions hold its
+    # rows in reference cycles.
+    source = parse_program(RING4)
+    assert not source.diagnostics
+    events = ("EvA", "EvB")
+    traces = enumerate_traces(source.term, events, 3)
+    for k in range(200):
+        props = parse_properties(
+            f"prop p: F {{ case s of St{k % 4} -> True | _ -> False }}\n", source.arities())
+        assert not props.diagnostics
+        f = props.get("p")
+        verdict = generate(source.term, f, frozenset(events))
+        report = validate_verdict(verdict, f)
+        holds = reference_sat_lasso(report.lasso, f) is Bounded.SAT
+        assert report.status is (Validation.VALID if holds == (verdict.truth is TRUE)
+                                 else Validation.INVALID), k
+        counts = dict.fromkeys(Bounded, 0)
+        counts.update(Counter(reference_bounded_check(t, f) for t in traces))
+        assert bounded_counts(source.term, events, 3, f) == counts, k
+        del props, f, verdict, report
+        gc.collect()

@@ -121,11 +121,11 @@ def test_trace_dag_shares_branch_points_under_inner_where_blocks(monkeypatch):
 # branch points; a key that shares less, or more work per branch point,
 # changes them
 NEXT_STATE_CALLS = {
-    "example1": (170, 380, 596),
-    "example2": (158, 302, 446),
-    "example3": (188, 404, 620),
-    "inner_where_ring(3)": (82, 178, 274),
-    "ring_program(3)": (62, 110, 158),
+    "example1": (86, 110, 110),
+    "example2": (74, 74, 74),
+    "example3": (98, 110, 110),
+    "inner_where_ring(3)": (26, 26, 26),
+    "ring_program(3)": (26, 26, 26),
 }
 
 
