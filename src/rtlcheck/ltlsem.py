@@ -11,7 +11,7 @@ from Unknown past a prefix's end in ``bounded_check``, and in ``sat_lasso``
 from the values at a lasso loop's first position. ``bounded_counts`` runs
 it over the simulator's trace DAG (``semantics.trace_dag``), built by the
 environment machine of ``semantics``, to count the event sequences that give
-each value; ``witness.gen`` shares only ``atom_truth`` and the parser's where
+each value; ``witness``'s rules share only ``atom_truth`` and the parser's where
 blocks, which give each call its definitions, with that machine, and none of
 its rules. ``enumerate_traces`` expands the DAG to one trace per event
 sequence."""
@@ -93,27 +93,28 @@ def _subformulas(f: Formula) -> tuple[tuple, ...]:
     ``f`` keeps for the call, so no formula is hashed by value.
     """
     rows: list[tuple] = []
-    index: dict[int, int] = {}
-
-    def visit(g: Formula) -> int:
-        k = index.get(id(g))
-        if k is not None:
-            return k
-        match g:
-            case Atom(term):
-                row = (Atom, term, {})
-            case Not(sub) | Next(sub) | Always(sub) | Eventually(sub):
-                row = (type(g), visit(sub))
-            case And(l, r) | Or(l, r) | Implies(l, r):
-                row = (type(g), visit(l), visit(r))
-            case _:
-                raise TypeError(f"not a formula: {g!r}")
-        k = index[id(g)] = len(rows)
-        rows.append(row)
-        return k
-
-    visit(f)
+    _visit(f, rows, {})
     return tuple(rows)
+
+
+def _visit(g: Formula, rows: list[tuple], index: dict[int, int]) -> int:
+    """The index of ``g``'s row, appended after its subformulas' if new;
+    ``index`` gives the row of each subformula met, by its id."""
+    k = index.get(id(g))
+    if k is not None:
+        return k
+    match g:
+        case Atom(term):
+            row = (Atom, term, {})
+        case Not(sub) | Next(sub) | Always(sub) | Eventually(sub):
+            row = (type(g), _visit(sub, rows, index))
+        case And(l, r) | Or(l, r) | Implies(l, r):
+            row = (type(g), _visit(l, rows, index), _visit(r, rows, index))
+        case _:
+            raise TypeError(f"not a formula: {g!r}")
+    k = index[id(g)] = len(rows)
+    rows.append(row)
+    return k
 
 
 def _atom_value(term: Term, state: Term) -> Bounded | Exception:
@@ -247,18 +248,22 @@ def enumerate_traces(program: Term, event_names: Sequence[str],
     """
     _check_depth(depth)
     out: list[list[Term]] = []
-
-    def expand(node: TraceNode, prefix: list[Term], bound: int) -> None:
-        states, children = node
-        trace = [*prefix, *states]
-        if children is None:
-            out.extend(repeat(trace, len(event_names) ** (depth - bound)))
-            return
-        for child in children:
-            expand(child, trace, bound + 1)
-
-    expand(trace_dag(program, event_names, depth), [], 0)
+    _expand(trace_dag(program, event_names, depth), [], len(event_names) ** depth,
+            len(event_names), out)
     return out
+
+
+def _expand(node: TraceNode, prefix: list[Term], sequences: int, width: int,
+            out: list[list[Term]]) -> None:
+    """Append the traces below ``node``, after ``prefix``, once for each of
+    the ``sequences`` event sequences that reach it."""
+    states, children = node
+    trace = [*prefix, *states]
+    if children is None:
+        out.extend(repeat(trace, sequences))
+        return
+    for child in children:
+        _expand(child, trace, sequences // width, width, out)
 
 
 def bounded_counts(program: Term, event_names: Sequence[str], depth: int,
@@ -277,26 +282,42 @@ def bounded_counts(program: Term, event_names: Sequence[str], depth: int,
     values of ``f`` is that of the first sequence in product order.
     """
     _check_depth(depth)
-    width = len(event_names)
-    rows = _subformulas(f)
-    past_end = (Bounded.UNKNOWN,) * len(rows)
-    # by state object, one per value in the DAG: the values at the state,
-    # by the values one position later
-    steps: dict[int, tuple[Term, dict[tuple, tuple]]] = {}
-    tables: dict[int, dict[tuple, int]] = {}
+    fold = _DagFold(_subformulas(f), len(event_names), depth)
+    counts = dict.fromkeys(Bounded, 0)
+    for values, n in fold.fold(trace_dag(program, event_names, depth), 0).items():
+        counts[_decided(values[-1])] += n
+    return counts
 
-    def fold(node: TraceNode, bound: int) -> dict[tuple, int]:
+
+class _DagFold:
+    """The bounded fold of one ``bounded_counts`` call over a trace DAG."""
+
+    __slots__ = ("rows", "width", "depth", "past_end", "steps", "tables")
+
+    def __init__(self, rows: tuple[tuple, ...], width: int, depth: int):
+        self.rows, self.width, self.depth = rows, width, depth
+        self.past_end = (Bounded.UNKNOWN,) * len(rows)
+        # by state object, one per value in the DAG: the values at the
+        # state, by the values one position later
+        self.steps: dict[int, tuple[Term, dict[tuple, tuple]]] = {}
+        # by tuple of children: their tables merged
+        self.tables: dict[int, dict[tuple, int]] = {}
+
+    def fold(self, node: TraceNode, bound: int) -> dict[tuple, int]:
+        """The number of sequences that reach each values at ``node``'s
+        first state, ``bound`` events bound before it."""
         states, children = node
         if children is None:
-            table = {past_end: width ** (depth - bound)}
+            table = {self.past_end: self.width ** (self.depth - bound)}
         else:
-            table = tables.get(id(children))
+            table = self.tables.get(id(children))
             if table is None:
                 table = {}
                 for child in children:
-                    for values, n in fold(child, bound + 1).items():
+                    for values, n in self.fold(child, bound + 1).items():
                         table[values] = table.get(values, 0) + n
-                tables[id(children)] = table
+                self.tables[id(children)] = table
+        rows, steps = self.rows, self.steps
         for state in reversed(states):
             at = steps.get(id(state))
             if at is None:
@@ -310,11 +331,6 @@ def bounded_counts(program: Term, event_names: Sequence[str], depth: int,
                 earlier[now] = earlier.get(now, 0) + n
             table = earlier
         return table
-
-    counts = dict.fromkeys(Bounded, 0)
-    for values, n in fold(trace_dag(program, event_names, depth), 0).items():
-        counts[_decided(values[-1])] += n
-    return counts
 
 
 def _check_depth(depth: int) -> None:

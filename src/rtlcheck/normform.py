@@ -10,7 +10,7 @@ first unbound variable the walk meets, in source order.
 
 This module is the one judge of that form: ``verify``, ``witness``,
 ``oracle`` and ``lts`` run the check first, refuse what fails it, and test
-nothing it guarantees again (``witness.gen`` reads no call argument, ``lts``
+nothing it guarantees again (``witness``'s rules read no call argument, ``lts``
 renders only ground states). Only ``simulate`` runs unchecked programs.
 
 States are ground because the verifier reads them as written: it binds no

@@ -141,7 +141,10 @@ def _whnf(t: Term, env: Env, fuel: int) -> tuple[Term, Env, int]:
             if fuel <= 0:
                 raise _exhausted(frames, args, t)
             fuel -= 1
-            env = {**env, t.param: args.pop()}
+            # an environment grows by a copy and a store, twice as fast as
+            # {**env, name: value} on CPython 3.11
+            env = env.copy()
+            env[t.param] = args.pop()
             t = t.body
         elif tt is Lam or tt is Con:
             if args:
@@ -185,25 +188,32 @@ def _whnf(t: Term, env: Env, fuel: int) -> tuple[Term, Env, int]:
             if fuel <= 0:
                 raise _exhausted(frames, args, t)
             fuel -= 1
-            t, env = scope[0][t.name], scope[1]
+            # the definition runs under its block's instance, opened again
+            t, env = scope[0][t.name], scope[1].copy()
+            env[SCOPE] = scope
         elif tt is Let:
             if fuel <= 0:
                 raise _exhausted(frames, args, t)
             fuel -= 1
-            env = {**env, t.name: _closure(t.bound, env)}
+            bound = _closure(t.bound, env)
+            env = env.copy()
+            env[t.name] = bound
             t = t.body
         elif tt is Where:
             if fuel <= 0:
                 raise _exhausted(frames, args, t)
             fuel -= 1
-            # the block's instance binds the variables its definitions name,
-            # the scope the block opens in, and the block's own scope
+            # the block's instance binds the variables its definitions name
+            # and the scope the block opens in; the scope holds the instance,
+            # which a call opens under the scope again, so that neither holds
+            # the other in a cycle
             named = frozenset().union(*[free_vars(d) for _, d in t.defs])
             inst = {x: env[x] for x in named if x in env}
             if SCOPE in env:
                 inst[OUTER] = env[SCOPE]
-            inst[SCOPE] = scope = t.block, inst
-            env = {**env, SCOPE: scope}
+            scope = t.block, inst
+            env = env.copy()
+            env[SCOPE] = scope
             t = t.body
         else:
             raise TypeError(f"not a term: {t!r}")
@@ -325,9 +335,8 @@ def run_trace(program: Term, events: Sequence[str], cycle: bool = False,
     if cycle and not events:
         raise ValueError("cannot cycle an empty event list")
     if cycle:
-        inst: Env = {}
-        inst[SCOPE] = {EVENT_LIST: _event_list(events, Fun(EVENT_LIST))}, inst
-        c = bind_events(program, (Fun(EVENT_LIST), inst))
+        scope = {EVENT_LIST: _event_list(events, Fun(EVENT_LIST))}, _NO_VARS
+        c = bind_events(program, (Fun(EVENT_LIST), {SCOPE: scope}))
     else:
         c = bind_events(program, (_event_list(events, NIL), _NO_VARS))
     limit = max_states if cycle else min(max_states, len(events) + 1)
@@ -406,16 +415,17 @@ _END = "end"  # where a segment whose stream ended ends
 class _Segment:
     """One run of the machine from a branch point, with the point's cell set
     to one event (or to ``Nil``): the states it emitted so far and, while it
-    is open, the closure of the next one. It ends in ``_END`` or in the
-    branch point where it needs the next event, read from ``rest``. ``path``
-    holds what each cell it reads is set to, since other runs set them."""
+    is open, the closure of the next one. It ends in ``_END`` or at the key
+    of the branch point where it needs the next event, read from ``rest``.
+    ``path`` holds what each cell it reads is set to, since other runs set
+    them."""
 
     __slots__ = ("states", "c", "path", "rest", "end")
 
     def __init__(self, c: Closure, path: tuple, rest: list | None):
         self.states: list[Term] = []
         self.c, self.path, self.rest = c, path, rest
-        self.end: str | _BranchPoint | None = None
+        self.end: str | tuple | None = None
 
 
 class _BranchPoint:
@@ -431,6 +441,75 @@ class _BranchPoint:
         self.segments: list[_Segment] | None = None
         self.nil: _Segment | None = None
         self.children: dict[tuple[int, int], tuple[TraceNode, ...]] = {}
+
+
+class _Dag:
+    """The branch points of one ``trace_dag`` call, by key, and the rest of
+    what its walk shares. A segment names the point it ends at by the key,
+    so no point and segment hold each other."""
+
+    __slots__ = ("depth", "limit", "points", "heads", "states_by_value")
+
+    def __init__(self, events: Sequence[str], depth: int):
+        self.depth, self.limit = depth, depth + 1
+        self.points: dict[tuple, _BranchPoint] = {}
+        self.heads = [Con("Cons", (Con(e), UNREAD)) for e in events]
+        self.states_by_value: dict[Term, Term] = {}
+
+    def grow(self, seg: _Segment, bound: int, emitted: int) -> TraceNode:
+        """The node of a path that bound ``bound`` events, this segment's
+        included, and emitted ``emitted`` states before it."""
+        room = self.limit - emitted
+        states = seg.states
+        if seg.end is None and len(states) < room:
+            # run the segment on, with the cells set as it reads them
+            for cell, value in seg.path:
+                cell[:] = value
+            c = seg.c
+            points, states_by_value = self.points, self.states_by_value
+            while len(states) < room:
+                try:
+                    nxt = _next_state(c)
+                except StuckError as exc:
+                    if exc.term != UNREAD:
+                        raise
+                    key = _key(c)
+                    if key not in points:
+                        points[key] = _BranchPoint(c, seg.rest, seg.path)
+                    seg.end = key
+                    break
+                if nxt is None:
+                    seg.end = _END
+                    break
+                state, c = nxt
+                states.append(states_by_value.setdefault(state, state))
+            seg.c = c
+        end = seg.end
+        if len(states) >= room or end is None or end is _END:
+            return tuple(states[:room]), None
+        point = self.points[end]
+        if bound < self.depth:
+            return tuple(states), self.branch(point, bound, emitted + len(states))
+        if point.nil is None:
+            point.nil = _Segment(point.c, (*point.path, (point.cell, (NIL, _NO_VARS))),
+                                 None)
+        more, _ = self.grow(point.nil, bound, emitted + len(states))
+        return (*states, *more), None
+
+    def branch(self, point: _BranchPoint, bound: int,
+               emitted: int) -> tuple[TraceNode, ...]:
+        hit = point.children.get((bound, emitted))
+        if hit is None:
+            if point.segments is None:
+                point.segments = []
+                for head in self.heads:
+                    rest = [UNREAD, _NO_VARS]
+                    value = head, {EVENT_LIST: rest}
+                    point.segments.append(
+                        _Segment(point.c, (*point.path, (point.cell, value)), rest))
+            hit = point.children[bound, emitted] = tuple(
+                [self.grow(seg, bound + 1, emitted) for seg in point.segments])
+        return hit
 
 
 def trace_dag(program: Term, events: Sequence[str], depth: int) -> TraceNode:
@@ -457,64 +536,6 @@ def trace_dag(program: Term, events: Sequence[str], depth: int) -> TraceNode:
     """
     if depth and not events:
         return (), ()
-    limit = depth + 1
-    points: dict[tuple, _BranchPoint] = {}
-    heads = [Con("Cons", (Con(e), UNREAD)) for e in events]
-    states_by_value: dict[Term, Term] = {}
-
-    def grow(seg: _Segment, bound: int, emitted: int) -> TraceNode:
-        # the node of a path that bound `bound` events, this segment's
-        # included, and emitted `emitted` states before it
-        room = limit - emitted
-        states = seg.states
-        if seg.end is None and len(states) < room:
-            # run the segment on, with the cells set as it reads them
-            for cell, value in seg.path:
-                cell[:] = value
-            c = seg.c
-            while len(states) < room:
-                try:
-                    nxt = _next_state(c)
-                except StuckError as exc:
-                    if exc.term != UNREAD:
-                        raise
-                    key = _key(c)
-                    point = points.get(key)
-                    if point is None:
-                        point = points[key] = _BranchPoint(c, seg.rest, seg.path)
-                    seg.end = point
-                    break
-                if nxt is None:
-                    seg.end = _END
-                    break
-                state, c = nxt
-                states.append(states_by_value.setdefault(state, state))
-            seg.c = c
-        end = seg.end
-        if len(states) >= room or type(end) is not _BranchPoint:
-            return tuple(states[:room]), None
-        if bound < depth:
-            return tuple(states), branch(end, bound, emitted + len(states))
-        if end.nil is None:
-            end.nil = _Segment(end.c, (*end.path, (end.cell, (NIL, _NO_VARS))), None)
-        more, _ = grow(end.nil, bound, emitted + len(states))
-        return (*states, *more), None
-
-    def branch(point: _BranchPoint, bound: int,
-               emitted: int) -> tuple[TraceNode, ...]:
-        hit = point.children.get((bound, emitted))
-        if hit is None:
-            if point.segments is None:
-                point.segments = []
-                for head in heads:
-                    rest = [UNREAD, _NO_VARS]
-                    value = head, {EVENT_LIST: rest}
-                    point.segments.append(
-                        _Segment(point.c, (*point.path, (point.cell, value)), rest))
-            hit = point.children[bound, emitted] = tuple(
-                [grow(seg, bound + 1, emitted) for seg in point.segments])
-        return hit
-
     first = [UNREAD, _NO_VARS]
     root = _Segment(bind_events(program, first), ((first, (UNREAD, _NO_VARS)),), first)
-    return grow(root, 0, 0)
+    return _Dag(events, depth).grow(root, 0, 0)

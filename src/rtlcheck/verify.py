@@ -1,12 +1,14 @@
 """Three-valued LTL verification over simplified-form programs.
 
-The verification rules exist once, in :func:`rtlcheck.witness.gen`, which
-decides a property and builds the trace that evidences the answer in the
-same pass; :func:`verify` returns the truth value of that verdict. This
-module holds what the rules share with their callers: the rule-application
-budget, call unfolding and the errors. A call's definition comes from its
-``Fun`` node, which the parser resolved, so no rule carries a table of
-functions.
+The verification rules exist once, in :mod:`rtlcheck.witness`, with the call
+rule as their parameter. The tableau (``witness.generate``) decides a
+property and builds the trace that evidences the answer in the same pass;
+:func:`verify` returns the truth value of that verdict, solved as an
+equation system in time linear in definitions times formula nodes
+(``witness.solve``). This module holds what the rules share with their
+callers: the rule-application budget, call unfolding and the errors. A
+call's definition comes from its ``Fun`` node, which the parser resolved,
+so no rule carries a table of functions.
 """
 
 from __future__ import annotations
@@ -60,10 +62,11 @@ class _Bits(dict):
 class Budget:
     """Mutable countdown of rule applications shared across one run.
 
-    ``bits`` numbers the definitions for the run's visited sets, ``memo`` is
-    its table of verdicts for calls (see :func:`rtlcheck.witness.gen`), and
-    ``atoms`` its table of atom truths by atom formula node and state;
-    ``generate`` empties all three at the start of every run, since their
+    ``bits`` numbers the definitions for the tableau's visited sets,
+    ``memo`` is the run's table of verdicts for calls (the tableau's memo,
+    or the solver's variables; see :mod:`rtlcheck.witness`), and ``atoms``
+    its table of atom truths by atom formula node and state; ``generate``
+    and ``verify`` empty all three at the start of every run, since their
     keys hold neither the fairness set nor the formula itself, and ids of
     another run's definitions may be reused.
     """
@@ -100,10 +103,11 @@ def unfold_call(fname: str, body: Term, arity: int) -> Term:
 
 def verify(program: Term, f: Formula, fair: FairSet = frozenset(),
            budget: Budget | None = None) -> TruthVal:
-    """Truth value of ``f`` for ``program``: the truth of its generated verdict.
+    """Truth value of ``f`` for ``program``: the truth of its generated verdict,
+    solved as an equation system (:func:`rtlcheck.witness.solve`).
 
     Raises NotSimplified unless the program passes the simplified-form check.
     """
     # imported here: witness imports Budget, unfold_call, ... from this module
-    from .witness import generate
-    return generate(program, f, fair, budget).truth
+    from . import witness
+    return witness.solve(program, f, fair, budget)

@@ -665,8 +665,8 @@ def test_atom_values_do_not_outlive_their_formula():
     # dropped one's address: a table of atom values that outlived its
     # formula, keyed on the id of the atom's term, would then answer for the
     # dropped atom. The expected values evaluate each atom by value. Each
-    # round ends in a collection, since a check's nested functions hold its
-    # rows in reference cycles.
+    # round ends in a collection, so that its objects are freed even if a
+    # reference cycle held them.
     source = parse_program(RING4)
     assert not source.diagnostics
     events = ("EvA", "EvB")
@@ -686,3 +686,37 @@ def test_atom_values_do_not_outlive_their_formula():
         assert bounded_counts(source.term, events, 3, f) == counts, k
         del props, f, verdict, report
         gc.collect()
+
+
+def test_checks_leave_no_reference_cycles(corpus_by_name):
+    # a finished check's tables, trace DAG and where-block instances are
+    # freed by reference counting alone, not left for the cyclic collector:
+    # with the collector off, a collection after each call finds nothing
+    from gen_programs import inner_where_ring
+    from rtlcheck.verify import verify
+
+    _, source, props = corpus_by_name["example3"]
+    formula, fair, events = props.get("mutex"), props.fair, sorted(source.events)
+    verdict = generate(source.term, formula, fair)
+    ring = inner_where_ring(3)
+    calls = {
+        "trace_dag": lambda: semantics.trace_dag(source.term, events, 4),
+        "bounded_counts": lambda: bounded_counts(source.term, events, 4, formula),
+        "enumerate_traces": lambda: enumerate_traces(source.term, events, 2),
+        "validate_verdict": lambda: validate_verdict(verdict, formula),
+        "generate": lambda: generate(source.term, formula, fair),
+        "verify": lambda: verify(source.term, formula, fair),
+        "run_trace": lambda: run_trace(ring, ["EvA", "EvB"], cycle=True, max_states=20),
+    }
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        found = {}
+        for name, call in calls.items():
+            call()
+            found[name] = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert found == dict.fromkeys(calls, 0)

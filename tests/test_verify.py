@@ -247,11 +247,11 @@ def _formula_size(f):
 
 
 def test_rule_applications_scale_with_functions_and_formula():
-    # empirical termination bound on random conforming programs; the
-    # measured worst case sits at 19.7x (41.3x with calls memoised on fresh
-    # obligations only and connectives that ran both operands, 67.5x before G
-    # and F stopped at a deciding head, 221.2x without the memo), asserted
-    # with headroom
+    # empirical termination bound of the tableau on random conforming
+    # programs; the measured worst case sits at 19.7x (41.3x with calls
+    # memoised on fresh obligations only and connectives that ran both
+    # operands, 67.5x before G and F stopped at a deciding head, 221.2x
+    # without the memo), asserted with headroom
     import random
     from gen_programs import formula_battery, random_fair, random_program
 
@@ -261,14 +261,15 @@ def test_rule_applications_scale_with_functions_and_formula():
         n = len(program.defs)
         for formula in formula_battery():
             budget = Budget()
-            verify(program, formula, random_fair(rng, events), budget=budget)
+            generate(program, formula, random_fair(rng, events), budget=budget)
             assert budget.used <= 200 * (n + 1) * _formula_size(formula)
 
 
 def test_handler_graph_decides_within_default_budget(monkeypatch):
-    # without the memo this check takes more than 10**6 rule applications,
-    # with calls memoised on fresh obligations only 21,183; every entry is
-    # stored by the one unfold of a call that missed, and a hit unfolds none
+    # without the memo the tableau takes more than 10**6 rule applications
+    # for this check, with calls memoised on fresh obligations only 21,183;
+    # every entry is stored by the one unfold of a call that missed, and a
+    # hit unfolds none
     import rtlcheck.witness as W
     from gen_programs import formula_battery, handler_graph
 
@@ -283,8 +284,8 @@ def test_handler_graph_decides_within_default_budget(monkeypatch):
     program = handler_graph(12)
     formula = formula_battery()[2]  # always (St0 implies eventually St1)
     budget = Budget()
-    truth = verify(program, formula, frozenset(("EvA", "EvB")), budget)
-    assert truth is TRUE
+    verdict = generate(program, formula, frozenset(("EvA", "EvB")), budget)
+    assert verdict.truth is TRUE
     assert budget.used == 5963
     assert len(budget.memo) <= unfolds
 
@@ -307,17 +308,38 @@ def test_reused_budget_gives_fresh_verdicts():
 
 
 def test_response_on_a_ring_takes_linear_work():
-    # an F obligation stops at the first state that meets it, and a G one at
-    # the first that fails it; going on round the ring until a revisit made
-    # this check quadratic (29,526 and 116,646 rule applications)
+    # in the tableau, an F obligation stops at the first state that meets
+    # it, and a G one at the first that fails it; going on round the ring
+    # until a revisit made this check quadratic (29,526 and 116,646 rule
+    # applications)
     from gen_programs import ring_program, state_atom
 
     for n in (60, 120):
         budget = Budget()
         formula = Always(Eventually(state_atom("St0")))
-        assert verify(ring_program(n), formula, frozenset(("EvA", "EvB")),
-                      budget) is TRUE
+        assert generate(ring_program(n), formula, frozenset(("EvA", "EvB")),
+                        budget).truth is TRUE
         assert budget.used <= 11 * n
+
+
+# the solver's rule applications for G (St0 => F St1) on ring_program(n), fair
+# to EvA and EvB: about 8n, where the tableau takes about 8n² (29,282 /
+# 116,162 / 462,722 / 1,847,042 at n = 60/120/240/480)
+RING_RESPONSE_SOLVED = {120: 967, 240: 1927, 480: 3847}
+
+
+def test_solver_takes_linear_work_on_ring_response():
+    # no state is St1: every F variable starts False and stays False, so each
+    # is evaluated once; the G obligation fails at the root's own state, so no
+    # G variable is read
+    from gen_programs import formula_battery, ring_program
+
+    response = formula_battery()[2]
+    for n, used in RING_RESPONSE_SOLVED.items():
+        budget = Budget()
+        assert verify(ring_program(n), response, frozenset(("EvA", "EvB")),
+                      budget) is FALSE
+        assert (budget.used, len(budget.memo)) == (used, n)
 
 
 def test_inner_where_ring_verdicts_equal_the_flat_ring():
@@ -336,10 +358,12 @@ def test_inner_where_ring_verdicts_equal_the_flat_ring():
 
 
 def test_deep_ring_stays_within_recursion_limit():
-    # each handler nests four rule applications (call, two cases, Cons); with
-    # the default recursion limit these properties hold up to 236 handlers
-    # under pytest and raise RecursionError from 237. One more Python frame
-    # per rule application would lower that ceiling to about 190.
+    # in the tableau each handler nests four frames (the rules at the call,
+    # the call rule, the cases, where the outer case of one alternative goes
+    # on in the same frame, and the Cons); with the default recursion limit
+    # these properties hold up to about 236 handlers under pytest and raise
+    # RecursionError from about 237. One more Python frame per handler would
+    # lower that ceiling to about 190. verify spends no frame per call.
     from gen_programs import ring_program, state_atom
 
     program = ring_program(230)
