@@ -7,16 +7,20 @@ layout-free. A new ``where`` definition is recognized by the two-token
 lookahead IDENT ``=``. A property file is read against the constructor table
 of the program it describes. See docs/formats.md for the full EBNF.
 
-The lexer cuts each line (lines end at "\\n" only) at its first ``#``, puts
-blanks around the one-character symbols that no longer token holds, and
-splits each line at its blanks with ``str.split``; where the text is not
-ASCII or holds a blank that ``_TOKEN`` does not skip, each line is one chunk.
-A per-call table tags each distinct chunk once (``_Tags``). Should a chunk
-hold several tokens (``a->b``, ``_x``, a line), every chunk is split with
-``_TOKEN``, the one definition of a token. The descent reads the flat lists of token texts and tags at a
-cursor; one ``eof`` entry ends them and the cursor never passes it, so
-lookahead needs no bounds check. A line or column is found only when needed,
-the column by scanning the token's line again.
+The lexer cuts each line (lines end at "\\n" only) at its first ``#`` and
+puts blanks around the one-character symbols that no longer token holds.
+One ``str.split`` of the whole text then gives its chunks; where the text is
+not ASCII or holds a blank that ``_TOKEN`` does not skip, each line is one
+chunk instead. A per-call table tags each distinct chunk once (``_Tags``),
+an ASCII word by ``str.isidentifier`` and the case of its first letter. Only
+a chunk that holds several tokens (``a->b``, ``_x``, a line) or a token that
+is no word is split with ``_TOKEN``, the one definition of a token. The
+descent reads the flat lists of token texts and tags at a cursor; one
+``eof`` entry ends them and the cursor never passes it, so lookahead needs no
+bounds check. Lines are read into the line table only as far as
+``_parse_decls`` or a diagnostic asks, one at a time from the text, each
+split as the tokens were; a column comes from scanning the token's line
+again.
 
 The descent builds a name that an enclosing ``where`` defines and no lambda,
 ``let`` or pattern binder shadows as that block's one ``Fun`` for the name,
@@ -31,7 +35,7 @@ close entries through their opener, ``|`` down to the nearest ``case``, and a
 definition head (a word and ``=`` not after ``let``) down to the innermost
 ``where``, which takes its name. Only text the descent accepts must be mapped
 right, since no term is built from any other; on that the pre-pass need only
-not raise.
+not raise. A text with no ``where`` needs no pre-pass.
 
 The descent also records the constructor of every pattern it builds, and
 ``parse_program`` reads the program's event alphabet (``SourceFile.events``)
@@ -55,7 +59,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections.abc import Callable, Mapping
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 
 from .terms import (
@@ -125,16 +129,26 @@ _SPACED = ("(", ")", "{", "}", "\\", ",", ":", "!")
 _ODD_BLANKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
+def _spaced(text: str) -> str:
+    """``text`` with blanks around the one-character symbols that no longer
+    token holds, so that ``str.split`` cuts them off their neighbours."""
+    for symbol in _SPACED:
+        text = text.replace(symbol, f" {symbol} ")
+    return text
+
+
 class _Tags(dict):
     """Chunk to tag: a symbol or keyword its own text; a chunk seen first,
-    ``uid`` or ``lid`` when ``_TOKEN`` finds it whole and it starts with a
-    letter, else None (several tokens, or a token that is no word)."""
+    ``uid`` or ``lid`` when it is one word that starts with a letter (an
+    identifier, if ASCII; else one that ``_TOKEN`` finds whole), else None
+    (several tokens, or a token that is no word)."""
 
     __slots__ = ()
 
     def __missing__(self, chunk: str) -> str | None:
         tag = None
-        if chunk[0].isalpha() and _TOKEN.findall(chunk) == [chunk]:
+        if chunk[0].isalpha() and (chunk.isidentifier() if chunk.isascii()
+                                   else _TOKEN.findall(chunk) == [chunk]):
             tag = "uid" if chunk[0].isupper() else "lid"
         self[chunk] = tag
         return tag
@@ -156,52 +170,74 @@ class _Vars(dict):
 class _Tokens:
     """A text's tokens as parallel lists of texts and tags, and a cursor."""
 
-    # ends: the number of tokens up to the end of each line; blocks, arities:
-    # set by the parse function that owns ts; matched: the pattern constructors
+    # text: the text as given; split: how a line's text, cut at "#" and
+    # spaced, splits into the tokens (str.split, or _TOKEN.findall); starts,
+    # ends: the line table of the lines read so far, the offset in text at
+    # which each starts and then the next would, and 0 and then the number
+    # of tokens up to the end of each; blocks, arities: set by
+    # the parse function that owns ts; matched: the pattern constructors
     # built; problems, pending: as the module docstring tells; prop: the token
     # of the property name being parsed; variables: the one Var of each name
-    __slots__ = ("texts", "tags", "ends", "rows", "pos", "blocks", "arities",
-                 "matched", "problems", "pending", "prop", "variables")
+    __slots__ = ("texts", "tags", "text", "split", "starts", "ends", "pos",
+                 "blocks", "arities", "matched", "problems", "pending", "prop",
+                 "variables")
 
     def __init__(self, text: str):
-        self.rows = rows = text.split("\n")
+        self.text, self.starts, self.ends = text, [0], [0]
         self.pos = 0
         self.matched, self.problems, self.pending = set(), [], {}
         self.variables = _Vars()
         if "#" in text:  # each line ends at its first "#"
-            text = "\n".join(map(itemgetter(0), map(str.partition, rows, repeat("#"))))
-        for symbol in _SPACED:
-            text = text.replace(symbol, f" {symbol} ")
-        if text.isascii() and not any(map(text.__contains__, _ODD_BLANKS)):
-            chunks = list(map(str.split, text.split("\n")))
-        else:  # one chunk per line, which _TOKEN splits below
-            chunks = [[row] if row else [] for row in text.split("\n")]
+            text = "\n".join(map(itemgetter(0), map(str.partition, text.split("\n"),
+                                                     repeat("#"))))
+        text = _spaced(text)
         table = _Tags(_FIXED_TAGS)
-        texts = list(chain.from_iterable(chunks))
+        if text.isascii() and not any(map(text.__contains__, _ODD_BLANKS)):
+            self.split = str.split
+            texts = text.split()
+        else:  # one chunk per line, which _TOKEN splits below
+            self.split = _TOKEN.findall
+            texts = list(filter(None, text.split("\n")))
         tags = list(map(table.__getitem__, texts))
         if None in tags:  # a chunk of several tokens, or a token that is no word
-            chunks = [list(chain.from_iterable(map(_TOKEN.findall, row))) for row in chunks]
-            texts = list(chain.from_iterable(chunks))
+            self.split = _TOKEN.findall
+            texts = list(chain.from_iterable(
+                _TOKEN.findall(chunk) if tag is None else (chunk,)
+                for chunk, tag in zip(texts, tags)))
             tags = list(map(table.__getitem__, texts))
         self.texts, self.tags = texts, tags
-        self.ends = list(accumulate(map(len, chunks)))
         if None in tags:
             pos = tags.index(None)
             raise self.error(pos, f"unexpected character {texts[pos][0]!r}")
         texts.append("")
         tags.append("eof")
 
+    def _read_line(self) -> None:
+        """Add the next line of the text to the line table."""
+        text, start = self.text, self.starts[-1]
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        row = text[start:end].partition("#")[0]
+        self.starts.append(end + 1)
+        self.ends.append(self.ends[-1] + len(self.split(_spaced(row))))
+
     def line(self, pos: int) -> int:
-        """The line of token ``pos``; the last line for ``eof``."""
-        return min(bisect_right(self.ends, pos), len(self.ends) - 1) + 1
+        """The line of token ``pos``; the last line for ``eof``. Reads lines
+        only as far as the line of ``pos``."""
+        ends, starts, size = self.ends, self.starts, len(self.text)
+        while ends[-1] <= pos and starts[-1] <= size:
+            self._read_line()
+        return min(bisect_right(ends, pos), len(ends) - 1)
 
     def diagnostic(self, pos: int, message: str) -> Diagnostic:
         """``message`` at token ``pos``; the column comes from lexing its line again."""
         line = self.line(pos)
-        row = self.rows[line - 1]
+        start, end = self.starts[line - 1], self.starts[line] - 1
+        row = self.text[start:end]
         if not self.texts[pos]:  # eof: past the last line, comment included
             return Diagnostic(line, len(row) + 1, message)
-        nth = pos - (self.ends[line - 2] if line > 1 else 0)
+        nth = pos - self.ends[line - 1]
         col = next(islice(_TOKEN.finditer(row), nth, None)).start() + 1
         return Diagnostic(line, col, message)
 
@@ -254,6 +290,8 @@ def _where_blocks(ts: _Tokens, first: int) -> dict[int, dict[str, Term]]:
     ``first`` is the term's first token; the module docstring gives the rules.
     """
     tags, texts = ts.tags, ts.texts
+    if "where" not in tags:
+        return {}
     blocks: dict[int, dict[str, Term]] = {}
     groups: dict[int, int] = {}  # the index of each ")" to that of its "("
     stack: list[tuple[str, int | dict[str, Term]]] = []  # open entries, innermost last

@@ -1,16 +1,17 @@
 """The lexer against the per-line regex lexer, kept here as the reference.
 
-The library splits each line at its blanks into chunks and tags each
+The library splits the whole text at its blanks into chunks and tags each
 distinct chunk once; only a chunk that holds several tokens goes through
-``_TOKEN``. The reference runs ``_TOKEN`` along every line, as the lexer
-did before, and must give the same tokens, tags, lines and columns, and the
-same first error.
+``_TOKEN``, and a line is read only when a line or column is asked for. The
+reference runs ``_TOKEN`` along every line, as the lexer did before, and
+must give the same tokens, tags, lines and columns, and the same first
+error.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from rtlcheck import parser
-from rtlcheck.parser import Diagnostic, ParseError
+from rtlcheck.parser import Diagnostic, ParseError, parse_program
 from rtlcheck.pretty import pretty_term
 
 from gen_programs import DECLS, handler_graph, ring_program
@@ -76,9 +77,42 @@ def test_lexer_matches_the_reference_on_any_text(text):
 def test_lexer_matches_the_reference_on_explicit_cases():
     for text in ("", "\n", "a->b", "_x x_y", "|||", "f\x0bg", "f\x0cg", "f\x1fg", "f\xa0g", "9x",
                  "x # y\n# z\nw", "data D = A\r\nA\r\n", "a\tb\rc", "ǅ 変",
-                 "f (g) {h}", "x -- y", "x y # \x0b"):
+                 "f (g) {h}", "x -- y", "x y # \x0b",
+                 # a parenthesized argument over two lines
+                 "data D = A (B\n C) | E\nA",
+                 "\n# c\n  \n# d\ndata D = A\n\ndata E = B\nA",
+                 "data D = A\n# c\n# d\nA .",
+                 "data D = A\r\n\tA\t\r\nf\r\n\t(g)",
+                 "data D = A\ndata E = B\n\n\n\nA"):
         assert library_tokens(text) == reference_tokens(text), text
     assert library_tokens("f\x0bg") == Diagnostic(1, 2, "unexpected character '\\x0b'")
+
+
+# --- the line table ---------------------------------------------------------------
+
+def _lines_read(monkeypatch) -> list[int]:
+    """The number of each line the lexer reads into its line table, in order."""
+    read, read_line = [], parser._Tokens._read_line
+
+    def spy(ts):
+        read.append(len(ts.ends))  # the number of the line being read
+        read_line(ts)
+
+    monkeypatch.setattr(parser._Tokens, "_read_line", spy)
+    return read
+
+
+def test_the_line_table_reads_each_line_once_and_only_as_asked(monkeypatch):
+    read = _lines_read(monkeypatch)
+    decls = "".join(f"data D{i} = A{i} | B{i} (C{i})\n" for i in range(5000))
+    source = parse_program(decls + "\nCons Mystery Nil\n")
+    assert source.diagnostics == (Diagnostic(5002, 6, "unknown constructor Mystery"),)
+    assert read == list(range(1, 5003))
+    # a clean parse asks for the lines of the declarations and the line after
+    text = DECLS + pretty_term(ring_program(400))
+    read.clear()
+    assert parse_program(text).term is not None
+    assert read == [1, 2, 3]
 
 
 # --- the fast path ---------------------------------------------------------------

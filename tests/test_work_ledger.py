@@ -6,7 +6,7 @@ where timings are too noisy to tell. A change that moves a count names the
 old and new counts in CHANGES.md and updates the ledger.
 """
 
-from rtlcheck.verify import Budget
+from rtlcheck.verify import Budget, verify
 from rtlcheck.witness import generate
 from rtlcheck.terms import Always, Eventually
 
@@ -36,9 +36,30 @@ GENERATED_LEDGER = {
 }
 
 
-def _used(program, formula, fair) -> int:
+# verify's rule applications, those of the right-hand sides the solver
+# evaluates, on the same corpus checks, and on F St2 on rings fair to EvA and
+# EvB; a variable popped at a value final for its block is not evaluated again
+SOLVER_CORPUS_LEDGER = {
+    ("example1", "mutex"): 125,
+    ("example1", "nonstarve1"): 177,
+    ("example1", "nonstarve2"): 177,
+    ("example2", "mutex"): 58,
+    ("example2", "nonstarve1"): 109,
+    ("example2", "nonstarve2"): 109,
+    ("example3", "mutex"): 91,
+    ("example3", "nonstarve1"): 186,
+    ("example3", "nonstarve2"): 186,
+}
+
+SOLVER_GENERATED_LEDGER = {
+    ("ring_program", 60): 939,
+    ("ring_program", 120): 1899,
+}
+
+
+def _used(program, formula, fair, engine=generate) -> int:
     budget = Budget()
-    generate(program, formula, fair, budget)
+    engine(program, formula, fair, budget)
     return budget.used
 
 
@@ -68,4 +89,24 @@ def test_generated_rule_applications():
     for n in (60, 120):
         got["ring_program", n] = _used(ring_program(n), recurrence, fair)
     diff = _diff(GENERATED_LEDGER, got)
+    assert not diff, diff
+
+
+def test_solver_corpus_rule_applications(corpus):
+    got = {(entry.name, name): _used(source.term, props.get(name),
+                                     frozenset(source.events), verify)
+           for entry, source, props in corpus
+           for name in entry.expected_verdicts}
+    diff = _diff(SOLVER_CORPUS_LEDGER, got)
+    assert not diff, diff
+    assert got.keys() == SOLVER_CORPUS_LEDGER.keys()
+    assert sum(got.values()) == 1218
+
+
+def test_solver_generated_rule_applications():
+    fair = frozenset(("EvA", "EvB"))
+    eventually = Eventually(state_atom("St2"))
+    got = {("ring_program", n): _used(ring_program(n), eventually, fair, verify)
+           for n in (60, 120)}
+    diff = _diff(SOLVER_GENERATED_LEDGER, got)
     assert not diff, diff
