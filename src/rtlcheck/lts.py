@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 
+from .pretty import pretty_term
 from .terms import (
     Alt, Case, Con, Fun, Lam, PCon, PWild, Record, Term, Var, Where, spine,
 )
@@ -126,8 +127,7 @@ def extract_lts(program: Term, event_names: Sequence[str]) -> Lts:
     return Lts(order[initial_fun], nodes, tuple(edges))
 
 
-def _state_label(state: Term) -> str:
-    from .pretty import pretty_term
+def _state_label(state: Con) -> str:
     match state:
         case Con(_, args) if args and all(
                 isinstance(a, Con) and not a.args for a in args):

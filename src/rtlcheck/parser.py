@@ -26,16 +26,18 @@ The descent builds a name that an enclosing ``where`` defines and no lambda,
 ``let`` or pattern binder shadows as that block's one ``Fun`` for the name,
 else as the parse's one ``Var`` for it. The ``Fun`` holds the dict of the
 innermost such block's definitions by name, which the descent fills in as it
-closes the block. A block's body and forward references precede its
-later definitions, so a pre-pass over the block tokens makes each block's
-dict, with the names it defines, keyed by the token that starts its body,
-found by walking back from ``where`` over words and parenthesized groups.
-``(``, ``{``, ``let`` and ``case`` open an entry; ``)``, ``}`` and ``in``
-close entries through their opener, ``|`` down to the nearest ``case``, and a
-definition head (a word and ``=`` not after ``let``) down to the innermost
-``where``, which takes its name. Only text the descent accepts must be mapped
-right, since no term is built from any other; on that the pre-pass need only
-not raise. A text with no ``where`` needs no pre-pass.
+closes the block, and the definition's number: the blocks are numbered in
+the order the descent enters their bodies, and each block's names in order.
+A block's body and forward references precede its later definitions, so a
+pre-pass over the block tokens makes each block's dict, with the names it
+defines, keyed by the token that starts its body, found by walking back from
+``where`` over words and parenthesized groups. ``(``, ``{``, ``let`` and
+``case`` open an entry; ``)``, ``}`` and ``in`` close entries through their
+opener, ``|`` down to the nearest ``case``, and a definition head (a word
+and ``=`` not after ``let``) down to the innermost ``where``, which takes
+its name. Only text the descent accepts must be mapped right, since no term
+is built from any other; on that the pre-pass need only not raise. A text
+with no ``where`` needs no pre-pass.
 
 The descent also records the constructor of every pattern it builds, and
 ``parse_program`` reads the program's event alphabet (``SourceFile.events``)
@@ -177,14 +179,15 @@ class _Tokens:
     # of tokens up to the end of each; blocks, arities: set by
     # the parse function that owns ts; matched: the pattern constructors
     # built; problems, pending: as the module docstring tells; prop: the token
-    # of the property name being parsed; variables: the one Var of each name
+    # of the property name being parsed; variables: the one Var of each name;
+    # numbered: the where definitions given a Fun so far
     __slots__ = ("texts", "tags", "text", "split", "starts", "ends", "pos",
                  "blocks", "arities", "matched", "problems", "pending", "prop",
-                 "variables")
+                 "variables", "numbered")
 
     def __init__(self, text: str):
         self.text, self.starts, self.ends = text, [0], [0]
-        self.pos = 0
+        self.pos = self.numbered = 0
         self.matched, self.problems, self.pending = set(), [], {}
         self.variables = _Vars()
         if "#" in text:  # each line ends at its first "#"
@@ -468,7 +471,10 @@ def _parse_expr(ts: _Tokens, funs: Mapping[str, Fun] = {}) -> Term:
     # a lambda, let or case ends in an expression that took any where block
     block = ts.blocks.get(pos)  # of a where block whose body starts here
     if block:
-        funs = {**funs, **{name: Fun(name, block) for name in block}}
+        first = ts.numbered
+        ts.numbered += len(block)
+        funs = {**funs, **{name: Fun(name, block, i)
+                           for i, name in enumerate(block, first)}}
     term = _parse_app(ts, funs)
     pos = ts.pos
     if tags[pos] != "where":

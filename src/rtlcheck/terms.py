@@ -14,12 +14,19 @@ fields, named in ``__match_args__``, for its constructor, equality, hash and
 a dataclass-style ``repr``. A class writes its own method only where commands
 call it often (counted over a seed-1 pass of each benchmark workload in one
 process): node constructors, about 151,000 calls; the nodes' equality and
-hash, but for ``Lam``, ``Let`` and ``Where``, never compared or hashed
+hash, but for ``Lam``, ``Let`` and ``Where``, never compared or hashed, and
+for the equality of ``Fun`` and ``PWild``, hashed but never compared
 (``Con``: 56,271 hashes, 40,123 comparisons; 16 us on a 30-deep term against
 110 and 60 us through ``Record``); ``LtsNode`` and ``LtsEdge``, one per
 handler or edge (0.25 against 0.70 us); ``SourceFile``, with a slot outside
 its value, and ``CorpusEntry``, built by keyword. Other records, formulas
 among them, are built a few dozen times per command (``Atom``: 2,968 times).
+
+``Con`` equality walks the argument tuples on a stack, so that states deeper
+than the recursion limit compare: 0.12 us on a nullary pair, 0.55 on
+``ObsState T W`` and 12 on a 30-deep term, against 0.14, 0.42 and 7.3 us for
+one comparison of the fields' tuples (CPython 3.11, best of nine timings on a
+shared host).
 
 Nodes are not frozen: every command builds and walks them, and a frozen node
 costs two to three times as much to build, since its ``__init__`` sets each
@@ -27,9 +34,10 @@ field through ``object.__setattr__`` (``Con("A", ())``: 0.45 to 0.8 us against
 0.24 to 0.3 us on CPython 3.11, best of seven timings on a shared host).
 They are immutable by contract instead: no module but this one assigns to a
 node's field, and only ``free_vars`` writes its memo slot ``_fv``. That slot,
-``Fun.block`` and ``Where.block`` are no fields of the node's value: they take
-no part in equality, hashing or ``repr`` (``tests/test_terms.py`` holds them to
-it). The hash is not cached: hashing takes under 2% of any workload.
+``Fun.block``, ``Fun.index`` and ``Where.block`` are no fields of the node's
+value: they take no part in equality, hashing or ``repr``
+(``tests/test_terms.py`` holds them to it). The hash is not cached: hashing
+takes under 2% of any workload.
 """
 
 from __future__ import annotations
@@ -97,9 +105,6 @@ class PWild(Record):
 
     __slots__ = ()
 
-    def __eq__(self, other: object):
-        return True if other.__class__ is PWild else NotImplemented
-
     def __hash__(self) -> int:
         return hash(())
 
@@ -144,9 +149,29 @@ class Con(Term):
         self.args = args
 
     def __eq__(self, other: object):
-        if other.__class__ is Con:
-            return (self.con, self.args) == (other.con, other.args)
-        return NotImplemented
+        # the argument tuples still to compare walk on a stack, not a frame
+        # per level, so that states of any depth compare
+        if other.__class__ is not Con:
+            return NotImplemented
+        args, others = self.args, other.args
+        if self.con != other.con or len(args) != len(others):
+            return False
+        if not args:
+            return True
+        todo = []
+        while True:
+            for x, y in zip(args, others):
+                if x is not y:
+                    if x.__class__ is not Con or y.__class__ is not Con:
+                        if x != y:
+                            return False
+                    elif x.con != y.con or len(x.args) != len(y.args):
+                        return False
+                    elif x.args:
+                        todo.append((x.args, y.args))
+            if not todo:
+                return True
+            args, others = todo.pop()
 
     def __hash__(self) -> int:
         return hash((self.con, self.args))
@@ -165,19 +190,17 @@ class Fun(Term):
     """Reference to a function bound by an enclosing ``where``."""
 
     # block: the definitions by name of the innermost where block defining
-    # the name, as the parser resolved it; None in a term built by hand
-    __slots__ = ("name", "block")
+    # the name, as the parser resolved it; index: that definition's number,
+    # in the order the parser met the blocks; both None in a term built by hand
+    __slots__ = ("name", "block", "index")
     __match_args__ = ("name",)
 
-    def __init__(self, name: str, block: dict[str, Term] | None = None):
+    def __init__(self, name: str, block: dict[str, Term] | None = None,
+                 index: int | None = None):
         self._fv = None
         self.name = name
         self.block = block
-
-    def __eq__(self, other: object):
-        if other.__class__ is Fun:
-            return self.name == other.name
-        return NotImplemented
+        self.index = index
 
     def __hash__(self) -> int:
         return hash((self.name,))

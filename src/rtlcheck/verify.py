@@ -7,8 +7,9 @@ property and builds the trace that evidences the answer in the same pass;
 equation system in time linear in definitions times formula nodes
 (``witness.solve``). This module holds what the rules share with their
 callers: the rule-application budget, call unfolding and the errors. A
-call's definition comes from its ``Fun`` node, which the parser resolved,
-so no rule carries a table of functions.
+call's definition and that definition's number come from its ``Fun`` node,
+which the parser resolved and numbered, so no rule carries a table of
+functions and no run numbers definitions.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .normform import check_simplified  # noqa: F401  (rebound by benchmarks/tra
 
 DEFAULT_BUDGET = 10 ** 6
 
-# the definitions unfolded, one bit each in the numbering of Budget.bits
+# the definitions unfolded, bit Fun.index for each
 VisitedSet = int
 FairSet = frozenset[str]
 
@@ -48,35 +49,22 @@ class BudgetExceeded(VerifyError):
     """More rule applications than the configured budget."""
 
 
-class _Bits(dict):
-    """Each definition's bit in a visited set, by the definition's id,
-    numbered the first time a call reaches it."""
-
-    __slots__ = ()
-
-    def __missing__(self, key: int) -> int:
-        bit = self[key] = 1 << len(self)
-        return bit
-
-
 class Budget:
     """Mutable countdown of rule applications shared across one run.
 
-    ``bits`` numbers the definitions for the tableau's visited sets,
     ``memo`` is the run's table of verdicts for calls (the tableau's memo,
     or the solver's variables; see :mod:`rtlcheck.witness`), and ``atoms``
     its table of atom truths by atom formula node and state; ``generate``
-    and ``verify`` empty all three at the start of every run, since their
-    keys hold neither the fairness set nor the formula itself, and ids of
-    another run's definitions may be reused.
+    and ``verify`` empty both at the start of every run, since their keys
+    hold neither the fairness set nor the formula itself, and another run's
+    program numbers its definitions from 0 too.
     """
 
-    __slots__ = ("limit", "used", "bits", "memo", "atoms")
+    __slots__ = ("limit", "used", "memo", "atoms")
 
     def __init__(self, limit: int = DEFAULT_BUDGET):
         self.limit = limit
         self.used = 0
-        self.bits: dict[int, int] = _Bits()
         self.memo: dict = {}
         self.atoms: dict = {}
 

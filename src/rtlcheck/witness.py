@@ -56,17 +56,16 @@ repeat reuses it, though it still counts its rule application.
 The tableau. Revisiting a call while checking an always-formula yields True
 (greatest fixed point), while checking an eventually-formula yields False
 (least fixed point), and Undefined otherwise. The visited set holds the
-definitions unfolded, one bit each in an int (``Budget.bits`` numbers a
-definition the first time a call reaches it), so a name that another block
-defines again is a different call, and extending the set is one ``|``, not
-a copy as long as the path. The visited set is reset exactly when checking
-moves inside a temporal operator at a Cons cell, where a fresh obligation
-opens. A verdict therefore depends only on the term, the formula, the
-visited set and the fairness set. Every call is memoised for the run in
-``Budget.memo``, keyed on the callee's bit, the number of arguments, the
-formula node and the visited set with the callee added (the fairness set is
-fixed for a run); a hit returns the stored verdict and spends no rule
-applications.
+definitions unfolded, one bit each in an int (bit ``Fun.index``, the number
+the parser gave the definition), so a name that another block defines again
+is a different call, and extending the set is one ``|``, not a copy as long
+as the path. The visited set is reset exactly when checking moves inside a
+temporal operator at a Cons cell, where a fresh obligation opens. A verdict
+therefore depends only on the term, the formula, the visited set and the
+fairness set. Every call is memoised for the run in ``Budget.memo``, keyed
+on the callee's number, the number of arguments, the formula node and the
+visited set with the callee added (the fairness set is fixed for a run); a
+hit returns the stored verdict and spends no rule applications.
 
 The tableau's worst case stays exponential in the size of the visited set:
 ``witness --prop response --fair-all`` on
@@ -265,19 +264,18 @@ def _rules(t: Term, f: Formula, visited: VisitedSet, fair: FairSet,
 def _unfold(fn: Fun, arity: int, f: Formula, visited: VisitedSet, fair: FairSet,
             budget: Budget) -> Verdict:
     """The tableau's call rule: unfold a definition not visited yet, memoised."""
-    body = fn.block[fn.name]
-    bit = budget.bits[id(body)]
+    bit = 1 << fn.index
     if visited & bit:
         return _REVISITED.get(type(f), _UNDECIDED)
-    # its verdict depends on the key alone (fair is fixed for the run; the
-    # definition and f live as long as the run, and f's id, unlike its hash,
-    # costs no walk over its atoms)
+    # its verdict depends on the key alone (fair is fixed for the run; f
+    # lives as long as the run, and f's id, unlike its hash, costs no walk
+    # over its atoms)
     visited |= bit
-    key = (bit, arity, id(f), visited)
+    key = (fn.index, arity, id(f), visited)
     v = budget.memo.get(key)
     if v is None:
-        v = budget.memo[key] = _rules(unfold_call(fn.name, body, arity), f,
-                                      visited, fair, budget, _unfold)
+        body = unfold_call(fn.name, fn.block[fn.name], arity)
+        v = budget.memo[key] = _rules(body, f, visited, fair, budget, _unfold)
     return v
 
 
@@ -293,7 +291,6 @@ def _fresh(program: Term, budget: Budget | None) -> Budget:
     require_simplified(check_simplified(program))
     if budget is None:
         budget = Budget()
-    budget.bits.clear()
     budget.memo.clear()
     budget.atoms.clear()
     return budget
@@ -308,11 +305,10 @@ def generate(program: Term, f: Formula, fair: FairSet = frozenset(),
     any other name, a state constructor say, always does.
 
     ``budget`` defaults to a fresh one; pass one to read how many rule
-    applications the run used. Every run starts with empty definition, memo
-    and atom tables (``budget.bits``, ``budget.memo``, ``budget.atoms``), so
-    a budget passed to several runs carries no verdict or atom truth from
-    one run into the next. Raises NotSimplified unless the program is in
-    simplified form.
+    applications the run used. Every run starts with empty memo and atom
+    tables (``budget.memo``, ``budget.atoms``), so a budget passed to several
+    runs carries no verdict or atom truth from one run into the next. Raises
+    NotSimplified unless the program is in simplified form.
     """
     budget = _fresh(program, budget)
     return gen(program, f, EMPTY_VISITED, frozenset(fair), budget)
@@ -321,13 +317,13 @@ def generate(program: Term, f: Formula, fair: FairSet = frozenset(),
 class _Equations:
     """The equation system of one ``solve`` run.
 
-    A variable is a call's definition body, arity and formula node, and its
-    value a verdict with no trace. ``values`` holds every variable met so
-    far (the run's ``Budget.memo``): a variable of a block that has been
-    solved keeps its final value. The other fields belong to the block being
-    solved: its formula node's id, the variable whose right-hand side is
-    being evaluated, which variables read each of the block's variables, and
-    the variables left to evaluate.
+    A variable is a call's definition number (``Fun.index``), arity and
+    formula node, and its value a verdict with no trace. ``values`` holds
+    every variable met so far (the run's ``Budget.memo``): a variable of a
+    block that has been solved keeps its final value. The other fields
+    belong to the block being solved: its formula node's id, the variable
+    whose right-hand side is being evaluated, which variables read each of
+    the block's variables, and the variables left to evaluate.
     """
 
     __slots__ = ("fair", "budget", "values", "bodies", "node", "reader",
@@ -344,11 +340,10 @@ class _Equations:
     def read(self, fn: Fun, arity: int, f: Formula, visited: VisitedSet,
              fair: FairSet, budget: Budget) -> Verdict:
         """The solver's call rule: the value of the call's variable so far."""
-        body = fn.block[fn.name]
-        var = (id(body), arity, id(f))
+        var = (fn.index, arity, id(f))
         v = self.values.get(var)
         if v is None:
-            body = unfold_call(fn.name, body, arity)
+            body = unfold_call(fn.name, fn.block[fn.name], arity)
             if id(f) != self.node:  # a subformula's block, solved first
                 return self.solve(var, body, f)
             v = self.add(var, body, f)

@@ -7,7 +7,8 @@ lambda and applies the let variable, to exercise the abstraction rules.
 Every builder returns its term as the parser reads it back from its printed
 form (``resolved``), so that each call knows its definition.
 
-``pretty_formula`` prints a formula, and ``check_term`` checks a term by a
+``pretty_expr`` prints a program or an atom and ``pretty_formula`` a
+formula; the library prints states only. ``check_term`` checks a term by a
 walk of its own: the parser checks terms as it builds them, and its
 diagnostics are compared with this walk's.
 """
@@ -16,10 +17,9 @@ import random
 from typing import Mapping
 
 from rtlcheck.parser import parse_program
-from rtlcheck.pretty import pretty_term
 from rtlcheck.terms import (
     Alt, Always, And, App, Atom, Case, Con, Eventually, Formula, Fun, Implies,
-    Lam, Let, Next, Not, Or, PCon, PWild, Term, Var, WILD, Where,
+    Lam, Let, Next, Not, Or, PCon, PWild, Term, Var, WILD, Where, spine,
 )
 
 EVENT_POOL = ("EvA", "EvB", "EvC", "EvD")
@@ -29,7 +29,7 @@ DECLS = "data GEvent = EvA | EvB | EvC | EvD\ndata GState = St0 | St1 | St2\n"
 
 def resolved(t: Term) -> Term:
     """``t`` parsed back from its printed form, under ``DECLS``."""
-    source = parse_program(DECLS + pretty_term(t))
+    source = parse_program(DECLS + pretty_expr(t))
     assert source.term is not None, source.diagnostics
     return source.term
 
@@ -124,13 +124,70 @@ def formula_battery() -> list[Formula]:
     ]
 
 
+# term precedence: a body position (0) takes any construct bare, an argument
+# position (1) parenthesizes applications and binders
+
+def pretty_expr(t: Term, prec: int = 0) -> str:
+    """Program-file syntax of ``t``, which reparses to an equal tree.
+
+    A construct is parenthesized in argument position, inside a case
+    alternative that is not the last one, or in a where definition that is
+    not the last one and ends in a where block of its own.
+    """
+    match t:
+        case Var(name) | Fun(name) | Con(name, ()):
+            return name
+        case Con(con, args):
+            out = " ".join([con, *[pretty_expr(a, 1) for a in args]])
+        case App():
+            head, args = spine(t)
+            out = " ".join([pretty_expr(x, 1) for x in (head, *args)])
+        case Lam(param, body):
+            out = f"\\{param} -> {pretty_expr(body)}"
+        case Case(scrut, alts):
+            last = len(alts) - 1
+            out = f"case {pretty_expr(scrut, 1)} of " + " | ".join(
+                f"{_pretty_pattern(alt.pattern)} -> "
+                f"{pretty_expr(alt.body, 0 if i == last else 1)}"
+                for i, alt in enumerate(alts))
+        case Let(name, bound, body):
+            out = f"let {name} = {pretty_expr(bound)} in {pretty_expr(body)}"
+        case Where(body, defs):
+            lines = [f"{pretty_expr(body, 1)} where"]
+            for i, (name, d) in enumerate(defs):
+                inner = i < len(defs) - 1 and _ends_in_where(d)
+                lines.append(f"  {name} = {pretty_expr(d, 1 if inner else 0)}")
+            out = "\n".join(lines)
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    return f"({out})" if prec else out
+
+
+def _ends_in_where(t: Term) -> bool:
+    """Whether ``t``, printed in a body position, ends in a where block."""
+    while True:
+        match t:
+            case Where():
+                return True
+            case Lam(_, body) | Let(_, _, body):
+                t = body
+            case Case(_, alts):
+                t = alts[-1].body
+            case _:
+                return False
+
+
+def _pretty_pattern(p: PCon | PWild) -> str:
+    return "_" if type(p) is PWild else " ".join([p.con, *p.vars])
+
+
 # formula precedence: => (1, right) < || (2) < && (3) < prefix operators (4)
 
 def pretty_formula(f: Formula, prec: int = 0) -> str:
     """Property-file syntax of ``f`` with the fewest parentheses."""
     match f:
         case Atom(term):
-            return "{ " + pretty_term(term) + " }"
+            return "{ " + pretty_expr(term) + " }"
         case Not(sub):
             return "!" + pretty_formula(sub, 4)
         case Always(sub):

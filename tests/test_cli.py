@@ -231,6 +231,32 @@ def test_a_state_deeper_than_the_recursion_limit_prints(tmp_path, capsys):
     assert err == ""
 
 
+# the same state, 400 constructors deep, at the root and in the one handler:
+# comparing two states with a frame per level hit Python's recursion limit
+DEEP_STATE = "(S " * 400 + "Z" + ")" * 400
+DEEP_STATE_PROGRAM = f"""data N = Z | S N
+data E = Ev
+Cons {DEEP_STATE} (h es) where
+  h = \\es -> case es of Cons e es -> case e of _ -> Cons {DEEP_STATE} (h es)
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ["verify"], ["witness"], ["oracle", "--depth", "2"], ["lts", "--json"]])
+def test_a_state_deeper_than_the_recursion_limit_compares(tmp_path, capsys, command):
+    path = tmp_path / "p.rsl"
+    path.write_text(DEEP_STATE_PROGRAM)
+    props = tmp_path / "p.ltl"
+    props.write_text("prop p: G { case s of Z -> False | _ -> True }\n")
+    if command[0] != "lts":
+        command += ["--props", str(props), "--prop", "p"]
+    assert main([*command, str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith({"verify": "True\n", "witness": "True  (witness",
+                           "oracle": "verdict: True", "lts": "{"}[command[0]])
+
+
 def test_a_long_let_chain_runs_as_its_body(tmp_path, capsys):
     # 900 lets above the root: two calls per let hit Python's recursion limit
     # in the free-variable walk that binds the event list

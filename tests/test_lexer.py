@@ -12,9 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from rtlcheck import parser
 from rtlcheck.parser import Diagnostic, ParseError, parse_program
-from rtlcheck.pretty import pretty_term
 
-from gen_programs import DECLS, handler_graph, ring_program
+from gen_programs import DECLS, handler_graph, pretty_expr, ring_program
 
 
 def reference_tokens(text: str) -> list[tuple[str, str, int, int]] | Diagnostic:
@@ -109,7 +108,7 @@ def test_the_line_table_reads_each_line_once_and_only_as_asked(monkeypatch):
     assert source.diagnostics == (Diagnostic(5002, 6, "unknown constructor Mystery"),)
     assert read == list(range(1, 5003))
     # a clean parse asks for the lines of the declarations and the line after
-    text = DECLS + pretty_term(ring_program(400))
+    text = DECLS + pretty_expr(ring_program(400))
     read.clear()
     assert parse_program(text).term is not None
     assert read == [1, 2, 3]
@@ -155,8 +154,8 @@ def test_common_files_lex_without_a_regex_split(corpus_text, monkeypatch):
     spy = _SplitSpy()
     monkeypatch.setattr(parser, "_TOKEN", spy)
     texts = [*corpus_text.values(), GRAPH_PROPS,
-             DECLS + pretty_term(ring_program(40)),
-             DECLS + pretty_term(handler_graph(8))]
+             DECLS + pretty_expr(ring_program(40)),
+             DECLS + pretty_expr(handler_graph(8))]
     for text in texts:
         parser._Tokens(text)
     assert spy.split == []

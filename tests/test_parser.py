@@ -9,7 +9,6 @@ from rtlcheck.corpus import obs
 from rtlcheck.parser import (
     Diagnostic, PropertyFile, SourceFile, TOO_DEEP, parse_program, parse_properties,
 )
-from rtlcheck.pretty import pretty_term
 from rtlcheck.terms import (
     Alt, Always, And, App, Atom, BUILTIN_DECLS, Case, Con, Eventually, Fun,
     Implies, Lam, Let, Not, PCon, Term, Var, WILD, Where, arity_table,
@@ -17,7 +16,7 @@ from rtlcheck.terms import (
 
 from gen_programs import (
     check_term, formula_battery, handler_graph, inner_where_ring,
-    pretty_formula, random_program, ring_program,
+    pretty_expr, pretty_formula, random_program, ring_program,
 )
 
 DECLS = """\
@@ -186,7 +185,7 @@ def test_function_resolution_shadowing():
 
 def test_roundtrip_corpus_programs(corpus):
     for entry, source, _ in corpus:
-        text = DECLS + pretty_term(source.term)
+        text = DECLS + pretty_expr(source.term)
         again = parse_program(text)
         assert again.term is not None, again.diagnostics
         assert again.term == source.term
@@ -198,7 +197,7 @@ def _diagnostics(text: str) -> list[str]:
 
 def test_long_input_positions():
     # positions many lines into a long program
-    text = GEN_DECLS + pretty_term(ring_program(400))
+    text = GEN_DECLS + pretty_expr(ring_program(400))
     rows = text.split("\n")
     last, width = len(rows), len(rows[-1])
     assert _diagnostics(text) == []
@@ -224,7 +223,7 @@ def test_long_input_positions():
 
 def test_long_ring_roundtrips():
     program = ring_program(2000)
-    again = parse_program(GEN_DECLS + pretty_term(program))
+    again = parse_program(GEN_DECLS + pretty_expr(program))
     assert again.diagnostics == ()
     assert again.term == program
 
@@ -234,7 +233,7 @@ def test_inner_where_rings_roundtrip():
     # printed in parentheses, or it would take in the later definitions
     for n in (3, 50, 2000):
         program = inner_where_ring(n)
-        again = parse_program(GEN_DECLS + pretty_term(program))
+        again = parse_program(GEN_DECLS + pretty_expr(program))
         assert again.diagnostics == ()
         assert again.term == program
 
@@ -243,7 +242,7 @@ def test_roundtrip_random_programs():
     rng = random.Random(11)
     for _ in range(40):
         program, _ = random_program(rng)
-        text = GEN_DECLS + pretty_term(program)
+        text = GEN_DECLS + pretty_expr(program)
         again = parse_program(text)
         assert again.term is not None, again.diagnostics
         assert again.term == program
@@ -368,7 +367,7 @@ def test_roundtrip_nested_where_blocks():
     for text in _nested_texts(3, 2000):
         term = parse_program(SCOPE_DECLS + text).term
         if term is not None:
-            assert parse_program(SCOPE_DECLS + pretty_term(term)).term == term, text
+            assert parse_program(SCOPE_DECLS + pretty_expr(term)).term == term, text
 
 
 def _mixes_fun_and_var(term: Term) -> bool:
@@ -382,7 +381,7 @@ def test_descent_resolves_names_like_the_reference_resolver(corpus):
     rng = random.Random(5)
     for _ in range(40):
         program, _ = random_program(rng)
-        terms.append(parse_program(GEN_DECLS + pretty_term(program)).term)
+        terms.append(parse_program(GEN_DECLS + pretty_expr(program)).term)
     nested = [parse_program(SCOPE_DECLS + text).term for text in _nested_texts(3, 2000)]
     nested = [term for term in nested if term is not None]
     # the generator reaches blocks inside blocks and names bound both ways
@@ -543,7 +542,7 @@ def test_descent_checks_terms_like_the_reference(corpus_text):
         assert _assert_checks_like_the_reference(corpus_text[f"example{i}.rsl"]) == 0
     rng = random.Random(19)
     mutated = [_assert_checks_like_the_reference(
-                   GEN_DECLS + _token_mutation(pretty_term(random_program(rng)[0]),
+                   GEN_DECLS + _token_mutation(pretty_expr(random_program(rng)[0]),
                                                rng, rng.randint(2, 6)))
                for _ in range(300)]
     nested = [_assert_checks_like_the_reference(ARITY_DECLS[i % len(ARITY_DECLS)] + text)
@@ -765,8 +764,8 @@ def reference_events(source: SourceFile) -> tuple[str, ...]:
 def test_events_equal_the_term_walk(corpus_text):
     texts = [corpus_text[f"example{i}.rsl"] for i in (1, 2, 3)]
     rng = random.Random(18)
-    texts += [GEN_DECLS + pretty_term(random_program(rng)[0]) for _ in range(300)]
-    texts += [GEN_DECLS + pretty_term(p) for p in (
+    texts += [GEN_DECLS + pretty_expr(random_program(rng)[0]) for _ in range(300)]
+    texts += [GEN_DECLS + pretty_expr(p) for p in (
         ring_program(5), inner_where_ring(5), handler_graph(8))]
     # one-character mutations that still parse: other patterns, other matches
     texts += [m for text in texts[:3] for m in _mutations(text, rng, 300)]
@@ -783,7 +782,7 @@ def test_events_equal_the_term_walk(corpus_text):
 
 
 def test_events_stay_out_of_repr_and_equality():
-    source = parse_program(GEN_DECLS + pretty_term(ring_program(3)))
+    source = parse_program(GEN_DECLS + pretty_expr(ring_program(3)))
     assert source.events == ("EvA", "EvB", "EvC", "EvD")
     assert "events" not in repr(source)
     assert source == SourceFile(source.decls, source.term, ())
@@ -847,7 +846,7 @@ def test_parse_results_pinned(corpus_text):
     rng = random.Random(2024)
     for _ in range(300):
         program, _ = random_program(rng)
-        pin(parse_program(GEN_DECLS + pretty_term(program)))
+        pin(parse_program(GEN_DECLS + pretty_expr(program)))
     battery = "".join(f"prop p{i}: {pretty_formula(f)}\n"
                       for i, f in enumerate(formula_battery()))
     pin(parse_properties(battery, gen_arities))

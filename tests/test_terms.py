@@ -188,7 +188,7 @@ def test_free_vars_fills_the_slot_without_changing_the_value():
 def test_a_calls_definitions_are_no_part_of_its_value():
     # the parser's resolution keeps every term's equality, hash and repr
     defs = {"f": Lam("x", Var("x"))}
-    call = Fun("f", defs)
+    call = Fun("f", defs, 3)
     assert call == Fun("f") and hash(call) == hash(Fun("f"))
     assert repr(call) == "Fun(name='f')"
     block, bare = Where(call, tuple(defs.items()), defs), Where(Fun("f"), tuple(defs.items()))
@@ -209,11 +209,24 @@ def test_a_block_and_its_calls_hold_one_dict_of_its_definitions():
     assert inner.defs[0][1].body.fn.block is outer.block
 
 
+def test_each_definition_is_numbered_once_in_parse_order():
+    # blocks in the order the descent enters their bodies, each block's names
+    # in order; every call of a definition shares its one Fun
+    term = parse_program("f es where\nf = \\es -> (g es where g = \\x -> f x)\n"
+                         "h = \\es -> (g es where g = \\x -> h x)\n").term
+    (_, f), (_, h) = term.defs
+    assert term.body.fn.index == 0
+    assert f.body.body.fn.index == 2 and h.body.body.fn.index == 3
+    assert f.body.defs[0][1].body.fn is term.body.fn
+    assert h.body.defs[0][1].body.fn.index == 1
+    assert Fun("f").index is None
+
+
 def test_no_module_but_terms_assigns_a_node_field():
     # nodes are not frozen: this scan is what keeps them immutable
     names = {name for cls in NODE_CLASSES for base in cls.__mro__
              for name in getattr(base, "__slots__", ())}
-    assert {"name", "args", "body", "alts", "_fv", "block"} <= names
+    assert {"name", "args", "body", "alts", "_fv", "block", "index"} <= names
     offences = []
     for path in sorted(Path(terms.__file__).parent.glob("*.py")):
         if path.name == "terms.py":

@@ -49,7 +49,7 @@ def test_revisit_semantics_without_unfolding():
     call = UNREADABLE.body.args[1]
     assert call.fn.block["f"] is definition
     budget = Budget()
-    visited = budget.bits[id(definition)]
+    visited = 1 << call.fn.index
     atom = Atom(Con("True"))
     assert gen(call, Always(atom), visited, NOFAIR, budget).truth is TRUE
     assert gen(call, Eventually(atom), visited, NOFAIR, budget).truth is FALSE
@@ -63,11 +63,12 @@ def test_a_name_defined_again_is_a_new_call():
     source = parse_program("data S = A\nCons A (f es)\nwhere\n"
                            "f = \\es -> (f es where f = \\xs -> \\x -> x)")
     (_, outer), = source.term.defs
-    inner_call = outer.body.body
+    outer_call, inner_call = source.term.body.args[1], outer.body.body
     assert inner_call.fn.block["f"] is outer.body.defs[0][1]
+    assert outer_call.fn.index != inner_call.fn.index
     budget = Budget()
     with pytest.raises(VerifyError, match="no verification rule for Lam"):
-        gen(inner_call, Always(Atom(Con("True"))), budget.bits[id(outer)],
+        gen(inner_call, Always(Atom(Con("True"))), 1 << outer_call.fn.index,
             NOFAIR, budget)
 
 
