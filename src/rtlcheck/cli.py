@@ -11,7 +11,8 @@ the parser reads off the program's case patterns.
 
 Exit codes: verify uses 0/1/2 for True/False/Undefined; check uses 0/1 for
 conforming or not; 64 flags a usage error, 66 a missing or malformed input
-file, 70 an internal failure, 74 a standard output that its reader closed
+file, 70 an internal failure (a check deeper than the interpreter's
+recursion limit among them), 74 a standard output that its reader closed
 before the command had written everything.
 """
 
@@ -23,15 +24,16 @@ import sys
 from collections.abc import Sequence
 from types import SimpleNamespace
 
-from .kleene import FALSE, TRUE, UNDEFINED, Verdict
 from .lts import LtsError, extract_lts, to_dot, to_json, state_to_json
 from .normform import check_simplified
 from .parser import PropertyFile, SourceFile, parse_program, parse_properties
 from .pretty import pretty_term
 from .semantics import EvalError, run_trace
-from .terms import Formula
-from .verify import VerifyError, require_simplified, verify
-from .witness import generate, validate_verdict
+from .terms import FALSE, Formula, TRUE, UNDEFINED
+from .verify import verify
+from .witness import (
+    Verdict, VerifyError, generate, require_simplified, validate_verdict,
+)
 from .ltlsem import Bounded, MAX_ENUM_DEPTH, OracleError, bounded_counts
 from .ltlsem import (  # noqa: F401  (rebound by benchmarks/tracer.py)
     bounded_check, enumerate_traces,
@@ -376,7 +378,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InputError as exc:
         print(f"rtlcheck: {exc}", file=sys.stderr)
         return EX_DATA
-    except (EvalError, VerifyError, LtsError, OracleError) as exc:
+    except (EvalError, VerifyError, LtsError, OracleError, RecursionError) as exc:
         print(f"rtlcheck: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EX_INTERNAL
 

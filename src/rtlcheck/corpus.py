@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .kleene import FALSE, TRUE, Trace, TruthVal
-from .terms import Con, Record, Term
+from .terms import FALSE, TRUE, Con, Record, Term, Trace, TruthVal
 
 
 class CorpusEntry(Record):

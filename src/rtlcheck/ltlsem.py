@@ -24,9 +24,9 @@ from functools import lru_cache
 from itertools import repeat
 
 from .terms import (
-    Always, And, Atom, Eventually, Formula, Implies, Next, Not, Or, Record, Term,
+    TRUE, UNDEFINED, Always, And, Atom, Eventually, Formula, Implies, Next, Not,
+    Or, Record, Term, TruthVal,
 )
-from .kleene import TRUE, TruthVal, UNDEFINED
 from .semantics import TraceNode, atom_truth, trace_dag
 from .semantics import run_trace  # noqa: F401  (rebound by benchmarks/tracer.py)
 

@@ -46,9 +46,11 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
-from .terms import App, Case, Con, Fun, Lam, Let, PWild, STATE_VAR, Term, Var, Where, free_vars
+from .terms import (
+    App, Case, Con, Fun, Lam, Let, PWild, STATE_VAR, Term, TruthVal, Var, Where,
+    free_vars, truthval_from_name,
+)
 from .terms import substitute  # noqa: F401  (rebound by benchmarks/tracer.py)
-from .kleene import TruthVal, truthval_from_name
 
 DEFAULT_FUEL = 10 ** 6
 

@@ -1,4 +1,5 @@
-"""Syntax trees for the object language and for temporal formulas.
+"""Syntax trees for the object language and for temporal formulas, and the
+three truth values that formulas take.
 
 Terms are immutable; every operation here is a pure function over them.
 Variables bound by lambdas, lets and case patterns are distinct from
@@ -42,6 +43,7 @@ takes under 2% of any workload.
 
 from __future__ import annotations
 
+import enum
 from collections.abc import Iterable, Mapping
 
 
@@ -303,6 +305,33 @@ BUILTIN_DECLS: tuple[DataDecl, ...] = (
     DataDecl("List", (("Nil", 0), ("Cons", 2))),
     DataDecl("TruthVal", (("True", 0), ("False", 0), ("Undefined", 0))),
 )
+
+
+class TruthVal(enum.Enum):
+    """A three-valued truth, named as the built-in ``TruthVal`` constructor
+    that an atom gives for it."""
+
+    TRUE = "True"
+    FALSE = "False"
+    UNDEFINED = "Undefined"
+
+    def __str__(self) -> str:
+        return self.value
+
+
+TRUE = TruthVal.TRUE
+FALSE = TruthVal.FALSE
+UNDEFINED = TruthVal.UNDEFINED
+
+_BY_NAME = {v.value: v for v in TruthVal}
+
+
+def truthval_from_name(name: str) -> TruthVal | None:
+    return _BY_NAME.get(name)
+
+
+# observable states, in the order a program emits them
+Trace = tuple[Term, ...]
 
 
 def arity_table(decls: Iterable[DataDecl] = ()) -> dict[str, int]:

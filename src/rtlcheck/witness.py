@@ -1,4 +1,5 @@
-"""The verification rules, their two engines, and trace validation.
+"""The verification engine: the verdict algebra, the run's budget, the
+verification rules, their two engines, and trace validation.
 
 The rules (``_rules``) walk a term and a formula together and return a
 verdict: a truth value and the trace of observable states that evidences it.
@@ -22,6 +23,17 @@ formula connectives, then the rules keyed on the shapes of expression and
 formula together. A rule whose verdict is that of a part (let, where, a case
 of one alternative) goes on with the part in the same frame.
 
+When a connective combines two verdicts (``_combine``), the result keeps
+the trace of the single operand that produced the result truth; when both
+operands carry it, the choice depends on what the evidence must cover: an
+annihilator result (``and`` giving False, ``or`` giving True) is
+fully explained by one operand, so the shortest trace wins; an identity
+result (``and`` giving True, ``or`` giving False) needed both operands, and
+since both traces start at the same term, the longest covers the most;
+Undefined carries no semantic claim, so the shortest trace wins. Ties go to
+the left operand. The golden counterexample traces of the test suite pin
+this selection byte for byte.
+
 A verdict's trace runs from its own term onward, not from the root: an atom
 gives its Cons cell's state, a temporal rule at a Cons cell puts that state
 before its tail's trace, and revisits, variables and let-variable
@@ -33,7 +45,7 @@ The ``G`` and ``F`` rules at a Cons cell check the head, the subformula at
 this state, first, and stop there when it decides the obligation with a
 one-state trace: a False head under ``G``, a True one under ``F``. The stop is
 exact. The tail's verdict puts this state before its trace, so that trace is
-at least as long, and ``kleene._combine`` lets an annihilating operand win
+at least as long, and ``_combine`` lets an annihilating operand win
 over the left one only with a strictly shorter trace. No tail can change the
 truth or the trace; since verdicts are path-free, a skipped tail only leaves
 memo entries unfilled, which a later lookup computes the same way. Without
@@ -118,27 +130,67 @@ among them, so it gives the tableau's truth, wrong ``True``s included
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from collections.abc import Callable
 from functools import reduce
 
 from .terms import (
-    Always, And, Atom, Case, Con, Eventually, Formula, Fun, Implies, Next, Not,
-    Or, PCon, Record, Term, Var, Where, Let, spine,
-)
-from .kleene import (
-    FALSE, TRUE, Trace, TruthVal, UNDEFINED, Verdict, and_v, not_v, or_v,
+    FALSE, TRUE, UNDEFINED, Always, And, Atom, Case, Con, Eventually, Formula,
+    Fun, Implies, Lam, Let, Next, Not, Or, PCon, Record, Term, Trace, TruthVal,
+    Var, Where, spine,
 )
 from .semantics import atom_truth
-from .normform import check_simplified
-from .verify import (
-    Budget, EMPTY_VISITED, FairSet, VerifyError, VisitedSet, require_simplified,
-    unfold_call,
-)
+from .normform import FormReport, check_simplified
 from .ltlsem import AtomUndefined, Bounded, PositionedModel, bounded_check, sat_lasso
 
 
+# --- verdicts -----------------------------------------------------------------
+
+# a truth value (TruthVal) and the trace (Trace) that evidences it
+Verdict = namedtuple("Verdict", "truth trace")
+
 # Verdict(truth, trace) without the Python frame of the namedtuple's __new__
 _verdict = tuple.__new__
+
+
+def not3(a: TruthVal) -> TruthVal:
+    if a is TRUE:
+        return FALSE
+    if a is FALSE:
+        return TRUE
+    return UNDEFINED
+
+
+def _combine(annihilator: TruthVal, v1: Verdict, v2: Verdict) -> Verdict:
+    """``and`` (annihilator False) or ``or`` (annihilator True) of two verdicts.
+
+    The result is always one operand's verdict, so no new one is built, and
+    the truth value is decided inline: this runs once per combination on the
+    engine's hot path.
+    """
+    t1, t2 = v1.truth, v2.truth
+    if t1 is not t2:
+        # the annihilator decides, and failing that Undefined
+        if t1 is annihilator or (t1 is UNDEFINED and t2 is not annihilator):
+            return v1
+        return v2
+    if t1 is annihilator or t1 is UNDEFINED:
+        return v2 if len(v2.trace) < len(v1.trace) else v1
+    # identity result: the longer trace subsumes the other
+    return v2 if len(v2.trace) > len(v1.trace) else v1
+
+
+def and_v(v1: Verdict, v2: Verdict) -> Verdict:
+    return _combine(FALSE, v1, v2)
+
+
+def or_v(v1: Verdict, v2: Verdict) -> Verdict:
+    return _combine(TRUE, v1, v2)
+
+
+def not_v(v: Verdict) -> Verdict:
+    return Verdict(not3(v.truth), v.trace)
+
 
 # a verdict with no trace, by its truth: a solver variable's value
 _SOLVED = {truth: Verdict(truth, ()) for truth in TruthVal}
@@ -149,20 +201,94 @@ _REVISITED = {Always: _SOLVED[TRUE], Eventually: _SOLVED[FALSE]}
 _FINAL = {Always: (FALSE,), Eventually: (TRUE,)}
 
 
+# --- the run ------------------------------------------------------------------
+
+DEFAULT_BUDGET = 10 ** 6
+
+# the definitions unfolded, bit Fun.index for each
+VisitedSet = int
+FairSet = frozenset[str]
+
+EMPTY_VISITED: VisitedSet = 0
+
+
+class VerifyError(Exception):
+    pass
+
+
+class NotSimplified(VerifyError):
+    """The program is not in simplified form; run the form check for details."""
+
+
+def require_simplified(report: FormReport) -> None:
+    """Raise NotSimplified, naming the first violation, unless ``report`` conforms."""
+    if not report.conforms:
+        first = report.violations[0]
+        raise NotSimplified(f"{first.path}: {first.message}")
+
+
+class BudgetExceeded(VerifyError):
+    """More rule applications than the configured budget."""
+
+
+class Budget:
+    """Mutable countdown of rule applications shared across one run.
+
+    ``memo`` is the run's table of verdicts for calls (the tableau's memo,
+    or the solver's variables), and ``atoms`` its table of atom truths by
+    atom formula node and state; ``generate`` and ``solve`` empty both at
+    the start of every run, since their keys hold neither the fairness set
+    nor the formula itself, and another run's program numbers its
+    definitions from 0 too.
+    """
+
+    __slots__ = ("limit", "used", "memo", "atoms")
+
+    def __init__(self, limit: int = DEFAULT_BUDGET):
+        self.limit = limit
+        self.used = 0
+        self.memo: dict = {}
+        self.atoms: dict = {}
+
+    def tick(self) -> None:
+        self.used += 1
+        if self.used > self.limit:
+            raise BudgetExceeded(f"exceeded {self.limit} rule applications")
+
+
+def unfold_call(fname: str, body: Term, arity: int) -> Term:
+    """``fname``'s definition ``body`` under ``arity`` lambdas, its parameters
+    unrenamed.
+
+    States are ground and case scrutinees are read by shape, so no rule looks
+    at the name a parameter has: renaming it to the argument changes nothing.
+    """
+    for _ in range(arity):
+        if not isinstance(body, Lam):
+            raise VerifyError(f"function {fname} applied to more arguments "
+                              "than it abstracts")
+        body = body.body
+    return body
+
+
+# --- the rules ----------------------------------------------------------------
+
 # the verdict of f for a call of a definition (the Fun node) on a number of
 # variables, from the visited set, the fairness set and the budget
 CallRule = Callable[[Fun, int, Formula, VisitedSet, FairSet, Budget], Verdict]
 
 
-# The rules' frame size (25 locals and an expression stack of 11 on CPython
-# 3.11) decides where the tableau's recursion crosses the interpreter's 16 KB
-# data-stack chunks, and with it how many chunks deep checks map and unmap
-# (ROADMAP item 4). Counted as the forked commands' minor page faults
-# (getrusage of the children) per pass of the benchmark's handler graphs and
-# chains, summed over seeds 1 to 3 (each the median of three passes), this
-# version takes 639k–641k and 293k, where gen with 26 locals and a stack of
-# 10, calling itself at calls, took 644k–649k and 300k–302k; runs of one
-# version spread by 1.5%. Measure before adding or removing a local.
+# The tableau nests four Python frames per handler along a path: the rules
+# at the call, the call rule, the rules at the handler's cases (a case of
+# one alternative goes on in the same frame) and at its Cons cell. Keep it
+# at four. One more lowers the recursion ceiling that
+# tests/test_verify.py::test_deep_ring_stays_within_recursion_limit pins;
+# one fewer lets the tableau finish the benchmark's ~398-handler chain,
+# whose ~400-state witnesses would raise handler_chain's trace_len_mean by
+# about 48%, past its 0.25 bound (ROADMAP item 4). The frame's size, its
+# locals and expression stack, decides where deep checks cross CPython
+# 3.11's 16 KB data-stack chunks and so their minor page faults: measure
+# before adding a local.
 def _rules(t: Term, f: Formula, visited: VisitedSet, fair: FairSet,
            budget: Budget, call: CallRule) -> Verdict:
     """Verdict of formula ``f`` for the stream of ``t``, traced from ``t`` on,
@@ -385,10 +511,12 @@ class _Equations:
 
 def solve(program: Term, f: Formula, fair: FairSet = frozenset(),
           budget: Budget | None = None) -> TruthVal:
-    """The truth of ``generate(program, f, fair)``, from the rules' equations.
+    """The truth of ``generate(program, f, fair)``, from the rules' equations;
+    the public :func:`rtlcheck.verify.verify`.
 
     ``budget`` counts the rule applications of every right-hand side
-    evaluated, and ``budget.memo`` holds the variables' values.
+    evaluated, and ``budget.memo`` holds the variables' values. Raises
+    NotSimplified unless the program is in simplified form.
     """
     budget = _fresh(program, budget)
     fair = frozenset(fair)

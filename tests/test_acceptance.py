@@ -8,12 +8,11 @@ import itertools
 import random
 
 from rtlcheck.corpus import obs
-from rtlcheck.kleene import FALSE, TRUE, UNDEFINED
 from rtlcheck.lts import extract_lts
 from rtlcheck.ltlsem import Bounded, bounded_check, enumerate_traces
 from rtlcheck.parser import parse_program
 from rtlcheck.semantics import run_trace
-from rtlcheck.terms import Always, Atom, Con, Implies
+from rtlcheck.terms import FALSE, TRUE, UNDEFINED, Always, Atom, Con, Implies
 from rtlcheck.verify import Budget, verify
 from rtlcheck.witness import Validation, generate, validate_verdict
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rtlcheck import ltlsem, semantics
+from rtlcheck import cli, ltlsem, semantics
 from rtlcheck.cli import EX_DATA, EX_USAGE, USAGE, main, parse_args
 from rtlcheck.ltlsem import MAX_ENUM_DEPTH
 from rtlcheck.parser import parse_program
@@ -656,6 +656,22 @@ def test_reader_closing_stdout_early_exits_74(corpus_paths):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 74
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", (["witness"], ["oracle", "--depth", "2"]))
+def test_a_check_deeper_than_the_recursion_limit_exits_70(corpus_paths, capsys,
+                                                          monkeypatch, command):
+    # an internal failure, not the False verdict's exit 1 with a traceback
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "generate", too_deep)
+    code = main([*command, corpus_paths["example1.rsl"],
+                 "--props", corpus_paths["mutex.ltl"], "--prop", "mutex",
+                 "--fair-all"])
+    assert code == 70
+    assert capsys.readouterr() == (
+        "", "rtlcheck: RecursionError: maximum recursion depth exceeded\n")
 
 
 def test_usage_error_exits_64(capsys):

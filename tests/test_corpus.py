@@ -1,7 +1,7 @@
 from importlib import resources
 
 from rtlcheck.corpus import ENTRIES, obs
-from rtlcheck.kleene import FALSE, TRUE
+from rtlcheck.terms import FALSE, TRUE
 from rtlcheck.normform import check_simplified
 
 

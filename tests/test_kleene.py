@@ -1,9 +1,7 @@
 import itertools
 
-from rtlcheck.kleene import (
-    FALSE, TRUE, TruthVal, UNDEFINED, Verdict, and_v, not3, not_v, or_v,
-)
-from rtlcheck.terms import Con
+from rtlcheck.terms import FALSE, TRUE, Con, TruthVal, UNDEFINED
+from rtlcheck.witness import Verdict, and_v, not3, not_v, or_v
 
 VALS = (TRUE, FALSE, UNDEFINED)
 

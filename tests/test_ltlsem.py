@@ -12,11 +12,10 @@ from rtlcheck.ltlsem import (
     bounded_check, bounded_counts, enumerate_traces, sat_lasso,
 )
 from rtlcheck import semantics
-from rtlcheck.kleene import TRUE, UNDEFINED
 from rtlcheck.parser import parse_program, parse_properties
 from rtlcheck.semantics import run_trace
 from rtlcheck.terms import (
-    Alt, Always, And, Atom, Case, Con, Eventually, Implies, Next, Not, Or,
+    TRUE, UNDEFINED, Alt, Always, And, Atom, Case, Con, Eventually, Implies, Next, Not, Or,
     PCon, Var, WILD,
 )
 from rtlcheck.witness import Validation, generate, lassoify, validate_verdict

@@ -4,13 +4,12 @@ import pytest
 
 from rtlcheck import semantics
 from rtlcheck.corpus import obs
-from rtlcheck.kleene import FALSE, TRUE
 from rtlcheck.parser import parse_program
 from rtlcheck.semantics import (
     FuelExhausted, NonConsOutput, StuckError, atom_truth, deep_eval, run_trace,
 )
 from rtlcheck.terms import (
-    Alt, App, Case, Con, Fun, Lam, Let, PCon, Var, WILD, Where,
+    FALSE, TRUE, Alt, App, Case, Con, Fun, Lam, Let, PCon, Var, WILD, Where,
 )
 from gen_programs import resolved
 # the step relation the machine reproduces, kept as its reference

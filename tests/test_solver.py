@@ -13,12 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from rtlcheck.kleene import FALSE, TRUE
 from rtlcheck.parser import parse_program, parse_properties
 from rtlcheck.semantics import AtomError, run_trace
-from rtlcheck.terms import Always, Atom, Con, Eventually, Implies, Next, Var
-from rtlcheck.verify import Budget, BudgetExceeded, NotSimplified, verify
-from rtlcheck.witness import generate
+from rtlcheck.terms import FALSE, TRUE, Always, Atom, Con, Eventually, Implies, Next, Var
+from rtlcheck.verify import Budget, BudgetExceeded, verify
+from rtlcheck.witness import NotSimplified, generate
 
 from gen_programs import (
     formula_battery, handler_graph, inner_where_ring, random_fair,

@@ -1,17 +1,13 @@
 import pytest
 
-from rtlcheck.kleene import FALSE, TRUE, UNDEFINED
 from rtlcheck.parser import parse_program
 from rtlcheck.semantics import AtomError, run_trace
 from rtlcheck.terms import (
-    Alt, Always, And, Atom, Case, Con, Eventually, Implies, Next, Not, Or, PCon,
+    FALSE, TRUE, UNDEFINED, Alt, Always, And, Atom, Case, Con, Eventually, Implies, Next, Not, Or, PCon,
     Var, WILD,
 )
-from rtlcheck.verify import (
-    Budget, BudgetExceeded, EMPTY_VISITED, NotSimplified, VerifyError,
-    unfold_call, verify,
-)
-from rtlcheck.witness import gen, generate
+from rtlcheck.verify import Budget, BudgetExceeded, unfold_call, verify
+from rtlcheck.witness import EMPTY_VISITED, NotSimplified, VerifyError, gen, generate
 
 NOFAIR = frozenset()
 ALLFAIR = frozenset(("Request1", "Request2", "Take1", "Take2",

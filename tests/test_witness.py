@@ -3,15 +3,16 @@ import random
 
 import pytest
 
-import rtlcheck.kleene as kleene
+import rtlcheck.witness as witness
 from rtlcheck.corpus import obs
-from rtlcheck.kleene import FALSE, TRUE, UNDEFINED, Verdict
 from rtlcheck.ltlsem import PositionedModel, sat_lasso
 from rtlcheck.parser import parse_program, parse_properties
 from rtlcheck.pretty import pretty_term
-from rtlcheck.terms import Always, Atom, Con, Eventually, Implies, Next
-from rtlcheck.verify import NotSimplified, verify
-from rtlcheck.witness import Validation, generate, lassoify, validate_verdict
+from rtlcheck.terms import FALSE, TRUE, UNDEFINED, Always, Atom, Con, Eventually, Implies, Next
+from rtlcheck.verify import verify
+from rtlcheck.witness import (
+    NotSimplified, Validation, Verdict, generate, lassoify, validate_verdict,
+)
 
 from gen_programs import formula_battery, random_fair, random_program, state_atom
 
@@ -344,14 +345,14 @@ def test_sat_lasso_rejects_an_empty_loop():
 def test_selected_traces_respect_evidence_policy(corpus, monkeypatch):
     # every binary combination and every fold goes through _combine
     observed = []
-    combine = kleene._combine
+    combine = witness._combine
 
     def spy(annihilator, v1, v2):
         out = combine(annihilator, v1, v2)
         observed.append(("and" if annihilator is FALSE else "or", v1, v2, out))
         return out
 
-    monkeypatch.setattr(kleene, "_combine", spy)
+    monkeypatch.setattr(witness, "_combine", spy)
     for entry, source, props in corpus:
         for name in entry.expected_verdicts:
             generate(source.term, props.get(name), props.fair)
@@ -398,7 +399,6 @@ def test_invalid_validation_needs_an_earlier_repeat():
 
 
 def test_atom_evaluated_once_per_node_and_state_per_run(monkeypatch):
-    import rtlcheck.witness as witness
     from gen_programs import ring_program, state_atom
     from rtlcheck.terms import Eventually, Implies
     from rtlcheck.verify import Budget
